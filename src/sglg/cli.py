@@ -11,16 +11,10 @@ from __future__ import annotations
 import argparse
 import math
 import os
-import re
 import sys
 from pathlib import Path
 
-from .errors import (
-    EmptyStateSetError,
-    LogicFileError,
-    NotSeparatingError,
-    ValidationError,
-)
+from .errors import LogicFileError, ValidationError
 from .grammar import (
     check_incidence,
     compile_grammar,
@@ -29,10 +23,11 @@ from .grammar import (
     productions_json,
 )
 from .logic import (
+    _HEX_COLOR_RE,
+    _NAME_RE,
     LogicFile,
     PartitionLogic,
     StateSet,
-    is_separating,
     parse_logic_file,
     partition_representation,
     resolve_states,
@@ -54,8 +49,6 @@ from .render import (
     render_tiles,
 )
 
-_PALETTE_FLAG_RE = re.compile(r"(?P<label>[A-Za-z_]\w*)=(?P<color>#[0-9A-Fa-f]{6})\Z")
-
 _WORST_LABELS = {
     "context orthonormality": "max deviation",
     "basis completeness": "max size gap",
@@ -64,12 +57,12 @@ _WORST_LABELS = {
 
 
 def _palette_override(text: str) -> tuple[str, str]:
-    match = _PALETTE_FLAG_RE.match(text)
-    if match is None:
+    label, equals, color = text.partition("=")
+    if not (equals and _NAME_RE.fullmatch(label) and _HEX_COLOR_RE.fullmatch(color)):
         raise argparse.ArgumentTypeError(
             f"expected LABEL=#RRGGBB, got {text!r}"
         )
-    return match.group("label"), match.group("color")
+    return label, color
 
 
 def _add_style_flags(parser: argparse.ArgumentParser) -> None:
@@ -142,8 +135,9 @@ def _validate_usage(args: argparse.Namespace, parser: argparse.ArgumentParser) -
         parser.error("--cell-size must be a positive integer")
     if getattr(args, "cell_gap", 0) < 0:
         parser.error("--cell-gap must be a non-negative integer")
-    if getattr(args, "tol", None) is not None and args.tol <= 0:
-        parser.error("--tol must be positive")
+    tol = getattr(args, "tol", None)
+    if tol is not None and not (math.isfinite(tol) and tol > 0):
+        parser.error("--tol must be a positive finite number")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -281,9 +275,12 @@ def _cmd_verify(args) -> int:
     else:
         realization = build_v_realization(args.theta)
     if args.tol is not None:
-        realization = VectorRealization(
-            realization.dimension, realization.vectors, args.tol
-        )
+        try:
+            realization = VectorRealization(
+                realization.dimension, realization.vectors, args.tol
+            )
+        except ValueError as exc:  # e.g. a vector within --tol of zero
+            raise LogicFileError(str(exc), "--tol") from None
     report = verify_faithful(logic, realization)
     for check in report.checks():
         verdict = "PASS" if check.passed else "FAIL"
@@ -301,23 +298,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_check(args) -> int:
     logic, states = resolve_states(_read_logic_file(args.spec))
-    if len(states) == 0:
-        raise EmptyStateSetError(f"logic {logic.name!r} admits no two-valued states")
-    lines = [
-        f"states: {len(states)} admissible ({states.order_source.value} order)"
-    ]
-    separation = is_separating(states, logic)
-    if not separation:
-        raise NotSeparatingError(*separation.witness)
-    lines.append("separating: yes")
-    representation = partition_representation(logic, states)
-    lines.append(f"partition representation: ok ({len(representation)} contexts)")
+    # compile_grammar rejects empty and non-separating state sets.
     grammar = compile_grammar(logic, states)
+    representation = partition_representation(logic, states)
     derivation = derive(grammar)
-    lines.append(
-        f"grammar: {len(grammar.productions)} productions, "
-        f"{len(derivation.tokens)} derivation tokens"
-    )
     report = check_incidence(derivation, logic, states)
     if not report.ok:
         for violation in report.violations:
@@ -327,6 +311,12 @@ def _cmd_check(args) -> int:
                 file=sys.stderr,
             )
         return 1
-    lines.append("incidence: ok")
-    print("\n".join(lines))
+    print(
+        f"states: {len(states)} admissible ({states.order_source.value} order)\n"
+        "separating: yes\n"
+        f"partition representation: ok ({len(representation)} contexts)\n"
+        f"grammar: {len(grammar.productions)} productions, "
+        f"{len(derivation.tokens)} derivation tokens\n"
+        "incidence: ok"
+    )
     return 0

@@ -24,7 +24,7 @@ from .errors import (
     NotSeparatingError,
     ValidationError,
 )
-from .logic import PartitionLogic, StateSet, is_admissible, is_separating
+from .logic import PartitionLogic, StateSet, is_admissible, supports
 
 SEPARATOR_NAME = "br"
 LINEBREAK_NAME = "n"
@@ -66,26 +66,22 @@ class Production:
 
 @dataclass(frozen=True)
 class Grammar:
-    """Nonterminals, state terminals, productions, start symbol, layout.
+    """Nonterminals, state terminals, productions and start symbol.
 
-    The rendering map is carried by id only; binding symbols to colors or
-    other realizations happens in the render layer.
+    The layout symbols are always ``br`` and ``n``; binding symbols to
+    colors or other realizations happens in the render layer.
     """
 
     nonterminals: tuple[str, ...]
     terminals: tuple[str, ...]
     productions: tuple[Production, ...]
     start: str
-    rendering_map_id: str = "default"
-    layout: tuple[str, str] = (SEPARATOR_NAME, LINEBREAK_NAME)
 
     def __post_init__(self):
-        if self.layout != (SEPARATOR_NAME, LINEBREAK_NAME):
-            raise ValueError(f"layout symbols must be {(SEPARATOR_NAME, LINEBREAK_NAME)}")
         v, sigma = set(self.nonterminals), set(self.terminals)
         if len(v) != len(self.nonterminals) or len(sigma) != len(self.terminals):
             raise ValueError("symbol declarations repeat a name")
-        overlap = (v & sigma) | ((v | sigma) & set(self.layout))
+        overlap = (v & sigma) | ((v | sigma) & {SEPARATOR_NAME, LINEBREAK_NAME})
         if overlap:
             raise ValueError(f"symbols declared in more than one class: {sorted(overlap)}")
         if self.start not in v:
@@ -176,9 +172,7 @@ class IncidenceReport:
     violations: tuple[RowViolation, ...]
 
 
-def compile_grammar(
-    logic: PartitionLogic, states: StateSet, rendering_map_id: str = "default"
-) -> Grammar:
+def compile_grammar(logic: PartitionLogic, states: StateSet) -> Grammar:
     """Translate a logic plus admissible, separating states into a grammar.
 
     The start rule expands into the atoms in declaration order; each atom's
@@ -193,11 +187,12 @@ def compile_grammar(
     for state in states:
         if not is_admissible(state.values, logic):
             raise ValidationError(f"state {state.label} is not admissible")
-    separation = is_separating(states, logic)
+    table = supports(logic, states)
+    separation = table.separation()
     if not separation:
         raise NotSeparatingError(*separation.witness)
 
-    labels = states.labels()
+    labels = table.state_labels
     reserved = {SEPARATOR_NAME, LINEBREAK_NAME}
     name_pool = set(logic.atoms) | set(labels) | reserved
     if logic.name in name_pool:
@@ -210,12 +205,13 @@ def compile_grammar(
                 f"atom {atom!r} collides with a state label or layout symbol"
             )
 
+    symbols = {label: state_symbol(label) for label in labels}
     productions = [
         Production(logic.name, tuple(nonterminal(a) for a in logic.atoms))
     ]
-    for j, atom in enumerate(logic.atoms):
-        true_part = [state_symbol(s.label) for s in states if s.values[j] == 1]
-        false_part = [state_symbol(s.label) for s in states if s.values[j] == 0]
+    for atom, true_set, false_set in zip(logic.atoms, table.true_sets, table.false_sets):
+        true_part = [symbols[label] for label in true_set]
+        false_part = [symbols[label] for label in false_set]
         body = (*true_part, SEPARATOR, *false_part, LINEBREAK)
         productions.append(Production(atom, body))
     return Grammar(
@@ -223,29 +219,23 @@ def compile_grammar(
         terminals=labels,
         productions=tuple(productions),
         start=logic.name,
-        rendering_map_id=rendering_map_id,
     )
 
 
 def derive(grammar: Grammar) -> Derivation:
-    """Deterministic leftmost expansion of the start symbol."""
-    depth_limit = len(grammar.nonterminals)
+    """Deterministic leftmost expansion of the start symbol (acyclic, so finite)."""
     tokens: list[Symbol] = []
     parents: list[str] = []
 
-    def expand(symbol: Symbol, parent: str, depth: int) -> None:
+    def expand(symbol: Symbol, parent: str) -> None:
         if symbol.kind is not SymbolKind.NONTERMINAL:
             tokens.append(symbol)
             parents.append(parent)
             return
-        if depth > depth_limit:
-            raise CyclicGrammarError(
-                f"expansion of {symbol.name!r} exceeds the acyclic depth bound"
-            )
         for child in grammar.production_for(symbol.name).body:
-            expand(child, symbol.name, depth + 1)
+            expand(child, symbol.name)
 
-    expand(nonterminal(grammar.start), grammar.start, 0)
+    expand(nonterminal(grammar.start), grammar.start)
 
     boundaries = tuple(
         i for i, sym in enumerate(tokens) if sym.kind is SymbolKind.LINEBREAK

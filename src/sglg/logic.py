@@ -14,7 +14,8 @@ import json
 import re
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import combinations, compress
+from operator import not_
 from typing import Iterator, Union
 
 from .errors import LogicFileError, NotAPartitionError, PinnedStatesError
@@ -208,6 +209,15 @@ class SupportTable:
     def false_labels(self, atom: str) -> tuple[str, ...]:
         return self.false_sets[self.atoms.index(atom)]
 
+    def separation(self) -> "SeparationResult":
+        """Whether all T-sets differ; if not, the least atom pair (i, j) sharing one."""
+        first: dict[tuple[str, ...], int] = {}  # T-set -> first atom index holding it
+        clashes = [(first.setdefault(t, j), j) for j, t in enumerate(self.true_sets)]
+        witness = min((pair for pair in clashes if pair[0] != pair[1]), default=None)
+        if witness is None:
+            return SeparationResult(True)
+        return SeparationResult(False, (self.atoms[witness[0]], self.atoms[witness[1]]))
+
 
 @dataclass(frozen=True)
 class SeparationResult:
@@ -271,11 +281,6 @@ def parse_logic_file(text: str) -> LogicFile:
     return LogicFile(source=logic, pinned_states=pinned, palette=palette)
 
 
-def parse_logic_spec(text: str) -> PartitionLogic | BaseSetSpec:
-    """Parse a logic file and return its input-mode payload only."""
-    return parse_logic_file(text).source
-
-
 def _parse_hypergraph_mode(name: str, raw: dict) -> PartitionLogic:
     atoms = raw["atoms"]
     if not isinstance(atoms, list) or not all(isinstance(a, str) for a in atoms):
@@ -300,9 +305,13 @@ def _parse_hypergraph_mode(name: str, raw: dict) -> PartitionLogic:
     return PartitionLogic(name, tuple(atoms), tuple(resolved))
 
 
+def _is_point(p) -> bool:
+    return isinstance(p, (int, str)) and not isinstance(p, bool)
+
+
 def _parse_base_set_mode(name: str, raw: dict) -> BaseSetSpec:
     base = raw["base_set"]
-    if not isinstance(base, list) or not all(isinstance(p, (int, str)) for p in base):
+    if not isinstance(base, list) or not all(map(_is_point, base)):
         raise LogicFileError("must be a list of ints or strings", "base_set")
     partitions = raw.get("partitions")
     if not isinstance(partitions, list):
@@ -310,9 +319,11 @@ def _parse_base_set_mode(name: str, raw: dict) -> BaseSetSpec:
     parsed = []
     for pi, partition in enumerate(partitions):
         if not isinstance(partition, list) or not all(
-            isinstance(b, list) for b in partition
+            isinstance(b, list) and all(map(_is_point, b)) for b in partition
         ):
-            raise LogicFileError("must be a list of blocks", f"partitions[{pi}]")
+            raise LogicFileError(
+                "must be a list of blocks of ints or strings", f"partitions[{pi}]"
+            )
         parsed.append(tuple(tuple(block) for block in partition))
     names = raw.get("block_names")
     if names is not None:
@@ -332,7 +343,8 @@ def _parse_pinned_states(raw_states, logic: PartitionLogic):
         if (
             not isinstance(row, list)
             or len(row) != len(logic.atoms)
-            or any(v not in (0, 1) for v in row)
+            or set(map(type, row)) != {int}
+            or not set(row) <= {0, 1}
         ):
             raise LogicFileError(
                 f"must be a list of {len(logic.atoms)} values, each 0 or 1",
@@ -482,28 +494,23 @@ def resolve_states(logic_file: LogicFile) -> tuple[PartitionLogic, StateSet]:
 
 def is_separating(states: StateSet, logic: PartitionLogic) -> SeparationResult:
     """Whether all atoms have pairwise distinct supports; witness on failure."""
-    support = [
-        frozenset(s.label for s in states if s.values[j] == 1)
-        for j in range(len(logic.atoms))
-    ]
-    for i, j in combinations(range(len(logic.atoms)), 2):
-        if support[i] == support[j]:
-            return SeparationResult(False, (logic.atoms[i], logic.atoms[j]))
-    return SeparationResult(True)
+    return supports(logic, states).separation()
 
 
 def supports(logic: PartitionLogic, states: StateSet) -> SupportTable:
-    """T and F label sets per atom, both in ascending state-index order."""
-    true_sets = []
-    false_sets = []
-    for j in range(len(logic.atoms)):
-        true_sets.append(tuple(s.label for s in states if s.values[j] == 1))
-        false_sets.append(tuple(s.label for s in states if s.values[j] == 0))
+    """T and F label sets per atom, both in ascending state-index order.
+
+    The only code that turns valuations into supports; all readers share it.
+    """
+    labels = states.labels()
+    columns = list(zip(*(s.values for s in states))) or [()] * len(logic.atoms)
     return SupportTable(
         atoms=logic.atoms,
-        state_labels=states.labels(),
-        true_sets=tuple(true_sets),
-        false_sets=tuple(false_sets),
+        state_labels=labels,
+        true_sets=tuple(tuple(compress(labels, column)) for column in columns),
+        false_sets=tuple(
+            tuple(compress(labels, map(not_, column))) for column in columns
+        ),
     )
 
 

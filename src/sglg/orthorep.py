@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -28,14 +29,16 @@ class VectorRealization:
     def __post_init__(self):
         if not isinstance(self.dimension, int) or self.dimension <= 0:
             raise ValueError("dimension must be a positive integer")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError("tolerance must be a positive finite number")
         for atom, vector in self.vectors.items():
             if len(vector) != self.dimension:
                 raise ValueError(
                     f"vector for {atom!r} has length {len(vector)}, "
                     f"expected {self.dimension}"
                 )
+            if not all(math.isfinite(component) for component in vector):
+                raise ValueError(f"vector for {atom!r} has a non-finite component")
             if all(abs(component) <= self.tolerance for component in vector):
                 raise ValueError(f"vector for {atom!r} is numerically zero")
 
@@ -76,6 +79,12 @@ def _dot(u: tuple[float, ...], v: tuple[float, ...]) -> float:
     return math.fsum(a * b for a, b in zip(u, v))
 
 
+def _is_finite_number(x) -> bool:
+    """A JSON number a float can hold: no bool, NaN, infinity or huge int."""
+    numeric = isinstance(x, (int, float)) and not isinstance(x, bool)
+    return numeric and abs(x) <= sys.float_info.max
+
+
 def build_v_realization(theta: float) -> VectorRealization:
     """The two-basis three-dimensional realization with mixing angle theta.
 
@@ -106,7 +115,8 @@ def verify_faithful(
     """Run the three numerical checks of a faithful orthogonal representation.
 
     Unit norms are required, not imposed: a non-normalized vector fails the
-    orthonormality check rather than being silently rescaled.
+    orthonormality check rather than being silently rescaled. Every
+    comparison is written so that a NaN fails it.
     """
     tol = realization.tolerance
     for atom in logic.atoms:
@@ -122,13 +132,13 @@ def verify_faithful(
                 - 1.0
             )
             ortho_worst = max(ortho_worst, deviation)
-            if deviation > tol:
+            if not deviation <= tol:
                 ortho_failures.append(f"|{atom}| deviates from 1 by {deviation:.3e}")
         for j, k in combinations(ctx, 2):
             u, v = logic.atoms[j], logic.atoms[k]
             deviation = abs(_dot(realization.vectors[u], realization.vectors[v]))
             ortho_worst = max(ortho_worst, deviation)
-            if deviation > tol:
+            if not deviation <= tol:
                 ortho_failures.append(f"{u}·{v} = {deviation:.3e}")
 
     comp_worst = 0.0
@@ -153,7 +163,7 @@ def verify_faithful(
         u, v = logic.atoms[j], logic.atoms[k]
         margin = abs(_dot(realization.vectors[u], realization.vectors[v]))
         faith_worst = min(faith_worst, margin)
-        if margin <= tol:
+        if not margin > tol:
             faith_failures.append(f"{u}·{v} = {margin:.3e} though they share no context")
 
     return FaithfulnessReport(
@@ -191,14 +201,12 @@ def load_vector_file(text: str) -> VectorRealization:
         raise LogicFileError("'vectors' must be a non-empty object", "vectors")
     vectors = {}
     for atom, row in raw_vectors.items():
-        if not isinstance(row, list) or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in row
-        ):
+        if not isinstance(row, list) or not all(_is_finite_number(x) for x in row):
             raise LogicFileError("vector must be a list of reals", f"vectors.{atom}")
         vectors[atom] = tuple(float(x) for x in row)
     tolerance = payload.get("tolerance", DEFAULT_TOLERANCE)
-    if not isinstance(tolerance, (int, float)) or isinstance(tolerance, bool):
-        raise LogicFileError("'tolerance' must be a number", "tolerance")
+    if not _is_finite_number(tolerance) or tolerance <= 0:
+        raise LogicFileError("'tolerance' must be a positive finite number", "tolerance")
     try:
         return VectorRealization(dimension, vectors, float(tolerance))
     except ValueError as exc:

@@ -10,16 +10,13 @@ from __future__ import annotations
 
 import colorsys
 import json
-import re
 from dataclasses import dataclass, field
 from enum import Enum
-from xml.sax.saxutils import escape
+from html import escape
 
 from .errors import MissingPaletteEntryError
 from .grammar import Derivation, Grammar, SymbolKind, production_text
-from .logic import PartitionLogic, StateSet
-
-_HEX_RE = re.compile(r"#[0-9A-Fa-f]{6}\Z")
+from .logic import _HEX_COLOR_RE, PartitionLogic, StateSet
 
 DEFAULT_COLORS = ("#008000", "#0000FF", "#FF0000", "#FFA500", "#8F00FF")
 DEFAULT_SEPARATOR_COLOR = "#000000"
@@ -67,10 +64,10 @@ class RenderSpec:
 
     def __post_init__(self):
         for label, value in self.palette.items():
-            if not _HEX_RE.match(value):
+            if not _HEX_COLOR_RE.fullmatch(value):
                 raise ValueError(f"palette entry {label!r} is not a hex color: {value!r}")
         for name in ("separator_color", "false_cell_color"):
-            if not _HEX_RE.match(getattr(self, name)):
+            if not _HEX_COLOR_RE.fullmatch(getattr(self, name)):
                 raise ValueError(f"{name} is not a hex color: {getattr(self, name)!r}")
         if not isinstance(self.cell_size, int) or self.cell_size <= 0:
             raise ValueError("cell_size must be a positive integer")
@@ -137,13 +134,13 @@ def render_schema(logic: PartitionLogic, states: StateSet, spec: RenderSpec) -> 
         body.append(
             f'  <text x="{left + i * step + cell // 2}" y="{top - font // 2}" '
             f'text-anchor="middle" font-family="monospace" '
-            f'font-size="{font}">{escape(label)}</text>'
+            f'font-size="{font}">{escape(label, quote=False)}</text>'
         )
     for j, atom in enumerate(logic.atoms):
         body.append(
             f'  <text x="{left - font}" y="{top + j * step + (cell + font) // 2}" '
             f'text-anchor="end" font-family="monospace" '
-            f'font-size="{font}">{escape(atom)}</text>'
+            f'font-size="{font}">{escape(atom, quote=False)}</text>'
         )
         for i, state in enumerate(states):
             fill = spec.color(state.label) if state.values[j] == 1 else spec.false_cell_color

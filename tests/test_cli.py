@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import shlex
 import subprocess
 import sys
 
 import pytest
 
 from sglg.cli import main
-from support import FIXTURES
+from support import FIXTURES, ROOT
 
 L12 = str(FIXTURES / "l12.json")
 TRIANGLE = str(FIXTURES / "triangle.json")
@@ -182,6 +184,39 @@ def test_check_passes_on_all_fixtures(capsys):
         assert "incidence: ok" in out
 
 
+CHECK_REPORTS = {
+    "l12.json": (
+        "states: 5 admissible (pinned-by-spec order)\n"
+        "separating: yes\n"
+        "partition representation: ok (2 contexts)\n"
+        "grammar: 6 productions, 35 derivation tokens\n"
+        "incidence: ok\n"
+    ),
+    "triangle.json": (
+        "states: 4 admissible (pinned-by-spec order)\n"
+        "separating: yes\n"
+        "partition representation: ok (3 contexts)\n"
+        "grammar: 7 productions, 36 derivation tokens\n"
+        "incidence: ok\n"
+    ),
+    "example_a.json": (
+        "states: 3 admissible (point-induced order)\n"
+        "separating: yes\n"
+        "partition representation: ok (3 contexts)\n"
+        "grammar: 7 productions, 30 derivation tokens\n"
+        "incidence: ok\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(CHECK_REPORTS))
+def test_check_report_is_pinned_byte_for_byte(fixture, capsys):
+    assert main(["check", str(FIXTURES / fixture)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == CHECK_REPORTS[fixture]
+    assert captured.err == ""
+
+
 def test_check_rejects_pinned_states_omitting_s5(tmp_path, capsys):
     spec = write_spec(
         tmp_path,
@@ -305,3 +340,105 @@ def test_module_entry_point_runs():
     )
     assert result.returncode == 0
     assert result.stdout == L12_TABLE_TEXT
+
+
+# ------------------------------------------------ hostile numbers and types
+
+SCALED_L12_VECTORS = {
+    "a": [2.0, 0.0, 0.0],
+    "b": [0.0, 1.0, 0.0],
+    "c": [0.0, 0.0, 1.0],
+    "d": [math.sqrt(0.5), math.sqrt(0.5), 0.0],
+    "e": [-math.sqrt(0.5), math.sqrt(0.5), 0.0],
+}
+
+
+def write_vectors(tmp_path, payload) -> str:
+    path = tmp_path / "vectors.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+def test_non_finite_or_non_positive_tol_is_a_usage_error(tmp_path, capsys, tol):
+    vectors = write_vectors(tmp_path, {"dimension": 3, "vectors": SCALED_L12_VECTORS})
+    assert main(["verify-orthorep", L12, "--vectors", vectors, "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert "[PASS]" not in captured.out
+    assert "--tol" in captured.err
+
+
+def test_tol_that_zeroes_a_vector_is_a_clean_usage_error(capsys):
+    assert main(["verify-orthorep", L12, "--vectors", L12_VECTORS, "--tol", "5"]) == 2
+    assert "--tol: vector for 'a' is numerically zero" in capsys.readouterr().err
+
+
+def test_nan_vector_component_is_rejected(tmp_path, capsys):
+    payload = dict(SCALED_L12_VECTORS, a=[math.nan, 0.0, 0.0])
+    vectors = write_vectors(tmp_path, {"dimension": 3, "vectors": payload})
+    assert main(["verify-orthorep", L12, "--vectors", vectors]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "vectors.a" in captured.err
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf])
+def test_non_finite_vector_file_tolerance_is_rejected(tmp_path, capsys, tolerance):
+    vectors = write_vectors(
+        tmp_path,
+        {"dimension": 3, "vectors": SCALED_L12_VECTORS, "tolerance": tolerance},
+    )
+    assert main(["verify-orthorep", L12, "--vectors", vectors]) == 2
+    assert "tolerance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [1.0, True, [1]])
+def test_pinned_state_values_must_be_integers(tmp_path, capsys, value):
+    spec = write_spec(
+        tmp_path,
+        {"atoms": ["x", "y"], "contexts": [["x", "y"]], "states": [[value, 0], [0, 1]]},
+    )
+    assert main(["states", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "states[0]" in captured.err
+
+
+@pytest.mark.parametrize(
+    "payload, location",
+    [
+        ({"base_set": [True, 2], "partitions": [[[True], [2]]]}, "base_set"),
+        ({"base_set": [1, 2], "partitions": [[[True], [2]]]}, "partitions[0]"),
+        ({"base_set": [1, 2], "partitions": [[[[1]], [2]]]}, "partitions[0]"),
+    ],
+)
+def test_base_set_points_must_be_ints_or_strings(tmp_path, capsys, payload, location):
+    assert main(["states", write_spec(tmp_path, payload)]) == 2
+    assert location in capsys.readouterr().err
+
+
+# ------------------------------------------------------ README commands
+
+_CODE_BLOCK_RE = re.compile(r"^```[^\n]*\n(.*?)^```", re.MULTILINE | re.DOTALL)
+
+
+def readme_commands() -> list[list[str]]:
+    """Every ``sglg ...`` line in the README's code blocks, as argv lists."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in _CODE_BLOCK_RE.findall(readme):
+        for line in block.splitlines():
+            if line.startswith("sglg "):
+                commands.append(shlex.split(line)[1:])
+    return commands
+
+
+def test_readme_lists_the_quick_start_commands():
+    assert len(readme_commands()) >= 8
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_command_runs(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = [str(ROOT / arg) if arg.startswith("fixtures/") else arg for arg in argv]
+    assert main(argv) == 0, capsys.readouterr().err

@@ -73,7 +73,6 @@ def test_l12_grammar_matches_the_golden_rows():
     for atom, row in VGRAMMAR_ROWS.items():
         assert body_names(grammar, atom) == row
     assert grammar.terminals == ("s1", "s2", "s3", "s4", "s5")
-    assert grammar.layout == ("br", "n")
 
 
 def test_triangle_grammar_matches_the_golden_rows():
@@ -214,7 +213,7 @@ def test_grammar_rejects_self_reference():
         (dict(nonterminals=("g", "x", "x")), "repeat"),
         (dict(start="nope"), "start symbol"),
         (dict(terminals=("s1", "g")), "more than one class"),
-        (dict(layout=("sep", "nl")), "layout symbols"),
+        (dict(terminals=("s1", "br")), "more than one class"),
     ],
 )
 def test_grammar_structural_validation(kwargs, message):

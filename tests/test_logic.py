@@ -21,7 +21,6 @@ from sglg import (
     is_separating,
     logic_from_partitions,
     parse_logic_file,
-    parse_logic_spec,
     partition_representation,
     pinned_state_set,
     resolve_states,
@@ -47,14 +46,14 @@ def small_logic(contexts, atoms=("x", "y", "z")):
 
 
 def test_parse_hypergraph_mode_l12():
-    logic = parse_logic_spec(
+    logic = parse_logic_file(
         json.dumps(
             {
                 "atoms": ["a", "b", "c", "d", "e"],
                 "contexts": [["a", "b", "c"], ["c", "d", "e"]],
             }
         )
-    )
+    ).source
     assert isinstance(logic, PartitionLogic)
     assert logic.name == "logic"  # default when the file gives none
     assert logic.atoms == ("a", "b", "c", "d", "e")
@@ -63,20 +62,20 @@ def test_parse_hypergraph_mode_l12():
 
 
 def test_parse_smallest_legal_logic():
-    logic = parse_logic_spec('{"atoms": ["x", "y"], "contexts": [["x", "y"]]}')
+    logic = parse_logic_file('{"atoms": ["x", "y"], "contexts": [["x", "y"]]}').source
     assert logic.atoms == ("x", "y")
     assert logic.contexts == ((0, 1),)
 
 
 def test_parse_base_set_mode():
-    spec = parse_logic_spec(
+    spec = parse_logic_file(
         json.dumps(
             {
                 "base_set": [1, 2, 3],
                 "partitions": [[[1], [2, 3]], [[2], [1, 3]], [[3], [1, 2]]],
             }
         )
-    )
+    ).source
     assert isinstance(spec, BaseSetSpec)
     assert spec.base_set == (1, 2, 3)
     assert len(spec.partitions) == 3
@@ -325,10 +324,10 @@ def test_equal_blocks_with_different_names_are_ambiguous():
 
 
 def test_unnamed_equal_blocks_are_identified():
-    spec = parse_logic_spec(
+    spec = parse_logic_file(
         '{"base_set": [1, 2, 3, 4],'
         ' "partitions": [[[1, 2], [3, 4]], [[1, 2], [3], [4]]]}'
-    )
+    ).source
     logic, _ = logic_from_partitions(spec)
     # block {1,2} recurs and becomes a single intertwining atom
     assert logic.atoms == ("p1b1", "p1b2", "p2b2", "p2b3")
@@ -336,23 +335,23 @@ def test_unnamed_equal_blocks_are_identified():
 
 
 def test_repeated_partitions_make_nested_contexts():
-    spec = parse_logic_spec(
+    spec = parse_logic_file(
         '{"base_set": [1, 2, 3], "partitions": [[[1], [2, 3]], [[2, 3], [1]]]}'
-    )
+    ).source
     with pytest.raises(LogicFileError, match="nested"):
         logic_from_partitions(spec)
 
 
 def test_duplicate_point_valuations_collapse():
-    spec = parse_logic_spec(
+    spec = parse_logic_file(
         '{"base_set": [1, 2, 3], "partitions": [[[1], [2, 3]]]}'
-    )
+    ).source
     _, states = logic_from_partitions(spec)
     assert len(states) == 2  # points 2 and 3 induce the same valuation
 
 
 def test_degenerate_single_block_partition_is_rejected():
-    spec = parse_logic_spec('{"base_set": [1], "partitions": [[[1]]]}')
+    spec = parse_logic_file('{"base_set": [1], "partitions": [[[1]]]}').source
     with pytest.raises(LogicFileError, match="fewer than 2"):
         logic_from_partitions(spec)
 
@@ -388,6 +387,43 @@ def test_separation_agrees_with_oracle_on_random_logics():
         logic = random_logic(rng)
         states = enumerate_states(logic)
         assert bool(is_separating(states, logic)) == separating_by_oracle(states, logic)
+
+
+def first_clash_by_pairs(states, logic):
+    """The first atom pair in (i, j) order with equal supports, or None."""
+    support = [
+        frozenset(s.label for s in states if s.values[j] == 1)
+        for j in range(len(logic.atoms))
+    ]
+    for i in range(len(logic.atoms)):
+        for j in range(i + 1, len(logic.atoms)):
+            if support[i] == support[j]:
+                return (logic.atoms[i], logic.atoms[j])
+    return None
+
+
+def test_witness_is_the_least_clashing_pair_not_the_first_met():
+    # supports: a={s1}, b={s2}, c={s2}, d={s1}; the scan meets (b, c) first
+    logic = PartitionLogic("logic", ("a", "b", "c", "d"), ((0, 1), (2, 3)))
+    states = StateSet.from_vectors([(1, 0, 0, 1), (0, 1, 1, 0)], StateOrder.PINNED)
+    result = is_separating(states, logic)
+    assert not result
+    assert result.witness == ("a", "d")
+    assert first_clash_by_pairs(states, logic) == ("a", "d")
+
+
+def test_witness_agrees_with_pairwise_oracle_on_random_logics():
+    rng = random.Random(4242)
+    clashes = 0
+    for _ in range(300):
+        logic = random_logic(rng, max_atoms=10)
+        states = enumerate_states(logic)
+        expected = first_clash_by_pairs(states, logic)
+        result = is_separating(states, logic)
+        assert result.witness == expected
+        assert bool(result) == (expected is None)
+        clashes += expected is not None
+    assert clashes > 0  # the sample exercises the witness path
 
 
 # ----------------------------------------------- supports / representation

@@ -185,6 +185,15 @@ def test_load_vector_file_fixture():
             '{"dimension": 2, "vectors": {"a": [1, 0]}, "tolerance": "big"}',
             "number",
         ),
+        ('{"dimension": 2, "vectors": {"a": [NaN, 1]}}', "vectors.a"),
+        ('{"dimension": 2, "vectors": {"a": [1e400, 1]}}', "vectors.a"),
+        ('{"dimension": 2, "vectors": {"a": [1%s, 1]}}' % ("0" * 400), "vectors.a"),
+        ('{"dimension": 2, "vectors": {"a": [1, 0]}, "tolerance": NaN}', "tolerance"),
+        (
+            '{"dimension": 2, "vectors": {"a": [1, 0]}, "tolerance": Infinity}',
+            "tolerance",
+        ),
+        ('{"dimension": 2, "vectors": {"a": [1, 0]}, "tolerance": 0}', "tolerance"),
     ],
 )
 def test_load_vector_file_rejects_malformed_input(payload, fragment):
@@ -201,3 +210,17 @@ def test_vector_file_tolerance_is_honored():
     logic = PartitionLogic("logic", ("x", "y"), ((0, 1),))
     # |y| deviates from 1 by ~5e-5 and x.y = 0.01, both inside 0.1
     assert verify_faithful(logic, real).passed
+
+
+@pytest.mark.parametrize(
+    "vectors, tolerance, message",
+    [
+        ({"a": (1.0, 0.0)}, math.nan, "tolerance"),
+        ({"a": (1.0, 0.0)}, math.inf, "tolerance"),
+        ({"a": (math.nan, 1.0)}, 1e-9, "non-finite"),
+        ({"a": (math.inf, 1.0)}, 1e-9, "non-finite"),
+    ],
+)
+def test_realization_rejects_non_finite_numbers(vectors, tolerance, message):
+    with pytest.raises(ValueError, match=message):
+        VectorRealization(2, vectors, tolerance)

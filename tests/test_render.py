@@ -250,6 +250,14 @@ def test_schema_labels_every_atom_and_state():
         assert f">{name}</text>" in svg
 
 
+def test_schema_escapes_markup_in_atom_names():
+    logic = PartitionLogic("logic", ("a<b&c>", "y"), ((0, 1),))
+    states = enumerate_states(logic)
+    svg = render_schema(logic, states, schema_spec(states.labels()))
+    assert ">a&lt;b&amp;c&gt;</text>" in svg
+    assert "a<b&c>" not in svg
+
+
 def test_schema_is_byte_deterministic():
     logic, states = resolve_fixture("l12.json")
     spec = schema_spec(states.labels())
