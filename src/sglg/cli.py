@@ -12,6 +12,7 @@ import argparse
 import math
 import os
 import sys
+from operator import getitem
 from pathlib import Path
 
 from .errors import LogicFileError, ValidationError
@@ -198,12 +199,11 @@ def format_state_table(logic: PartitionLogic, states: StateSet) -> str:
     lines = [
         " " * label_width + "".join(f"  {atom}" for atom in logic.atoms)
     ]
+    # Per atom, its cell for value 0 and for value 1, right-aligned under it.
+    cells = [(f"  {0:>{len(atom)}}", f"  {1:>{len(atom)}}") for atom in logic.atoms]
     for state in states:
-        cells = "".join(
-            f"  {value:>{len(atom)}}"
-            for atom, value in zip(logic.atoms, state.values)
-        )
-        lines.append(f"{state.label:<{label_width}}" + cells)
+        row = "".join(map(getitem, cells, state.values))
+        lines.append(f"{state.label:<{label_width}}" + row)
     return "\n".join(lines) + "\n"
 
 

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterator
 
 from .errors import (
@@ -48,6 +50,9 @@ class Symbol:
 
 SEPARATOR = Symbol(SymbolKind.SEPARATOR, SEPARATOR_NAME)
 LINEBREAK = Symbol(SymbolKind.LINEBREAK, LINEBREAK_NAME)
+
+
+_kind = attrgetter("kind")
 
 
 def nonterminal(name: str) -> Symbol:
@@ -89,39 +94,53 @@ class Grammar:
         heads = [p.head for p in self.productions]
         if sorted(heads) != sorted(self.nonterminals):
             raise ValueError("grammar needs exactly one production per nonterminal")
+        # Each symbol object once, in order of first use: a compiled grammar
+        # shares one Symbol per state label across all of its rows.
+        distinct: dict[int, Symbol] = {}
         for production in self.productions:
-            for sym in production.body:
-                if sym.kind is SymbolKind.NONTERMINAL and sym.name not in v:
-                    raise ValueError(f"undeclared nonterminal {sym.name!r}")
-                if sym.kind is SymbolKind.STATE and sym.name not in sigma:
-                    raise ValueError(f"undeclared terminal {sym.name!r}")
-                if sym.kind is SymbolKind.SEPARATOR and sym.name != SEPARATOR_NAME:
-                    raise ValueError("separator symbol must be named 'br'")
-                if sym.kind is SymbolKind.LINEBREAK and sym.name != LINEBREAK_NAME:
-                    raise ValueError("linebreak symbol must be named 'n'")
-        self._check_acyclic()
+            distinct.update(zip(map(id, production.body), production.body))
+        for sym in distinct.values():
+            if sym.kind is SymbolKind.NONTERMINAL and sym.name not in v:
+                raise ValueError(f"undeclared nonterminal {sym.name!r}")
+            if sym.kind is SymbolKind.STATE and sym.name not in sigma:
+                raise ValueError(f"undeclared terminal {sym.name!r}")
+            if sym.kind is SymbolKind.SEPARATOR and sym.name != SEPARATOR_NAME:
+                raise ValueError("separator symbol must be named 'br'")
+            if sym.kind is SymbolKind.LINEBREAK and sym.name != LINEBREAK_NAME:
+                raise ValueError("linebreak symbol must be named 'n'")
+        self._check_acyclic(distinct)
 
-    def _check_acyclic(self) -> None:
+    def _check_acyclic(self, distinct: dict[int, Symbol]) -> None:
+        names = {
+            key: sym.name
+            for key, sym in distinct.items()
+            if sym.kind is SymbolKind.NONTERMINAL
+        }
         refs = {
-            p.head: [s.name for s in p.body if s.kind is SymbolKind.NONTERMINAL]
+            p.head: [names[key] for key in filter(names.__contains__, map(id, p.body))]
             for p in self.productions
         }
+        # Depth-first with an explicit stack of child iterators: a reference
+        # back into the current path closes a cycle through that nonterminal.
         done: set[str] = set()
-        path: set[str] = set()
-
-        def visit(head: str) -> None:
-            if head in done:
-                return
-            if head in path:
-                raise CyclicGrammarError(f"nonterminal {head!r} derives itself")
-            path.add(head)
-            for ref in refs[head]:
-                visit(ref)
-            path.remove(head)
-            done.add(head)
-
-        for head in refs:
-            visit(head)
+        for root in refs:
+            if root in done:
+                continue
+            path = {root}
+            stack = [(root, iter(refs[root]))]
+            while stack:
+                head, children = stack[-1]
+                for ref in children:
+                    if ref in path:
+                        raise CyclicGrammarError(f"nonterminal {ref!r} derives itself")
+                    if ref not in done:
+                        path.add(ref)
+                        stack.append((ref, iter(refs[ref])))
+                        break
+                else:
+                    stack.pop()
+                    path.remove(head)
+                    done.add(head)
 
     @cached_property
     def _by_head(self) -> dict[str, Production]:
@@ -184,10 +203,14 @@ def compile_grammar(logic: PartitionLogic, states: StateSet) -> Grammar:
         raise EmptyStateSetError(
             f"logic {logic.name!r} admits no two-valued states"
         )
-    for state in states:
-        if not is_admissible(state.values, logic):
-            raise ValidationError(f"state {state.label} is not admissible")
     table = supports(logic, states)
+    # Every state has one true atom per context iff each context's T-sets
+    # partition the state labels; only a failure looks at single states.
+    for ctx in logic.contexts:
+        cells = [table.true_sets[j] for j in ctx]
+        if sum(map(len, cells)) != len(states) or len(set().union(*cells)) != len(states):
+            bad = next(s for s in states if not is_admissible(s.values, logic))
+            raise ValidationError(f"state {bad.label} is not admissible")
     separation = table.separation()
     if not separation:
         raise NotSeparatingError(*separation.witness)
@@ -225,28 +248,41 @@ def compile_grammar(logic: PartitionLogic, states: StateSet) -> Grammar:
 def derive(grammar: Grammar) -> Derivation:
     """Deterministic leftmost expansion of the start symbol (acyclic, so finite)."""
     tokens: list[Symbol] = []
-    parents: list[str] = []
+    boundaries: list[int] = []  # token indices of the linebreaks
+    run_starts: list[int] = []  # first token of each run of terminals ...
+    run_heads: list[str] = []  # ... and the nonterminal whose body holds it
+    # Per open expansion: head, body, the kinds of its symbols, next position.
+    body = grammar.production_for(grammar.start).body
+    stack = [(grammar.start, body, list(map(_kind, body)), 0)]
+    while stack:
+        head, body, kinds, pos = stack.pop()
+        try:
+            end = kinds.index(SymbolKind.NONTERMINAL, pos)
+        except ValueError:
+            end = len(body)
+        if end > pos:
+            offset = len(tokens) - pos
+            run_starts.append(len(tokens))
+            run_heads.append(head)
+            tokens.extend(body[pos:end])
+            try:
+                while True:
+                    pos = kinds.index(SymbolKind.LINEBREAK, pos, end) + 1
+                    boundaries.append(pos - 1 + offset)
+            except ValueError:
+                pass
+        if end < len(body):
+            stack.append((head, body, kinds, end + 1))
+            child = grammar.production_for(body[end].name).body
+            stack.append((body[end].name, child, list(map(_kind, child)), 0))
 
-    def expand(symbol: Symbol, parent: str) -> None:
-        if symbol.kind is not SymbolKind.NONTERMINAL:
-            tokens.append(symbol)
-            parents.append(parent)
-            return
-        for child in grammar.production_for(symbol.name).body:
-            expand(child, symbol.name)
-
-    expand(nonterminal(grammar.start), grammar.start)
-
-    boundaries = tuple(
-        i for i, sym in enumerate(tokens) if sym.kind is SymbolKind.LINEBREAK
-    )
     row_atoms = []
     start = 0
     for boundary in (*boundaries, len(tokens)):
         if boundary > start:
-            row_atoms.append(parents[start])
+            row_atoms.append(run_heads[bisect_right(run_starts, start) - 1])
         start = boundary + 1
-    return Derivation(tuple(tokens), boundaries, tuple(row_atoms))
+    return Derivation(tuple(tokens), tuple(boundaries), tuple(row_atoms))
 
 
 def check_incidence(

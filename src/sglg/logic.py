@@ -14,7 +14,7 @@ import json
 import re
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations, compress
+from itertools import compress
 from operator import not_
 from typing import Iterator, Union
 
@@ -69,14 +69,14 @@ class PartitionLogic:
         for i, atom in enumerate(self.atoms):
             if i not in covered:
                 raise LogicFileError(f"atom {atom!r} appears in no context", f"atoms[{i}]")
-        for ci, cj in combinations(range(len(self.contexts)), 2):
-            a, b = set(self.contexts[ci]), set(self.contexts[cj])
-            if a <= b or b <= a:
-                raise LogicFileError(
-                    f"contexts {ci} and {cj} are nested; no context may be a "
-                    "subset of another",
-                    f"contexts[{cj}]",
-                )
+        nested = _least_nested_pair(self)
+        if nested is not None:
+            ci, cj = nested
+            raise LogicFileError(
+                f"contexts {ci} and {cj} are nested; no context may be a "
+                "subset of another",
+                f"contexts[{cj}]",
+            )
 
     def context_atoms(self, index: int) -> tuple[str, ...]:
         """Atom names of one context, in context order."""
@@ -149,7 +149,7 @@ class TwoValuedState:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        if any(v not in (0, 1) for v in self.values):
+        if not {*self.values} <= {0, 1}:
             raise ValueError(f"state {self.label}: values must be 0 or 1")
 
 
@@ -252,6 +252,8 @@ def parse_logic_file(text: str) -> LogicFile:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise LogicFileError(f"invalid JSON: {exc}") from None
+    except RecursionError:  # the decoder recurses once per nesting level
+        raise LogicFileError("invalid JSON: nested too deeply") from None
     if not isinstance(raw, dict):
         raise LogicFileError("top level must be a JSON object")
 
@@ -419,6 +421,107 @@ def logic_from_partitions(spec: BaseSetSpec) -> tuple[PartitionLogic, StateSet]:
     return logic, states
 
 
+def _context_masks(logic: PartitionLogic) -> list[int]:
+    """Per atom, the contexts it lies in as a mask: bit c stands for context c."""
+    masks = [0] * len(logic.atoms)
+    for ci, ctx in enumerate(logic.contexts):
+        for j in ctx:
+            masks[j] |= 1 << ci
+    return masks
+
+
+def _least_nested_pair(logic: PartitionLogic) -> tuple[int, int] | None:
+    """The least (i, j), i < j, with one of contexts i and j inside the other.
+
+    The AND of a context's atom masks holds every context containing it;
+    any bit left besides its own is a nested pair.
+    """
+    masks = _context_masks(logic)
+    least = None
+    for ci, ctx in enumerate(logic.contexts):
+        containers = -1
+        for j in ctx:
+            containers &= masks[j]
+        containers &= ~(1 << ci)
+        if containers:
+            cj = (containers & -containers).bit_length() - 1
+            pair = (cj, ci) if cj < ci else (ci, cj)
+            if least is None or pair < least:
+                least = pair
+    return least
+
+
+def _state_masks(logic: PartitionLogic) -> list[int]:
+    """Every two-valued state as an atom mask, atom 0 the top bit; unordered.
+
+    An exact cover of the contexts by the atoms (Knuth's Algorithm X) with
+    an explicit stack, so no depth is too deep. Each node branches on the
+    open context with the fewest live atoms; choosing an atom closes its
+    contexts and kills every atom sharing a context with it.
+    """
+    m = len(logic.atoms)
+    bits = [1 << (m - 1 - j) for j in range(m)]
+    members = [sum(bits[j] for j in ctx) for ctx in logic.contexts]
+    lies_in = _context_masks(logic)
+    clash = [0] * m  # atoms sharing a context with atom j, j included
+    touch = [0] * m  # contexts whose live count may drop when j is chosen
+    for ci, ctx in enumerate(logic.contexts):
+        reach = 0
+        for k in ctx:
+            reach |= lies_in[k]
+        for j in ctx:
+            clash[j] |= members[ci]
+            touch[j] |= reach
+    found: list[int] = []
+    # (state, live atoms, open contexts, hot): every open context with at
+    # most one live atom is in hot, so a forced or dead context is found
+    # without scanning all of them.
+    stack = [(0, (1 << m) - 1, (1 << len(logic.contexts)) - 1, 0)]
+    while stack:
+        state, live, open_, hot = stack.pop()
+        if not open_:
+            found.append(state)
+            continue
+        pick, fewest = -1, m + 1
+        while hot:
+            low = hot & -hot
+            ci = low.bit_length() - 1
+            count = (members[ci] & live).bit_count()
+            if count <= 1:
+                pick, fewest = ci, count
+                break
+            hot ^= low
+        if pick < 0:
+            rest = open_
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                ci = low.bit_length() - 1
+                count = (members[ci] & live).bit_count()
+                if count < fewest:
+                    pick, fewest = ci, count
+                    if count == 2:  # the least possible once hot is empty
+                        break
+        if fewest == 0:
+            continue
+        for j in logic.contexts[pick]:
+            if live & bits[j]:
+                closed = open_ & ~lies_in[j]
+                stack.append(
+                    (state | bits[j], live & ~clash[j], closed, (hot | touch[j]) & closed)
+                )
+    return found
+
+
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _vectors(masks: list[int], m: int) -> list[tuple[int, ...]]:
+    """State masks as 0/1 tuples over the atom list."""
+    spec = f"0{m}b"
+    return [tuple(format(v, spec).encode().translate(_BIT_VALUES)) for v in masks]
+
+
 def enumerate_states(logic: PartitionLogic) -> StateSet:
     """All two-valued states of the logic, in canonical order.
 
@@ -426,53 +529,26 @@ def enumerate_states(logic: PartitionLogic) -> StateSet:
     order; labels s1..sN follow that order. An empty result is legal and
     is rejected only by the grammar compiler.
     """
-    values: list[int | None] = [None] * len(logic.atoms)
-    found: list[tuple[int, ...]] = []
-
-    def extend(ci: int) -> None:
-        if ci == len(logic.contexts):
-            found.append(tuple(values))  # type: ignore[arg-type]
-            return
-        ctx = logic.contexts[ci]
-        fixed = [j for j in ctx if values[j] == 1]
-        if len(fixed) > 1:
-            return
-        choices = fixed if fixed else [j for j in ctx if values[j] is None]
-        for true_atom in choices:
-            changed = []
-            consistent = True
-            for j in ctx:
-                want = 1 if j == true_atom else 0
-                if values[j] is None:
-                    values[j] = want
-                    changed.append(j)
-                elif values[j] != want:
-                    consistent = False
-                    break
-            if consistent:
-                extend(ci + 1)
-            for j in changed:
-                values[j] = None
-
-    extend(0)
-    found.sort(reverse=True)
-    return StateSet.from_vectors(found, StateOrder.CANONICAL)
+    masks = _state_masks(logic)
+    masks.sort(reverse=True)  # atom 0 is the top bit: lexicographic order
+    return StateSet.from_vectors(_vectors(masks, len(logic.atoms)), StateOrder.CANONICAL)
 
 
 def pinned_state_set(
     logic: PartitionLogic, rows: tuple[tuple[int, ...], ...]
 ) -> StateSet:
     """Validate an explicit state order against the full enumeration."""
+    enumerated = set(_vectors(_state_masks(logic), len(logic.atoms)))
     for si, row in enumerate(rows):
-        if not is_admissible(row, logic):
+        # A row among the enumerated states is admissible by construction.
+        if row not in enumerated and not is_admissible(row, logic):
             raise PinnedStatesError(
                 f"pinned state s{si + 1} is not admissible (some context does "
                 "not have exactly one true atom)"
             )
-    if len(set(rows)) != len(rows):
-        raise PinnedStatesError("pinned states repeat a valuation")
-    enumerated = {s.values for s in enumerate_states(logic)}
     pinned = set(rows)
+    if len(pinned) != len(rows):
+        raise PinnedStatesError("pinned states repeat a valuation")
     if pinned != enumerated:
         missing = len(enumerated - pinned)
         raise PinnedStatesError(

@@ -76,7 +76,30 @@ class FaithfulnessReport:
 
 
 def _dot(u: tuple[float, ...], v: tuple[float, ...]) -> float:
-    return math.fsum(a * b for a, b in zip(u, v))
+    """The dot product, its products summed exactly; +-inf beyond float range."""
+    try:
+        total = math.fsum(a * b for a, b in zip(u, v))
+    except (OverflowError, ValueError):  # a product or a partial sum overflowed
+        total = math.inf
+    if math.isfinite(total):
+        return total
+    # Scale each vector by a power of two, which is exact, so that every
+    # product is at most 1, and scale the sum back.
+    eu = max(math.frexp(a)[1] for a in u)
+    ev = max(math.frexp(b)[1] for b in v)
+    total = math.fsum(math.ldexp(a, -eu) * math.ldexp(b, -ev) for a, b in zip(u, v))
+    try:
+        return math.ldexp(total, eu + ev)
+    except OverflowError:
+        return math.copysign(math.inf, total)
+
+
+def _norm(u: tuple[float, ...]) -> float:
+    """Euclidean length: the root of the exactly summed squares, or hypot
+    where that sum overflows (hypot may differ in the last bit, which the
+    printed deviations would show)."""
+    squared = _dot(u, u)
+    return math.sqrt(squared) if math.isfinite(squared) else math.hypot(*u)
 
 
 def _is_finite_number(x) -> bool:
@@ -127,10 +150,7 @@ def verify_faithful(
     for ctx in logic.contexts:
         for j in ctx:
             atom = logic.atoms[j]
-            deviation = abs(
-                math.sqrt(_dot(realization.vectors[atom], realization.vectors[atom]))
-                - 1.0
-            )
+            deviation = abs(_norm(realization.vectors[atom]) - 1.0)
             ortho_worst = max(ortho_worst, deviation)
             if not deviation <= tol:
                 ortho_failures.append(f"|{atom}| deviates from 1 by {deviation:.3e}")
@@ -188,6 +208,8 @@ def load_vector_file(text: str) -> VectorRealization:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise LogicFileError(f"not valid JSON: {exc}") from exc
+    except RecursionError:  # the decoder recurses once per nesting level
+        raise LogicFileError("not valid JSON: nested too deeply") from None
     if not isinstance(payload, dict):
         raise LogicFileError("vector file must be a JSON object")
     unknown = set(payload) - {"dimension", "vectors", "tolerance"}

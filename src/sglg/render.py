@@ -9,10 +9,10 @@ and geometry.
 from __future__ import annotations
 
 import colorsys
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from html import escape
+from json.encoder import encode_basestring_ascii as _json_string
 
 from .errors import MissingPaletteEntryError
 from .grammar import Derivation, Grammar, SymbolKind, production_text
@@ -95,7 +95,7 @@ def _svg_document(width: int, height: int, body: list[str]) -> str:
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">'
     )
-    return "\n".join([head, *body, "</svg>"]) + "\n"
+    return "\n".join([head, *body, "</svg>", ""])
 
 
 def render_tiles(derivation: Derivation, spec: RenderSpec) -> str:
@@ -176,7 +176,8 @@ def _render_ansi(derivation: Derivation, spec: RenderSpec, color: bool) -> str:
             lines.append("".join(glyphs) + "\x1b[0m")
         else:
             lines.append(BLOCK * len(row))
-    return "\n".join(lines) + "\n"
+    lines.append("")  # ends the text with a newline
+    return "\n".join(lines)
 
 
 def _render_html(derivation: Derivation, spec: RenderSpec) -> str:
@@ -191,8 +192,8 @@ def _render_html(derivation: Derivation, spec: RenderSpec) -> str:
                 f'background:{_token_color(sym, spec)}"></span>'
             )
         lines.append("  </div>")
-    lines.append("</div>")
-    return "\n".join(lines) + "\n"
+    lines += ["</div>", ""]  # the empty last line ends the text with a newline
+    return "\n".join(lines)
 
 
 def emit_logic_program(grammar: Grammar, spec: RenderSpec) -> str:
@@ -225,14 +226,16 @@ class EventStream:
     events: tuple[Event, ...]
 
     def to_jsonl(self) -> str:
+        # The text of json.dumps(..., separators=(",", ":")) for each event,
+        # with the strings quoted by the function json.dumps uses for them.
         lines = [
-            json.dumps(
-                {"row": e.row, "pos": e.pos, "symbol": e.symbol, "kind": e.kind},
-                separators=(",", ":"),
-            )
+            f'{{"row":{e.row},"pos":{e.pos},"symbol":{_json_string(e.symbol)},'
+            f'"kind":{_json_string(e.kind)}}}'
             for e in self.events
         ]
-        return "\n".join(lines) + ("\n" if lines else "")
+        if lines:
+            lines.append("")  # ends the text with a newline
+        return "\n".join(lines)
 
     def __len__(self) -> int:
         return len(self.events)

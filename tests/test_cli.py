@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import re
 import shlex
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -257,6 +259,56 @@ def test_check_rejects_logics_without_states(tmp_path, capsys):
     assert "no two-valued states" in capsys.readouterr().err
 
 
+def pair_chain_spec(n: int, rng: random.Random | None = None) -> dict:
+    """Contexts {a_i, a_(i+1)} for i < n; shuffled in order and inside if rng."""
+    atoms = [f"a{i}" for i in range(n + 1)]
+    contexts = [[atoms[i], atoms[i + 1]] for i in range(n)]
+    if rng is not None:
+        rng.shuffle(contexts)
+        for ctx in contexts:
+            rng.shuffle(ctx)
+    return {"atoms": atoms, "contexts": contexts}
+
+
+@pytest.mark.parametrize("shuffle_seed", [None, 11])
+def test_states_of_a_deep_pair_chain(tmp_path, capsys, shuffle_seed):
+    n = 1500
+    assert n > sys.getrecursionlimit()
+    rng = None if shuffle_seed is None else random.Random(shuffle_seed)
+    spec = write_spec(tmp_path, pair_chain_spec(n, rng))
+    assert main(["states", spec]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == [f"a{i}" for i in range(n + 1)]
+    assert [line.split() for line in lines[1:]] == [
+        ["s1", *("10"[i % 2] for i in range(n + 1))],
+        ["s2", *("01"[i % 2] for i in range(n + 1))],
+    ]
+
+
+def test_odd_parity_logic_has_an_empty_table_and_fails_check(tmp_path, capsys):
+    # Five contexts of four atoms, each atom in two contexts: a state would
+    # make 5 = 2 * (its number of true atoms), so there is none.
+    edges = list(combinations(range(5), 2))  # K5: each vertex has degree 4
+    atoms = [f"e{a}" for a in range(len(edges))]
+    contexts = [[atoms[a] for a, edge in enumerate(edges) if c in edge] for c in range(5)]
+    payload = {"name": "parity5", "atoms": atoms, "contexts": contexts}
+    spec = write_spec(tmp_path, payload)
+    assert main(["states", spec]) == 0
+    assert capsys.readouterr().out == "".join(f"  {a}" for a in atoms) + "\n"
+    assert main(["check", spec]) == 1
+    assert capsys.readouterr().err == (
+        "sglg: error: logic 'parity5' admits no two-valued states\n"
+    )
+
+
+def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"atoms": ' + "[" * 10**5 + "]" * 10**5 + "}", encoding="utf-8")
+    for argv in (["states", str(deep)], ["verify-orthorep", L12, "--vectors", str(deep)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.endswith("JSON: nested too deeply\n")
+
+
 def test_missing_input_file_is_an_io_error(capsys):
     assert main(["states", "/nonexistent/logic.json"]) == 2
     assert "error" in capsys.readouterr().err
@@ -390,6 +442,30 @@ def test_non_finite_vector_file_tolerance_is_rejected(tmp_path, capsys, toleranc
     )
     assert main(["verify-orthorep", L12, "--vectors", vectors]) == 2
     assert "tolerance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "vectors, failures",
+    [
+        # a·d is 1e400 - 1e400: the products overflow with opposite signs.
+        (
+            {"a": [1e200, 1e200, 0.0], "d": [1e200, -1e200, 0.0]},
+            ["|a| deviates from 1 by 1.414e+200", "a·d = 0.000e+00 though"],
+        ),
+        # a·a's partial sums overflow although each product is finite.
+        ({"a": [1e154, 1e154, 1e154]}, ["|a| deviates from 1 by 1.732e+154"]),
+    ],
+)
+def test_overflowing_dot_products_fail_cleanly(tmp_path, capsys, vectors, failures):
+    payload = json.loads((FIXTURES / "l12_vectors.json").read_text(encoding="utf-8"))
+    payload["vectors"].update(vectors)
+    path = write_vectors(tmp_path, payload)
+    assert main(["verify-orthorep", L12, "--vectors", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("[FAIL] context orthonormality: max deviation ")
+    for failure in failures:
+        assert f"    - {failure}" in captured.out
 
 
 @pytest.mark.parametrize("value", [1.0, True, [1]])

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import json
 import random
+import re
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sglg import (
     CyclicGrammarError,
@@ -20,6 +24,7 @@ from sglg import (
     StateSet,
     Symbol,
     SymbolKind,
+    ValidationError,
     check_incidence,
     compile_grammar,
     derive,
@@ -119,6 +124,15 @@ def test_compile_rejects_inadmissible_states():
         compile_grammar(logic, states)
 
 
+def test_compile_names_the_first_inadmissible_state():
+    logic = PartitionLogic("logic", ("x", "y", "z"), ((0, 1), (1, 2)))
+    states = StateSet.from_vectors(
+        [(1, 0, 1), (0, 1, 0), (1, 1, 0), (0, 0, 0)], StateOrder.PINNED
+    )
+    with pytest.raises(ValidationError, match=r"^state s3 is not admissible$"):
+        compile_grammar(logic, states)
+
+
 def test_compile_rejects_symbol_collisions():
     # an atom named like a state label would make rows ambiguous
     logic = PartitionLogic("logic", ("s1", "y"), ((0, 1),))
@@ -203,6 +217,132 @@ def test_grammar_rejects_self_reference():
             nonterminals=("x",),
             terminals=(),
             productions=(Production("x", (x,)),),
+            start="x",
+        )
+
+
+def derive_by_recursion(grammar: Grammar) -> Derivation:
+    """The reference expansion: recursive leftmost rewriting, one token at a time."""
+    tokens: list[Symbol] = []
+    parents: list[str] = []
+
+    def expand(symbol: Symbol, parent: str) -> None:
+        if symbol.kind is not SymbolKind.NONTERMINAL:
+            tokens.append(symbol)
+            parents.append(parent)
+            return
+        for child in grammar.production_for(symbol.name).body:
+            expand(child, symbol.name)
+
+    expand(Symbol(SymbolKind.NONTERMINAL, grammar.start), grammar.start)
+    boundaries = tuple(
+        i for i, sym in enumerate(tokens) if sym.kind is SymbolKind.LINEBREAK
+    )
+    row_atoms = []
+    start = 0
+    for boundary in (*boundaries, len(tokens)):
+        if boundary > start:
+            row_atoms.append(parents[start])
+        start = boundary + 1
+    return Derivation(tuple(tokens), boundaries, tuple(row_atoms))
+
+
+@st.composite
+def acyclic_grammars(draw) -> Grammar:
+    """Nonterminals x0..xk; x_i's body may name x_j only for j > i."""
+    count = draw(st.integers(1, 6))
+    names = [f"x{i}" for i in range(count)]
+    productions = []
+    for i, name in enumerate(names):
+        choices = [
+            Symbol(SymbolKind.STATE, "s1"),
+            Symbol(SymbolKind.STATE, "s2"),
+            Symbol(SymbolKind.SEPARATOR, "br"),
+            Symbol(SymbolKind.LINEBREAK, "n"),
+            *(Symbol(SymbolKind.NONTERMINAL, later) for later in names[i + 1 :]),
+        ]
+        body = draw(st.lists(st.sampled_from(choices), max_size=8))
+        productions.append(Production(name, tuple(body)))
+    return Grammar(tuple(names), ("s1", "s2"), tuple(productions), names[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(acyclic_grammars())
+def test_derive_equals_recursive_expansion(grammar):
+    assert derive(grammar) == derive_by_recursion(grammar)
+
+
+def test_derive_equals_recursive_expansion_on_random_compiled_grammars():
+    rng = random.Random(5150)
+    for _ in range(40):
+        logic, states = random_separating_logic(rng)
+        grammar = compile_grammar(logic, states)
+        assert derive(grammar) == derive_by_recursion(grammar)
+
+
+def test_first_undeclared_symbol_in_production_order_is_named():
+    x = Symbol(SymbolKind.NONTERMINAL, "x")
+    s1, s8, s9 = (Symbol(SymbolKind.STATE, name) for name in ("s1", "s8", "s9"))
+    with pytest.raises(ValueError, match="^undeclared terminal 's8'$"):
+        Grammar(
+            nonterminals=("g", "x"),
+            terminals=("s1",),
+            productions=(Production("g", (s1, x, s8)), Production("x", (s9,))),
+            start="g",
+        )
+
+
+def nonterminal_chain(depth: int, cyclic: bool) -> Grammar:
+    """g -> x0, x_i -> x_(i+1), and x_(depth-1) -> s1 br n, or -> x0 if cyclic."""
+    names = [f"x{i}" for i in range(depth)]
+    refs = [Symbol(SymbolKind.NONTERMINAL, name) for name in names]
+    last = (refs[0],) if cyclic else (
+        Symbol(SymbolKind.STATE, "s1"),
+        Symbol(SymbolKind.SEPARATOR, "br"),
+        Symbol(SymbolKind.LINEBREAK, "n"),
+    )
+    bodies = [(ref,) for ref in refs[1:]] + [last]
+    return Grammar(
+        nonterminals=("g", *names),
+        terminals=("s1",),
+        productions=(
+            Production("g", (refs[0],)),
+            *(Production(name, body) for name, body in zip(names, bodies)),
+        ),
+        start="g",
+    )
+
+
+def test_nonterminal_chain_deeper_than_the_recursion_limit_derives():
+    depth = 1500
+    assert depth > sys.getrecursionlimit()
+    derivation = derive(nonterminal_chain(depth, cyclic=False))
+    assert [sym.name for sym in derivation.tokens] == ["s1", "br", "n"]
+    assert derivation.row_atoms == (f"x{depth - 1}",)
+    assert derivation.row_boundaries == (2,)
+
+
+def test_long_cycle_is_rejected_naming_a_nonterminal_on_it():
+    depth = 1500
+    assert depth > sys.getrecursionlimit()
+    with pytest.raises(CyclicGrammarError) as info:
+        nonterminal_chain(depth, cyclic=True)
+    named = re.fullmatch(r"nonterminal '(\w+)' derives itself", str(info.value))
+    assert named is not None
+    assert named.group(1) in {f"x{i}" for i in range(depth)}
+
+
+def test_cycle_below_an_acyclic_prefix_names_a_nonterminal_on_the_cycle():
+    x, y, z = (Symbol(SymbolKind.NONTERMINAL, name) for name in "xyz")
+    with pytest.raises(CyclicGrammarError, match="^nonterminal 'y' derives itself$"):
+        Grammar(
+            nonterminals=("x", "y", "z"),
+            terminals=(),
+            productions=(
+                Production("x", (y,)),
+                Production("y", (z,)),
+                Production("z", (y,)),
+            ),
             start="x",
         )
 

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import json
 import random
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sglg import (
     BaseSetSpec,
@@ -213,6 +216,105 @@ def test_every_enumerated_state_is_admissible():
                 assert sum(state.values[j] for j in ctx) == 1
 
 
+@st.composite
+def context_lists(draw, max_atoms: int, max_contexts: int):
+    """Atom count and contexts of distinct atoms, size >= 2, covering every atom.
+
+    Contexts may nest; atoms no context names are dropped and the rest
+    renumbered in order.
+    """
+    m = draw(st.integers(2, max_atoms))
+    raw = draw(
+        st.lists(
+            st.lists(st.integers(0, m - 1), min_size=2, max_size=min(m, 5), unique=True),
+            min_size=1,
+            max_size=max_contexts,
+        )
+    )
+    covered = sorted({j for ctx in raw for j in ctx})
+    remap = {j: i for i, j in enumerate(covered)}
+    return len(covered), [tuple(remap[j] for j in ctx) for ctx in raw]
+
+
+def atom_names(m: int) -> tuple[str, ...]:
+    return tuple(f"a{i}" for i in range(m))
+
+
+@st.composite
+def logics(draw, max_atoms: int):
+    """Valid logics: a context nested with one kept before it is dropped."""
+    m, raw = draw(context_lists(max_atoms, max_contexts=8))
+    contexts: list[tuple[int, ...]] = []
+    for ctx in raw:
+        if not any(set(ctx) <= set(kept) or set(kept) <= set(ctx) for kept in contexts):
+            contexts.append(ctx)
+    covered = sorted({j for ctx in contexts for j in ctx})
+    remap = {j: i for i, j in enumerate(covered)}
+    return PartitionLogic(
+        "logic",
+        atom_names(len(covered)),
+        tuple(tuple(remap[j] for j in ctx) for ctx in contexts),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(logics(max_atoms=14))
+def test_enumeration_is_the_descending_brute_force_in_order(logic):
+    # product((1, 0), ...) runs through all 2^M vectors in descending order.
+    expected = tuple(
+        bits
+        for bits in product((1, 0), repeat=len(logic.atoms))
+        if all(sum(bits[j] for j in ctx) == 1 for ctx in logic.contexts)
+    )
+    assert tuple(s.values for s in enumerate_states(logic)) == expected
+
+
+def first_nested_by_pairs(contexts) -> tuple[int, int] | None:
+    for ci, cj in combinations(range(len(contexts)), 2):
+        a, b = set(contexts[ci]), set(contexts[cj])
+        if a <= b or b <= a:
+            return ci, cj
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(context_lists(max_atoms=7, max_contexts=8))
+def test_nested_context_check_agrees_with_pairwise_oracle(drawn):
+    m, contexts = drawn
+    expected = first_nested_by_pairs(contexts)
+    if expected is None:
+        PartitionLogic("logic", atom_names(m), tuple(contexts))
+        return
+    ci, cj = expected
+    with pytest.raises(LogicFileError) as info:
+        PartitionLogic("logic", atom_names(m), tuple(contexts))
+    assert info.value.location == f"contexts[{cj}]"
+    assert str(info.value) == (
+        f"contexts[{cj}]: contexts {ci} and {cj} are nested; no context may be "
+        "a subset of another"
+    )
+
+
+def test_nested_check_reports_the_least_pair_not_the_first_found():
+    # Context 1 lies in context 2 and context 5 in context 0: (0, 5) is the
+    # least pair although context 1 is met first as the inner one.
+    contexts = ((0, 1, 2), (3, 4), (3, 4, 5), (0, 3), (1, 4), (0, 1))
+    with pytest.raises(LogicFileError, match=r"^contexts\[5\]: contexts 0 and 5 "):
+        PartitionLogic("logic", atom_names(6), contexts)
+
+
+def test_deep_pair_chain_enumerates_without_recursion():
+    n = 3000
+    logic = PartitionLogic(
+        "logic", atom_names(n + 1), tuple((i, i + 1) for i in range(n))
+    )
+    states = enumerate_states(logic)
+    assert [s.values for s in states] == [
+        tuple((i + 1) % 2 for i in range(n + 1)),
+        tuple(i % 2 for i in range(n + 1)),
+    ]
+
+
 # ------------------------------------------------------------- pinning
 
 
@@ -234,6 +336,23 @@ def test_pinned_states_must_be_admissible():
     logic, _ = resolve_fixture("l12.json")
     rows = ((1, 1, 0, 0, 1),) + L12_TABLE[1:]
     with pytest.raises(PinnedStatesError, match="not admissible"):
+        pinned_state_set(logic, rows)
+
+
+def test_pinned_mismatch_counts_the_missing_valuations():
+    logic, _ = resolve_fixture("l12.json")
+    with pytest.raises(PinnedStatesError) as info:
+        pinned_state_set(logic, L12_TABLE[:2])
+    assert str(info.value) == (
+        "pinned states do not match the full enumeration "
+        "(3 of 5 valuations missing)"
+    )
+
+
+def test_first_inadmissible_pinned_row_is_named():
+    logic, _ = resolve_fixture("l12.json")
+    rows = L12_TABLE[:2] + ((1, 1, 0, 0, 1), (0, 0, 0, 0, 0)) + L12_TABLE[2:]
+    with pytest.raises(PinnedStatesError, match=r"^pinned state s3 is not admissible"):
         pinned_state_set(logic, rows)
 
 

@@ -9,6 +9,8 @@ import pytest
 
 from sglg import (
     Backend,
+    Event,
+    EventStream,
     MissingPaletteEntryError,
     PartitionLogic,
     RenderSpec,
@@ -398,6 +400,23 @@ def test_events_are_strictly_ordered():
     keys = [(e.row, e.pos) for e in stream]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
+
+
+def test_events_jsonl_is_json_dumps_per_event():
+    events = (
+        Event(0, 0, "s1", "state"),
+        Event(3, 12, 'q"\\é\u2028\n😀', "separator"),
+    )
+    expected = "".join(
+        json.dumps(
+            {"row": e.row, "pos": e.pos, "symbol": e.symbol, "kind": e.kind},
+            separators=(",", ":"),
+        )
+        + "\n"
+        for e in events
+    )
+    assert EventStream(events).to_jsonl() == expected
+    assert EventStream(()).to_jsonl() == ""
 
 
 def test_events_jsonl_shape():
