@@ -300,14 +300,14 @@ def check_incidence(
         raise ValueError(
             f"derivation has {len(rows)} rows for {len(logic.atoms)} atoms"
         )
-    labels = states.labels()
+    labels = sorted(states.labels())
     violations = []
     for j, row in enumerate(rows):
         separators = [k for k, sym in enumerate(row) if sym.kind is SymbolKind.SEPARATOR]
         if len(separators) != 1:
             raise ValueError(f"row {j} does not contain exactly one separator")
         row_labels = sorted(sym.name for sym in row if sym.kind is SymbolKind.STATE)
-        if row_labels != sorted(labels):
+        if row_labels != labels:
             raise ValueError(f"row {j} does not carry each state symbol exactly once")
         cut = separators[0]
         left = {sym.name for sym in row[:cut]}

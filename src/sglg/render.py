@@ -4,6 +4,12 @@ Every emitter is a pure function of immutable inputs and produces
 byte-identical output for identical arguments. The grammar/derivation
 layer never changes here — a ``RenderSpec`` only binds symbols to colors
 and geometry.
+
+That binding is per symbol, not per token: a compiled grammar shares one
+``Symbol`` object per state label (plus ``br``) across all of its rows, so
+each backend formats its output fragment once per distinct symbol object
+and writes each row by looking the fragments up, with the per-column and
+per-row text (x and y coordinates, event positions) formatted once too.
 """
 
 from __future__ import annotations
@@ -12,10 +18,13 @@ import colorsys
 from dataclasses import dataclass, field
 from enum import Enum
 from html import escape
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _json_string
+from operator import add, getitem
+from typing import Iterator
 
 from .errors import MissingPaletteEntryError
-from .grammar import Derivation, Grammar, SymbolKind, production_text
+from .grammar import Derivation, Grammar, Symbol, SymbolKind, production_text
 from .logic import _HEX_COLOR_RE, PartitionLogic, StateSet
 
 DEFAULT_COLORS = ("#008000", "#0000FF", "#FF0000", "#FFA500", "#8F00FF")
@@ -89,6 +98,22 @@ def _token_color(symbol, spec: RenderSpec) -> str:
     raise ValueError(f"unrenderable token {symbol.name!r} of kind {symbol.kind.value}")
 
 
+def _fragments(rows, fragment) -> dict[int, str]:
+    """``id`` of each distinct token object in ``rows`` → ``fragment(token)``.
+
+    Tokens are taken in order of first use, so the first token whose
+    fragment raises is the first such token in row-major order.
+    """
+    distinct: dict[int, Symbol] = {}
+    for row in rows:
+        distinct.update(zip(map(id, row), row))
+    return {key: fragment(sym) for key, sym in distinct.items()}
+
+
+def _row_fragments(table: dict[int, str], row) -> map:
+    return map(table.__getitem__, map(id, row))
+
+
 def _svg_document(width: int, height: int, body: list[str]) -> str:
     head = (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -107,14 +132,13 @@ def render_tiles(derivation: Derivation, spec: RenderSpec) -> str:
     cols = max((len(row) for row in rows), default=0)
     width = cols * spec.cell_size + max(cols - 1, 0) * spec.cell_gap
     height = len(rows) * spec.cell_size + max(len(rows) - 1, 0) * spec.cell_gap
+    size = f'" width="{spec.cell_size}" height="{spec.cell_size}" fill="'
+    table = _fragments(rows, lambda sym: f'{size}{_token_color(sym, spec)}"/>')
+    xs = [f'  <rect x="{i * step}" y="' for i in range(cols)]
     body = []
     for r, row in enumerate(rows):
-        for i, sym in enumerate(row):
-            body.append(
-                f'  <rect x="{i * step}" y="{r * step}" '
-                f'width="{spec.cell_size}" height="{spec.cell_size}" '
-                f'fill="{_token_color(sym, spec)}"/>'
-            )
+        heads = map(add, xs, repeat(str(r * step)))
+        body.append("\n".join(map(add, heads, _row_fragments(table, row))))
     return _svg_document(width, height, body)
 
 
@@ -129,25 +153,38 @@ def render_schema(logic: PartitionLogic, states: StateSet, spec: RenderSpec) -> 
     width = left + n * cell + max(n - 1, 0) * gap
     height = top + m * cell + max(m - 1, 0) * gap
     font = max(cell // 2, 1)
-    body = []
-    for i, label in enumerate(states.labels()):
-        body.append(
-            f'  <text x="{left + i * step + cell // 2}" y="{top - font // 2}" '
-            f'text-anchor="middle" font-family="monospace" '
-            f'font-size="{font}">{escape(label, quote=False)}</text>'
-        )
+    labels = states.labels()
+    # Per atom, the value each state gives it.
+    columns = list(zip(*(s.values for s in states)))
+    # A label missing from the palette fails at its first true cell in
+    # row-major order, as a lookup per cell would.
+    missing = [i for i, label in enumerate(labels) if label not in spec.palette]
+    for column in columns[:m]:
+        for i in missing:
+            if column[i] == 1:
+                spec.color(labels[i])  # raises MissingPaletteEntryError
+    # Each state's (false, true) fill; a missing label's true fill is never used.
+    fills = [
+        (f'{spec.false_cell_color}"/>', f'{spec.palette.get(label)}"/>')
+        for label in labels
+    ]
+    xs = [f'  <rect x="{left + i * step}" y="' for i in range(n)]
+    size = f'" width="{cell}" height="{cell}" fill="'
+    body = [
+        f'  <text x="{left + i * step + cell // 2}" y="{top - font // 2}" '
+        f'text-anchor="middle" font-family="monospace" '
+        f'font-size="{font}">{escape(label, quote=False)}</text>'
+        for i, label in enumerate(labels)
+    ]
     for j, atom in enumerate(logic.atoms):
         body.append(
             f'  <text x="{left - font}" y="{top + j * step + (cell + font) // 2}" '
             f'text-anchor="end" font-family="monospace" '
             f'font-size="{font}">{escape(atom, quote=False)}</text>'
         )
-        for i, state in enumerate(states):
-            fill = spec.color(state.label) if state.values[j] == 1 else spec.false_cell_color
-            body.append(
-                f'  <rect x="{left + i * step}" y="{top + j * step}" '
-                f'width="{cell}" height="{cell}" fill="{fill}"/>'
-            )
+        if n:
+            heads = map(add, xs, repeat(f"{top + j * step}{size}"))
+            body.append("\n".join(map(add, heads, map(getitem, fills, columns[j]))))
     return _svg_document(width, height, body)
 
 
@@ -164,33 +201,34 @@ def render_text(derivation: Derivation, spec: RenderSpec, color: bool = True) ->
     raise ValueError("render_text requires the ansi or html backend")
 
 
+def _ansi_glyph(symbol, spec: RenderSpec) -> str:
+    value = _token_color(symbol, spec)
+    r, g, b = (int(value[k : k + 2], 16) for k in (1, 3, 5))
+    return f"\x1b[38;2;{r};{g};{b}m{BLOCK}"
+
+
 def _render_ansi(derivation: Derivation, spec: RenderSpec, color: bool) -> str:
-    lines = []
-    for row in derivation.rows():
-        if color:
-            glyphs = []
-            for sym in row:
-                value = _token_color(sym, spec)
-                r, g, b = (int(value[k : k + 2], 16) for k in (1, 3, 5))
-                glyphs.append(f"\x1b[38;2;{r};{g};{b}m{BLOCK}")
-            lines.append("".join(glyphs) + "\x1b[0m")
-        else:
-            lines.append(BLOCK * len(row))
+    rows = derivation.rows()
+    if color:
+        table = _fragments(rows, lambda sym: _ansi_glyph(sym, spec))
+        lines = ["".join(_row_fragments(table, row)) + "\x1b[0m" for row in rows]
+    else:
+        lines = [BLOCK * len(row) for row in rows]
     lines.append("")  # ends the text with a newline
     return "\n".join(lines)
 
 
 def _render_html(derivation: Derivation, spec: RenderSpec) -> str:
-    cell = spec.cell_size
+    rows = derivation.rows()
+    style = (
+        '    <span class="sglg-cell" style="display:inline-block;'
+        f"width:{spec.cell_size}px;height:{spec.cell_size}px;background:"
+    )
+    table = _fragments(rows, lambda sym: f'{style}{_token_color(sym, spec)}"></span>')
     lines = ['<div class="sglg-tiles">']
-    for row in derivation.rows():
+    for row in rows:
         lines.append('  <div class="sglg-row">')
-        for sym in row:
-            lines.append(
-                '    <span class="sglg-cell" style="display:inline-block;'
-                f"width:{cell}px;height:{cell}px;"
-                f'background:{_token_color(sym, spec)}"></span>'
-            )
+        lines.append("\n".join(_row_fragments(table, row)))
         lines.append("  </div>")
     lines += ["</div>", ""]  # the empty last line ends the text with a newline
     return "\n".join(lines)
@@ -221,33 +259,44 @@ class Event:
     kind: str
 
 
+def _event_tail(symbol) -> str:
+    name, kind = _json_string(symbol.name), _json_string(symbol.kind.value)
+    return f',"symbol":{name},"kind":{kind}}}'
+
+
 @dataclass(frozen=True)
 class EventStream:
-    events: tuple[Event, ...]
+    """The events of a derivation: one per non-linebreak token, by (row, position).
+
+    A view: ``Event`` objects are made only while iterating.
+    """
+
+    derivation: Derivation
 
     def to_jsonl(self) -> str:
         # The text of json.dumps(..., separators=(",", ":")) for each event,
         # with the strings quoted by the function json.dumps uses for them.
-        lines = [
-            f'{{"row":{e.row},"pos":{e.pos},"symbol":{_json_string(e.symbol)},'
-            f'"kind":{_json_string(e.kind)}}}'
-            for e in self.events
-        ]
+        rows = self.derivation.rows()
+        table = _fragments(rows, _event_tail)
+        cols = max((len(row) for row in rows), default=0)
+        positions = list(map(str, range(cols)))
+        lines = []
+        for r, row in enumerate(rows):
+            heads = map(add, repeat(f'{{"row":{r},"pos":'), positions)
+            lines.append("\n".join(map(add, heads, _row_fragments(table, row))))
         if lines:
             lines.append("")  # ends the text with a newline
         return "\n".join(lines)
 
     def __len__(self) -> int:
-        return len(self.events)
+        return sum(map(len, self.derivation.rows()))
 
-    def __iter__(self):
-        return iter(self.events)
+    def __iter__(self) -> Iterator[Event]:
+        for r, row in enumerate(self.derivation.rows()):
+            for p, sym in enumerate(row):
+                yield Event(r, p, sym.name, sym.kind.value)
 
 
 def emit_events(derivation: Derivation) -> EventStream:
     """One event per non-linebreak token, ordered by (row, position)."""
-    events = []
-    for r, row in enumerate(derivation.rows()):
-        for p, sym in enumerate(row):
-            events.append(Event(r, p, sym.name, sym.kind.value))
-    return EventStream(tuple(events))
+    return EventStream(derivation)

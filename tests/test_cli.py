@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
@@ -119,6 +120,19 @@ def test_render_events_jsonl(capsys):
         "symbol": "s1",
         "kind": "state",
     }
+
+
+def test_render_events_builds_no_event_objects(capsys, monkeypatch):
+    from sglg import render
+
+    expected = (
+        '{"row":0,"pos":0,"symbol":"s1","kind":"state"}\n'
+        '{"row":0,"pos":1,"symbol":"s2","kind":"state"}\n'
+        '{"row":0,"pos":2,"symbol":"br","kind":"separator"}\n'
+    )
+    monkeypatch.setattr(render, "Event", None)  # any Event(...) call raises
+    assert main(["render", L12, "--format", "events"]) == 0
+    assert capsys.readouterr().out.startswith(expected)
 
 
 def test_palette_override_changes_fills(tmp_path):
@@ -518,3 +532,60 @@ def test_readme_command_runs(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     argv = [str(ROOT / arg) if arg.startswith("fixtures/") else arg for arg in argv]
     assert main(argv) == 0, capsys.readouterr().err
+
+
+# Chain-10: contexts {x_i, y_i, x_(i+1)} for i < 10, 233 states (F(13)).
+CHAIN10_SPEC = {
+    "name": "chain10",
+    "atoms": [f"x{i}" for i in range(11)] + [f"y{i}" for i in range(10)],
+    "contexts": [[f"x{i}", f"y{i}", f"x{i + 1}"] for i in range(10)],
+}
+
+# sha256 of each command's output on chain-10, recorded before the render
+# backends were rewritten to format each distinct symbol once.
+CHAIN10_SHA256 = {
+    "svg-tiles":
+        "e868d4518f3c2d9e1cc31b6d524ba4505fef5001daa751ae6335e8cca2b5d307",
+    "svg-tiles --cell-size 7 --cell-gap 0":
+        "d69b70d12c26199956e8262c844eb5a6d920b905122c4b8a9a8464f60aa6de80",
+    "ansi":
+        "bcf877d0534fd3ebcced656d95ede3982e7633486df6742e02b0d11bd9b287c8",
+    "ansi NO_COLOR":
+        "523dcb79b97e5239d5b8c4dbc3faa142a8a7f0a6099f7b7292712382af0daae7",
+    "ansi --palette s3=#ABCDEF":
+        "c84543261c95ebb0e0b336077e7b14f559831e7386e67568eaa957ee2a9a50e5",
+    "html":
+        "7c44fc947c5da34e8493ab90f9919c6b44b177b651e4dbe9221c4270af2f48c9",
+    "html --cell-size 9 --palette s1=#123456":
+        "a979ee453474d420a937fd22c389f55ab9f13d7f2c98e01f7ad86694eff0b718",
+    "logic-program":
+        "828400c9dc16fe95c1f6ca69a8e9e78454ba9d0a8628a066e3449226d0d4cc9e",
+    "events":
+        "644808da3e20871c73e11b3fa5bc59c5e698c4b012efa5b006ff31d29ec02e5c",
+    "schema":
+        "f912e7f4946eec9dea2caba9012530d6a8aad99d4c5e2c9fd3524488948795a5",
+    "schema --cell-size 11 --cell-gap 5":
+        "a1f7f13eddf7d06af600690b8fe0cd19226e33425d226a3a9058131ce284ac66",
+    "schema --cell-size 1 --cell-gap 0 --palette s233=#00FF00":
+        "8e1b950564d84f42e4809633277d32cd7fc41d4efad547d289864d9afb675e85",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHAIN10_SHA256))
+def test_chain10_outputs_are_pinned_byte_for_byte(case, tmp_path, monkeypatch, capsys):
+    words = case.split()
+    monkeypatch.delenv("NO_COLOR", raising=False)
+    if "NO_COLOR" in words:
+        words.remove("NO_COLOR")
+        monkeypatch.setenv("NO_COLOR", "1")
+    spec = write_spec(tmp_path, CHAIN10_SPEC)
+    out = tmp_path / "out"
+    fmt, *flags = words
+    if fmt == "schema":
+        argv = ["schema", spec, *flags]
+    else:
+        argv = ["render", spec, "--format", fmt, *flags]
+    assert main([*argv, "-o", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == CHAIN10_SHA256[case]

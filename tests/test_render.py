@@ -2,20 +2,26 @@
 
 from __future__ import annotations
 
+import html
 import json
+import random
 import re
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sglg import (
     Backend,
-    Event,
-    EventStream,
+    Derivation,
     MissingPaletteEntryError,
     PartitionLogic,
     RenderSpec,
     StateOrder,
     StateSet,
+    Symbol,
+    SymbolKind,
     compile_grammar,
     default_palette,
     derive,
@@ -23,11 +29,17 @@ from sglg import (
     emit_logic_program,
     enumerate_states,
     parse_production_listing,
+    production_text,
     render_schema,
     render_text,
     render_tiles,
 )
-from support import one_state_grammar, resolve_fixture
+from support import (
+    one_state_grammar,
+    random_logic,
+    random_separating_logic,
+    resolve_fixture,
+)
 
 GREEN, BLUE, RED, ORANGE, VIOLET = (
     "#008000",
@@ -403,20 +415,29 @@ def test_events_are_strictly_ordered():
 
 
 def test_events_jsonl_is_json_dumps_per_event():
-    events = (
-        Event(0, 0, "s1", "state"),
-        Event(3, 12, 'q"\\é\u2028\n😀', "separator"),
-    )
+    s1 = Symbol(SymbolKind.STATE, "s1")
+    n = Symbol(SymbolKind.LINEBREAK, "n")
+    hostile = Symbol(SymbolKind.SEPARATOR, 'q"\\é\u2028\n😀')
+    # Rows: (s1), an empty row that is skipped, then 12 x s1 and the hostile br.
+    derivation = Derivation((s1, n, n, *[s1] * 12, hostile), (1, 2), ("x", "y"))
+    events = [
+        (0, 0, "s1", "state"),
+        *((1, p, "s1", "state") for p in range(12)),
+        (1, 12, 'q"\\é\u2028\n😀', "separator"),
+    ]
     expected = "".join(
         json.dumps(
-            {"row": e.row, "pos": e.pos, "symbol": e.symbol, "kind": e.kind},
+            {"row": row, "pos": pos, "symbol": symbol, "kind": kind},
             separators=(",", ":"),
         )
         + "\n"
-        for e in events
+        for row, pos, symbol, kind in events
     )
-    assert EventStream(events).to_jsonl() == expected
-    assert EventStream(()).to_jsonl() == ""
+    stream = emit_events(derivation)
+    assert stream.to_jsonl() == expected
+    assert [(e.row, e.pos, e.symbol, e.kind) for e in stream] == events
+    assert len(stream) == len(events)
+    assert emit_events(Derivation((), (), ())).to_jsonl() == ""
 
 
 def test_events_jsonl_shape():
@@ -426,3 +447,240 @@ def test_events_jsonl_shape():
     first = json.loads(lines[0])
     assert first == {"row": 0, "pos": 0, "symbol": "s1", "kind": "state"}
     assert lines[0] == '{"row":0,"pos":0,"symbol":"s1","kind":"state"}'
+
+
+# ------------------------------------------- properties against references
+#
+# Per-token references: the loops the backends were first written as. Each
+# backend must give the same text, or raise the same error, as these.
+
+
+def reference_color(sym, spec: RenderSpec) -> str:
+    if sym.kind is SymbolKind.STATE:
+        return spec.color(sym.name)
+    if sym.kind is SymbolKind.SEPARATOR:
+        return spec.separator_color
+    raise ValueError(f"unrenderable token {sym.name!r} of kind {sym.kind.value}")
+
+
+def reference_tiles(derivation, spec: RenderSpec) -> str:
+    rows = derivation.rows()
+    step = spec.cell_size + spec.cell_gap
+    cols = max((len(row) for row in rows), default=0)
+    width = cols * spec.cell_size + max(cols - 1, 0) * spec.cell_gap
+    height = len(rows) * spec.cell_size + max(len(rows) - 1, 0) * spec.cell_gap
+    body = []
+    for r, row in enumerate(rows):
+        for i, sym in enumerate(row):
+            body.append(
+                f'  <rect x="{i * step}" y="{r * step}" '
+                f'width="{spec.cell_size}" height="{spec.cell_size}" '
+                f'fill="{reference_color(sym, spec)}"/>'
+            )
+    return reference_document(width, height, body)
+
+
+def reference_document(width: int, height: int, body: list[str]) -> str:
+    head = (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">'
+    )
+    return "".join(line + "\n" for line in (head, *body, "</svg>"))
+
+
+def reference_schema(logic, states, spec: RenderSpec) -> str:
+    cell, gap = spec.cell_size, spec.cell_gap
+    step = cell + gap
+    left, top = 2 * cell, cell
+    n, m = len(states), len(logic.atoms)
+    width = left + n * cell + max(n - 1, 0) * gap
+    height = top + m * cell + max(m - 1, 0) * gap
+    font = max(cell // 2, 1)
+    body = []
+    for i, state in enumerate(states):
+        body.append(
+            f'  <text x="{left + i * step + cell // 2}" y="{top - font // 2}" '
+            f'text-anchor="middle" font-family="monospace" '
+            f'font-size="{font}">{html.escape(state.label, quote=False)}</text>'
+        )
+    for j, atom in enumerate(logic.atoms):
+        body.append(
+            f'  <text x="{left - font}" y="{top + j * step + (cell + font) // 2}" '
+            f'text-anchor="end" font-family="monospace" '
+            f'font-size="{font}">{html.escape(atom, quote=False)}</text>'
+        )
+        for i, state in enumerate(states):
+            fill = spec.false_cell_color
+            if state.values[j] == 1:
+                fill = spec.color(state.label)
+            body.append(
+                f'  <rect x="{left + i * step}" y="{top + j * step}" '
+                f'width="{cell}" height="{cell}" fill="{fill}"/>'
+            )
+    return reference_document(width, height, body)
+
+
+def reference_ansi(derivation, spec: RenderSpec, color: bool) -> str:
+    lines = []
+    for row in derivation.rows():
+        if color:
+            glyphs = []
+            for sym in row:
+                value = reference_color(sym, spec)
+                r, g, b = (int(value[k : k + 2], 16) for k in (1, 3, 5))
+                glyphs.append(f"\x1b[38;2;{r};{g};{b}m█")
+            lines.append("".join(glyphs) + "\x1b[0m")
+        else:
+            lines.append("█" * len(row))
+    return "".join(line + "\n" for line in lines)
+
+
+def reference_html(derivation, spec: RenderSpec) -> str:
+    cell = spec.cell_size
+    lines = ['<div class="sglg-tiles">']
+    for row in derivation.rows():
+        lines.append('  <div class="sglg-row">')
+        for sym in row:
+            lines.append(
+                '    <span class="sglg-cell" style="display:inline-block;'
+                f"width:{cell}px;height:{cell}px;"
+                f'background:{reference_color(sym, spec)}"></span>'
+            )
+        lines.append("  </div>")
+    lines.append("</div>")
+    return "".join(line + "\n" for line in lines)
+
+
+def reference_events(derivation) -> str:
+    return "".join(
+        json.dumps(
+            {"row": r, "pos": p, "symbol": sym.name, "kind": sym.kind.value},
+            separators=(",", ":"),
+        )
+        + "\n"
+        for r, row in enumerate(derivation.rows())
+        for p, sym in enumerate(row)
+    )
+
+
+def outcome(render, *args):
+    """The rendered text, or the error's type, message and missing label."""
+    try:
+        return render(*args)
+    except (MissingPaletteEntryError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "label", None)
+
+
+LABELS = ("s1", "s2", "s3", "s4")
+hex_colors = st.from_regex(r"#[0-9A-Fa-f]{6}", fullmatch=True)
+
+
+@st.composite
+def specs(draw) -> RenderSpec:
+    """Geometry and colors; the palette may lack any of s1..s4."""
+    palette = draw(st.dictionaries(st.sampled_from(LABELS), hex_colors))
+    return RenderSpec(
+        palette=palette,
+        separator_color=draw(hex_colors),
+        false_cell_color=draw(hex_colors),
+        cell_size=draw(st.integers(1, 40)),
+        cell_gap=draw(st.integers(0, 7)),
+    )
+
+
+@st.composite
+def hand_built_derivations(draw) -> Derivation:
+    """Any token sequence, with row boundaries anywhere.
+
+    The pool repeats equal symbols as distinct objects and holds tokens no
+    backend can color (a nonterminal, a linebreak inside a row).
+    """
+    pool = [
+        *(Symbol(SymbolKind.STATE, label) for label in LABELS),
+        Symbol(SymbolKind.STATE, "s1"),
+        Symbol(SymbolKind.SEPARATOR, "br"),
+        Symbol(SymbolKind.SEPARATOR, "br"),
+        Symbol(SymbolKind.LINEBREAK, "n"),
+        Symbol(SymbolKind.NONTERMINAL, "x"),
+        Symbol(SymbolKind.STATE, 'q"\\é\u2028\n😀'),
+    ]
+    tokens = tuple(draw(st.lists(st.sampled_from(pool), max_size=40)))
+    boundaries = sorted(draw(st.sets(st.integers(0, max(len(tokens) - 1, 0)))))
+    boundaries = tuple(b for b in boundaries if b < len(tokens))
+    return Derivation(tokens, boundaries, ("x",) * (len(boundaries) + 1))
+
+
+def compiled_derivation(rng: random.Random) -> Derivation:
+    logic, states = random_separating_logic(rng, max_atoms=6, max_states=4)
+    return derive(compile_grammar(logic, states))
+
+
+def assert_backends_equal_references(derivation: Derivation, spec: RenderSpec):
+    ansi = replace(spec, backend=Backend.ANSI)
+    html_spec = replace(spec, backend=Backend.HTML)
+    cases = [
+        (render_tiles, reference_tiles, (derivation, spec)),
+        (render_text, reference_ansi, (derivation, ansi, True)),
+        (render_text, reference_ansi, (derivation, ansi, False)),
+        (render_text, reference_html, (derivation, html_spec)),
+        (lambda d: emit_events(d).to_jsonl(), reference_events, (derivation,)),
+    ]
+    for render, reference, args in cases:
+        first = outcome(render, *args)
+        assert first == outcome(reference, *args)
+        assert outcome(render, *args) == first  # byte-deterministic
+
+
+@settings(max_examples=200, deadline=None)
+@given(hand_built_derivations(), specs())
+def test_backends_equal_per_token_references_on_hand_built_derivations(
+    derivation, spec
+):
+    assert_backends_equal_references(derivation, spec)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False), specs())
+def test_backends_equal_per_token_references_on_compiled_derivations(rng, spec):
+    assert_backends_equal_references(compiled_derivation(rng), spec)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), specs(), st.data())
+def test_schema_equals_the_per_cell_reference(rng, spec, data):
+    logic = random_logic(rng, max_atoms=6)
+    m = len(logic.atoms)
+    vectors = data.draw(
+        st.lists(st.tuples(*[st.integers(0, 1)] * m), unique=True, max_size=4)
+    )
+    states = StateSet.from_vectors(vectors, StateOrder.PINNED)
+    spec = replace(spec, backend=Backend.SVG_SCHEMA)
+    first = outcome(render_schema, logic, states, spec)
+    assert first == outcome(reference_schema, logic, states, spec)
+    assert outcome(render_schema, logic, states, spec) == first
+
+
+def test_schema_names_the_first_missing_label_among_true_cells():
+    # Row-major: atom x is true only in s2, so s2 fails before s1 (true at y).
+    logic = PartitionLogic("logic", ("x", "y"), ((0, 1),))
+    states = StateSet.from_vectors([(0, 1), (1, 0)], StateOrder.PINNED)
+    spec = RenderSpec(palette={}, backend=Backend.SVG_SCHEMA)
+    with pytest.raises(MissingPaletteEntryError) as excinfo:
+        render_schema(logic, states, spec)
+    assert excinfo.value.label == "s2"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_production_listings_round_trip(rng):
+    logic, states = random_separating_logic(rng)
+    grammar = compile_grammar(logic, states)
+    spec = RenderSpec(
+        palette=default_palette(states.labels()), backend=Backend.LOGIC_PROGRAM
+    )
+    expected = tuple(
+        (p.head, tuple(s.name for s in p.body)) for p in grammar.productions
+    )
+    assert parse_production_listing(production_text(grammar)) == expected
+    assert parse_production_listing(emit_logic_program(grammar, spec)) == expected
