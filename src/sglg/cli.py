@@ -227,6 +227,9 @@ def _cmd_render(args) -> int:
     logic, states = resolve_states(logic_file)
     grammar = compile_grammar(logic, states)
     derivation = derive(grammar)
+    if args.format == "events":  # the one format without colors
+        _emit(emit_events(derivation).to_jsonl(), args.output)
+        return 0
     palette = _build_palette(logic_file, states, args)
 
     def spec(backend: Backend) -> RenderSpec:
@@ -244,10 +247,8 @@ def _cmd_render(args) -> int:
         _emit(render_text(derivation, spec(Backend.ANSI), color=color), args.output)
     elif args.format == "html":
         _emit(render_text(derivation, spec(Backend.HTML)), args.output)
-    elif args.format == "logic-program":
-        _emit(emit_logic_program(grammar, spec(Backend.LOGIC_PROGRAM)), args.output)
     else:
-        _emit(emit_events(derivation).to_jsonl(), args.output)
+        _emit(emit_logic_program(grammar, spec(Backend.LOGIC_PROGRAM)), args.output)
     return 0
 
 

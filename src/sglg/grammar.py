@@ -16,7 +16,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from operator import attrgetter
+from itertools import compress, repeat
+from operator import attrgetter, is_
 from typing import Iterator
 
 from .errors import (
@@ -53,6 +54,7 @@ LINEBREAK = Symbol(SymbolKind.LINEBREAK, LINEBREAK_NAME)
 
 
 _kind = attrgetter("kind")
+_name = attrgetter("name")
 
 
 def nonterminal(name: str) -> Symbol:
@@ -216,14 +218,13 @@ def compile_grammar(logic: PartitionLogic, states: StateSet) -> Grammar:
         raise NotSeparatingError(*separation.witness)
 
     labels = table.state_labels
-    reserved = {SEPARATOR_NAME, LINEBREAK_NAME}
-    name_pool = set(logic.atoms) | set(labels) | reserved
-    if logic.name in name_pool:
+    taken = {SEPARATOR_NAME, LINEBREAK_NAME, *labels}
+    if logic.name in taken or logic.name in logic.atoms:
         raise ValidationError(
             f"logic name {logic.name!r} collides with another grammar symbol"
         )
     for atom in logic.atoms:
-        if atom in reserved or atom in labels:
+        if atom in taken:
             raise ValidationError(
                 f"atom {atom!r} collides with a state label or layout symbol"
             )
@@ -245,6 +246,11 @@ def compile_grammar(logic: PartitionLogic, states: StateSet) -> Grammar:
     )
 
 
+def _kinds(body: tuple[Symbol, ...]) -> list[SymbolKind]:
+    """The kinds of a body's symbols, then a NONTERMINAL that ends every search."""
+    return [*map(_kind, body), SymbolKind.NONTERMINAL]
+
+
 def derive(grammar: Grammar) -> Derivation:
     """Deterministic leftmost expansion of the start symbol (acyclic, so finite)."""
     tokens: list[Symbol] = []
@@ -253,28 +259,22 @@ def derive(grammar: Grammar) -> Derivation:
     run_heads: list[str] = []  # ... and the nonterminal whose body holds it
     # Per open expansion: head, body, the kinds of its symbols, next position.
     body = grammar.production_for(grammar.start).body
-    stack = [(grammar.start, body, list(map(_kind, body)), 0)]
+    stack = [(grammar.start, body, _kinds(body), 0)]
     while stack:
         head, body, kinds, pos = stack.pop()
-        try:
-            end = kinds.index(SymbolKind.NONTERMINAL, pos)
-        except ValueError:
-            end = len(body)
+        end = kinds.index(SymbolKind.NONTERMINAL, pos)
         if end > pos:
             offset = len(tokens) - pos
             run_starts.append(len(tokens))
             run_heads.append(head)
             tokens.extend(body[pos:end])
-            try:
-                while True:
-                    pos = kinds.index(SymbolKind.LINEBREAK, pos, end) + 1
-                    boundaries.append(pos - 1 + offset)
-            except ValueError:
-                pass
+            for _ in range(kinds[pos:end].count(SymbolKind.LINEBREAK)):
+                pos = kinds.index(SymbolKind.LINEBREAK, pos, end) + 1
+                boundaries.append(pos - 1 + offset)
         if end < len(body):
             stack.append((head, body, kinds, end + 1))
             child = grammar.production_for(body[end].name).body
-            stack.append((body[end].name, child, list(map(_kind, child)), 0))
+            stack.append((body[end].name, child, _kinds(child), 0))
 
     row_atoms = []
     start = 0
@@ -300,25 +300,27 @@ def check_incidence(
         raise ValueError(
             f"derivation has {len(rows)} rows for {len(logic.atoms)} atoms"
         )
-    labels = sorted(states.labels())
+    labels = states.labels()
+    label_set = set(labels)
+    # Per atom, the states' values in state order; read from the states, not
+    # from supports(), so the check shares no table with compile_grammar.
+    columns = list(zip(*(s.values for s in states))) or [()] * len(rows)
     violations = []
     for j, row in enumerate(rows):
-        separators = [k for k, sym in enumerate(row) if sym.kind is SymbolKind.SEPARATOR]
-        if len(separators) != 1:
+        kinds = list(map(_kind, row))
+        if kinds.count(SymbolKind.SEPARATOR) != 1:
             raise ValueError(f"row {j} does not contain exactly one separator")
-        row_labels = sorted(sym.name for sym in row if sym.kind is SymbolKind.STATE)
-        if row_labels != labels:
+        names = list(map(_name, row))
+        row_labels = list(compress(names, map(is_, kinds, repeat(SymbolKind.STATE))))
+        # The labels s1..sN are distinct: equal count and set mean each once.
+        if len(row_labels) != len(labels) or set(row_labels) != label_set:
             raise ValueError(f"row {j} does not carry each state symbol exactly once")
-        cut = separators[0]
-        left = {sym.name for sym in row[:cut]}
-        atom = logic.atoms[j]
-        mismatched = tuple(
-            state.label
-            for i, state in enumerate(states)
-            if (state.label in left) != (state.values[j] == 1)
-        )
-        if mismatched:
-            violations.append(RowViolation(j, atom, mismatched))
+        left = set(names[: kinds.index(SymbolKind.SEPARATOR)])
+        true = set(compress(labels, columns[j]))
+        if left != true:
+            mismatched = tuple(x for x in labels if (x in left) != (x in true))
+            if mismatched:
+                violations.append(RowViolation(j, logic.atoms[j], mismatched))
     return IncidenceReport(not violations, tuple(violations))
 
 

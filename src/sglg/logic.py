@@ -307,13 +307,12 @@ def _parse_hypergraph_mode(name: str, raw: dict) -> PartitionLogic:
     return PartitionLogic(name, tuple(atoms), tuple(resolved))
 
 
-def _is_point(p) -> bool:
-    return isinstance(p, (int, str)) and not isinstance(p, bool)
+_POINT_TYPES = {int, str}  # exact JSON types: bool, float and None are not points
 
 
 def _parse_base_set_mode(name: str, raw: dict) -> BaseSetSpec:
     base = raw["base_set"]
-    if not isinstance(base, list) or not all(map(_is_point, base)):
+    if not isinstance(base, list) or not set(map(type, base)) <= _POINT_TYPES:
         raise LogicFileError("must be a list of ints or strings", "base_set")
     partitions = raw.get("partitions")
     if not isinstance(partitions, list):
@@ -321,7 +320,7 @@ def _parse_base_set_mode(name: str, raw: dict) -> BaseSetSpec:
     parsed = []
     for pi, partition in enumerate(partitions):
         if not isinstance(partition, list) or not all(
-            isinstance(b, list) and all(map(_is_point, b)) for b in partition
+            isinstance(b, list) and set(map(type, b)) <= _POINT_TYPES for b in partition
         ):
             raise LogicFileError(
                 "must be a list of blocks of ints or strings", f"partitions[{pi}]"
@@ -378,6 +377,7 @@ def logic_from_partitions(spec: BaseSetSpec) -> tuple[PartitionLogic, StateSet]:
     one state.
     """
     atoms: list[str] = []
+    taken: set[str] = set()
     blocks: list[frozenset[Point]] = []
     by_block: dict[frozenset[Point], int] = {}
     contexts: list[tuple[int, ...]] = []
@@ -398,25 +398,26 @@ def logic_from_partitions(spec: BaseSetSpec) -> tuple[PartitionLogic, StateSet]:
                         f"block_names[{pi}][{bi}]",
                     )
             else:
-                if name in atoms:
+                if name in taken:  # only given names can repeat
                     raise LogicFileError(
                         f"name {name!r} is used for two different blocks",
-                        f"block_names[{pi}][{bi}]" if spec.block_names else None,
+                        f"block_names[{pi}][{bi}]",
                     )
-                by_block[key] = len(atoms)
+                j = by_block[key] = len(atoms)
                 atoms.append(name)
+                taken.add(name)
                 blocks.append(key)
-                j = by_block[key]
             row.append(j)
         contexts.append(tuple(row))
 
     logic = PartitionLogic(spec.name, tuple(atoms), tuple(contexts))
 
-    vectors: list[tuple[int, ...]] = []
-    for point in spec.base_set:
-        values = tuple(1 if point in block else 0 for block in blocks)
-        if values not in vectors:
-            vectors.append(values)
+    # Mark each atom's points; equal valuations collapse to the first point.
+    marks = {point: bytearray(len(atoms)) for point in spec.base_set}
+    for j, block in enumerate(blocks):
+        for point in block:
+            marks[point][j] = 1
+    vectors = list(map(tuple, dict.fromkeys(map(bytes, marks.values()))))
     states = StateSet.from_vectors(vectors, StateOrder.POINT_INDUCED)
     return logic, states
 

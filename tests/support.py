@@ -135,3 +135,27 @@ def separating_by_oracle(states, logic: PartitionLogic) -> bool:
     return all(
         support[u] != support[v] for u, v in combinations(logic.atoms, 2)
     )
+
+
+def random_base_set_spec(rng: random.Random, points: int, count: int) -> dict:
+    """A base-set logic file: ``count`` distinct random partitions of 1..points.
+
+    Distinct partitions give contexts that never nest, and distinct blocks
+    always have distinct point-induced supports, so the logic separates.
+    """
+    base = list(range(1, points + 1))
+    partitions: list[list[list[int]]] = []
+    seen: set[frozenset[frozenset[int]]] = set()
+    while len(partitions) < count:
+        parts = rng.randint(2, 5)
+        blocks: dict[int, list[int]] = {}
+        for point in base:
+            blocks.setdefault(rng.randrange(parts), []).append(point)
+        key = frozenset(map(frozenset, blocks.values()))
+        if len(blocks) < 2 or key in seen:
+            continue
+        seen.add(key)
+        partition = list(blocks.values())
+        rng.shuffle(partition)
+        partitions.append(partition)
+    return {"name": f"wide{points}x{count}", "base_set": base, "partitions": partitions}

@@ -15,7 +15,7 @@ from itertools import combinations
 import pytest
 
 from sglg.cli import main
-from support import FIXTURES, ROOT
+from support import FIXTURES, ROOT, random_base_set_spec
 
 L12 = str(FIXTURES / "l12.json")
 TRIANGLE = str(FIXTURES / "triangle.json")
@@ -494,6 +494,30 @@ def test_pinned_state_values_must_be_integers(tmp_path, capsys, value):
     assert "states[0]" in captured.err
 
 
+@pytest.mark.parametrize("point", ["true", "1.5", "NaN", "Infinity", "null", "[1]"])
+@pytest.mark.parametrize(
+    "template, message",
+    [
+        (
+            '{"base_set": [%s, 2], "partitions": [[[1], [2]]]}',
+            "base_set: must be a list of ints or strings",
+        ),
+        (
+            '{"base_set": [1, 2], "partitions": [[[1], [2]], [[%s], [1, 2]]]}',
+            "partitions[1]: must be a list of blocks of ints or strings",
+        ),
+    ],
+    ids=["base_set", "block"],
+)
+def test_base_set_point_types_are_rejected(tmp_path, capsys, point, template, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(template % point, encoding="utf-8")
+    assert main(["states", str(spec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"sglg: error: {message}\n"
+
+
 @pytest.mark.parametrize(
     "payload, location",
     [
@@ -589,3 +613,44 @@ def test_chain10_outputs_are_pinned_byte_for_byte(case, tmp_path, monkeypatch, c
     assert capsys.readouterr().out == ""
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == CHAIN10_SHA256[case]
+
+
+def test_render_events_builds_no_palette(monkeypatch, capsys):
+    from sglg import cli
+
+    assert main(["render", L12, "--format", "events"]) == 0
+    expected = capsys.readouterr().out
+
+    def no_palette(labels):
+        raise AssertionError("the events backend reads no palette")
+
+    monkeypatch.setattr(cli, "default_palette", no_palette)
+    assert main(["render", L12, "--format", "events"]) == 0
+    assert capsys.readouterr().out == expected
+
+
+# A seeded 16-point base-set logic with 60 distinct random partitions: 204
+# atoms, 16 point-induced states. sha256 of each output, recorded before
+# point induction and the incidence check were rewritten.
+WIDE16_SPEC = random_base_set_spec(random.Random(1616), 16, 60)
+WIDE16_SHA256 = {
+    "states": "bf9b67808c0d955eaaa62fdd3fbae21e8e430306764f22de7206e9dddc2ca7a6",
+    "check": "65850fdd0d6f029c855087ef87e9f4f8568d4f637c6c8dd0c0b91278c48a918b",
+    "schema": "964a5409eacab960cd640bcb876f76be8caa53c91858c269b2f32bc5fcc251a7",
+    "svg-tiles": "daabb396dc2fe719148a8fc1e20bc7598a883852622c1d4b19e539060282161b",
+}
+
+
+@pytest.mark.parametrize("case", sorted(WIDE16_SHA256))
+def test_base_set_outputs_are_pinned_byte_for_byte(case, tmp_path, capsys):
+    spec = write_spec(tmp_path, WIDE16_SPEC)
+    out = tmp_path / "out"
+    if case in ("states", "check"):
+        assert main([case, spec]) == 0
+        data = capsys.readouterr().out.encode()
+    else:
+        argv = ["schema", spec] if case == "schema" else ["render", spec, "--format", case]
+        assert main([*argv, "-o", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        data = out.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == WIDE16_SHA256[case]

@@ -16,10 +16,12 @@ from sglg import (
     Derivation,
     EmptyStateSetError,
     Grammar,
+    IncidenceReport,
     LogicFileError,
     NotSeparatingError,
     PartitionLogic,
     Production,
+    RowViolation,
     StateOrder,
     StateSet,
     Symbol,
@@ -478,6 +480,122 @@ def test_distinct_support_tables_give_distinct_productions():
         else:
             assert rows not in seen.values()
             seen[key] = rows
+
+
+def incidence_by_token_walk(derivation, logic, states):
+    """Reference: the per-token loop that check_incidence used to run."""
+    rows = derivation.rows()
+    if len(rows) != len(logic.atoms):
+        raise ValueError(
+            f"derivation has {len(rows)} rows for {len(logic.atoms)} atoms"
+        )
+    labels = sorted(states.labels())
+    violations = []
+    for j, row in enumerate(rows):
+        separators = [k for k, sym in enumerate(row) if sym.kind is SymbolKind.SEPARATOR]
+        if len(separators) != 1:
+            raise ValueError(f"row {j} does not contain exactly one separator")
+        row_labels = sorted(sym.name for sym in row if sym.kind is SymbolKind.STATE)
+        if row_labels != labels:
+            raise ValueError(f"row {j} does not carry each state symbol exactly once")
+        cut = separators[0]
+        left = {sym.name for sym in row[:cut]}
+        atom = logic.atoms[j]
+        mismatched = tuple(
+            state.label
+            for i, state in enumerate(states)
+            if (state.label in left) != (state.values[j] == 1)
+        )
+        if mismatched:
+            violations.append(RowViolation(j, atom, mismatched))
+    return IncidenceReport(not violations, tuple(violations))
+
+
+def _outcome(check, derivation, logic, states):
+    try:
+        return check(derivation, logic, states)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+SEPARATOR = Symbol(SymbolKind.SEPARATOR, "br")
+LINEBREAK = Symbol(SymbolKind.LINEBREAK, "n")
+
+
+def _damage(rows: list[list[Symbol]], how: str, rng: random.Random) -> None:
+    """Damage one row (two for a swap) of a compiled derivation in place."""
+    if how == "swap rows" and len(rows) > 1:
+        i, j = rng.sample(range(len(rows)), 2)
+        rows[i], rows[j] = rows[j], rows[i]
+        return
+    row = rng.choice(rows)
+    if SEPARATOR not in row:
+        return
+    cut = row.index(SEPARATOR)
+    states_at = [k for k, sym in enumerate(row) if sym.kind is SymbolKind.STATE]
+    if not states_at:
+        return
+    k = rng.choice(states_at)
+    if how == "move across separator":
+        sym = row.pop(k)
+        cut = row.index(SEPARATOR)
+        row.insert(rng.randint(cut + 1, len(row)) if k <= cut else rng.randint(0, cut), sym)
+    elif how == "no separator":
+        del row[cut]
+    elif how == "two separators":
+        row.insert(rng.randint(0, len(row)), SEPARATOR)
+    elif how == "label missing":
+        del row[k]
+    elif how == "label repeated":
+        row.insert(rng.randint(0, len(row)), row[k])
+    elif how == "nonterminal left of separator":
+        row.insert(rng.randint(0, cut), Symbol(SymbolKind.NONTERMINAL, row[k].name))
+    elif how == "states reordered":
+        rng.shuffle(row)
+
+
+DAMAGES = (
+    "none",
+    "swap rows",
+    "move across separator",
+    "no separator",
+    "two separators",
+    "label missing",
+    "label repeated",
+    "nonterminal left of separator",
+    "states reordered",
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    damages=st.lists(st.sampled_from(DAMAGES), min_size=1, max_size=3),
+    pinned=st.booleans(),
+)
+def test_check_incidence_equals_the_token_walk(seed, damages, pinned):
+    rng = random.Random(seed)
+    logic, states = random_separating_logic(rng, max_atoms=10)
+    if pinned:  # compile from a shuffled state order, check against the canonical one
+        vectors = [s.values for s in states]
+        rng.shuffle(vectors)
+        compiled = StateSet.from_vectors(vectors, StateOrder.PINNED)
+    else:
+        compiled = states
+    derivation = derive(compile_grammar(logic, compiled))
+    rows = [list(row) for row in derivation.rows()]
+    for how in damages:
+        _damage(rows, how, rng)
+    tokens, boundaries = [], []
+    for row in rows:
+        tokens.extend(row)
+        boundaries.append(len(tokens))
+        tokens.append(LINEBREAK)
+    damaged = Derivation(tuple(tokens), tuple(boundaries), derivation.row_atoms)
+    expected = _outcome(incidence_by_token_walk, damaged, logic, states)
+    assert _outcome(check_incidence, damaged, logic, states) == expected
+    if damages == ["none"] and not pinned:
+        assert expected == IncidenceReport(True, ())
 
 
 # ------------------------------------------------------------- listings

@@ -475,6 +475,119 @@ def test_degenerate_single_block_partition_is_rejected():
         logic_from_partitions(spec)
 
 
+def partitions_by_loops(spec: BaseSetSpec) -> tuple[PartitionLogic, StateSet]:
+    """Reference: the loops logic_from_partitions used to run."""
+    atoms: list[str] = []
+    blocks: list[frozenset] = []
+    by_block: dict[frozenset, int] = {}
+    contexts: list[tuple[int, ...]] = []
+    for pi, partition in enumerate(spec.partitions):
+        row = []
+        for bi, block in enumerate(partition):
+            key = frozenset(block)
+            if spec.block_names is not None:
+                name = spec.block_names[pi][bi]
+            else:
+                name = f"p{pi + 1}b{bi + 1}"
+            if key in by_block:
+                j = by_block[key]
+                if spec.block_names is not None and atoms[j] != name:
+                    raise LogicFileError(
+                        f"block {sorted(key, key=repr)} is named {atoms[j]!r} and "
+                        f"{name!r} in different partitions (ambiguous pasting)",
+                        f"block_names[{pi}][{bi}]",
+                    )
+            else:
+                if name in atoms:
+                    raise LogicFileError(
+                        f"name {name!r} is used for two different blocks",
+                        f"block_names[{pi}][{bi}]" if spec.block_names else None,
+                    )
+                by_block[key] = len(atoms)
+                atoms.append(name)
+                blocks.append(key)
+                j = by_block[key]
+            row.append(j)
+        contexts.append(tuple(row))
+    logic = PartitionLogic(spec.name, tuple(atoms), tuple(contexts))
+    vectors: list[tuple[int, ...]] = []
+    for point in spec.base_set:
+        values = tuple(1 if point in block else 0 for block in blocks)
+        if values not in vectors:
+            vectors.append(values)
+    return logic, StateSet.from_vectors(vectors, StateOrder.POINT_INDUCED)
+
+
+def _induced(build, spec: BaseSetSpec):
+    try:
+        logic, states = build(spec)
+    except LogicFileError as exc:
+        return ("error", str(exc), exc.location)
+    return logic.atoms, logic.contexts, tuple(s.values for s in states), states.order_source
+
+
+@st.composite
+def base_set_specs(draw) -> BaseSetSpec:
+    """Valid base-set specs of int and str points, with or without block names.
+
+    Names come from a small pool (so two blocks often share a name, or one
+    block gets two names) or from the block's points (always consistent).
+    """
+    point = st.one_of(st.integers(-3, 12), st.text("xyz", min_size=1, max_size=2))
+    base = draw(st.lists(point, min_size=2, max_size=7, unique=True))
+    partitions = []
+    for _ in range(draw(st.integers(1, 5))):
+        parts = draw(st.lists(st.integers(0, 3), min_size=len(base), max_size=len(base)))
+        blocks: dict[int, list] = {}
+        for p, b in zip(base, parts):
+            blocks.setdefault(b, []).append(p)
+        if len(blocks) == 1:  # a one-block partition is only a context error
+            blocks = {0: base[:1], 1: base[1:]}
+        partitions.append(tuple(map(tuple, draw(st.permutations(list(blocks.values()))))))
+    naming = draw(st.sampled_from(["none", "pool", "by points"]))
+    names = None
+    if naming == "pool":
+        pool = st.sampled_from(["a", "b", "c", "d", "e"])
+        names = tuple(
+            tuple(draw(pool) for _ in partition) for partition in partitions
+        )
+    elif naming == "by points":
+        names = tuple(
+            tuple("k_" + "_".join(sorted(map(str, block))) for block in partition)
+            for partition in partitions
+        )
+    return BaseSetSpec("spec", tuple(base), tuple(partitions), names)
+
+
+@settings(max_examples=400, deadline=None)
+@given(base_set_specs())
+def test_logic_from_partitions_equals_the_loops(spec):
+    assert _induced(logic_from_partitions, spec) == _induced(partitions_by_loops, spec)
+
+
+@pytest.mark.parametrize(
+    "names, message",
+    [
+        (
+            (("a", "b"), ("c", "a", "d")),
+            "block_names[1][1]: name 'a' is used for two different blocks",
+        ),
+        (
+            (("a", "b"), ("b", "d")),
+            "block_names[1][1]: block [1] is named 'a' and 'd' in different "
+            "partitions (ambiguous pasting)",
+        ),
+    ],
+    ids=["reused name", "ambiguous pasting"],
+)
+def test_block_name_errors_equal_the_loops(names, message):
+    second = ((2,), (3,), (1,)) if len(names[1]) == 3 else ((2, 3), (1,))
+    spec = BaseSetSpec("spec", (1, 2, 3), (((1,), (2, 3)), second), names)
+    expected = _induced(partitions_by_loops, spec)
+    assert expected == ("error", message, message.split(":")[0])
+    assert _induced(logic_from_partitions, spec) == expected
+
+
 # ------------------------------------------------------------ separation
 
 
