@@ -75,61 +75,9 @@ from .render import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Backend",
-    "BaseSetSpec",
-    "CheckResult",
-    "CyclicGrammarError",
-    "Derivation",
-    "EmptyStateSetError",
-    "Event",
-    "EventStream",
-    "FaithfulnessReport",
-    "Grammar",
-    "IncidenceReport",
-    "LogicFile",
-    "LogicFileError",
-    "MissingPaletteEntryError",
-    "MissingVectorError",
-    "NotAPartitionError",
-    "NotSeparatingError",
-    "PartitionLogic",
-    "PinnedStatesError",
-    "Production",
-    "RenderSpec",
-    "RowViolation",
-    "SeparationResult",
-    "StateOrder",
-    "StateSet",
-    "SupportTable",
-    "Symbol",
-    "SymbolKind",
-    "ThetaOutOfRangeError",
-    "TwoValuedState",
-    "ValidationError",
-    "VectorRealization",
-    "build_v_realization",
-    "check_incidence",
-    "compile_grammar",
-    "default_palette",
-    "derive",
-    "emit_events",
-    "emit_logic_program",
-    "enumerate_states",
-    "is_admissible",
-    "is_separating",
-    "load_vector_file",
-    "logic_from_partitions",
-    "parse_logic_file",
-    "parse_production_listing",
-    "partition_representation",
-    "pinned_state_set",
-    "production_text",
-    "productions_json",
-    "render_schema",
-    "render_text",
-    "render_tiles",
-    "resolve_states",
-    "supports",
-    "verify_faithful",
-]
+# The public names are the ones imported above.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if getattr(value, "__module__", "").startswith(f"{__name__}.")
+)

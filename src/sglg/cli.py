@@ -230,25 +230,19 @@ def _cmd_render(args) -> int:
     if args.format == "events":  # the one format without colors
         _emit(emit_events(derivation).to_jsonl(), args.output)
         return 0
-    palette = _build_palette(logic_file, states, args)
-
-    def spec(backend: Backend) -> RenderSpec:
-        return RenderSpec(
-            palette=palette,
-            cell_size=args.cell_size,
-            cell_gap=args.cell_gap,
-            backend=backend,
-        )
-
+    spec = RenderSpec(
+        palette=_build_palette(logic_file, states, args),
+        cell_size=args.cell_size,
+        cell_gap=args.cell_gap,
+        backend=Backend(args.format),
+    )
     if args.format == "svg-tiles":
-        _emit(render_tiles(derivation, spec(Backend.SVG_TILES)), args.output)
-    elif args.format == "ansi":
-        color = "NO_COLOR" not in os.environ
-        _emit(render_text(derivation, spec(Backend.ANSI), color=color), args.output)
-    elif args.format == "html":
-        _emit(render_text(derivation, spec(Backend.HTML)), args.output)
-    else:
-        _emit(emit_logic_program(grammar, spec(Backend.LOGIC_PROGRAM)), args.output)
+        text = render_tiles(derivation, spec)
+    elif args.format == "logic-program":
+        text = emit_logic_program(grammar, spec)
+    else:  # ansi or html; NO_COLOR keeps the ANSI glyphs and drops their colors
+        text = render_text(derivation, spec, color="NO_COLOR" not in os.environ)
+    _emit(text, args.output)
     return 0
 
 
@@ -316,7 +310,7 @@ def _cmd_check(args) -> int:
         "separating: yes\n"
         f"partition representation: ok ({len(logic.contexts)} contexts)\n"
         f"grammar: {len(grammar.productions)} productions, "
-        f"{len(derivation.tokens)} derivation tokens\n"
+        f"{len(derivation.indices)} derivation tokens\n"
         "incidence: ok"
     )
     return 0

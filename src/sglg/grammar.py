@@ -6,19 +6,26 @@ atom, and per atom a row rule listing the supporting state symbols, a
 separator, the complementary symbols, and a line break. The derivation
 engine expands any grammar of this kind (not only compiled ones) by
 deterministic leftmost rewriting.
+
+Symbols live in one table per grammar, each distinct symbol once; a
+production body, like a derivation's token sequence, is an ``array('I')``
+of symbol numbers (table positions), 4 bytes a token. A compiled table is
+``br``, ``n``, ``s1..sN``, then the atoms, so row bodies come straight
+from the state columns. ``Grammar.from_symbols`` and
+``Derivation.from_tokens`` intern hand-built ``Symbol`` sequences.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from bisect import bisect_right
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import compress, repeat
-from operator import attrgetter, is_
-from typing import Iterator
+from operator import attrgetter, or_
 
 from .errors import (
     CyclicGrammarError,
@@ -27,7 +34,7 @@ from .errors import (
     NotSeparatingError,
     ValidationError,
 )
-from .logic import PartitionLogic, StateSet, is_admissible, supports
+from .logic import _FLIP, PartitionLogic, StateSet, is_admissible, supports
 
 SEPARATOR_NAME = "br"
 LINEBREAK_NAME = "n"
@@ -57,32 +64,52 @@ _kind = attrgetter("kind")
 _name = attrgetter("name")
 
 
-def nonterminal(name: str) -> Symbol:
-    return Symbol(SymbolKind.NONTERMINAL, name)
+def _intern(sequences) -> tuple[tuple[Symbol, ...], list[array]]:
+    """The distinct symbols by first use, and each sequence as their numbers."""
+    ids: dict[Symbol, int] = {}
+    arrays = [array("I", [ids.setdefault(s, len(ids)) for s in q]) for q in sequences]
+    return tuple(ids), arrays
 
 
-def state_symbol(label: str) -> Symbol:
-    return Symbol(SymbolKind.STATE, label)
+def _find_all(raw: bytes, number: int) -> list[int]:
+    """Positions of ``number`` in the ``array('I')`` whose bytes are ``raw``."""
+    key = array("I", [number]).tobytes()
+    found, at = [], raw.find(key)
+    while at >= 0:
+        if at % len(key) == 0:  # else the match straddles two items
+            found.append(at // len(key))
+        at = raw.find(key, at + 1)
+    return found
 
 
 @dataclass(frozen=True)
 class Production:
     head: str
-    body: tuple[Symbol, ...]
+    body: array  # symbol numbers: positions in the grammar's table
 
 
 @dataclass(frozen=True)
 class Grammar:
     """Nonterminals, state terminals, productions and start symbol.
 
-    The layout symbols are always ``br`` and ``n``; binding symbols to
-    colors or other realizations happens in the render layer.
+    ``symbols`` is the table the production bodies index, each symbol
+    once. The layout symbols are always ``br`` and ``n``; binding symbols
+    to colors or other realizations happens in the render layer.
     """
 
     nonterminals: tuple[str, ...]
     terminals: tuple[str, ...]
     productions: tuple[Production, ...]
     start: str
+    symbols: tuple[Symbol, ...]
+
+    @classmethod
+    def from_symbols(cls, nonterminals, terminals, rules, start) -> Grammar:
+        """A grammar from ``(head, body symbols)`` rules; equal symbols share
+        one table entry, in order of first use."""
+        symbols, bodies = _intern(body for _, body in rules)
+        productions = tuple(Production(h, body) for (h, _), body in zip(rules, bodies))
+        return cls(tuple(nonterminals), tuple(terminals), productions, start, symbols)
 
     def __post_init__(self):
         v, sigma = set(self.nonterminals), set(self.terminals)
@@ -96,30 +123,45 @@ class Grammar:
         heads = [p.head for p in self.productions]
         if sorted(heads) != sorted(self.nonterminals):
             raise ValueError("grammar needs exactly one production per nonterminal")
-        # Each symbol object once, in order of first use: a compiled grammar
-        # shares one Symbol per state label across all of its rows.
-        distinct: dict[int, Symbol] = {}
-        for production in self.productions:
-            distinct.update(zip(map(id, production.body), production.body))
-        for sym in distinct.values():
-            if sym.kind is SymbolKind.NONTERMINAL and sym.name not in v:
-                raise ValueError(f"undeclared nonterminal {sym.name!r}")
-            if sym.kind is SymbolKind.STATE and sym.name not in sigma:
-                raise ValueError(f"undeclared terminal {sym.name!r}")
-            if sym.kind is SymbolKind.SEPARATOR and sym.name != SEPARATOR_NAME:
-                raise ValueError("separator symbol must be named 'br'")
-            if sym.kind is SymbolKind.LINEBREAK and sym.name != LINEBREAK_NAME:
-                raise ValueError("linebreak symbol must be named 'n'")
-        self._check_acyclic(distinct)
+        # Each declared name fixes a kind; only a misfit looks at single symbols.
+        kind_of = {SEPARATOR.name: SEPARATOR.kind, LINEBREAK.name: LINEBREAK.kind}
+        kind_of.update(dict.fromkeys(v, SymbolKind.NONTERMINAL))
+        kind_of.update(dict.fromkeys(sigma, SymbolKind.STATE))
+        names = list(map(_name, self.symbols))
+        if list(map(kind_of.get, names)) != list(map(_kind, self.symbols)):
+            for sym in self.symbols:  # the first misfit in table order
+                if sym.kind is SymbolKind.NONTERMINAL and sym.name not in v:
+                    raise ValueError(f"undeclared nonterminal {sym.name!r}")
+                if sym.kind is SymbolKind.STATE and sym.name not in sigma:
+                    raise ValueError(f"undeclared terminal {sym.name!r}")
+                if sym.kind is SymbolKind.SEPARATOR and sym.name != SEPARATOR_NAME:
+                    raise ValueError("separator symbol must be named 'br'")
+                if sym.kind is SymbolKind.LINEBREAK and sym.name != LINEBREAK_NAME:
+                    raise ValueError("linebreak symbol must be named 'n'")
+        # A name fixes the kind now, so a repeated name is a repeated entry.
+        if len(set(names)) != len(names):
+            raise ValueError("symbol table repeats a symbol")
+        self._check_acyclic()
 
-    def _check_acyclic(self, distinct: dict[int, Symbol]) -> None:
-        names = {
-            key: sym.name
-            for key, sym in distinct.items()
-            if sym.kind is SymbolKind.NONTERMINAL
-        }
+    @cached_property
+    def _layout(self) -> dict[str, tuple[list[int], list[int]]]:
+        """Per head, the body positions of its nonterminals and of ``n``."""
+        kinds = list(map(_kind, self.symbols))
+        nts = {i for i, kind in enumerate(kinds) if kind is SymbolKind.NONTERMINAL}
+        breaks = {i for i, kind in enumerate(kinds) if kind is SymbolKind.LINEBREAK}
+        numbers, layout = set(range(len(kinds))), {}
+        for p in self.productions:
+            present = set(p.body)  # each distinct symbol number once
+            if not present <= numbers:
+                raise ValueError(f"production {p.head!r} names no symbol of the table")
+            refs = [k for k, x in enumerate(p.body) if x in nts] if nts & present else []
+            found = [k for x in breaks & present for k in _find_all(p.body.tobytes(), x)]
+            layout[p.head] = (refs, found)
+        return layout
+
+    def _check_acyclic(self) -> None:
         refs = {
-            p.head: [names[key] for key in filter(names.__contains__, map(id, p.body))]
+            p.head: [self.symbols[p.body[k]].name for k in self._layout[p.head][0]]
             for p in self.productions
         }
         # Depth-first with an explicit stack of child iterators: a reference
@@ -154,30 +196,34 @@ class Grammar:
 
 @dataclass(frozen=True)
 class Derivation:
-    """Fully expanded token sequence, with row bookkeeping.
+    """Fully expanded token sequence: ``symbols`` holds each distinct symbol
+    once and ``indices`` the tokens as an ``array('I')`` of positions in it.
 
     ``row_boundaries`` are the token indices of linebreaks; ``row_atoms``
     names, per row, the nonterminal whose production emitted it.
     """
 
-    tokens: tuple[Symbol, ...]
+    symbols: tuple[Symbol, ...]
+    indices: array
     row_boundaries: tuple[int, ...]
     row_atoms: tuple[str, ...]
 
-    def rows(self) -> tuple[tuple[Symbol, ...], ...]:
-        """Token runs between linebreaks; linebreaks themselves excluded."""
-        rows = []
-        start = 0
-        for boundary in self.row_boundaries:
-            rows.append(self.tokens[start:boundary])
-            start = boundary + 1
-        if start < len(self.tokens):
-            rows.append(self.tokens[start:])
-        return tuple(row for row in rows if row)
+    @classmethod
+    def from_tokens(cls, tokens, row_boundaries, row_atoms) -> Derivation:
+        """A derivation from one ``Symbol`` per token, equal ones interned."""
+        symbols, (indices,) = _intern([tokens])
+        return cls(symbols, indices, tuple(row_boundaries), tuple(row_atoms))
 
     @property
-    def row_count(self) -> int:
-        return len(self.row_atoms)
+    def tokens(self) -> tuple[Symbol, ...]:
+        """One ``Symbol`` per token, looked up in the table."""
+        return tuple(map(self.symbols.__getitem__, self.indices))
+
+    def rows(self) -> tuple[array, ...]:
+        """Symbol numbers between linebreaks; linebreaks themselves excluded."""
+        starts = (0, *(boundary + 1 for boundary in self.row_boundaries))
+        ends = (*self.row_boundaries, len(self.indices))
+        return tuple(filter(None, map(self.indices.__getitem__, map(slice, starts, ends))))
 
 
 @dataclass(frozen=True)
@@ -202,15 +248,15 @@ def compile_grammar(logic: PartitionLogic, states: StateSet) -> Grammar:
     rows have uniform shape.
     """
     if len(states) == 0:
-        raise EmptyStateSetError(
-            f"logic {logic.name!r} admits no two-valued states"
-        )
+        raise EmptyStateSetError(f"logic {logic.name!r} admits no two-valued states")
     table = supports(logic, states)
-    # Every state has one true atom per context iff each context's T-sets
-    # partition the state labels; only a failure looks at single states.
+    # Every state has one true atom per context iff the context's columns hold
+    # N ones and, or-ed as integers, cover all; only a failure looks at states.
+    everyone = int.from_bytes(b"\1" * len(states), "big")
     for ctx in logic.contexts:
-        cells = [table.true_sets[j] for j in ctx]
-        if sum(map(len, cells)) != len(states) or len(set().union(*cells)) != len(states):
+        cells = [table.columns[j] for j in ctx]
+        covered = reduce(or_, (int.from_bytes(c, "big") for c in cells), 0)
+        if sum(c.count(1) for c in cells) != len(states) or covered != everyone:
             bad = next(s for s in states if not is_admissible(s.values, logic))
             raise ValidationError(f"state {bad.label} is not admissible")
     separation = table.separation()
@@ -229,60 +275,69 @@ def compile_grammar(logic: PartitionLogic, states: StateSet) -> Grammar:
                 f"atom {atom!r} collides with a state label or layout symbol"
             )
 
-    symbols = {label: state_symbol(label) for label in labels}
-    productions = [
-        Production(logic.name, tuple(nonterminal(a) for a in logic.atoms))
-    ]
-    for atom, true_set, false_set in zip(logic.atoms, table.true_sets, table.false_sets):
-        true_part = [symbols[label] for label in true_set]
-        false_part = [symbols[label] for label in false_set]
-        body = (*true_part, SEPARATOR, *false_part, LINEBREAK)
+    # Symbol numbers: br 0, n 1, the state labels 2..N+1, then the atoms.
+    n, m = len(labels), len(logic.atoms)
+    ids = list(range(2, n + 2))
+    symbols = (
+        SEPARATOR,
+        LINEBREAK,
+        *map(Symbol, repeat(SymbolKind.STATE), labels),
+        *map(Symbol, repeat(SymbolKind.NONTERMINAL), logic.atoms),
+    )
+    productions = [Production(logic.name, array("I", range(n + 2, n + 2 + m)))]
+    for atom, column in zip(logic.atoms, table.columns):
+        false = column.translate(_FLIP)
+        body = array("I", [*compress(ids, column), 0, *compress(ids, false), 1])
         productions.append(Production(atom, body))
     return Grammar(
         nonterminals=(logic.name, *logic.atoms),
         terminals=labels,
         productions=tuple(productions),
         start=logic.name,
+        symbols=symbols,
     )
 
 
-def _kinds(body: tuple[Symbol, ...]) -> list[SymbolKind]:
-    """The kinds of a body's symbols, then a NONTERMINAL that ends every search."""
-    return [*map(_kind, body), SymbolKind.NONTERMINAL]
-
-
 def derive(grammar: Grammar) -> Derivation:
-    """Deterministic leftmost expansion of the start symbol (acyclic, so finite)."""
-    tokens: list[Symbol] = []
+    """Deterministic leftmost expansion of the start symbol (acyclic, so finite).
+
+    Each run of terminals is copied into the token array in one piece. The
+    derivation shares the grammar's table up to its last terminal.
+    """
+    symbols = grammar.symbols
+    ends = [i + 1 for i, s in enumerate(symbols) if s.kind is not SymbolKind.NONTERMINAL]
+    end = max(ends, default=0)
+    indices = array("I")
     boundaries: list[int] = []  # token indices of the linebreaks
     run_starts: list[int] = []  # first token of each run of terminals ...
     run_heads: list[str] = []  # ... and the nonterminal whose body holds it
-    # Per open expansion: head, body, the kinds of its symbols, next position.
-    body = grammar.production_for(grammar.start).body
-    stack = [(grammar.start, body, _kinds(body), 0)]
+    # Per open expansion: head and how many of its references are expanded.
+    stack = [(grammar.start, 0)]
     while stack:
-        head, body, kinds, pos = stack.pop()
-        end = kinds.index(SymbolKind.NONTERMINAL, pos)
-        if end > pos:
-            offset = len(tokens) - pos
-            run_starts.append(len(tokens))
+        head, done = stack.pop()
+        body = grammar.production_for(head).body
+        refs, breaks = grammar._layout[head]
+        pos = refs[done - 1] + 1 if done else 0
+        stop = refs[done] if done < len(refs) else len(body)
+        if stop > pos:
+            offset = len(indices) - pos
+            run_starts.append(len(indices))
             run_heads.append(head)
-            tokens.extend(body[pos:end])
-            for _ in range(kinds[pos:end].count(SymbolKind.LINEBREAK)):
-                pos = kinds.index(SymbolKind.LINEBREAK, pos, end) + 1
-                boundaries.append(pos - 1 + offset)
-        if end < len(body):
-            stack.append((head, body, kinds, end + 1))
-            child = grammar.production_for(body[end].name).body
-            stack.append((body[end].name, child, _kinds(child), 0))
+            indices.extend(body[pos:stop])
+            lo, hi = bisect_left(breaks, pos), bisect_left(breaks, stop)
+            boundaries.extend(k + offset for k in breaks[lo:hi])
+        if done < len(refs):
+            stack.append((head, done + 1))
+            stack.append((symbols[body[stop]].name, 0))
 
-    row_atoms = []
-    start = 0
-    for boundary in (*boundaries, len(tokens)):
-        if boundary > start:
-            row_atoms.append(run_heads[bisect_right(run_starts, start) - 1])
-        start = boundary + 1
-    return Derivation(tuple(tokens), tuple(boundaries), tuple(row_atoms))
+    # Each nonempty row belongs to the run that holds its first token.
+    starts = (0, *(boundary + 1 for boundary in boundaries))
+    row_atoms = tuple(
+        run_heads[bisect_right(run_starts, start) - 1]
+        for start, stop in zip(starts, (*boundaries, len(indices)))
+        if stop > start
+    )
+    return Derivation(symbols[:end], indices, tuple(boundaries), row_atoms)
 
 
 def check_incidence(
@@ -292,35 +347,53 @@ def check_incidence(
 
     For row j and state i, the symbol s_i must sit left of the separator
     exactly when state i values atom j as 1. Structural damage (wrong row
-    count, missing separator, wrong symbol multiset) is a precondition
-    breach and raises ``ValueError``; side mismatches are reported.
+    count, state vectors that do not fit the atoms, missing separator,
+    wrong symbol multiset) is a precondition breach and raises
+    ``ValueError``; side mismatches are reported.
     """
     rows = derivation.rows()
-    if len(rows) != len(logic.atoms):
-        raise ValueError(
-            f"derivation has {len(rows)} rows for {len(logic.atoms)} atoms"
-        )
+    m = len(logic.atoms)
+    if len(rows) != m:
+        raise ValueError(f"derivation has {len(rows)} rows for {m} atoms")
+    for state in states:
+        if len(state.values) != m:
+            got = len(state.values)
+            raise ValueError(f"state {state.label} has a {got}-value vector for {m} atoms")
     labels = states.labels()
-    label_set = set(labels)
-    # Per atom, the states' values in state order; read from the states, not
-    # from supports(), so the check shares no table with compile_grammar.
-    columns = list(zip(*(s.values for s in states))) or [()] * len(rows)
+    symbols = derivation.symbols
+    separators = [i for i, s in enumerate(symbols) if s.kind is SymbolKind.SEPARATOR]
+    # Each label's state symbol by number. A row that holds only these
+    # beside its separator is checked by set sizes, any other name by name.
+    number = {s.name: i for i, s in enumerate(symbols) if s.kind is SymbolKind.STATE}
+    ids = [number.get(label) for label in labels]
+    label_numbers = set(ids) - {None}
+    # Atom j's column is every m-th byte: read from the states, not supports().
+    values = b"".join(map(bytes, (s.values for s in states)))
     violations = []
     for j, row in enumerate(rows):
-        kinds = list(map(_kind, row))
-        if kinds.count(SymbolKind.SEPARATOR) != 1:
+        raw = row.tobytes()
+        cuts = [k for s in separators for k in _find_all(raw, s)]
+        if len(cuts) != 1:
             raise ValueError(f"row {j} does not contain exactly one separator")
-        names = list(map(_name, row))
-        row_labels = list(compress(names, map(is_, kinds, repeat(SymbolKind.STATE))))
-        # The labels s1..sN are distinct: equal count and set mean each once.
-        if len(row_labels) != len(labels) or set(row_labels) != label_set:
+        left, right = set(row[: cuts[0]]), set(row[cuts[0] + 1 :])
+        if left <= label_numbers and right <= label_numbers:
+            once = len(left) + len(right) == len(row) - 1 == len(labels)
+            once = once and left.isdisjoint(right)
+        else:
+            tokens = list(map(symbols.__getitem__, row))
+            states_named = [s.name for s in tokens if s.kind is SymbolKind.STATE]
+            once = sorted(states_named) == sorted(labels)
+            left = {number.get(s.name) for s in tokens[: cuts[0]]} & label_numbers
+        if not once:
             raise ValueError(f"row {j} does not carry each state symbol exactly once")
-        left = set(names[: kinds.index(SymbolKind.SEPARATOR)])
-        true = set(compress(labels, columns[j]))
-        if left != true:
-            mismatched = tuple(x for x in labels if (x in left) != (x in true))
-            if mismatched:
-                violations.append(RowViolation(j, logic.atoms[j], mismatched))
+        column = values[j::m]
+        if len(left) != column.count(1) or not left.issuperset(compress(ids, column)):
+            mismatched = tuple(
+                label
+                for label, i, value in zip(labels, ids, column)
+                if (i in left) != (value == 1)
+            )
+            violations.append(RowViolation(j, logic.atoms[j], mismatched))
     return IncidenceReport(not violations, tuple(violations))
 
 
@@ -330,22 +403,21 @@ def production_text(grammar: Grammar) -> str:
     The start rule is set off from the row rules by a blank line, matching
     the layered source layout used by :func:`sglg.render.emit_logic_program`.
     """
-    lines = [_production_line(grammar.productions[0])]
-    if len(grammar.productions) > 1:
-        lines.append("")
-        lines.extend(_production_line(p) for p in grammar.productions[1:])
+    names = list(map(_name, grammar.symbols))
+    lines = [
+        f"{p.head} --> {','.join(map(names.__getitem__, p.body))}."
+        for p in grammar.productions
+    ]
+    if len(lines) > 1:
+        lines.insert(1, "")
     return "\n".join(lines) + "\n"
 
 
 def productions_json(grammar: Grammar) -> str:
     """Productions as a JSON object mapping each head to its body symbols."""
-    payload = {p.head: [sym.name for sym in p.body] for p in grammar.productions}
+    names = list(map(_name, grammar.symbols))
+    payload = {p.head: list(map(names.__getitem__, p.body)) for p in grammar.productions}
     return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
-
-
-def _production_line(production: Production) -> str:
-    body = ",".join(sym.name for sym in production.body)
-    return f"{production.head} --> {body}."
 
 
 _RULE_RE = re.compile(r"^(?P<head>\S+)\s*-->\s*(?P<body>.*)\.$")

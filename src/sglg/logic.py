@@ -14,8 +14,8 @@ import json
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import compress
-from operator import not_
 from typing import Iterator, Union
 
 from .errors import LogicFileError, NotAPartitionError, PinnedStatesError
@@ -77,10 +77,6 @@ class PartitionLogic:
                 "subset of another",
                 f"contexts[{cj}]",
             )
-
-    def context_atoms(self, index: int) -> tuple[str, ...]:
-        """Atom names of one context, in context order."""
-        return tuple(self.atoms[j] for j in self.contexts[index])
 
 
 @dataclass(frozen=True)
@@ -196,23 +192,26 @@ class StateSet:
 
 @dataclass(frozen=True)
 class SupportTable:
-    """Per atom, the state labels valuing it 1 (T) and 0 (F), in state order."""
+    """Per atom, its column of state values (a byte per state), and from it
+    the state labels valuing it 1 (T) and 0 (F), in state order."""
 
     atoms: tuple[str, ...]
     state_labels: tuple[str, ...]
-    true_sets: tuple[tuple[str, ...], ...]
-    false_sets: tuple[tuple[str, ...], ...]
+    columns: tuple[bytes, ...]
 
-    def true_labels(self, atom: str) -> tuple[str, ...]:
-        return self.true_sets[self.atoms.index(atom)]
+    @cached_property
+    def true_sets(self) -> tuple[tuple[str, ...], ...]:
+        return tuple(tuple(compress(self.state_labels, c)) for c in self.columns)
 
-    def false_labels(self, atom: str) -> tuple[str, ...]:
-        return self.false_sets[self.atoms.index(atom)]
+    @cached_property
+    def false_sets(self) -> tuple[tuple[str, ...], ...]:
+        flipped = (c.translate(_FLIP) for c in self.columns)
+        return tuple(tuple(compress(self.state_labels, c)) for c in flipped)
 
     def separation(self) -> "SeparationResult":
         """Whether all T-sets differ; if not, the least atom pair (i, j) sharing one."""
-        first: dict[tuple[str, ...], int] = {}  # T-set -> first atom index holding it
-        clashes = [(first.setdefault(t, j), j) for j, t in enumerate(self.true_sets)]
+        first: dict[bytes, int] = {}  # column -> first atom index holding it
+        clashes = [(first.setdefault(c, j), j) for j, c in enumerate(self.columns)]
         witness = min((pair for pair in clashes if pair[0] != pair[1]), default=None)
         if witness is None:
             return SeparationResult(True)
@@ -574,21 +573,19 @@ def is_separating(states: StateSet, logic: PartitionLogic) -> SeparationResult:
     return supports(logic, states).separation()
 
 
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # a 0/1 byte string's complement
+
+
 def supports(logic: PartitionLogic, states: StateSet) -> SupportTable:
     """T and F label sets per atom, both in ascending state-index order.
 
     The only code that turns valuations into supports; all readers share it.
     """
-    labels = states.labels()
-    columns = list(zip(*(s.values for s in states))) or [()] * len(logic.atoms)
-    return SupportTable(
-        atoms=logic.atoms,
-        state_labels=labels,
-        true_sets=tuple(tuple(compress(labels, column)) for column in columns),
-        false_sets=tuple(
-            tuple(compress(labels, map(not_, column))) for column in columns
-        ),
-    )
+    m = len(logic.atoms)
+    # The values laid out state by state: atom j's column is every m-th byte.
+    values = b"".join(map(bytes, (s.values for s in states)))
+    columns = tuple(values[j::m] for j in range(m))
+    return SupportTable(logic.atoms, states.labels(), columns)
 
 
 def partition_representation(
@@ -604,12 +601,8 @@ def partition_representation(
     result = []
     for ci, ctx in enumerate(logic.contexts):
         cells = tuple(table.true_sets[j] for j in ctx)
-        seen: set[str] = set()
-        total = 0
-        for cell in cells:
-            total += len(cell)
-            seen.update(cell)
-        if total != len(seen) or seen != set(states.labels()):
+        seen = set().union(*cells)
+        if sum(map(len, cells)) != len(seen) or seen != set(states.labels()):
             raise NotAPartitionError(
                 f"context {ci}: supports do not partition the state labels"
             )

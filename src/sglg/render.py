@@ -5,11 +5,12 @@ byte-identical output for identical arguments. The grammar/derivation
 layer never changes here — a ``RenderSpec`` only binds symbols to colors
 and geometry.
 
-That binding is per symbol, not per token: a compiled grammar shares one
-``Symbol`` object per state label (plus ``br``) across all of its rows, so
-each backend formats its output fragment once per distinct symbol object
-and writes each row by looking the fragments up, with the per-column and
-per-row text (x and y coordinates, event positions) formatted once too.
+That binding is per symbol, not per token: a derivation holds each
+distinct symbol once in its table and its rows as arrays of symbol
+numbers, so each backend formats its output fragment once per table entry
+and writes each row by looking the fragments up by number, with the
+per-column and per-row text (x and y coordinates, event positions)
+formatted once too.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from operator import add, getitem
 from typing import Iterator
 
 from .errors import MissingPaletteEntryError
-from .grammar import Derivation, Grammar, Symbol, SymbolKind, production_text
+from .grammar import Derivation, Grammar, SymbolKind, production_text
 from .logic import _HEX_COLOR_RE, PartitionLogic, StateSet
 
 DEFAULT_COLORS = ("#008000", "#0000FF", "#FF0000", "#FFA500", "#8F00FF")
@@ -90,28 +91,23 @@ class RenderSpec:
             raise MissingPaletteEntryError(label) from None
 
 
-def _token_color(symbol, spec: RenderSpec) -> str:
-    if symbol.kind is SymbolKind.STATE:
-        return spec.color(symbol.name)
-    if symbol.kind is SymbolKind.SEPARATOR:
-        return spec.separator_color
-    raise ValueError(f"unrenderable token {symbol.name!r} of kind {symbol.kind.value}")
-
-
-def _fragments(rows, fragment) -> dict[int, str]:
-    """``id`` of each distinct token object in ``rows`` → ``fragment(token)``.
-
-    Tokens are taken in order of first use, so the first token whose
-    fragment raises is the first such token in row-major order.
-    """
-    distinct: dict[int, Symbol] = {}
-    for row in rows:
-        distinct.update(zip(map(id, row), row))
-    return {key: fragment(sym) for key, sym in distinct.items()}
-
-
-def _row_fragments(table: dict[int, str], row) -> map:
-    return map(table.__getitem__, map(id, row))
+def _fragment_rows(derivation: Derivation, spec: RenderSpec, fragment) -> list[list[str]]:
+    """Per row, each token's ``fragment(color)``, formatted once per symbol
+    number; the first token without a color, in row-major order, raises."""
+    symbols = derivation.symbols
+    table = {}
+    for number, sym in enumerate(symbols):
+        if sym.kind is SymbolKind.SEPARATOR:
+            table[number] = fragment(spec.separator_color)
+        elif sym.kind is SymbolKind.STATE and sym.name in spec.palette:
+            table[number] = fragment(spec.palette[sym.name])
+    try:
+        return [list(map(table.__getitem__, row)) for row in derivation.rows()]
+    except KeyError as missing:
+        sym = symbols[missing.args[0]]
+    if sym.kind is SymbolKind.STATE:
+        spec.color(sym.name)  # raises MissingPaletteEntryError
+    raise ValueError(f"unrenderable token {sym.name!r} of kind {sym.kind.value}")
 
 
 def _svg_document(width: int, height: int, body: list[str]) -> str:
@@ -127,18 +123,17 @@ def render_tiles(derivation: Derivation, spec: RenderSpec) -> str:
     """SVG document with one row of squares per derivation row."""
     if spec.backend is not Backend.SVG_TILES:
         raise ValueError("render_tiles requires the svg-tiles backend")
-    rows = derivation.rows()
+    size = f'" width="{spec.cell_size}" height="{spec.cell_size}" fill="'
+    rows = _fragment_rows(derivation, spec, lambda color: f'{size}{color}"/>')
     step = spec.cell_size + spec.cell_gap
-    cols = max((len(row) for row in rows), default=0)
+    cols = max(map(len, rows), default=0)
     width = cols * spec.cell_size + max(cols - 1, 0) * spec.cell_gap
     height = len(rows) * spec.cell_size + max(len(rows) - 1, 0) * spec.cell_gap
-    size = f'" width="{spec.cell_size}" height="{spec.cell_size}" fill="'
-    table = _fragments(rows, lambda sym: f'{size}{_token_color(sym, spec)}"/>')
     xs = [f'  <rect x="{i * step}" y="' for i in range(cols)]
     body = []
     for r, row in enumerate(rows):
         heads = map(add, xs, repeat(str(r * step)))
-        body.append("\n".join(map(add, heads, _row_fragments(table, row))))
+        body.append("\n".join(map(add, heads, row)))
     return _svg_document(width, height, body)
 
 
@@ -201,34 +196,30 @@ def render_text(derivation: Derivation, spec: RenderSpec, color: bool = True) ->
     raise ValueError("render_text requires the ansi or html backend")
 
 
-def _ansi_glyph(symbol, spec: RenderSpec) -> str:
-    value = _token_color(symbol, spec)
+def _ansi_glyph(value: str) -> str:
     r, g, b = (int(value[k : k + 2], 16) for k in (1, 3, 5))
     return f"\x1b[38;2;{r};{g};{b}m{BLOCK}"
 
 
 def _render_ansi(derivation: Derivation, spec: RenderSpec, color: bool) -> str:
-    rows = derivation.rows()
     if color:
-        table = _fragments(rows, lambda sym: _ansi_glyph(sym, spec))
-        lines = ["".join(_row_fragments(table, row)) + "\x1b[0m" for row in rows]
+        rows = _fragment_rows(derivation, spec, _ansi_glyph)
+        lines = ["".join(row) + "\x1b[0m" for row in rows]
     else:
-        lines = [BLOCK * len(row) for row in rows]
+        lines = [BLOCK * len(row) for row in derivation.rows()]
     lines.append("")  # ends the text with a newline
     return "\n".join(lines)
 
 
 def _render_html(derivation: Derivation, spec: RenderSpec) -> str:
-    rows = derivation.rows()
     style = (
         '    <span class="sglg-cell" style="display:inline-block;'
         f"width:{spec.cell_size}px;height:{spec.cell_size}px;background:"
     )
-    table = _fragments(rows, lambda sym: f'{style}{_token_color(sym, spec)}"></span>')
     lines = ['<div class="sglg-tiles">']
-    for row in rows:
+    for row in _fragment_rows(derivation, spec, lambda color: f'{style}{color}"></span>'):
         lines.append('  <div class="sglg-row">')
-        lines.append("\n".join(_row_fragments(table, row)))
+        lines.append("\n".join(row))
         lines.append("  </div>")
     lines += ["</div>", ""]  # the empty last line ends the text with a newline
     return "\n".join(lines)
@@ -277,13 +268,13 @@ class EventStream:
         # The text of json.dumps(..., separators=(",", ":")) for each event,
         # with the strings quoted by the function json.dumps uses for them.
         rows = self.derivation.rows()
-        table = _fragments(rows, _event_tail)
+        table = list(map(_event_tail, self.derivation.symbols))
         cols = max((len(row) for row in rows), default=0)
         positions = list(map(str, range(cols)))
         lines = []
         for r, row in enumerate(rows):
             heads = map(add, repeat(f'{{"row":{r},"pos":'), positions)
-            lines.append("\n".join(map(add, heads, _row_fragments(table, row))))
+            lines.append("\n".join(map(add, heads, map(table.__getitem__, row))))
         if lines:
             lines.append("")  # ends the text with a newline
         return "\n".join(lines)
@@ -293,7 +284,7 @@ class EventStream:
 
     def __iter__(self) -> Iterator[Event]:
         for r, row in enumerate(self.derivation.rows()):
-            for p, sym in enumerate(row):
+            for p, sym in enumerate(map(self.derivation.symbols.__getitem__, row)):
                 yield Event(r, p, sym.name, sym.kind.value)
 
 

@@ -15,7 +15,6 @@ from pathlib import Path
 from sglg import (
     Grammar,
     PartitionLogic,
-    Production,
     StateSet,
     Symbol,
     SymbolKind,
@@ -106,12 +105,12 @@ def random_separating_logic(
 
 def one_state_grammar(name: str = "g") -> Grammar:
     """The smallest useful grammar: one row holding one state symbol."""
-    return Grammar(
+    return Grammar.from_symbols(
         nonterminals=(name, "x"),
         terminals=("s1",),
-        productions=(
-            Production(name, (Symbol(SymbolKind.NONTERMINAL, "x"),)),
-            Production(
+        rules=(
+            (name, (Symbol(SymbolKind.NONTERMINAL, "x"),)),
+            (
                 "x",
                 (
                     Symbol(SymbolKind.STATE, "s1"),
@@ -121,6 +120,28 @@ def one_state_grammar(name: str = "g") -> Grammar:
             ),
         ),
         start=name,
+    )
+
+
+def true_labels(table, atom: str) -> tuple[str, ...]:
+    """The labels of the states that value ``atom`` 1, in state order."""
+    return table.true_sets[table.atoms.index(atom)]
+
+
+def false_labels(table, atom: str) -> tuple[str, ...]:
+    """The labels of the states that value ``atom`` 0, in state order."""
+    return table.false_sets[table.atoms.index(atom)]
+
+
+def body_names(grammar: Grammar, head: str) -> list[str]:
+    return [grammar.symbols[i].name for i in grammar.production_for(head).body]
+
+
+def listing(grammar: Grammar) -> tuple[tuple[str, tuple[str, ...]], ...]:
+    """(head, body symbol names) per production."""
+    return tuple(
+        (p.head, tuple(grammar.symbols[i].name for i in p.body))
+        for p in grammar.productions
     )
 
 

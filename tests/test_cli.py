@@ -3,16 +3,23 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
+import os
 import random
 import re
 import shlex
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sglg.cli import main
 from support import FIXTURES, ROOT, random_base_set_spec
@@ -408,6 +415,29 @@ def test_module_entry_point_runs():
     assert result.stdout == L12_TABLE_TEXT
 
 
+def test_cli_imports_nothing_beyond_the_standard_library():
+    """``import sglg.cli`` in a fresh interpreter loads only modules of the
+    standard library or of sglg beyond those a bare interpreter loads."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), *sys.path]))
+
+    def loaded(statement: str) -> set[str]:
+        code = f"{statement}\nimport sys\nprint(*sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 0, result.stderr
+        return set(result.stdout.split())
+
+    extra = loaded("import sglg.cli") - loaded("pass")
+    assert "sglg.cli" in extra
+    outside = {
+        name
+        for name in extra
+        if name.split(".")[0] not in sys.stdlib_module_names | {"sglg"}
+    }
+    assert outside == set()
+
+
 # ------------------------------------------------ hostile numbers and types
 
 SCALED_L12_VECTORS = {
@@ -492,6 +522,47 @@ def test_pinned_state_values_must_be_integers(tmp_path, capsys, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "states[0]" in captured.err
+
+
+# JSON numbers that no finite float holds, and the two booleans.
+HOSTILE_NUMBERS = ("NaN", "Infinity", "-Infinity", "1e999", "-1e999", "true", "false")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    token=st.sampled_from(HOSTILE_NUMBERS),
+    place=st.sampled_from(("states", "vectors", "tolerance")),
+    data=st.data(),
+)
+def test_non_finite_and_bool_values_exit_2_naming_their_location(token, place, data):
+    """Such a value in a pinned state or a vector file exits 2, names where
+    it is, and prints nothing else."""
+    if place == "states":
+        row = st.lists(st.integers(0, 1), min_size=3, max_size=3)
+        rows = data.draw(st.lists(row, min_size=1, max_size=4))
+        i = data.draw(st.integers(0, len(rows) - 1))
+        rows[i][data.draw(st.integers(0, 2))] = "HOSTILE"
+        payload = {"atoms": ["x", "y", "z"], "contexts": [["x", "y", "z"]], "states": rows}
+        message = f"states[{i}]: must be a list of 3 values, each 0 or 1"
+    else:
+        payload = json.loads((FIXTURES / "l12_vectors.json").read_text(encoding="utf-8"))
+        if place == "vectors":
+            atom = data.draw(st.sampled_from(sorted(payload["vectors"])))
+            payload["vectors"][atom][data.draw(st.integers(0, 2))] = "HOSTILE"
+            message = f"vectors.{atom}: vector must be a list of reals"
+        else:
+            payload["tolerance"] = "HOSTILE"
+            message = "tolerance: 'tolerance' must be a positive finite number"
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_text(json.dumps(payload).replace('"HOSTILE"', token), encoding="utf-8")
+        argv = ["states", str(path)]
+        if place != "states":
+            argv = ["verify-orthorep", L12, "--vectors", str(path)]
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    assert (code, out.getvalue(), err.getvalue()) == (2, "", f"sglg: error: {message}\n")
 
 
 @pytest.mark.parametrize("point", ["true", "1.5", "NaN", "Infinity", "null", "[1]"])

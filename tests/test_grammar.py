@@ -6,6 +6,7 @@ import json
 import random
 import re
 import sys
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,6 @@ from sglg import (
     LogicFileError,
     NotSeparatingError,
     PartitionLogic,
-    Production,
     RowViolation,
     StateOrder,
     StateSet,
@@ -36,7 +36,14 @@ from sglg import (
     productions_json,
     supports,
 )
-from support import one_state_grammar, random_separating_logic, resolve_fixture
+from support import (
+    body_names,
+    listing,
+    one_state_grammar,
+    random_separating_logic,
+    resolve_fixture,
+    true_labels,
+)
 
 VGRAMMAR_ROWS = {
     "a": ["s1", "s2", "br", "s3", "s4", "s5", "n"],
@@ -65,8 +72,14 @@ HORIZONTAL_ROWS = {
 }
 
 
-def body_names(grammar: Grammar, head: str) -> list[str]:
-    return [sym.name for sym in grammar.production_for(head).body]
+def symbol_rows(derivation: Derivation) -> list[list[Symbol]]:
+    """The derivation's rows with one ``Symbol`` per token."""
+    return [[derivation.symbols[i] for i in row] for row in derivation.rows()]
+
+
+def derivation_content(derivation: Derivation):
+    """What a derivation says, whatever the numbering of its table."""
+    return derivation.tokens, derivation.row_boundaries, derivation.row_atoms
 
 
 # ------------------------------------------------------------ compilation
@@ -153,9 +166,9 @@ def test_l12_derivation_has_35_tokens_and_5_rows():
     logic, states = resolve_fixture("l12.json")
     derivation = derive(compile_grammar(logic, states))
     assert len(derivation.tokens) == 35
-    assert derivation.row_count == 5
+    assert len(derivation.row_atoms) == 5
     assert derivation.row_atoms == ("a", "b", "c", "d", "e")
-    rows = derivation.rows()
+    rows = symbol_rows(derivation)
     assert [sym.name for sym in rows[3]] == ["s2", "s4", "br", "s1", "s3", "s5"]
 
 
@@ -163,7 +176,23 @@ def test_triangle_derivation_has_36_tokens_and_6_rows():
     logic, states = resolve_fixture("triangle.json")
     derivation = derive(compile_grammar(logic, states))
     assert len(derivation.tokens) == 36
-    assert derivation.row_count == 6
+    assert len(derivation.row_atoms) == 6
+
+
+def test_chain10_derivation_is_a_symbol_table_plus_index_rows():
+    atoms = tuple(f"x{i}" for i in range(11)) + tuple(f"y{i}" for i in range(10))
+    contexts = tuple((i, 11 + i, i + 1) for i in range(10))  # {x_i, y_i, x_(i+1)}
+    logic = PartitionLogic("chain10", atoms, contexts)
+    states = enumerate_states(logic)
+    derivation = derive(compile_grammar(logic, states))
+    assert len(states) == 233
+    # One entry per distinct symbol: br, n and one per state label.
+    assert len(derivation.symbols) == len(set(derivation.symbols)) == len(states) + 2
+    assert set(derivation.symbols) == set(derivation.tokens)
+    assert type(derivation.indices) is array and derivation.indices.typecode == "I"
+    rows = derivation.rows()
+    assert len(rows) == len(atoms)
+    assert all(type(row) is array and row.typecode == "I" for row in rows)
 
 
 def test_one_state_grammar_derivation():
@@ -191,7 +220,7 @@ def test_each_row_carries_every_symbol_exactly_once():
     for _ in range(40):
         logic, states = random_separating_logic(rng)
         derivation = derive(compile_grammar(logic, states))
-        for row in derivation.rows():
+        for row in symbol_rows(derivation):
             names = [sym.name for sym in row]
             assert names.count("br") == 1
             assert sorted(n for n in names if n != "br") == sorted(states.labels())
@@ -204,10 +233,10 @@ def test_grammar_rejects_cycles():
     x = Symbol(SymbolKind.NONTERMINAL, "x")
     y = Symbol(SymbolKind.NONTERMINAL, "y")
     with pytest.raises(CyclicGrammarError):
-        Grammar(
+        Grammar.from_symbols(
             nonterminals=("x", "y"),
             terminals=(),
-            productions=(Production("x", (y,)), Production("y", (x,))),
+            rules=(("x", (y,)), ("y", (x,))),
             start="x",
         )
 
@@ -215,10 +244,10 @@ def test_grammar_rejects_cycles():
 def test_grammar_rejects_self_reference():
     x = Symbol(SymbolKind.NONTERMINAL, "x")
     with pytest.raises(CyclicGrammarError):
-        Grammar(
+        Grammar.from_symbols(
             nonterminals=("x",),
             terminals=(),
-            productions=(Production("x", (x,)),),
+            rules=(("x", (x,)),),
             start="x",
         )
 
@@ -234,7 +263,7 @@ def derive_by_recursion(grammar: Grammar) -> Derivation:
             parents.append(parent)
             return
         for child in grammar.production_for(symbol.name).body:
-            expand(child, symbol.name)
+            expand(grammar.symbols[child], symbol.name)
 
     expand(Symbol(SymbolKind.NONTERMINAL, grammar.start), grammar.start)
     boundaries = tuple(
@@ -246,7 +275,7 @@ def derive_by_recursion(grammar: Grammar) -> Derivation:
         if boundary > start:
             row_atoms.append(parents[start])
         start = boundary + 1
-    return Derivation(tuple(tokens), boundaries, tuple(row_atoms))
+    return Derivation.from_tokens(tokens, boundaries, row_atoms)
 
 
 @st.composite
@@ -264,14 +293,16 @@ def acyclic_grammars(draw) -> Grammar:
             *(Symbol(SymbolKind.NONTERMINAL, later) for later in names[i + 1 :]),
         ]
         body = draw(st.lists(st.sampled_from(choices), max_size=8))
-        productions.append(Production(name, tuple(body)))
-    return Grammar(tuple(names), ("s1", "s2"), tuple(productions), names[0])
+        productions.append((name, tuple(body)))
+    return Grammar.from_symbols(names, ("s1", "s2"), productions, names[0])
 
 
 @settings(max_examples=200, deadline=None)
 @given(acyclic_grammars())
 def test_derive_equals_recursive_expansion(grammar):
-    assert derive(grammar) == derive_by_recursion(grammar)
+    assert derivation_content(derive(grammar)) == derivation_content(
+        derive_by_recursion(grammar)
+    )
 
 
 def test_derive_equals_recursive_expansion_on_random_compiled_grammars():
@@ -279,17 +310,19 @@ def test_derive_equals_recursive_expansion_on_random_compiled_grammars():
     for _ in range(40):
         logic, states = random_separating_logic(rng)
         grammar = compile_grammar(logic, states)
-        assert derive(grammar) == derive_by_recursion(grammar)
+        assert derivation_content(derive(grammar)) == derivation_content(
+            derive_by_recursion(grammar)
+        )
 
 
 def test_first_undeclared_symbol_in_production_order_is_named():
     x = Symbol(SymbolKind.NONTERMINAL, "x")
     s1, s8, s9 = (Symbol(SymbolKind.STATE, name) for name in ("s1", "s8", "s9"))
     with pytest.raises(ValueError, match="^undeclared terminal 's8'$"):
-        Grammar(
+        Grammar.from_symbols(
             nonterminals=("g", "x"),
             terminals=("s1",),
-            productions=(Production("g", (s1, x, s8)), Production("x", (s9,))),
+            rules=(("g", (s1, x, s8)), ("x", (s9,))),
             start="g",
         )
 
@@ -304,13 +337,10 @@ def nonterminal_chain(depth: int, cyclic: bool) -> Grammar:
         Symbol(SymbolKind.LINEBREAK, "n"),
     )
     bodies = [(ref,) for ref in refs[1:]] + [last]
-    return Grammar(
+    return Grammar.from_symbols(
         nonterminals=("g", *names),
         terminals=("s1",),
-        productions=(
-            Production("g", (refs[0],)),
-            *(Production(name, body) for name, body in zip(names, bodies)),
-        ),
+        rules=(("g", (refs[0],)), *zip(names, bodies)),
         start="g",
     )
 
@@ -337,14 +367,10 @@ def test_long_cycle_is_rejected_naming_a_nonterminal_on_it():
 def test_cycle_below_an_acyclic_prefix_names_a_nonterminal_on_the_cycle():
     x, y, z = (Symbol(SymbolKind.NONTERMINAL, name) for name in "xyz")
     with pytest.raises(CyclicGrammarError, match="^nonterminal 'y' derives itself$"):
-        Grammar(
+        Grammar.from_symbols(
             nonterminals=("x", "y", "z"),
             terminals=(),
-            productions=(
-                Production("x", (y,)),
-                Production("y", (z,)),
-                Production("z", (y,)),
-            ),
+            rules=(("x", (y,)), ("y", (z,)), ("z", (y,))),
             start="x",
         )
 
@@ -365,6 +391,7 @@ def test_grammar_structural_validation(kwargs, message):
         terminals=base.terminals,
         productions=base.productions,
         start=base.start,
+        symbols=base.symbols,
     )
     fields.update(kwargs)
     with pytest.raises(ValueError, match=message):
@@ -379,6 +406,7 @@ def test_grammar_requires_one_production_per_nonterminal():
             terminals=base.terminals,
             productions=base.productions[:1],
             start=base.start,
+            symbols=base.symbols,
         )
 
 
@@ -386,10 +414,10 @@ def test_grammar_rejects_undeclared_body_symbols():
     g = Symbol(SymbolKind.NONTERMINAL, "g")
     ghost = Symbol(SymbolKind.STATE, "s9")
     with pytest.raises(ValueError, match="undeclared terminal"):
-        Grammar(
+        Grammar.from_symbols(
             nonterminals=("g",),
             terminals=(),
-            productions=(Production("g", (ghost,)),),
+            rules=(("g", (ghost,)),),
             start="g",
         )
 
@@ -409,7 +437,7 @@ def test_incidence_holds_for_the_fixtures():
 def test_incidence_detects_swapped_rows():
     logic, states = resolve_fixture("l12.json")
     derivation = derive(compile_grammar(logic, states))
-    rows = list(derivation.rows())
+    rows = symbol_rows(derivation)
     rows[1], rows[2] = rows[2], rows[1]  # swap rows b and c
     tokens = []
     boundaries = []
@@ -417,7 +445,7 @@ def test_incidence_detects_swapped_rows():
         tokens.extend(row)
         tokens.append(Symbol(SymbolKind.LINEBREAK, "n"))
         boundaries.append(len(tokens) - 1)
-    mutated = Derivation(tuple(tokens), tuple(boundaries), derivation.row_atoms)
+    mutated = Derivation.from_tokens(tokens, boundaries, derivation.row_atoms)
     report = check_incidence(mutated, logic, states)
     assert not report.ok
     assert len(report.violations) == 2
@@ -444,6 +472,16 @@ def test_incidence_row_count_mismatch_is_a_precondition_breach():
         check_incidence(derivation, single, states)
 
 
+def test_incidence_rejects_state_vectors_shorter_than_the_atoms():
+    # Two atoms and two rows, but each state values a single atom.
+    logic = PartitionLogic("logic", ("a", "b"), ((0, 1),))
+    states = StateSet.from_vectors([(1, 0), (0, 1)], StateOrder.PINNED)
+    derivation = derive(compile_grammar(logic, states))
+    short = StateSet.from_vectors([(1,), (0,)], StateOrder.PINNED)
+    with pytest.raises(ValueError, match="^state s1 has a 1-value vector for 2 atoms$"):
+        check_incidence(derivation, logic, short)
+
+
 def test_incidence_rejects_rows_missing_a_separator():
     logic, states = resolve_fixture("l12.json")
     derivation = derive(compile_grammar(logic, states))
@@ -451,7 +489,9 @@ def test_incidence_rejects_rows_missing_a_separator():
         Symbol(SymbolKind.STATE, "s1") if sym.kind is SymbolKind.SEPARATOR else sym
         for sym in derivation.tokens
     )
-    broken = Derivation(tokens, derivation.row_boundaries, derivation.row_atoms)
+    broken = Derivation.from_tokens(
+        tokens, derivation.row_boundaries, derivation.row_atoms
+    )
     with pytest.raises(ValueError, match="separator"):
         check_incidence(broken, logic, states)
 
@@ -470,11 +510,8 @@ def test_distinct_support_tables_give_distinct_productions():
     for _ in range(60):
         logic, states = random_separating_logic(rng)
         table = supports(logic, states)
-        key = tuple((atom, table.true_labels(atom)) for atom in logic.atoms)
-        rows = tuple(
-            (p.head, tuple(s.name for s in p.body))
-            for p in compile_grammar(logic, states).productions[1:]
-        )
+        key = tuple((atom, true_labels(table, atom)) for atom in logic.atoms)
+        rows = listing(compile_grammar(logic, states))[1:]
         if key in seen:
             assert seen[key] == rows
         else:
@@ -484,7 +521,7 @@ def test_distinct_support_tables_give_distinct_productions():
 
 def incidence_by_token_walk(derivation, logic, states):
     """Reference: the per-token loop that check_incidence used to run."""
-    rows = derivation.rows()
+    rows = symbol_rows(derivation)
     if len(rows) != len(logic.atoms):
         raise ValueError(
             f"derivation has {len(rows)} rows for {len(logic.atoms)} atoms"
@@ -548,6 +585,8 @@ def _damage(rows: list[list[Symbol]], how: str, rng: random.Random) -> None:
         del row[k]
     elif how == "label repeated":
         row.insert(rng.randint(0, len(row)), row[k])
+    elif how == "label replaced by another":  # one label twice, one missing
+        row[k] = row[rng.choice(states_at)]
     elif how == "nonterminal left of separator":
         row.insert(rng.randint(0, cut), Symbol(SymbolKind.NONTERMINAL, row[k].name))
     elif how == "states reordered":
@@ -562,6 +601,7 @@ DAMAGES = (
     "two separators",
     "label missing",
     "label repeated",
+    "label replaced by another",
     "nonterminal left of separator",
     "states reordered",
 )
@@ -583,7 +623,7 @@ def test_check_incidence_equals_the_token_walk(seed, damages, pinned):
     else:
         compiled = states
     derivation = derive(compile_grammar(logic, compiled))
-    rows = [list(row) for row in derivation.rows()]
+    rows = symbol_rows(derivation)
     for how in damages:
         _damage(rows, how, rng)
     tokens, boundaries = [], []
@@ -591,7 +631,7 @@ def test_check_incidence_equals_the_token_walk(seed, damages, pinned):
         tokens.extend(row)
         boundaries.append(len(tokens))
         tokens.append(LINEBREAK)
-    damaged = Derivation(tuple(tokens), tuple(boundaries), derivation.row_atoms)
+    damaged = Derivation.from_tokens(tokens, boundaries, derivation.row_atoms)
     expected = _outcome(incidence_by_token_walk, damaged, logic, states)
     assert _outcome(check_incidence, damaged, logic, states) == expected
     if damages == ["none"] and not pinned:
@@ -628,9 +668,7 @@ def test_parse_production_listing_round_trips():
     logic, states = resolve_fixture("l12.json")
     grammar = compile_grammar(logic, states)
     parsed = parse_production_listing(production_text(grammar))
-    assert parsed == tuple(
-        (p.head, tuple(s.name for s in p.body)) for p in grammar.productions
-    )
+    assert parsed == listing(grammar)
 
 
 def test_parse_production_listing_skips_bracketed_rules():

@@ -33,10 +33,12 @@ from support import (
     L12_TABLE,
     TRIANGLE_TABLE,
     brute_force_states,
+    false_labels,
     load_fixture,
     random_logic,
     resolve_fixture,
     separating_by_oracle,
+    true_labels,
 )
 
 
@@ -61,7 +63,7 @@ def test_parse_hypergraph_mode_l12():
     assert logic.name == "logic"  # default when the file gives none
     assert logic.atoms == ("a", "b", "c", "d", "e")
     assert logic.contexts == ((0, 1, 2), (2, 3, 4))
-    assert logic.context_atoms(1) == ("c", "d", "e")
+    assert tuple(logic.atoms[j] for j in logic.contexts[1]) == ("c", "d", "e")
 
 
 def test_parse_smallest_legal_logic():
@@ -379,12 +381,12 @@ def test_example_a_point_induced_states():
     assert logic.contexts == ((0, 1), (2, 3), (4, 5))
     assert states.order_source is StateOrder.POINT_INDUCED
     table = supports(logic, states)
-    assert table.true_labels("p") == ("s1",)
-    assert table.true_labels("not_p") == ("s2", "s3")
-    assert table.true_labels("q") == ("s2",)
-    assert table.true_labels("not_q") == ("s1", "s3")
-    assert table.true_labels("r") == ("s3",)
-    assert table.true_labels("not_r") == ("s1", "s2")
+    assert true_labels(table, "p") == ("s1",)
+    assert true_labels(table, "not_p") == ("s2", "s3")
+    assert true_labels(table, "q") == ("s2",)
+    assert true_labels(table, "not_q") == ("s1", "s3")
+    assert true_labels(table, "r") == ("s3",)
+    assert true_labels(table, "not_r") == ("s1", "s2")
 
 
 def test_example_a_states_are_a_strict_subset_of_the_enumeration():
@@ -425,7 +427,7 @@ def test_blocks_map_back_to_their_points():
     table = supports(logic, states)
     blocks = {"a": {1, 2}, "b": {3, 4}, "c": {5}, "d": {2, 4}, "e": {1, 3}}
     for atom, points in blocks.items():
-        labels = table.true_labels(atom)
+        labels = true_labels(table, atom)
         # state s_i was induced by base point i (no collapsing here)
         assert {int(label[1:]) for label in labels} == points
 
@@ -664,19 +666,19 @@ def test_witness_agrees_with_pairwise_oracle_on_random_logics():
 def test_l12_support_goldens():
     logic, states = resolve_fixture("l12.json")
     table = supports(logic, states)
-    assert table.true_labels("a") == ("s1", "s2")
-    assert table.true_labels("b") == ("s3", "s4")
-    assert table.true_labels("c") == ("s5",)
-    assert table.true_labels("d") == ("s2", "s4")
-    assert table.true_labels("e") == ("s1", "s3")
-    assert table.false_labels("d") == ("s1", "s3", "s5")
+    assert true_labels(table, "a") == ("s1", "s2")
+    assert true_labels(table, "b") == ("s3", "s4")
+    assert true_labels(table, "c") == ("s5",)
+    assert true_labels(table, "d") == ("s2", "s4")
+    assert true_labels(table, "e") == ("s1", "s3")
+    assert false_labels(table, "d") == ("s1", "s3", "s5")
 
 
 def test_triangle_support_goldens():
     logic, states = resolve_fixture("triangle.json")
     table = supports(logic, states)
-    assert table.true_labels("f") == ("s2", "s4")
-    assert table.true_labels("e") == ("s3",)
+    assert true_labels(table, "f") == ("s2", "s4")
+    assert true_labels(table, "e") == ("s3",)
 
 
 def test_supports_partition_all_labels():
@@ -686,7 +688,7 @@ def test_supports_partition_all_labels():
         states = enumerate_states(logic)
         table = supports(logic, states)
         for atom in logic.atoms:
-            t, f = set(table.true_labels(atom)), set(table.false_labels(atom))
+            t, f = set(true_labels(table, atom)), set(false_labels(table, atom))
             assert t | f == set(states.labels())
             assert not t & f
 

@@ -35,6 +35,7 @@ from sglg import (
     render_tiles,
 )
 from support import (
+    listing,
     one_state_grammar,
     random_logic,
     random_separating_logic,
@@ -384,9 +385,7 @@ def test_logic_program_structural_layer_round_trips():
         palette=default_palette(states.labels()), backend=Backend.LOGIC_PROGRAM
     )
     parsed = parse_production_listing(emit_logic_program(grammar, spec))
-    assert parsed == tuple(
-        (p.head, tuple(s.name for s in p.body)) for p in grammar.productions
-    )
+    assert parsed == listing(grammar)
 
 
 # ------------------------------------------------------------------ events
@@ -419,7 +418,9 @@ def test_events_jsonl_is_json_dumps_per_event():
     n = Symbol(SymbolKind.LINEBREAK, "n")
     hostile = Symbol(SymbolKind.SEPARATOR, 'q"\\é\u2028\n😀')
     # Rows: (s1), an empty row that is skipped, then 12 x s1 and the hostile br.
-    derivation = Derivation((s1, n, n, *[s1] * 12, hostile), (1, 2), ("x", "y"))
+    derivation = Derivation.from_tokens(
+        (s1, n, n, *[s1] * 12, hostile), (1, 2), ("x", "y")
+    )
     events = [
         (0, 0, "s1", "state"),
         *((1, p, "s1", "state") for p in range(12)),
@@ -437,7 +438,7 @@ def test_events_jsonl_is_json_dumps_per_event():
     assert stream.to_jsonl() == expected
     assert [(e.row, e.pos, e.symbol, e.kind) for e in stream] == events
     assert len(stream) == len(events)
-    assert emit_events(Derivation((), (), ())).to_jsonl() == ""
+    assert emit_events(Derivation.from_tokens((), (), ())).to_jsonl() == ""
 
 
 def test_events_jsonl_shape():
@@ -451,8 +452,18 @@ def test_events_jsonl_shape():
 
 # ------------------------------------------- properties against references
 #
-# Per-token references: the loops the backends were first written as. Each
-# backend must give the same text, or raise the same error, as these.
+# Per-token references: the loops the backends were first written as, over
+# rows of ``Symbol`` objects. Each backend must give the same text, or raise
+# the same error, as these.
+
+
+def token_rows(tokens, boundaries) -> list[list[Symbol]]:
+    """Tokens between boundaries, boundary tokens dropped, empty rows skipped."""
+    rows, start = [], 0
+    for boundary in (*boundaries, len(tokens)):
+        rows.append(list(tokens[start:boundary]))
+        start = boundary + 1
+    return [row for row in rows if row]
 
 
 def reference_color(sym, spec: RenderSpec) -> str:
@@ -463,8 +474,7 @@ def reference_color(sym, spec: RenderSpec) -> str:
     raise ValueError(f"unrenderable token {sym.name!r} of kind {sym.kind.value}")
 
 
-def reference_tiles(derivation, spec: RenderSpec) -> str:
-    rows = derivation.rows()
+def reference_tiles(rows, spec: RenderSpec) -> str:
     step = spec.cell_size + spec.cell_gap
     cols = max((len(row) for row in rows), default=0)
     width = cols * spec.cell_size + max(cols - 1, 0) * spec.cell_gap
@@ -521,9 +531,9 @@ def reference_schema(logic, states, spec: RenderSpec) -> str:
     return reference_document(width, height, body)
 
 
-def reference_ansi(derivation, spec: RenderSpec, color: bool) -> str:
+def reference_ansi(rows, spec: RenderSpec, color: bool) -> str:
     lines = []
-    for row in derivation.rows():
+    for row in rows:
         if color:
             glyphs = []
             for sym in row:
@@ -536,10 +546,10 @@ def reference_ansi(derivation, spec: RenderSpec, color: bool) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def reference_html(derivation, spec: RenderSpec) -> str:
+def reference_html(rows, spec: RenderSpec) -> str:
     cell = spec.cell_size
     lines = ['<div class="sglg-tiles">']
-    for row in derivation.rows():
+    for row in rows:
         lines.append('  <div class="sglg-row">')
         for sym in row:
             lines.append(
@@ -552,14 +562,14 @@ def reference_html(derivation, spec: RenderSpec) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def reference_events(derivation) -> str:
+def reference_events(rows) -> str:
     return "".join(
         json.dumps(
             {"row": r, "pos": p, "symbol": sym.name, "kind": sym.kind.value},
             separators=(",", ":"),
         )
         + "\n"
-        for r, row in enumerate(derivation.rows())
+        for r, row in enumerate(rows)
         for p, sym in enumerate(row)
     )
 
@@ -590,7 +600,7 @@ def specs(draw) -> RenderSpec:
 
 
 @st.composite
-def hand_built_derivations(draw) -> Derivation:
+def hand_built_tokens(draw) -> tuple[tuple[Symbol, ...], tuple[int, ...]]:
     """Any token sequence, with row boundaries anywhere.
 
     The pool repeats equal symbols as distinct objects and holds tokens no
@@ -608,7 +618,7 @@ def hand_built_derivations(draw) -> Derivation:
     tokens = tuple(draw(st.lists(st.sampled_from(pool), max_size=40)))
     boundaries = sorted(draw(st.sets(st.integers(0, max(len(tokens) - 1, 0)))))
     boundaries = tuple(b for b in boundaries if b < len(tokens))
-    return Derivation(tokens, boundaries, ("x",) * (len(boundaries) + 1))
+    return tokens, boundaries
 
 
 def compiled_derivation(rng: random.Random) -> Derivation:
@@ -616,34 +626,45 @@ def compiled_derivation(rng: random.Random) -> Derivation:
     return derive(compile_grammar(logic, states))
 
 
-def assert_backends_equal_references(derivation: Derivation, spec: RenderSpec):
+def assert_backends_equal_references(derivation: Derivation, rows, spec: RenderSpec):
+    """Each backend on ``derivation`` against its reference on ``rows``."""
     ansi = replace(spec, backend=Backend.ANSI)
     html_spec = replace(spec, backend=Backend.HTML)
     cases = [
-        (render_tiles, reference_tiles, (derivation, spec)),
-        (render_text, reference_ansi, (derivation, ansi, True)),
-        (render_text, reference_ansi, (derivation, ansi, False)),
-        (render_text, reference_html, (derivation, html_spec)),
-        (lambda d: emit_events(d).to_jsonl(), reference_events, (derivation,)),
+        (render_tiles, reference_tiles, (spec,)),
+        (render_text, reference_ansi, (ansi, True)),
+        (render_text, reference_ansi, (ansi, False)),
+        (render_text, reference_html, (html_spec,)),
+        (lambda d: emit_events(d).to_jsonl(), reference_events, ()),
     ]
     for render, reference, args in cases:
-        first = outcome(render, *args)
-        assert first == outcome(reference, *args)
-        assert outcome(render, *args) == first  # byte-deterministic
+        first = outcome(render, derivation, *args)
+        assert first == outcome(reference, rows, *args)
+        assert outcome(render, derivation, *args) == first  # byte-deterministic
 
 
 @settings(max_examples=200, deadline=None)
-@given(hand_built_derivations(), specs())
+@given(hand_built_tokens(), specs())
 def test_backends_equal_per_token_references_on_hand_built_derivations(
-    derivation, spec
+    drawn, spec
 ):
-    assert_backends_equal_references(derivation, spec)
+    tokens, boundaries = drawn
+    derivation = Derivation.from_tokens(
+        tokens, boundaries, ("x",) * (len(boundaries) + 1)
+    )
+    # Equal symbols, also as distinct objects, share one table entry; the
+    # references run over the original objects.
+    assert len(derivation.symbols) == len(set(tokens))
+    assert derivation.tokens == tokens
+    assert_backends_equal_references(derivation, token_rows(tokens, boundaries), spec)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.randoms(use_true_random=False), specs())
 def test_backends_equal_per_token_references_on_compiled_derivations(rng, spec):
-    assert_backends_equal_references(compiled_derivation(rng), spec)
+    derivation = compiled_derivation(rng)
+    rows = token_rows(derivation.tokens, derivation.row_boundaries)
+    assert_backends_equal_references(derivation, rows, spec)
 
 
 @settings(max_examples=150, deadline=None)
@@ -679,8 +700,6 @@ def test_production_listings_round_trip(rng):
     spec = RenderSpec(
         palette=default_palette(states.labels()), backend=Backend.LOGIC_PROGRAM
     )
-    expected = tuple(
-        (p.head, tuple(s.name for s in p.body)) for p in grammar.productions
-    )
+    expected = listing(grammar)
     assert parse_production_listing(production_text(grammar)) == expected
     assert parse_production_listing(emit_logic_program(grammar, spec)) == expected
