@@ -183,26 +183,28 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _build_palette(logic_file: LogicFile, states: StateSet, args) -> dict[str, str]:
+def _render_spec(logic_file: LogicFile, states: StateSet, args, backend) -> RenderSpec:
+    """The spec from the style flags: default colors, then the file's, then --palette."""
     palette = default_palette(states.labels())
     if logic_file.palette:
         palette.update(logic_file.palette)
     if args.palette:
         palette.update(dict(args.palette))
-    return palette
+    return RenderSpec(
+        palette, cell_size=args.cell_size, cell_gap=args.cell_gap, backend=backend
+    )
 
 
 def format_state_table(logic: PartitionLogic, states: StateSet) -> str:
     """The Table-I layout: one column per atom, one labeled row per state."""
-    label_width = max((len(s.label) for s in states), default=0)
+    label_width = max(map(len, states.labels()), default=0)
     lines = [
         " " * label_width + "".join(f"  {atom}" for atom in logic.atoms)
     ]
     # Per atom, its cell for value 0 and for value 1, right-aligned under it.
     cells = [(f"  {0:>{len(atom)}}", f"  {1:>{len(atom)}}") for atom in logic.atoms]
-    for state in states:
-        row = "".join(map(getitem, cells, state.values))
-        lines.append(f"{state.label:<{label_width}}" + row)
+    for label, row in zip(states.labels(), states.rows):
+        lines.append(f"{label:<{label_width}}" + "".join(map(getitem, cells, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -226,22 +228,16 @@ def _cmd_render(args) -> int:
     logic_file = _read_logic_file(args.spec)
     logic, states = resolve_states(logic_file)
     grammar = compile_grammar(logic, states)
-    derivation = derive(grammar)
     if args.format == "events":  # the one format without colors
-        _emit(emit_events(derivation).to_jsonl(), args.output)
+        _emit(emit_events(derive(grammar)).to_jsonl(), args.output)
         return 0
-    spec = RenderSpec(
-        palette=_build_palette(logic_file, states, args),
-        cell_size=args.cell_size,
-        cell_gap=args.cell_gap,
-        backend=Backend(args.format),
-    )
-    if args.format == "svg-tiles":
-        text = render_tiles(derivation, spec)
-    elif args.format == "logic-program":
+    spec = _render_spec(logic_file, states, args, Backend(args.format))
+    if args.format == "logic-program":  # the one format reading only the grammar
         text = emit_logic_program(grammar, spec)
+    elif args.format == "svg-tiles":
+        text = render_tiles(derive(grammar), spec)
     else:  # ansi or html; NO_COLOR keeps the ANSI glyphs and drops their colors
-        text = render_text(derivation, spec, color="NO_COLOR" not in os.environ)
+        text = render_text(derive(grammar), spec, color="NO_COLOR" not in os.environ)
     _emit(text, args.output)
     return 0
 
@@ -249,13 +245,7 @@ def _cmd_render(args) -> int:
 def _cmd_schema(args) -> int:
     logic_file = _read_logic_file(args.spec)
     logic, states = resolve_states(logic_file)
-    palette = _build_palette(logic_file, states, args)
-    spec = RenderSpec(
-        palette=palette,
-        cell_size=args.cell_size,
-        cell_gap=args.cell_gap,
-        backend=Backend.SVG_SCHEMA,
-    )
+    spec = _render_spec(logic_file, states, args, Backend.SVG_SCHEMA)
     _emit(render_schema(logic, states, spec), args.output)
     return 0
 

@@ -355,10 +355,8 @@ def check_incidence(
     m = len(logic.atoms)
     if len(rows) != m:
         raise ValueError(f"derivation has {len(rows)} rows for {m} atoms")
-    for state in states:
-        if len(state.values) != m:
-            got = len(state.values)
-            raise ValueError(f"state {state.label} has a {got}-value vector for {m} atoms")
+    if len(states) and states.width != m:
+        raise ValueError(f"state s1 has a {states.width}-value vector for {m} atoms")
     labels = states.labels()
     symbols = derivation.symbols
     separators = [i for i, s in enumerate(symbols) if s.kind is SymbolKind.SEPARATOR]
@@ -368,7 +366,7 @@ def check_incidence(
     ids = [number.get(label) for label in labels]
     label_numbers = set(ids) - {None}
     # Atom j's column is every m-th byte: read from the states, not supports().
-    values = b"".join(map(bytes, (s.values for s in states)))
+    matrix = states.matrix
     violations = []
     for j, row in enumerate(rows):
         raw = row.tobytes()
@@ -386,7 +384,7 @@ def check_incidence(
             left = {number.get(s.name) for s in tokens[: cuts[0]]} & label_numbers
         if not once:
             raise ValueError(f"row {j} does not carry each state symbol exactly once")
-        column = values[j::m]
+        column = matrix[j::m]
         if len(left) != column.count(1) or not left.issuperset(compress(ids, column)):
             mismatched = tuple(
                 label

@@ -5,7 +5,9 @@ plus an ordered list of contexts, each context naming the atoms of one
 maximal Boolean block. A two-valued state assigns 0/1 to every atom so
 that exactly one atom per context is true. This module parses the two
 input file modes (hypergraph and base-set partitions), enumerates states,
-and computes supports and partition representations.
+and computes supports and partition representations. A state set is the
+state/atom incidence table as one ``bytes`` matrix, a row of 0/1 bytes
+per state: it is written in one join and read as C-level slices.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress, repeat
 from typing import Iterator, Union
 
 from .errors import LogicFileError, NotAPartitionError, PinnedStatesError
@@ -151,43 +153,62 @@ class TwoValuedState:
 
 @dataclass(frozen=True)
 class StateSet:
-    """Ordered, labeled two-valued states; the column order of all artifacts."""
+    """Ordered two-valued states; the column order of all artifacts.
 
-    states: tuple[TwoValuedState, ...]
+    ``matrix`` holds distinct rows of ``width`` 0/1 bytes, one state a row
+    and one atom a column; row i is labeled ``s{i+1}``. ``TwoValuedState``
+    objects are made only when the set is iterated or indexed.
+    """
+
+    matrix: bytes
+    width: int
     order_source: StateOrder
 
     def __post_init__(self):
-        vectors = {s.values for s in self.states}
-        if len(vectors) != len(self.states):
+        matrix, width = self.matrix, self.width
+        if width < 1 or len(matrix) % width:
+            raise ValueError(f"state matrix length {len(matrix)} is not a multiple of {width}")
+        if matrix.translate(None, b"\0\1"):
+            bad = next(k for k, value in enumerate(matrix) if value > 1)
+            raise ValueError(f"state s{bad // width + 1}: values must be 0 or 1")
+        if len(set(self.rows)) != len(self):
             raise ValueError("state value vectors are not distinct")
-        if len({len(s.values) for s in self.states}) > 1:
-            raise ValueError("states have differing atom counts")
-        for i, state in enumerate(self.states):
-            if state.label != f"s{i + 1}":
-                raise ValueError(
-                    f"state {i} is labeled {state.label!r}, expected 's{i + 1}'"
-                )
 
     @classmethod
     def from_vectors(
         cls, vectors: list[tuple[int, ...]], order_source: StateOrder
     ) -> "StateSet":
-        states = tuple(
-            TwoValuedState(f"s{i + 1}", values) for i, values in enumerate(vectors)
-        )
-        return cls(states, order_source)
+        if len(set(map(len, vectors))) > 1:
+            raise ValueError("states have differing atom counts")
+        width = len(vectors[0]) if vectors else 1  # any width holds no rows
+        return cls(bytes(chain.from_iterable(vectors)), width, order_source)
+
+    @property
+    def rows(self) -> tuple[bytes, ...]:
+        """Per state, its values over the atoms: the matrix in width-byte runs."""
+        return tuple(re.findall(b"(?s).{%d}" % self.width, self.matrix))
+
+    @property
+    def columns(self) -> tuple[bytes, ...]:
+        """Per atom, its value in each state."""
+        return tuple(self.matrix[j :: self.width] for j in range(self.width))
+
+    @cached_property
+    def _labels(self) -> tuple[str, ...]:
+        return tuple(map("s{}".format, range(1, len(self) + 1)))
 
     def labels(self) -> tuple[str, ...]:
-        return tuple(s.label for s in self.states)
+        return self._labels
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.matrix) // self.width
 
     def __iter__(self) -> Iterator[TwoValuedState]:
-        return iter(self.states)
+        return map(TwoValuedState, self._labels, map(tuple, self.rows))
 
     def __getitem__(self, index: int) -> TwoValuedState:
-        return self.states[index]
+        i, w = range(len(self))[index], self.width
+        return TwoValuedState(self._labels[i], tuple(self.matrix[i * w : i * w + w]))
 
 
 @dataclass(frozen=True)
@@ -416,9 +437,8 @@ def logic_from_partitions(spec: BaseSetSpec) -> tuple[PartitionLogic, StateSet]:
     for j, block in enumerate(blocks):
         for point in block:
             marks[point][j] = 1
-    vectors = list(map(tuple, dict.fromkeys(map(bytes, marks.values()))))
-    states = StateSet.from_vectors(vectors, StateOrder.POINT_INDUCED)
-    return logic, states
+    rows = dict.fromkeys(map(bytes, marks.values()))
+    return logic, StateSet(b"".join(rows), len(atoms), StateOrder.POINT_INDUCED)
 
 
 def _context_masks(logic: PartitionLogic) -> list[int]:
@@ -516,12 +536,6 @@ def _state_masks(logic: PartitionLogic) -> list[int]:
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _vectors(masks: list[int], m: int) -> list[tuple[int, ...]]:
-    """State masks as 0/1 tuples over the atom list."""
-    spec = f"0{m}b"
-    return [tuple(format(v, spec).encode().translate(_BIT_VALUES)) for v in masks]
-
-
 def enumerate_states(logic: PartitionLogic) -> StateSet:
     """All two-valued states of the logic, in canonical order.
 
@@ -531,22 +545,25 @@ def enumerate_states(logic: PartitionLogic) -> StateSet:
     """
     masks = _state_masks(logic)
     masks.sort(reverse=True)  # atom 0 is the top bit: lexicographic order
-    return StateSet.from_vectors(_vectors(masks, len(logic.atoms)), StateOrder.CANONICAL)
+    m = len(logic.atoms)
+    bits = "".join(map(format, masks, repeat(f"0{m}b"))).encode()  # a row per mask
+    return StateSet(bits.translate(_BIT_VALUES), m, StateOrder.CANONICAL)
 
 
 def pinned_state_set(
     logic: PartitionLogic, rows: tuple[tuple[int, ...], ...]
 ) -> StateSet:
     """Validate an explicit state order against the full enumeration."""
-    enumerated = set(_vectors(_state_masks(logic), len(logic.atoms)))
-    for si, row in enumerate(rows):
+    enumerated = set(enumerate_states(logic).rows)
+    pinned_rows = list(map(bytes, rows))
+    for si, row in enumerate(pinned_rows):
         # A row among the enumerated states is admissible by construction.
         if row not in enumerated and not is_admissible(row, logic):
             raise PinnedStatesError(
                 f"pinned state s{si + 1} is not admissible (some context does "
                 "not have exactly one true atom)"
             )
-    pinned = set(rows)
+    pinned = set(pinned_rows)
     if len(pinned) != len(rows):
         raise PinnedStatesError("pinned states repeat a valuation")
     if pinned != enumerated:
@@ -555,7 +572,7 @@ def pinned_state_set(
             "pinned states do not match the full enumeration "
             f"({missing} of {len(enumerated)} valuations missing)"
         )
-    return StateSet.from_vectors(list(rows), StateOrder.PINNED)
+    return StateSet(b"".join(pinned_rows), len(logic.atoms), StateOrder.PINNED)
 
 
 def resolve_states(logic_file: LogicFile) -> tuple[PartitionLogic, StateSet]:
@@ -581,10 +598,8 @@ def supports(logic: PartitionLogic, states: StateSet) -> SupportTable:
 
     The only code that turns valuations into supports; all readers share it.
     """
-    m = len(logic.atoms)
-    # The values laid out state by state: atom j's column is every m-th byte.
-    values = b"".join(map(bytes, (s.values for s in states)))
-    columns = tuple(values[j::m] for j in range(m))
+    m = len(logic.atoms)  # atom j's column is every m-th byte of the matrix
+    columns = tuple(states.matrix[j::m] for j in range(m))
     return SupportTable(logic.atoms, states.labels(), columns)
 
 

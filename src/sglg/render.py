@@ -10,18 +10,20 @@ distinct symbol once in its table and its rows as arrays of symbol
 numbers, so each backend formats its output fragment once per table entry
 and writes each row by looking the fragments up by number, with the
 per-column and per-row text (x and y coordinates, event positions)
-formatted once too.
+formatted once too. The SVG and event writers make a row one join over
+three slots per token, filled by slice assignment: the column's text,
+the row's text and the token's fragment. Each SVG line starts with its
+newline and each event line ends with one, so no line is joined twice.
 """
 
 from __future__ import annotations
 
-import colorsys
 from dataclasses import dataclass, field
 from enum import Enum
 from html import escape
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _json_string
-from operator import add, getitem
+from operator import getitem
 from typing import Iterator
 
 from .errors import MissingPaletteEntryError
@@ -44,23 +46,32 @@ class Backend(Enum):
     EVENTS = "events"
 
 
+_HEX = [f"{b:02X}" for b in range(256)]
+_V = _HEX[round(0.9 * 255)]
+# Per hue sextant, the text around its one varying channel (the others are 0.9, 0).
+_SEXTANTS = (("#" + _V, "00"), ("#", _V + "00"), ("#00" + _V, ""), ("#00", _V),
+             ("#", "00" + _V), ("#" + _V + "00", ""))
+
+
 def default_palette(labels: tuple[str, ...]) -> dict[str, str]:
     """Label → hex color map: the five named colors, or spaced hues beyond.
 
     For more than five labels the colors are evenly spaced hues
     (hue_i = i·360/N) at full saturation and value 0.9, which keeps every
-    entry clearly distinct from the black separator.
+    entry clearly distinct from the black separator; the float steps are
+    those of ``colorsys.hsv_to_rgb``.
     """
     if len(labels) <= len(DEFAULT_COLORS):
         return dict(zip(labels, DEFAULT_COLORS))
-    n = len(labels)
-    palette = {}
-    for i, label in enumerate(labels):
-        r, g, b = colorsys.hsv_to_rgb(i / n, 1.0, 0.9)
-        palette[label] = "#{:02X}{:02X}{:02X}".format(
-            round(r * 255), round(g * 255), round(b * 255)
-        )
-    return palette
+    n, colors = len(labels), []
+    for i in range(n):
+        h6 = i / n * 6.0
+        k = int(h6)
+        f = h6 - k
+        channel = 0.9 * (1.0 - f) if k & 1 else 0.9 * (1.0 - (1.0 - f))
+        before, after = _SEXTANTS[k % 6]
+        colors.append(before + _HEX[round(channel * 255)] + after)
+    return dict(zip(labels, colors))
 
 
 @dataclass(frozen=True)
@@ -116,7 +127,7 @@ def _svg_document(width: int, height: int, body: list[str]) -> str:
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">'
     )
-    return "\n".join([head, *body, "</svg>", ""])
+    return "".join([head, *body, "\n</svg>\n"])
 
 
 def render_tiles(derivation: Derivation, spec: RenderSpec) -> str:
@@ -129,11 +140,14 @@ def render_tiles(derivation: Derivation, spec: RenderSpec) -> str:
     cols = max(map(len, rows), default=0)
     width = cols * spec.cell_size + max(cols - 1, 0) * spec.cell_gap
     height = len(rows) * spec.cell_size + max(len(rows) - 1, 0) * spec.cell_gap
-    xs = [f'  <rect x="{i * step}" y="' for i in range(cols)]
+    slots = [None] * (3 * cols)
+    slots[0::3] = [f'\n  <rect x="{i * step}" y="' for i in range(cols)]
     body = []
     for r, row in enumerate(rows):
-        heads = map(add, xs, repeat(str(r * step)))
-        body.append("\n".join(map(add, heads, row)))
+        parts = slots[: 3 * len(row)]
+        parts[1::3] = repeat(str(r * step), len(row))
+        parts[2::3] = row
+        body.append("".join(parts))
     return _svg_document(width, height, body)
 
 
@@ -149,8 +163,7 @@ def render_schema(logic: PartitionLogic, states: StateSet, spec: RenderSpec) -> 
     height = top + m * cell + max(m - 1, 0) * gap
     font = max(cell // 2, 1)
     labels = states.labels()
-    # Per atom, the value each state gives it.
-    columns = list(zip(*(s.values for s in states)))
+    columns = states.columns  # per atom, the value each state gives it
     # A label missing from the palette fails at its first true cell in
     # row-major order, as a lookup per cell would.
     missing = [i for i, label in enumerate(labels) if label not in spec.palette]
@@ -163,23 +176,25 @@ def render_schema(logic: PartitionLogic, states: StateSet, spec: RenderSpec) -> 
         (f'{spec.false_cell_color}"/>', f'{spec.palette.get(label)}"/>')
         for label in labels
     ]
-    xs = [f'  <rect x="{left + i * step}" y="' for i in range(n)]
+    slots = [None] * (3 * n)
+    slots[0::3] = [f'\n  <rect x="{left + i * step}" y="' for i in range(n)]
     size = f'" width="{cell}" height="{cell}" fill="'
     body = [
-        f'  <text x="{left + i * step + cell // 2}" y="{top - font // 2}" '
+        f'\n  <text x="{left + i * step + cell // 2}" y="{top - font // 2}" '
         f'text-anchor="middle" font-family="monospace" '
         f'font-size="{font}">{escape(label, quote=False)}</text>'
         for i, label in enumerate(labels)
     ]
     for j, atom in enumerate(logic.atoms):
         body.append(
-            f'  <text x="{left - font}" y="{top + j * step + (cell + font) // 2}" '
+            f'\n  <text x="{left - font}" y="{top + j * step + (cell + font) // 2}" '
             f'text-anchor="end" font-family="monospace" '
             f'font-size="{font}">{escape(atom, quote=False)}</text>'
         )
         if n:
-            heads = map(add, xs, repeat(f"{top + j * step}{size}"))
-            body.append("\n".join(map(add, heads, map(getitem, fills, columns[j]))))
+            slots[1::3] = repeat(f"{top + j * step}{size}", n)
+            slots[2::3] = map(getitem, fills, columns[j])
+            body.append("".join(slots))
     return _svg_document(width, height, body)
 
 
@@ -252,7 +267,7 @@ class Event:
 
 def _event_tail(symbol) -> str:
     name, kind = _json_string(symbol.name), _json_string(symbol.kind.value)
-    return f',"symbol":{name},"kind":{kind}}}'
+    return f',"symbol":{name},"kind":{kind}}}\n'
 
 
 @dataclass(frozen=True)
@@ -266,18 +281,20 @@ class EventStream:
 
     def to_jsonl(self) -> str:
         # The text of json.dumps(..., separators=(",", ":")) for each event,
-        # with the strings quoted by the function json.dumps uses for them.
+        # the strings quoted by the function json.dumps uses for them; per
+        # token the row's text, the position and the line-ending symbol tail.
         rows = self.derivation.rows()
         table = list(map(_event_tail, self.derivation.symbols))
         cols = max((len(row) for row in rows), default=0)
-        positions = list(map(str, range(cols)))
+        slots = [None] * (3 * cols)
+        slots[1::3] = map(str, range(cols))
         lines = []
         for r, row in enumerate(rows):
-            heads = map(add, repeat(f'{{"row":{r},"pos":'), positions)
-            lines.append("\n".join(map(add, heads, map(table.__getitem__, row))))
-        if lines:
-            lines.append("")  # ends the text with a newline
-        return "\n".join(lines)
+            parts = slots[: 3 * len(row)]
+            parts[0::3] = repeat(f'{{"row":{r},"pos":', len(row))
+            parts[2::3] = map(table.__getitem__, row)
+            lines.append("".join(parts))
+        return "".join(lines)
 
     def __len__(self) -> int:
         return sum(map(len, self.derivation.rows()))

@@ -686,6 +686,31 @@ def test_chain10_outputs_are_pinned_byte_for_byte(case, tmp_path, monkeypatch, c
     assert digest == CHAIN10_SHA256[case]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check"],
+        ["states"],
+        ["grammar"],
+        ["grammar", "--format", "json"],
+        *(
+            ["render", "--format", fmt]
+            for fmt in ("svg-tiles", "ansi", "html", "logic-program", "events")
+        ),
+        ["schema"],
+    ],
+    ids=" ".join,
+)
+def test_cli_paths_build_no_state_objects(argv, tmp_path, monkeypatch, capsys):
+    from sglg import logic
+
+    spec = write_spec(tmp_path, CHAIN10_SPEC)
+    command, *flags = argv
+    out = ["-o", str(tmp_path / "out")] if command in ("render", "schema") else []
+    monkeypatch.setattr(logic, "TwoValuedState", None)  # any construction raises
+    assert main([command, spec, *flags, *out]) == 0
+
+
 def test_render_events_builds_no_palette(monkeypatch, capsys):
     from sglg import cli
 

@@ -18,7 +18,6 @@ from sglg import (
     PinnedStatesError,
     StateOrder,
     StateSet,
-    TwoValuedState,
     enumerate_states,
     is_admissible,
     is_separating,
@@ -364,12 +363,26 @@ def test_pinned_states_must_be_distinct():
         pinned_state_set(logic, ((1, 0), (1, 0)))
 
 
-def test_state_set_rejects_wrong_labels():
-    with pytest.raises(ValueError, match="expected 's2'"):
-        StateSet(
-            states=(TwoValuedState("s1", (1, 0)), TwoValuedState("s3", (0, 1))),
-            order_source=StateOrder.CANONICAL,
-        )
+def test_state_set_rejects_bad_matrices():
+    # Labels follow from position, so what is left to reject is the matrix:
+    # a value other than 0 or 1, a length that is no whole number of rows,
+    # and a repeated row; from_vectors rejects the same three.
+    order = StateOrder.CANONICAL
+    with pytest.raises(ValueError, match=r"^state s2: values must be 0 or 1$"):
+        StateSet(b"\0\1\2\0", 2, order)
+    with pytest.raises(ValueError, match=r"^state s2: values must be 0 or 1$"):
+        StateSet.from_vectors([(0, 1), (2, 0)], order)
+    ragged = r"^state matrix length 3 is not a multiple of 2$"
+    with pytest.raises(ValueError, match=ragged):
+        StateSet(b"\1\0\0", 2, order)
+    # (1, 0), (0,), (1,) would join into two whole rows: lengths are checked first.
+    for vectors in ([(1, 0), (0,)], [(1, 0), (0,), (1,)]):
+        with pytest.raises(ValueError, match=r"^states have differing atom counts$"):
+            StateSet.from_vectors(vectors, order)
+    with pytest.raises(ValueError, match=r"^state value vectors are not distinct$"):
+        StateSet(b"\1\0\0\1\1\0", 2, order)
+    with pytest.raises(ValueError, match=r"^state value vectors are not distinct$"):
+        StateSet.from_vectors([(1, 0), (0, 1), (1, 0)], order)
 
 
 # ------------------------------------------------- base-set / partitions
@@ -588,6 +601,103 @@ def test_block_name_errors_equal_the_loops(names, message):
     expected = _induced(partitions_by_loops, spec)
     assert expected == ("error", message, message.split(":")[0])
     assert _induced(logic_from_partitions, spec) == expected
+
+
+# ------------------------------------------- the state matrix, per tuple
+# References: the per-tuple path the states took before they became one
+# byte matrix (a tuple of 0/1 values per state, labels by position, each
+# atom's column gathered state by state).
+
+
+def tuples_view(logic: PartitionLogic, vectors, order: StateOrder):
+    """Labels, value tuples, order source and support columns of ``vectors``."""
+    columns = tuple(bytes(v[j] for v in vectors) for j in range(len(logic.atoms)))
+    labels = tuple(f"s{i + 1}" for i in range(len(vectors)))
+    return labels, tuple(map(tuple, vectors)), order, columns
+
+
+def matrix_view(logic: PartitionLogic, states: StateSet):
+    view = (
+        states.labels(),
+        tuple(s.values for s in states),
+        states.order_source,
+        supports(logic, states).columns,
+    )
+    assert states.rows == tuple(map(bytes, view[1]))
+    assert states.columns == view[3]
+    return view
+
+
+def pinned_by_tuples(logic: PartitionLogic, rows):
+    """Reference: pinned_state_set over tuples, the enumeration brute-forced."""
+    enumerated = brute_force_states(logic)
+    for si, row in enumerate(rows):
+        if row not in enumerated and not is_admissible(row, logic):
+            raise PinnedStatesError(
+                f"pinned state s{si + 1} is not admissible (some context does "
+                "not have exactly one true atom)"
+            )
+    if len(set(rows)) != len(rows):
+        raise PinnedStatesError("pinned states repeat a valuation")
+    if set(rows) != enumerated:
+        missing = len(enumerated - set(rows))
+        raise PinnedStatesError(
+            "pinned states do not match the full enumeration "
+            f"({missing} of {len(enumerated)} valuations missing)"
+        )
+    return tuples_view(logic, rows, StateOrder.PINNED)
+
+
+def pinned_outcome(pin, logic, rows):
+    try:
+        return pin(logic, rows)
+    except PinnedStatesError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.data())
+def test_enumerated_and_pinned_matrices_equal_the_per_tuple_path(rng, data):
+    logic = random_logic(rng)
+    canonical = sorted(brute_force_states(logic), reverse=True)
+    expected = tuples_view(logic, canonical, StateOrder.CANONICAL)
+    assert matrix_view(logic, enumerate_states(logic)) == expected
+    rows = list(data.draw(st.permutations(canonical)))
+    edit = data.draw(st.sampled_from(["none", "drop", "repeat", "flip"]))
+    if rows and edit == "drop":
+        rows.pop()
+    elif rows and edit == "repeat":
+        rows.append(rows[0])
+    elif edit == "flip":  # may make a row inadmissible, or another state
+        si = data.draw(st.integers(0, len(rows)))
+        j = data.draw(st.integers(0, len(logic.atoms) - 1))
+        row = list(rows[si]) if si < len(rows) else [0] * len(logic.atoms)
+        row[j] ^= 1
+        rows[si : si + 1] = [tuple(row)]
+    rows = tuple(rows)
+    reference = pinned_outcome(pinned_by_tuples, logic, rows)
+    got = pinned_outcome(pinned_state_set, logic, rows)
+    assert (got if isinstance(got, str) else matrix_view(logic, got)) == reference
+
+
+@settings(max_examples=200, deadline=None)
+@given(base_set_specs())
+def test_point_induced_matrix_equals_the_per_tuple_path(spec):
+    try:
+        logic, states = logic_from_partitions(spec)
+    except LogicFileError:
+        return  # naming errors are compared with the loops above
+    # Atom contexts[pi][bi] is block bi of partition pi.
+    blocks = {}
+    for ctx, partition in zip(logic.contexts, spec.partitions):
+        blocks.update(zip(ctx, map(set, partition)))
+    vectors = []
+    for point in spec.base_set:
+        values = tuple(int(point in blocks[j]) for j in range(len(logic.atoms)))
+        if values not in vectors:
+            vectors.append(values)
+    expected = tuples_view(logic, vectors, StateOrder.POINT_INDUCED)
+    assert matrix_view(logic, states) == expected
 
 
 # ------------------------------------------------------------ separation

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import colorsys
 import html
 import json
 import random
@@ -108,6 +109,21 @@ def test_default_palette_beyond_five_spaces_hues_evenly():
         "#0000E6",
         "#E600E6",
     ]
+
+
+def colorsys_colors(n: int) -> list[str]:
+    """Reference: n evenly spaced hues through colorsys, one call per label."""
+    rgbs = (colorsys.hsv_to_rgb(i / n, 1.0, 0.9) for i in range(n))
+    return [
+        "#%02X%02X%02X" % (round(r * 255), round(g * 255), round(b * 255))
+        for r, g, b in rgbs
+    ]
+
+
+def test_default_palette_equals_colorsys_hues():
+    for n in (*range(6, 2001), 4181, 28657, 121393):
+        # Only the number of labels sets the colors; any n distinct keys do.
+        assert list(default_palette(range(n)).values()) == colorsys_colors(n), n
 
 
 def test_render_spec_validation():
@@ -680,6 +696,31 @@ def test_schema_equals_the_per_cell_reference(rng, spec, data):
     first = outcome(render_schema, logic, states, spec)
     assert first == outcome(reference_schema, logic, states, spec)
     assert outcome(render_schema, logic, states, spec) == first
+
+
+@pytest.mark.parametrize(
+    "lengths", [(3, 0, 1), (0, 1, 3), (1, 3, 0)], ids=lambda t: "-".join(map(str, t))
+)
+def test_backends_equal_references_on_rows_of_0_1_and_3_tokens(lengths):
+    # A row shorter than the longest takes a prefix of the column slots.
+    s1, s2 = Symbol(SymbolKind.STATE, "s1"), Symbol(SymbolKind.STATE, "s2")
+    br, n = Symbol(SymbolKind.SEPARATOR, "br"), Symbol(SymbolKind.LINEBREAK, "n")
+    pool = {0: [], 1: [s2], 3: [s1, br, s2]}
+    tokens = [token for k in lengths for token in (*pool[k], n)]
+    boundaries = [i for i, token in enumerate(tokens) if token is n]
+    derivation = Derivation.from_tokens(tokens, boundaries, ("x", "y", "z"))
+    spec = RenderSpec(palette={"s1": RED, "s2": BLUE}, cell_size=5, cell_gap=1)
+    rows = token_rows(tokens, boundaries)
+    assert list(map(len, rows)) == [k for k in lengths if k]
+    assert_backends_equal_references(derivation, rows, spec)
+
+
+@pytest.mark.parametrize("vector", [(1, 0), (0, 1)])
+def test_schema_equals_the_per_cell_reference_for_one_state(vector):
+    logic = PartitionLogic("logic", ("x", "y"), ((0, 1),))
+    states = StateSet.from_vectors([vector], StateOrder.PINNED)
+    spec = RenderSpec(palette={"s1": RED}, backend=Backend.SVG_SCHEMA)
+    assert render_schema(logic, states, spec) == reference_schema(logic, states, spec)
 
 
 def test_schema_names_the_first_missing_label_among_true_cells():
