@@ -149,15 +149,12 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return _dispatch(args)
-    except LogicFileError as exc:
+    except (LogicFileError, OSError) as exc:
         print(f"sglg: error: {exc}", file=sys.stderr)
         return 2
     except ValidationError as exc:
         print(f"sglg: error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"sglg: error: {exc}", file=sys.stderr)
-        return 2
 
 
 def _dispatch(args: argparse.Namespace) -> int:
@@ -176,9 +173,10 @@ def _read_logic_file(path: str) -> LogicFile:
     return parse_logic_file(Path(path).read_text(encoding="utf-8"))
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        Path(output).write_text(text, encoding="utf-8")
+def _emit(text: str, output: str | None, chars: int = 1 << 16) -> None:
+    if output:  # `chars` at a time: the encoded bytes are never a full second copy
+        with open(output, "w", encoding="utf-8") as fh:
+            fh.writelines(text[i : i + chars] for i in range(0, len(text), chars))
     else:
         sys.stdout.write(text)
 

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sglg.cli import main
+from sglg.cli import _emit, main
 from support import FIXTURES, ROOT, random_base_set_spec
 
 L12 = str(FIXTURES / "l12.json")
@@ -684,6 +684,14 @@ def test_chain10_outputs_are_pinned_byte_for_byte(case, tmp_path, monkeypatch, c
     assert capsys.readouterr().out == ""
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == CHAIN10_SHA256[case]
+
+
+@pytest.mark.parametrize("chars", [1, 7, 1 << 16])
+@pytest.mark.parametrize("text", ["", "<svg>\n", "s\u00e9\u2192\U0001f3b5\n" * 40])
+def test_output_file_written_in_slices_holds_the_whole_text(text, chars, tmp_path):
+    out = tmp_path / "out.svg"
+    _emit(text, str(out), chars)
+    assert out.read_bytes() == text.encode("utf-8")
 
 
 @pytest.mark.parametrize(
