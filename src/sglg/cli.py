@@ -169,8 +169,15 @@ def _dispatch(args: argparse.Namespace) -> int:
     return handler(args)
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:  # JSON text is UTF-8
+        raise LogicFileError(f"invalid JSON: {exc}") from None
+
+
 def _read_logic_file(path: str) -> LogicFile:
-    return parse_logic_file(Path(path).read_text(encoding="utf-8"))
+    return parse_logic_file(_read_text(path))
 
 
 def _emit(text: str, output: str | None, chars: int = 1 << 16) -> None:
@@ -251,9 +258,7 @@ def _cmd_schema(args) -> int:
 def _cmd_verify(args) -> int:
     logic, _states = resolve_states(_read_logic_file(args.spec))
     if args.vectors is not None:
-        realization = load_vector_file(
-            Path(args.vectors).read_text(encoding="utf-8")
-        )
+        realization = load_vector_file(_read_text(args.vectors))
     else:
         realization = build_v_realization(args.theta)
     if args.tol is not None:

@@ -21,7 +21,6 @@ import json
 import re
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, reduce
 from itertools import compress, repeat
@@ -35,6 +34,7 @@ from .errors import (
     ValidationError,
 )
 from .logic import _FLIP, PartitionLogic, StateSet, is_admissible, supports
+from .value import Value
 
 SEPARATOR_NAME = "br"
 LINEBREAK_NAME = "n"
@@ -47,10 +47,13 @@ class SymbolKind(Enum):
     LINEBREAK = "linebreak"
 
 
-@dataclass(frozen=True)
-class Symbol:
+class Symbol(Value):
     kind: SymbolKind
     name: str
+
+    def __init__(self, kind: SymbolKind, name: str):  # once per state and atom
+        fields = self.__dict__
+        fields["kind"], fields["name"] = kind, name
 
     def __str__(self) -> str:
         return self.name
@@ -82,14 +85,16 @@ def _find_all(raw: bytes, number: int) -> list[int]:
     return found
 
 
-@dataclass(frozen=True)
-class Production:
+class Production(Value):
     head: str
     body: array  # symbol numbers: positions in the grammar's table
 
+    def __init__(self, head: str, body: array):  # once per atom
+        fields = self.__dict__
+        fields["head"], fields["body"] = head, body
 
-@dataclass(frozen=True)
-class Grammar:
+
+class Grammar(Value):
     """Nonterminals, state terminals, productions and start symbol.
 
     ``symbols`` is the table the production bodies index, each symbol
@@ -194,8 +199,7 @@ class Grammar:
         return self._by_head[head]
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(Value):
     """Fully expanded token sequence: ``symbols`` holds each distinct symbol
     once and ``indices`` the tokens as an ``array('I')`` of positions in it.
 
@@ -226,15 +230,13 @@ class Derivation:
         return tuple(filter(None, map(self.indices.__getitem__, map(slice, starts, ends))))
 
 
-@dataclass(frozen=True)
-class RowViolation:
+class RowViolation(Value):
     row_index: int
     atom: str
     labels: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class IncidenceReport:
+class IncidenceReport(Value):
     ok: bool
     violations: tuple[RowViolation, ...]
 

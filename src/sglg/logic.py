@@ -14,17 +14,19 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from collections.abc import Iterator
 from enum import Enum
 from functools import cached_property
 from itertools import chain, compress, repeat
-from typing import Iterator, Union
 
 from .errors import LogicFileError, NotAPartitionError, PinnedStatesError
+from .value import Value
 
-Point = Union[int, str]
+Point = int | str
 
 _NAME_RE = re.compile(r"[A-Za-z_]\w*")
+# JSON may escape half a surrogate pair ("\ud800"); UTF-8 cannot write one.
+_LONE_SURROGATE_RE = re.compile("[\ud800-\udfff]")
 _HEX_COLOR_RE = re.compile(r"#[0-9A-Fa-f]{6}")
 DEFAULT_LOGIC_NAME = "logic"
 
@@ -37,8 +39,7 @@ class StateOrder(Enum):
     POINT_INDUCED = "point-induced"
 
 
-@dataclass(frozen=True)
-class PartitionLogic:
+class PartitionLogic(Value):
     """Ordered atoms plus ordered contexts of atom indices."""
 
     name: str
@@ -54,6 +55,8 @@ class PartitionLogic:
         for i, atom in enumerate(self.atoms):
             if not isinstance(atom, str) or not atom:
                 raise LogicFileError("atom names must be nonempty strings", f"atoms[{i}]")
+            if _LONE_SURROGATE_RE.search(atom):
+                raise LogicFileError("atom name holds a lone surrogate", f"atoms[{i}]")
             if atom in seen:
                 raise LogicFileError(f"duplicate atom name {atom!r}", f"atoms[{i}]")
             seen[atom] = i
@@ -81,8 +84,7 @@ class PartitionLogic:
             )
 
 
-@dataclass(frozen=True)
-class BaseSetSpec:
+class BaseSetSpec(Value):
     """Partitions of a finite base set, each block becoming an atom."""
 
     name: str
@@ -137,10 +139,13 @@ class BaseSetSpec:
                         raise LogicFileError(
                             "block names must be nonempty strings", f"block_names[{pi}]"
                         )
+                    if _LONE_SURROGATE_RE.search(name):
+                        raise LogicFileError(
+                            "block name holds a lone surrogate", f"block_names[{pi}]"
+                        )
 
 
-@dataclass(frozen=True)
-class TwoValuedState:
+class TwoValuedState(Value):
     """A 0/1 valuation over the atom list, with its symbol label."""
 
     label: str
@@ -151,8 +156,7 @@ class TwoValuedState:
             raise ValueError(f"state {self.label}: values must be 0 or 1")
 
 
-@dataclass(frozen=True)
-class StateSet:
+class StateSet(Value):
     """Ordered two-valued states; the column order of all artifacts.
 
     ``matrix`` holds distinct rows of ``width`` 0/1 bytes, one state a row
@@ -211,8 +215,7 @@ class StateSet:
         return TwoValuedState(self._labels[i], tuple(self.matrix[i * w : i * w + w]))
 
 
-@dataclass(frozen=True)
-class SupportTable:
+class SupportTable(Value):
     """Per atom, its column of state values (a byte per state), and from it
     the state labels valuing it 1 (T) and 0 (F), in state order."""
 
@@ -239,8 +242,7 @@ class SupportTable:
         return SeparationResult(False, (self.atoms[witness[0]], self.atoms[witness[1]]))
 
 
-@dataclass(frozen=True)
-class SeparationResult:
+class SeparationResult(Value):
     separating: bool
     witness: tuple[str, str] | None = None
 
@@ -248,8 +250,7 @@ class SeparationResult:
         return self.separating
 
 
-@dataclass(frozen=True)
-class LogicFile:
+class LogicFile(Value):
     """One parsed logic file: the input-mode payload plus optional extras."""
 
     source: PartitionLogic | BaseSetSpec
@@ -270,7 +271,7 @@ def parse_logic_file(text: str) -> LogicFile:
     """
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a syntax error, or an int past the digit limit
         raise LogicFileError(f"invalid JSON: {exc}") from None
     except RecursionError:  # the decoder recurses once per nesting level
         raise LogicFileError("invalid JSON: nested too deeply") from None

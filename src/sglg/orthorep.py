@@ -11,17 +11,16 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import LogicFileError, MissingVectorError, ThetaOutOfRangeError
 from .logic import PartitionLogic
+from .value import Value
 
 DEFAULT_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class VectorRealization:
+class VectorRealization(Value):
     dimension: int
     vectors: dict[str, tuple[float, ...]]
     tolerance: float = DEFAULT_TOLERANCE
@@ -49,16 +48,14 @@ class VectorRealization:
             raise MissingVectorError(atom) from None
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Value):
     name: str
     passed: bool
     worst: float
     failures: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class FaithfulnessReport:
+class FaithfulnessReport(Value):
     orthonormality: CheckResult
     completeness: CheckResult
     faithfulness: CheckResult
@@ -206,7 +203,7 @@ def load_vector_file(text: str) -> VectorRealization:
     """Parse a JSON vector file: dimension, vectors per atom, tolerance."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a syntax error, or an int past the digit limit
         raise LogicFileError(f"not valid JSON: {exc}") from exc
     except RecursionError:  # the decoder recurses once per nesting level
         raise LogicFileError("not valid JSON: nested too deeply") from None

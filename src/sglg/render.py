@@ -18,17 +18,16 @@ newline and each event line ends with one, so no line is joined twice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterator
 from enum import Enum
-from html import escape
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _json_string
 from operator import getitem
-from typing import Iterator
 
 from .errors import MissingPaletteEntryError
 from .grammar import Derivation, Grammar, SymbolKind, production_text
 from .logic import _HEX_COLOR_RE, PartitionLogic, StateSet
+from .value import Value
 
 DEFAULT_COLORS = ("#008000", "#0000FF", "#FF0000", "#FFA500", "#8F00FF")
 DEFAULT_SEPARATOR_COLOR = "#000000"
@@ -74,14 +73,16 @@ def default_palette(labels: tuple[str, ...]) -> dict[str, str]:
     return dict(zip(labels, colors))
 
 
-@dataclass(frozen=True)
-class RenderSpec:
-    palette: dict[str, str] = field(default_factory=dict)
+class RenderSpec(Value):
+    palette: dict[str, str]  # a new empty dict by default
     separator_color: str = DEFAULT_SEPARATOR_COLOR
     false_cell_color: str = DEFAULT_FALSE_CELL_COLOR
     cell_size: int = 20
     cell_gap: int = 2
     backend: Backend = Backend.SVG_TILES
+
+    def __init__(self, palette: dict[str, str] | None = None, *args, **kwargs):
+        super().__init__({} if palette is None else palette, *args, **kwargs)
 
     def __post_init__(self):
         for label, value in self.palette.items():
@@ -151,6 +152,11 @@ def render_tiles(derivation: Derivation, spec: RenderSpec) -> str:
     return _svg_document(width, height, body)
 
 
+def _escape(text: str) -> str:
+    """``html.escape(text, quote=False)``, without loading ``html.entities``."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def render_schema(logic: PartitionLogic, states: StateSet, spec: RenderSpec) -> str:
     """SVG incidence schema: atom rows × state columns, gray where false."""
     if spec.backend is not Backend.SVG_SCHEMA:
@@ -182,14 +188,14 @@ def render_schema(logic: PartitionLogic, states: StateSet, spec: RenderSpec) -> 
     body = [
         f'\n  <text x="{left + i * step + cell // 2}" y="{top - font // 2}" '
         f'text-anchor="middle" font-family="monospace" '
-        f'font-size="{font}">{escape(label, quote=False)}</text>'
+        f'font-size="{font}">{_escape(label)}</text>'
         for i, label in enumerate(labels)
     ]
     for j, atom in enumerate(logic.atoms):
         body.append(
             f'\n  <text x="{left - font}" y="{top + j * step + (cell + font) // 2}" '
             f'text-anchor="end" font-family="monospace" '
-            f'font-size="{font}">{escape(atom, quote=False)}</text>'
+            f'font-size="{font}">{_escape(atom)}</text>'
         )
         if n:
             slots[1::3] = repeat(f"{top + j * step}{size}", n)
@@ -212,7 +218,7 @@ def render_text(derivation: Derivation, spec: RenderSpec, color: bool = True) ->
 
 
 def _ansi_glyph(value: str) -> str:
-    r, g, b = (int(value[k : k + 2], 16) for k in (1, 3, 5))
+    r, g, b = bytes.fromhex(value[1:])
     return f"\x1b[38;2;{r};{g};{b}m{BLOCK}"
 
 
@@ -257,8 +263,7 @@ def emit_logic_program(grammar: Grammar, spec: RenderSpec) -> str:
     ) + "\n"
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(Value):
     row: int
     pos: int
     symbol: str
@@ -270,8 +275,7 @@ def _event_tail(symbol) -> str:
     return f',"symbol":{name},"kind":{kind}}}\n'
 
 
-@dataclass(frozen=True)
-class EventStream:
+class EventStream(Value):
     """The events of a derivation: one per non-linebreak token, by (row, position).
 
     A view: ``Event`` objects are made only while iterating.

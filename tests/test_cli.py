@@ -417,7 +417,8 @@ def test_module_entry_point_runs():
 
 def test_cli_imports_nothing_beyond_the_standard_library():
     """``import sglg.cli`` in a fresh interpreter loads only modules of the
-    standard library or of sglg beyond those a bare interpreter loads."""
+    standard library or of sglg beyond those a bare interpreter loads, and
+    none of the slow-to-import ones sglg does without."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), *sys.path]))
 
     def loaded(statement: str) -> set[str]:
@@ -436,6 +437,9 @@ def test_cli_imports_nothing_beyond_the_standard_library():
         if name.split(".")[0] not in sys.stdlib_module_names | {"sglg"}
     }
     assert outside == set()
+    # The heavy ones: dataclasses pulls in inspect, ast, dis and tokenize;
+    # html.entities is a 2,000-entry table.
+    assert extra & {"dataclasses", "inspect", "typing", "html.entities"} == set()
 
 
 # ------------------------------------------------ hostile numbers and types
@@ -600,6 +604,94 @@ def test_base_set_point_types_are_rejected(tmp_path, capsys, point, template, me
 def test_base_set_points_must_be_ints_or_strings(tmp_path, capsys, payload, location):
     assert main(["states", write_spec(tmp_path, payload)]) == 2
     assert location in capsys.readouterr().err
+
+
+# ------------------------------------- undecodable and unencodable text
+
+
+def test_files_that_are_not_utf8_exit_2(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"atoms": ["\xe9", "b"], "contexts": [["\xe9", "b"]]}'.encode("latin-1"))
+    for argv in (
+        ["states", str(latin1)],
+        ["check", str(latin1)],
+        ["verify-orthorep", L12, "--vectors", str(latin1)],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "sglg: error: invalid JSON: 'utf-8' codec can't decode byte 0xe9 "
+            "in position 12: invalid continuation byte\n"
+        )
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this interpreter converts integers of any length",
+)
+def test_integers_past_the_digit_limit_exit_2(tmp_path, capsys):
+    huge = "1" * (sys.get_int_max_str_digits() + 1)
+    spec = tmp_path / "spec.json"
+    spec.write_text(
+        '{"atoms": ["a", "b"], "contexts": [["a", "b"]], "states": [[%s, 0]]}' % huge,
+        encoding="utf-8",
+    )
+    vectors = tmp_path / "vectors.json"
+    vectors.write_text('{"dimension": %s, "vectors": {}}' % huge, encoding="utf-8")
+    for argv, prefix in (
+        (["states", str(spec)], "invalid JSON"),
+        (["check", str(spec)], "invalid JSON"),
+        (["verify-orthorep", L12, "--vectors", str(vectors)], "not valid JSON"),
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"sglg: error: {prefix}: Exceeds the limit")
+
+
+SURROGATE_NAMES = [
+    (
+        {"atoms": ["a", "b\ud800", "c"], "contexts": [["a", "b\ud800", "c"]]},
+        "atoms[1]: atom name holds a lone surrogate",
+    ),
+    (
+        {
+            "base_set": [1, 2, 3],
+            "partitions": [[[1], [2, 3]], [[2], [1, 3]]],
+            "block_names": [["p", "not_p"], ["q", "\udc80not_q"]],
+        },
+        "block_names[1]: block name holds a lone surrogate",
+    ),
+]
+
+
+@pytest.mark.parametrize("payload, message", SURROGATE_NAMES, ids=["atoms", "block_names"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["states"],
+        ["grammar"],
+        ["grammar", "--format", "json"],
+        ["schema", "-o", "OUT"],
+        ["render", "--format", "logic-program"],
+        ["render", "--format", "events"],
+        ["check"],
+    ],
+    ids=" ".join,
+)
+def test_lone_surrogates_in_names_exit_2(tmp_path, capsys, payload, message, command):
+    """A name JSON spells as half a surrogate pair cannot be written as
+    UTF-8, so it is rejected where the file is parsed."""
+    spec = write_spec(tmp_path, payload)
+    assert "\\ud" in Path(spec).read_text(encoding="utf-8")  # escaped in the file
+    argv = [command[0], spec, *command[1:]]
+    argv = [str(tmp_path / "out.svg") if arg == "OUT" else arg for arg in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"sglg: error: {message}\n"
+    assert not (tmp_path / "out.svg").exists()
 
 
 # ------------------------------------------------------ README commands
