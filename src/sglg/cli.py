@@ -42,11 +42,12 @@ from .render import (
     Backend,
     RenderSpec,
     default_palette,
-    emit_events,
     emit_logic_program,
-    render_schema,
-    render_text,
-    render_tiles,
+    event_chunks,
+    join_chunks,
+    schema_chunks,
+    text_chunks,
+    tile_chunks,
 )
 
 _WORST_LABELS = {
@@ -180,12 +181,12 @@ def _read_logic_file(path: str) -> LogicFile:
     return parse_logic_file(_read_text(path))
 
 
-def _emit(text: str, output: str | None, chars: int = 1 << 16) -> None:
-    if output:  # `chars` at a time: the encoded bytes are never a full second copy
+def _emit(chunks, output: str | None) -> None:
+    if output:  # a chunk at a time, so the file's text is never held whole
         with open(output, "w", encoding="utf-8") as fh:
-            fh.writelines(text[i : i + chars] for i in range(0, len(text), chars))
+            fh.writelines(map("".join, chunks))
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(join_chunks(chunks))
 
 
 def _render_spec(logic_file: LogicFile, states: StateSet, args, backend) -> RenderSpec:
@@ -234,16 +235,16 @@ def _cmd_render(args) -> int:
     logic, states = resolve_states(logic_file)
     grammar = compile_grammar(logic, states)
     if args.format == "events":  # the one format without colors
-        _emit(emit_events(derive(grammar)).to_jsonl(), args.output)
+        _emit(event_chunks(derive(grammar)), args.output)
         return 0
     spec = _render_spec(logic_file, states, args, Backend(args.format))
     if args.format == "logic-program":  # the one format reading only the grammar
-        text = emit_logic_program(grammar, spec)
+        chunks = [[emit_logic_program(grammar, spec)]]
     elif args.format == "svg-tiles":
-        text = render_tiles(derive(grammar), spec)
+        chunks = tile_chunks(derive(grammar), spec)
     else:  # ansi or html; NO_COLOR keeps the ANSI glyphs and drops their colors
-        text = render_text(derive(grammar), spec, color="NO_COLOR" not in os.environ)
-    _emit(text, args.output)
+        chunks = text_chunks(derive(grammar), spec, color="NO_COLOR" not in os.environ)
+    _emit(chunks, args.output)
     return 0
 
 
@@ -251,7 +252,7 @@ def _cmd_schema(args) -> int:
     logic_file = _read_logic_file(args.spec)
     logic, states = resolve_states(logic_file)
     spec = _render_spec(logic_file, states, args, Backend.SVG_SCHEMA)
-    _emit(render_schema(logic, states, spec), args.output)
+    _emit(schema_chunks(logic, states, spec), args.output)
     return 0
 
 

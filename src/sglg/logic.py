@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from collections.abc import Iterator
 from enum import Enum
 from functools import cached_property
@@ -263,18 +264,27 @@ def is_admissible(values: tuple[int, ...], logic: PartitionLogic) -> bool:
     return all(sum(values[j] for j in ctx) == 1 for ctx in logic.contexts)
 
 
+def load_json(text: str, invalid: str):
+    """``json.loads(text)``; a text it cannot read raises ``LogicFileError``
+    with a message that starts with ``invalid``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise LogicFileError(f"{invalid}: {exc}") from None
+    except ValueError:  # an integer past int()'s digit limit
+        limit = sys.get_int_max_str_digits()
+        raise LogicFileError(f"{invalid}: an integer has more than {limit} digits") from None
+    except RecursionError:  # the decoder recurses once per nesting level
+        raise LogicFileError(f"{invalid}: nested too deeply") from None
+
+
 def parse_logic_file(text: str) -> LogicFile:
     """Parse a UTF-8 JSON logic file in either input mode.
 
     Mode 1 gives atoms and contexts directly (optionally with a pinned
     state order and a palette); mode 2 gives a base set and partitions.
     """
-    try:
-        raw = json.loads(text)
-    except ValueError as exc:  # a syntax error, or an int past the digit limit
-        raise LogicFileError(f"invalid JSON: {exc}") from None
-    except RecursionError:  # the decoder recurses once per nesting level
-        raise LogicFileError("invalid JSON: nested too deeply") from None
+    raw = load_json(text, "invalid JSON")
     if not isinstance(raw, dict):
         raise LogicFileError("top level must be a JSON object")
 

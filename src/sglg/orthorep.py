@@ -8,13 +8,12 @@ context must be non-orthogonal (faithfulness).
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from itertools import combinations
 
 from .errors import LogicFileError, MissingVectorError, ThetaOutOfRangeError
-from .logic import PartitionLogic
+from .logic import PartitionLogic, load_json
 from .value import Value
 
 DEFAULT_TOLERANCE = 1e-9
@@ -201,12 +200,7 @@ def verify_faithful(
 
 def load_vector_file(text: str) -> VectorRealization:
     """Parse a JSON vector file: dimension, vectors per atom, tolerance."""
-    try:
-        payload = json.loads(text)
-    except ValueError as exc:  # a syntax error, or an int past the digit limit
-        raise LogicFileError(f"not valid JSON: {exc}") from exc
-    except RecursionError:  # the decoder recurses once per nesting level
-        raise LogicFileError("not valid JSON: nested too deeply") from None
+    payload = load_json(text, "not valid JSON")
     if not isinstance(payload, dict):
         raise LogicFileError("vector file must be a JSON object")
     unknown = set(payload) - {"dimension", "vectors", "tolerance"}

@@ -14,18 +14,22 @@ formatted once too. The SVG and event writers make a row one join over
 three slots per token, filled by slice assignment: the column's text,
 the row's text and the token's fragment. Each SVG line starts with its
 newline and each event line ends with one, so no line is joined twice.
+
+The ``*_chunks`` functions give the text as one chunk (a sequence of
+strings) per row: they raise when called and make each row when it is
+reached, so a document can be written a row at a time.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from enum import Enum
-from itertools import repeat
+from itertools import chain, count, repeat
 from json.encoder import encode_basestring_ascii as _json_string
 from operator import getitem
 
 from .errors import MissingPaletteEntryError
-from .grammar import Derivation, Grammar, SymbolKind, production_text
+from .grammar import Derivation, Grammar, SymbolKind, _find_all, production_text
 from .logic import _HEX_COLOR_RE, PartitionLogic, StateSet
 from .value import Value
 
@@ -103,53 +107,67 @@ class RenderSpec(Value):
             raise MissingPaletteEntryError(label) from None
 
 
-def _fragment_rows(derivation: Derivation, spec: RenderSpec, fragment) -> list[list[str]]:
-    """Per row, each token's ``fragment(color)``, formatted once per symbol
-    number; the first token without a color, in row-major order, raises."""
-    symbols = derivation.symbols
-    table = {}
-    for number, sym in enumerate(symbols):
-        if sym.kind is SymbolKind.SEPARATOR:
-            table[number] = fragment(spec.separator_color)
-        elif sym.kind is SymbolKind.STATE and sym.name in spec.palette:
-            table[number] = fragment(spec.palette[sym.name])
-    try:
-        return [list(map(table.__getitem__, row)) for row in derivation.rows()]
-    except KeyError as missing:
-        sym = symbols[missing.args[0]]
-    if sym.kind is SymbolKind.STATE:
-        spec.color(sym.name)  # raises MissingPaletteEntryError
-    raise ValueError(f"unrenderable token {sym.name!r} of kind {sym.kind.value}")
+def _fragments(derivation: Derivation, spec: RenderSpec, rows, fragment) -> list:
+    """Per symbol number, ``fragment(color)``, or ``None`` for a symbol without
+    a color; the first such token in ``rows``, in row-major order, raises."""
+    table = [
+        fragment(spec.separator_color) if sym.kind is SymbolKind.SEPARATOR
+        else fragment(spec.palette[sym.name])
+        if sym.kind is SymbolKind.STATE and sym.name in spec.palette else None
+        for sym in derivation.symbols
+    ]
+    # A compiled derivation's linebreak has no color and stands in no row:
+    # one search of the rows' bytes per such symbol finds that.
+    raw = b"".join(rows)
+    missing = [number for number, text in enumerate(table) if text is None]
+    if any(map(_find_all, repeat(raw), missing)):
+        number = next(n for row in rows for n in row if table[n] is None)
+        sym = derivation.symbols[number]
+        if sym.kind is SymbolKind.STATE:
+            spec.color(sym.name)  # raises MissingPaletteEntryError
+        raise ValueError(f"unrenderable token {sym.name!r} of kind {sym.kind.value}")
+    return table
 
 
-def _svg_document(width: int, height: int, body: list[str]) -> str:
-    head = (
-        '<?xml version="1.0" encoding="UTF-8"?>\n'
-        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">'
-    )
-    return "".join([head, *body, "\n</svg>\n"])
+def join_chunks(chunks: Iterable[Sequence[str]]) -> str:
+    """The text of a document given as chunks, in one string."""
+    return "".join(chain.from_iterable(chunks))
+
+
+_SVG_HEAD = (
+    '<?xml version="1.0" encoding="UTF-8"?>\n'
+    '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+    'width="{0}" height="{1}" viewBox="0 0 {0} {1}">'
+)
 
 
 def render_tiles(derivation: Derivation, spec: RenderSpec) -> str:
     """SVG document with one row of squares per derivation row."""
+    return join_chunks(tile_chunks(derivation, spec))
+
+
+def tile_chunks(derivation: Derivation, spec: RenderSpec) -> Iterator[list[str]]:
+    """``render_tiles`` as a head, one chunk per row and a tail."""
     if spec.backend is not Backend.SVG_TILES:
         raise ValueError("render_tiles requires the svg-tiles backend")
+    rows = derivation.rows()
     size = f'" width="{spec.cell_size}" height="{spec.cell_size}" fill="'
-    rows = _fragment_rows(derivation, spec, lambda color: f'{size}{color}"/>')
+    table = _fragments(derivation, spec, rows, lambda color: f'{size}{color}"/>')
     step = spec.cell_size + spec.cell_gap
     cols = max(map(len, rows), default=0)
     width = cols * spec.cell_size + max(cols - 1, 0) * spec.cell_gap
     height = len(rows) * spec.cell_size + max(len(rows) - 1, 0) * spec.cell_gap
     slots = [None] * (3 * cols)
     slots[0::3] = [f'\n  <rect x="{i * step}" y="' for i in range(cols)]
-    body = []
-    for r, row in enumerate(rows):
+
+    def row_chunk(r: int, row) -> list[str]:
         parts = slots[: 3 * len(row)]
         parts[1::3] = repeat(str(r * step), len(row))
-        parts[2::3] = row
-        body.append("".join(parts))
-    return _svg_document(width, height, body)
+        parts[2::3] = map(table.__getitem__, row)
+        return parts
+
+    head = [_SVG_HEAD.format(width, height)]
+    return chain((head,), map(row_chunk, count(), rows), (["\n</svg>\n"],))
 
 
 def _escape(text: str) -> str:
@@ -159,6 +177,12 @@ def _escape(text: str) -> str:
 
 def render_schema(logic: PartitionLogic, states: StateSet, spec: RenderSpec) -> str:
     """SVG incidence schema: atom rows × state columns, gray where false."""
+    return join_chunks(schema_chunks(logic, states, spec))
+
+
+def schema_chunks(logic: PartitionLogic, states: StateSet, spec: RenderSpec) -> Iterator[list]:
+    """``render_schema`` as a head with the state labels, one chunk per atom
+    and a tail."""
     if spec.backend is not Backend.SVG_SCHEMA:
         raise ValueError("render_schema requires the svg-schema backend")
     cell, gap = spec.cell_size, spec.cell_gap
@@ -185,23 +209,26 @@ def render_schema(logic: PartitionLogic, states: StateSet, spec: RenderSpec) -> 
     slots = [None] * (3 * n)
     slots[0::3] = [f'\n  <rect x="{left + i * step}" y="' for i in range(n)]
     size = f'" width="{cell}" height="{cell}" fill="'
-    body = [
+    head = [_SVG_HEAD.format(width, height)]
+    head += (
         f'\n  <text x="{left + i * step + cell // 2}" y="{top - font // 2}" '
         f'text-anchor="middle" font-family="monospace" '
         f'font-size="{font}">{_escape(label)}</text>'
         for i, label in enumerate(labels)
-    ]
-    for j, atom in enumerate(logic.atoms):
-        body.append(
-            f'\n  <text x="{left - font}" y="{top + j * step + (cell + font) // 2}" '
-            f'text-anchor="end" font-family="monospace" '
-            f'font-size="{font}">{_escape(atom)}</text>'
-        )
+    )
+
+    def row_chunk(j: int, atom: str) -> list[str]:
         if n:
             slots[1::3] = repeat(f"{top + j * step}{size}", n)
             slots[2::3] = map(getitem, fills, columns[j])
-            body.append("".join(slots))
-    return _svg_document(width, height, body)
+        return [
+            f'\n  <text x="{left - font}" y="{top + j * step + (cell + font) // 2}" '
+            f'text-anchor="end" font-family="monospace" '
+            f'font-size="{font}">{_escape(atom)}</text>',
+            *slots,
+        ]
+
+    return chain((head,), map(row_chunk, count(), logic.atoms), (["\n</svg>\n"],))
 
 
 def render_text(derivation: Derivation, spec: RenderSpec, color: bool = True) -> str:
@@ -210,40 +237,32 @@ def render_text(derivation: Derivation, spec: RenderSpec, color: bool = True) ->
     ``color=False`` drops the ANSI escape sequences (the glyphs remain);
     it has no effect on the html backend, whose colors live in markup.
     """
+    return join_chunks(text_chunks(derivation, spec, color))
+
+
+def text_chunks(derivation: Derivation, spec: RenderSpec, color: bool = True) -> Iterator:
+    """``render_text`` as one chunk per row, with html's head and tail."""
+    rows = derivation.rows()
+    if spec.backend is Backend.ANSI and not color:
+        return ((BLOCK * len(row), "\n") for row in rows)
     if spec.backend is Backend.ANSI:
-        return _render_ansi(derivation, spec, color)
-    if spec.backend is Backend.HTML:
-        return _render_html(derivation, spec)
-    raise ValueError("render_text requires the ansi or html backend")
+        table = _fragments(derivation, spec, rows, _ansi_glyph)
+        return (("".join(map(table.__getitem__, row)), "\x1b[0m\n") for row in rows)
+    if spec.backend is not Backend.HTML:
+        raise ValueError("render_text requires the ansi or html backend")
+    style = (
+        '    <span class="sglg-cell" style="display:inline-block;'
+        f"width:{spec.cell_size}px;height:{spec.cell_size}px;background:"
+    )
+    table = _fragments(derivation, spec, rows, lambda color: f'{style}{color}"></span>\n')
+    divs = (['  <div class="sglg-row">\n', *map(table.__getitem__, row), "  </div>\n"]
+            for row in rows)
+    return chain((['<div class="sglg-tiles">\n'],), divs, (["</div>\n"],))
 
 
 def _ansi_glyph(value: str) -> str:
     r, g, b = bytes.fromhex(value[1:])
     return f"\x1b[38;2;{r};{g};{b}m{BLOCK}"
-
-
-def _render_ansi(derivation: Derivation, spec: RenderSpec, color: bool) -> str:
-    if color:
-        rows = _fragment_rows(derivation, spec, _ansi_glyph)
-        lines = ["".join(row) + "\x1b[0m" for row in rows]
-    else:
-        lines = [BLOCK * len(row) for row in derivation.rows()]
-    lines.append("")  # ends the text with a newline
-    return "\n".join(lines)
-
-
-def _render_html(derivation: Derivation, spec: RenderSpec) -> str:
-    style = (
-        '    <span class="sglg-cell" style="display:inline-block;'
-        f"width:{spec.cell_size}px;height:{spec.cell_size}px;background:"
-    )
-    lines = ['<div class="sglg-tiles">']
-    for row in _fragment_rows(derivation, spec, lambda color: f'{style}{color}"></span>'):
-        lines.append('  <div class="sglg-row">')
-        lines.append("\n".join(row))
-        lines.append("  </div>")
-    lines += ["</div>", ""]  # the empty last line ends the text with a newline
-    return "\n".join(lines)
 
 
 def emit_logic_program(grammar: Grammar, spec: RenderSpec) -> str:
@@ -284,21 +303,7 @@ class EventStream(Value):
     derivation: Derivation
 
     def to_jsonl(self) -> str:
-        # The text of json.dumps(..., separators=(",", ":")) for each event,
-        # the strings quoted by the function json.dumps uses for them; per
-        # token the row's text, the position and the line-ending symbol tail.
-        rows = self.derivation.rows()
-        table = list(map(_event_tail, self.derivation.symbols))
-        cols = max((len(row) for row in rows), default=0)
-        slots = [None] * (3 * cols)
-        slots[1::3] = map(str, range(cols))
-        lines = []
-        for r, row in enumerate(rows):
-            parts = slots[: 3 * len(row)]
-            parts[0::3] = repeat(f'{{"row":{r},"pos":', len(row))
-            parts[2::3] = map(table.__getitem__, row)
-            lines.append("".join(parts))
-        return "".join(lines)
+        return join_chunks(event_chunks(self.derivation))
 
     def __len__(self) -> int:
         return sum(map(len, self.derivation.rows()))
@@ -307,6 +312,26 @@ class EventStream(Value):
         for r, row in enumerate(self.derivation.rows()):
             for p, sym in enumerate(map(self.derivation.symbols.__getitem__, row)):
                 yield Event(r, p, sym.name, sym.kind.value)
+
+
+def event_chunks(derivation: Derivation) -> Iterator[tuple[str]]:
+    """``emit_events(derivation).to_jsonl()``, one chunk per row."""
+    # The text of json.dumps(..., separators=(",", ":")) for each event,
+    # the strings quoted by the function json.dumps uses for them; per
+    # token the row's text, the position and the line-ending symbol tail.
+    rows = derivation.rows()
+    table = list(map(_event_tail, derivation.symbols))
+    cols = max((len(row) for row in rows), default=0)
+    slots = [None] * (3 * cols)
+    slots[1::3] = map(str, range(cols))
+
+    def row_chunk(r: int, row) -> tuple[str]:
+        parts = slots[: 3 * len(row)]
+        parts[0::3] = repeat(f'{{"row":{r},"pos":', len(row))
+        parts[2::3] = map(table.__getitem__, row)
+        return ("".join(parts),)
+
+    return map(row_chunk, count(), rows)
 
 
 def emit_events(derivation: Derivation) -> EventStream:

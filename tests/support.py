@@ -180,3 +180,12 @@ def random_base_set_spec(rng: random.Random, points: int, count: int) -> dict:
         rng.shuffle(partition)
         partitions.append(partition)
     return {"name": f"wide{points}x{count}", "base_set": base, "partitions": partitions}
+
+
+def chain_spec(k: int) -> dict:
+    """Chain-k: contexts {x_i, y_i, x_(i+1)} for i < k; F(k+3) states."""
+    return {
+        "name": f"chain{k}",
+        "atoms": [f"x{i}" for i in range(k + 1)] + [f"y{i}" for i in range(k)],
+        "contexts": [[f"x{i}", f"y{i}", f"x{i + 1}"] for i in range(k)],
+    }

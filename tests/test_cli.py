@@ -13,16 +13,28 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sglg import (
+    Backend,
+    RenderSpec,
+    compile_grammar,
+    default_palette,
+    derive,
+    parse_logic_file,
+    resolve_states,
+)
 from sglg.cli import _emit, main
-from support import FIXTURES, ROOT, random_base_set_spec
+from sglg.render import text_chunks
+from support import FIXTURES, ROOT, chain_spec, random_base_set_spec
 
 L12 = str(FIXTURES / "l12.json")
 TRIANGLE = str(FIXTURES / "triangle.json")
@@ -647,7 +659,29 @@ def test_integers_past_the_digit_limit_exit_2(tmp_path, capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"sglg: error: {prefix}: Exceeds the limit")
+        # Python's own text ends in advice to call sys.set_int_max_str_digits().
+        assert captured.err == (
+            f"sglg: error: {prefix}: an integer has more than "
+            f"{sys.get_int_max_str_digits()} digits\n"
+        )
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this interpreter converts integers of any length",
+)
+def test_digit_limit_message_names_the_interpreters_limit(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"atoms": ["a"], "contexts": [["a"]], "states": [[%s]]}' % ("1" * 641))
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)  # the lowest limit Python allows
+    try:
+        assert main(["states", str(spec)]) == 2
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert capsys.readouterr().err == (
+        "sglg: error: invalid JSON: an integer has more than 640 digits\n"
+    )
 
 
 SURROGATE_NAMES = [
@@ -780,10 +814,90 @@ def test_chain10_outputs_are_pinned_byte_for_byte(case, tmp_path, monkeypatch, c
 
 @pytest.mark.parametrize("chars", [1, 7, 1 << 16])
 @pytest.mark.parametrize("text", ["", "<svg>\n", "s\u00e9\u2192\U0001f3b5\n" * 40])
-def test_output_file_written_in_slices_holds_the_whole_text(text, chars, tmp_path):
+def test_output_file_written_by_chunks_holds_the_whole_text(text, chars, tmp_path):
+    # Chunks of `chars` characters, each split into its characters.
+    chunks = (list(text[i : i + chars]) for i in range(0, len(text), chars))
     out = tmp_path / "out.svg"
-    _emit(text, str(out), chars)
+    _emit(chunks, str(out))
     assert out.read_bytes() == text.encode("utf-8")
+
+
+WRITTEN_FORMATS = ("svg-tiles", "ansi", "html", "logic-program", "events", "schema")
+
+
+def written_argv(fmt: str, spec: str) -> list[str]:
+    """The command that writes ``fmt`` for ``spec``, without ``-o``."""
+    return ["schema", spec] if fmt == "schema" else ["render", spec, "--format", fmt]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 7), st.sampled_from(["ansi", "html", "events"]), st.booleans())
+def test_output_file_holds_the_text_stdout_gets(k, fmt, no_color):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
+        os.environ.pop("NO_COLOR", None)
+        if no_color:
+            os.environ["NO_COLOR"] = "1"
+        spec = Path(tmp) / "chain.json"
+        spec.write_text(json.dumps(chain_spec(k)), encoding="utf-8")
+        out = Path(tmp) / "out"
+        stdout = io.StringIO()
+        with redirect_stdout(stdout):
+            assert main(written_argv(fmt, str(spec))) == 0
+            assert main([*written_argv(fmt, str(spec)), "-o", str(out)]) == 0
+        assert out.read_bytes() == stdout.getvalue().encode("utf-8")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+@pytest.mark.parametrize("fmt", WRITTEN_FORMATS)
+def test_a_full_device_exits_2(fmt, capsys):
+    assert main([*written_argv(fmt, L12), "-o", "/dev/full"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("sglg: error: ")
+    assert "No space left on device" in captured.err
+
+
+# A seeded base set with many short rows, and a chain with few long ones.
+MEMORY_INPUTS = {
+    "chain12": lambda: chain_spec(12),
+    "wide32x200": lambda: random_base_set_spec(random.Random(32200), 32, 200),
+}
+
+
+def traced_peak(call, *args) -> int:
+    """The peak of the memory ``tracemalloc`` sees allocated during the call."""
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing")
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fmt", ["svg-tiles", "schema", "html", "events"])
+@pytest.mark.parametrize("name", sorted(MEMORY_INPUTS))
+def test_output_file_is_written_without_holding_its_text(name, fmt, tmp_path):
+    # Holding the whole text, with its rows or its encoding, peaks at 2.2-2.9
+    # times the file's size on these inputs; a row at a time, at 0.3-0.8.
+    spec = write_spec(tmp_path, MEMORY_INPUTS[name]())
+    out = tmp_path / "out"
+    argv = [*written_argv(fmt, spec), "-o", str(out)]
+    assert traced_peak(main, argv) < out.stat().st_size
+
+
+@pytest.mark.parametrize("name", sorted(MEMORY_INPUTS))
+def test_ansi_output_file_is_written_without_holding_its_text(name, tmp_path):
+    # The ansi text is smaller than the grammar and derivation behind it, so
+    # the command's peak is theirs; this measures the writing alone.
+    text = json.dumps(MEMORY_INPUTS[name]())
+    logic, states = resolve_states(parse_logic_file(text))
+    derivation = derive(compile_grammar(logic, states))
+    spec = RenderSpec(default_palette(states.labels()), backend=Backend.ANSI)
+    out = tmp_path / "out"
+    peak = traced_peak(lambda: _emit(text_chunks(derivation, spec), str(out)))
+    assert peak < out.stat().st_size
 
 
 @pytest.mark.parametrize(

@@ -28,13 +28,23 @@ from sglg import (
     emit_events,
     emit_logic_program,
     enumerate_states,
+    parse_logic_file,
     parse_production_listing,
     production_text,
     render_schema,
     render_text,
     render_tiles,
+    resolve_states,
+)
+from sglg.render import (
+    event_chunks,
+    join_chunks,
+    schema_chunks,
+    text_chunks,
+    tile_chunks,
 )
 from support import (
+    chain_spec,
     listing,
     one_state_grammar,
     random_logic,
@@ -614,23 +624,23 @@ def specs(draw) -> RenderSpec:
     )
 
 
+# Equal symbols as distinct objects, and tokens no backend can color (a
+# nonterminal, a linebreak inside a row).
+TOKEN_POOL = [
+    *(Symbol(SymbolKind.STATE, label) for label in LABELS),
+    Symbol(SymbolKind.STATE, "s1"),
+    Symbol(SymbolKind.SEPARATOR, "br"),
+    Symbol(SymbolKind.SEPARATOR, "br"),
+    Symbol(SymbolKind.LINEBREAK, "n"),
+    Symbol(SymbolKind.NONTERMINAL, "x"),
+    Symbol(SymbolKind.STATE, 'q"\\é\u2028\n😀'),
+]
+
+
 @st.composite
 def hand_built_tokens(draw) -> tuple[tuple[Symbol, ...], tuple[int, ...]]:
-    """Any token sequence, with row boundaries anywhere.
-
-    The pool repeats equal symbols as distinct objects and holds tokens no
-    backend can color (a nonterminal, a linebreak inside a row).
-    """
-    pool = [
-        *(Symbol(SymbolKind.STATE, label) for label in LABELS),
-        Symbol(SymbolKind.STATE, "s1"),
-        Symbol(SymbolKind.SEPARATOR, "br"),
-        Symbol(SymbolKind.SEPARATOR, "br"),
-        Symbol(SymbolKind.LINEBREAK, "n"),
-        Symbol(SymbolKind.NONTERMINAL, "x"),
-        Symbol(SymbolKind.STATE, 'q"\\é\u2028\n😀'),
-    ]
-    tokens = tuple(draw(st.lists(st.sampled_from(pool), max_size=40)))
+    """Any token sequence from ``TOKEN_POOL``, with row boundaries anywhere."""
+    tokens = tuple(draw(st.lists(st.sampled_from(TOKEN_POOL), max_size=40)))
     boundaries = sorted(draw(st.sets(st.integers(0, max(len(tokens) - 1, 0)))))
     boundaries = tuple(b for b in boundaries if b < len(tokens))
     return tokens, boundaries
@@ -742,6 +752,9 @@ def test_schema_names_the_first_missing_label_among_true_cells():
     with pytest.raises(MissingPaletteEntryError) as excinfo:
         render_schema(logic, states, spec)
     assert excinfo.value.label == "s2"
+    with pytest.raises(MissingPaletteEntryError) as excinfo:
+        schema_chunks(logic, states, spec)  # on the call, before any chunk
+    assert excinfo.value.label == "s2"
 
 
 @settings(max_examples=100, deadline=None)
@@ -755,3 +768,99 @@ def test_production_listings_round_trip(rng):
     expected = listing(grammar)
     assert parse_production_listing(production_text(grammar)) == expected
     assert parse_production_listing(emit_logic_program(grammar, spec)) == expected
+
+
+# ------------------------------------------------------------------ chunks
+# Each backend's chunk builder checks everything when it is called and
+# makes its rows only as they are iterated, one chunk per row.
+
+
+def chunk_outcome(builder, *args):
+    """The builder's chunks joined, or the type, message and missing label of
+    the error that calling it raised; iterating raises nothing."""
+    try:
+        chunks = builder(*args)
+    except (MissingPaletteEntryError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "label", None)
+    return join_chunks(chunks)
+
+
+def assert_chunks_equal_references(derivation: Derivation, rows, spec: RenderSpec):
+    """Each builder on ``derivation``, and the ``str`` function that joins
+    its chunks, against the per-token reference on ``rows``."""
+    ansi = with_backend(spec, Backend.ANSI)
+    html_spec = with_backend(spec, Backend.HTML)
+    events = lambda d: emit_events(d).to_jsonl()  # noqa: E731
+    cases = [  # builder, str function, reference, arguments, head and tail chunks
+        (tile_chunks, render_tiles, reference_tiles, (spec,), 2),
+        (text_chunks, render_text, reference_ansi, (ansi, True), 0),
+        (text_chunks, render_text, reference_ansi, (ansi, False), 0),
+        (text_chunks, render_text, reference_html, (html_spec,), 2),
+        (event_chunks, events, reference_events, (), 0),
+    ]
+    for builder, render, reference, args, ends in cases:
+        expected = outcome(reference, rows, *args)
+        assert chunk_outcome(builder, derivation, *args) == expected
+        assert outcome(render, derivation, *args) == expected
+        if isinstance(expected, str):
+            assert len(list(builder(derivation, *args))) == len(rows) + ends
+
+
+@st.composite
+def short_row_derivations(draw) -> tuple[Derivation, list[list[Symbol]]]:
+    """Rows of 1-3 tokens from ``TOKEN_POOL``, each ended by a linebreak."""
+    rows = draw(st.lists(st.lists(st.sampled_from(TOKEN_POOL), min_size=1, max_size=3)))
+    tokens, boundaries = [], []
+    for row in rows:
+        tokens += row
+        boundaries.append(len(tokens))
+        tokens.append(Symbol(SymbolKind.LINEBREAK, "n"))
+    derivation = Derivation.from_tokens(tokens, boundaries, ("x",) * len(rows))
+    return derivation, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(short_row_derivations(), specs())
+def test_chunks_equal_per_token_references_on_short_rows(drawn, spec):
+    derivation, rows = drawn
+    assert token_rows(derivation.tokens, derivation.row_boundaries) == rows
+    assert_chunks_equal_references(derivation, rows, spec)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 7), specs(), st.booleans())
+def test_chunks_equal_per_token_references_on_chains(k, spec, full_palette):
+    logic, states = resolve_states(parse_logic_file(json.dumps(chain_spec(k))))
+    if full_palette:  # else the palette has colors for at most s1..s4
+        palette = {**default_palette(states.labels()), **spec.palette}
+        spec = RenderSpec(palette, spec.separator_color, spec.false_cell_color,
+                          spec.cell_size, spec.cell_gap)
+    derivation = derive(compile_grammar(logic, states))
+    rows = token_rows(derivation.tokens, derivation.row_boundaries)
+    assert_chunks_equal_references(derivation, rows, spec)
+    spec = with_backend(spec, Backend.SVG_SCHEMA)
+    expected = outcome(reference_schema, logic, states, spec)
+    assert chunk_outcome(schema_chunks, logic, states, spec) == expected
+    assert outcome(render_schema, logic, states, spec) == expected
+    if isinstance(expected, str):  # a head, one chunk per atom, a tail
+        assert len(list(schema_chunks(logic, states, spec))) == len(logic.atoms) + 2
+
+
+@pytest.mark.parametrize(
+    "builder, backend",
+    [(tile_chunks, Backend.SVG_TILES), (text_chunks, Backend.ANSI),
+     (text_chunks, Backend.HTML)],
+    ids=["tiles", "ansi", "html"],
+)
+def test_chunk_builders_raise_on_the_call_at_the_first_bad_token(builder, backend):
+    # Row 0 renders; the first bad token in row-major order decides the error.
+    s1, s3 = Symbol(SymbolKind.STATE, "s1"), Symbol(SymbolKind.STATE, "s3")
+    x, n = Symbol(SymbolKind.NONTERMINAL, "x"), Symbol(SymbolKind.LINEBREAK, "n")
+    spec = RenderSpec(palette={"s1": RED}, backend=backend)
+    derivation = Derivation.from_tokens([s1, n, s1, x, s3, n], [1, 5], ("a", "b"))
+    with pytest.raises(ValueError, match="^unrenderable token 'x' of kind nonterminal$"):
+        builder(derivation, spec)
+    derivation = Derivation.from_tokens([s1, n, s3, x, n, x], [1, 4], ("a", "b", "c"))
+    with pytest.raises(MissingPaletteEntryError) as excinfo:
+        builder(derivation, spec)
+    assert excinfo.value.label == "s3"
