@@ -12,7 +12,9 @@ production body, like a derivation's token sequence, is an ``array('I')``
 of symbol numbers (table positions), 4 bytes a token. A compiled table is
 ``br``, ``n``, ``s1..sN``, then the atoms, so row bodies come straight
 from the state columns. ``Grammar.from_symbols`` and
-``Derivation.from_tokens`` intern hand-built ``Symbol`` sequences.
+``Derivation.from_tokens`` intern hand-built ``Symbol`` sequences. Only
+they and the ``Grammar`` constructor scan bodies to check and lay out a
+grammar; a compiled grammar comes with its layout, known before any token.
 """
 
 from __future__ import annotations
@@ -99,7 +101,9 @@ class Grammar(Value):
 
     ``symbols`` is the table the production bodies index, each symbol
     once. The layout symbols are always ``br`` and ``n``; binding symbols
-    to colors or other realizations happens in the render layer.
+    to colors or other realizations happens in the render layer. Only the
+    constructor and ``from_symbols`` scan bodies for the layout (where the
+    nonterminals and ``n`` sit); a compiled grammar comes with its layout.
     """
 
     nonterminals: tuple[str, ...]
@@ -291,13 +295,19 @@ def compile_grammar(logic: PartitionLogic, states: StateSet) -> Grammar:
         false = column.translate(_FLIP)
         body = array("I", [*compress(ids, column), 0, *compress(ids, false), 1])
         productions.append(Production(atom, body))
-    return Grammar(
+    # The checks above cover __post_init__'s, so the grammar comes with its layout:
+    # the start rule names atoms 0..M-1; a row rule, no nonterminal and n at N+1.
+    row = ([], [n + 1])  # one for every atom: derive only reads a layout
+    grammar = Grammar.__new__(Grammar)
+    grammar.__dict__.update(
         nonterminals=(logic.name, *logic.atoms),
         terminals=labels,
         productions=tuple(productions),
         start=logic.name,
         symbols=symbols,
+        _layout={logic.name: (list(range(m)), []), **dict.fromkeys(logic.atoms, row)},
     )
+    return grammar
 
 
 def derive(grammar: Grammar) -> Derivation:
@@ -350,8 +360,9 @@ def check_incidence(
     For row j and state i, the symbol s_i must sit left of the separator
     exactly when state i values atom j as 1. Structural damage (wrong row
     count, state vectors that do not fit the atoms, missing separator,
-    wrong symbol multiset) is a precondition breach and raises
-    ``ValueError``; side mismatches are reported.
+    token numbers past the symbol table, wrong symbol multiset) is a
+    precondition breach and raises ``ValueError``; side mismatches are
+    reported.
     """
     rows = derivation.rows()
     m = len(logic.atoms)
@@ -380,6 +391,8 @@ def check_incidence(
             once = len(left) + len(right) == len(row) - 1 == len(labels)
             once = once and left.isdisjoint(right)
         else:
+            if max(row) >= len(symbols):
+                raise ValueError(f"row {j} names symbol number {max(row)}, past the table")
             tokens = list(map(symbols.__getitem__, row))
             states_named = [s.name for s in tokens if s.kind is SymbolKind.STATE]
             once = sorted(states_named) == sorted(labels)

@@ -31,15 +31,19 @@ from sglg import (
     compile_grammar,
     derive,
     enumerate_states,
+    parse_logic_file,
     parse_production_listing,
     production_text,
     productions_json,
+    resolve_states,
     supports,
 )
 from support import (
     body_names,
+    chain_spec,
     listing,
     one_state_grammar,
+    random_base_set_spec,
     random_separating_logic,
     resolve_fixture,
     true_labels,
@@ -315,6 +319,37 @@ def test_derive_equals_recursive_expansion_on_random_compiled_grammars():
         )
 
 
+@st.composite
+def compiled_inputs(draw) -> tuple[PartitionLogic, StateSet]:
+    """A random separating logic, a chain-1..7, or a small random base set."""
+    kind = draw(st.sampled_from(["random", "chain", "base set"]))
+    if kind == "random":
+        return random_separating_logic(random.Random(draw(st.integers(0, 10**6))))
+    if kind == "chain":
+        spec = chain_spec(draw(st.integers(1, 7)))
+    else:
+        rng = random.Random(draw(st.integers(0, 10**6)))
+        spec = random_base_set_spec(rng, draw(st.integers(6, 12)), draw(st.integers(2, 20)))
+    return resolve_states(parse_logic_file(json.dumps(spec)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(compiled_inputs())
+def test_compiled_layout_equals_the_scanned_one(inputs):
+    grammar = compile_grammar(*inputs)
+    stated = grammar.__dict__["_layout"]  # there before any read of it
+    scanned = Grammar(
+        grammar.nonterminals,
+        grammar.terminals,
+        grammar.productions,
+        grammar.start,
+        grammar.symbols,
+    )
+    assert scanned == grammar
+    assert scanned._layout == stated
+    assert derive(scanned) == derive(grammar)
+
+
 def test_first_undeclared_symbol_in_production_order_is_named():
     x = Symbol(SymbolKind.NONTERMINAL, "x")
     s1, s8, s9 = (Symbol(SymbolKind.STATE, name) for name in ("s1", "s8", "s9"))
@@ -493,6 +528,19 @@ def test_incidence_rejects_rows_missing_a_separator():
         tokens, derivation.row_boundaries, derivation.row_atoms
     )
     with pytest.raises(ValueError, match="separator"):
+        check_incidence(broken, logic, states)
+
+
+def test_incidence_rejects_token_numbers_past_the_symbol_table():
+    logic, states = resolve_fixture("l12.json")
+    derivation = derive(compile_grammar(logic, states))
+    indices = array("I", derivation.indices)
+    past = len(derivation.symbols) + 3
+    indices[derivation.row_boundaries[1] + 1] = past  # row 2 opens with s5
+    broken = Derivation(
+        derivation.symbols, indices, derivation.row_boundaries, derivation.row_atoms
+    )
+    with pytest.raises(ValueError, match=f"^row 2 names symbol number {past}, "):
         check_incidence(broken, logic, states)
 
 
