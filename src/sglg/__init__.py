@@ -29,7 +29,6 @@ from .grammar import (
     check_incidence,
     compile_grammar,
     derive,
-    parse_production_listing,
     production_text,
     productions_json,
 )
@@ -41,7 +40,6 @@ from .logic import (
     StateOrder,
     StateSet,
     SupportTable,
-    TwoValuedState,
     enumerate_states,
     is_admissible,
     is_separating,
@@ -62,7 +60,6 @@ from .orthorep import (
 )
 from .render import (
     Backend,
-    Event,
     EventStream,
     RenderSpec,
     default_palette,

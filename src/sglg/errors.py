@@ -10,7 +10,7 @@ from __future__ import annotations
 
 
 class LogicFileError(ValueError):
-    """A logic file, vector file, or production listing could not be parsed."""
+    """A logic file or vector file could not be parsed."""
 
     def __init__(self, message: str, location: str | None = None):
         self.location = location

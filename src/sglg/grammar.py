@@ -20,7 +20,6 @@ grammar; a compiled grammar comes with its layout, known before any token.
 from __future__ import annotations
 
 import json
-import re
 from array import array
 from bisect import bisect_left, bisect_right
 from enum import Enum
@@ -31,15 +30,15 @@ from operator import attrgetter, or_
 from .errors import (
     CyclicGrammarError,
     EmptyStateSetError,
-    LogicFileError,
     NotSeparatingError,
     ValidationError,
 )
-from .logic import _FLIP, PartitionLogic, StateSet, is_admissible, supports
+from .logic import PartitionLogic, StateSet, is_admissible, supports
 from .value import Value
 
 SEPARATOR_NAME = "br"
 LINEBREAK_NAME = "n"
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # a 0/1 byte string's complement
 
 
 class SymbolKind(Enum):
@@ -263,14 +262,14 @@ def compile_grammar(logic: PartitionLogic, states: StateSet) -> Grammar:
         cells = [table.columns[j] for j in ctx]
         covered = reduce(or_, (int.from_bytes(c, "big") for c in cells), 0)
         if sum(c.count(1) for c in cells) != len(states) or covered != everyone:
-            bad = next(s for s in states if not is_admissible(s.values, logic))
-            raise ValidationError(f"state {bad.label} is not admissible")
+            bad = next(i for i, row in enumerate(states.rows) if not is_admissible(row, logic))
+            raise ValidationError(f"state s{bad + 1} is not admissible")
     separation = table.separation()
     if not separation:
         raise NotSeparatingError(*separation.witness)
 
     labels = table.state_labels
-    taken = {SEPARATOR_NAME, LINEBREAK_NAME, *labels}
+    taken = {SEPARATOR_NAME, LINEBREAK_NAME, *{logic.name, *logic.atoms}.intersection(labels)}
     if logic.name in taken or logic.name in logic.atoms:
         raise ValidationError(
             f"logic name {logic.name!r} collides with another grammar symbol"
@@ -431,31 +430,3 @@ def productions_json(grammar: Grammar) -> str:
     names = list(map(_name, grammar.symbols))
     payload = {p.head: list(map(names.__getitem__, p.body)) for p in grammar.productions}
     return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
-
-
-_RULE_RE = re.compile(r"^(?P<head>\S+)\s*-->\s*(?P<body>.*)\.$")
-
-
-def parse_production_listing(text: str) -> tuple[tuple[str, tuple[str, ...]], ...]:
-    """Recover (head, body-symbol-names) pairs from a production listing.
-
-    Bracketed bodies (repertoire and layout bindings of a full logic
-    program) are skipped, so the structural layer can be recovered from
-    either a bare listing or complete program source.
-    """
-    productions = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        match = _RULE_RE.match(stripped)
-        if match is None:
-            raise LogicFileError("not a production rule", f"line {lineno}")
-        body = match.group("body").strip()
-        if body.startswith("["):
-            continue
-        names = tuple(part.strip() for part in body.split(","))
-        if not all(names):
-            raise LogicFileError("empty symbol in rule body", f"line {lineno}")
-        productions.append((match.group("head"), names))
-    return tuple(productions)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import re
 import sys
-from collections.abc import Iterator
 from enum import Enum
 from functools import cached_property
 from itertools import chain, compress, repeat
@@ -146,23 +145,11 @@ class BaseSetSpec(Value):
                         )
 
 
-class TwoValuedState(Value):
-    """A 0/1 valuation over the atom list, with its symbol label."""
-
-    label: str
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        if not {*self.values} <= {0, 1}:
-            raise ValueError(f"state {self.label}: values must be 0 or 1")
-
-
 class StateSet(Value):
     """Ordered two-valued states; the column order of all artifacts.
 
     ``matrix`` holds distinct rows of ``width`` 0/1 bytes, one state a row
-    and one atom a column; row i is labeled ``s{i+1}``. ``TwoValuedState``
-    objects are made only when the set is iterated or indexed.
+    and one atom a column; row i is labeled ``s{i+1}``.
     """
 
     matrix: bytes
@@ -208,17 +195,10 @@ class StateSet(Value):
     def __len__(self) -> int:
         return len(self.matrix) // self.width
 
-    def __iter__(self) -> Iterator[TwoValuedState]:
-        return map(TwoValuedState, self._labels, map(tuple, self.rows))
-
-    def __getitem__(self, index: int) -> TwoValuedState:
-        i, w = range(len(self))[index], self.width
-        return TwoValuedState(self._labels[i], tuple(self.matrix[i * w : i * w + w]))
-
 
 class SupportTable(Value):
     """Per atom, its column of state values (a byte per state), and from it
-    the state labels valuing it 1 (T) and 0 (F), in state order."""
+    the state labels valuing it 1 (T), in state order."""
 
     atoms: tuple[str, ...]
     state_labels: tuple[str, ...]
@@ -227,11 +207,6 @@ class SupportTable(Value):
     @cached_property
     def true_sets(self) -> tuple[tuple[str, ...], ...]:
         return tuple(tuple(compress(self.state_labels, c)) for c in self.columns)
-
-    @cached_property
-    def false_sets(self) -> tuple[tuple[str, ...], ...]:
-        flipped = (c.translate(_FLIP) for c in self.columns)
-        return tuple(tuple(compress(self.state_labels, c)) for c in flipped)
 
     def separation(self) -> "SeparationResult":
         """Whether all T-sets differ; if not, the least atom pair (i, j) sharing one."""
@@ -331,6 +306,8 @@ def _parse_hypergraph_mode(name: str, raw: dict) -> PartitionLogic:
             raise LogicFileError("must be a list of atom names", f"contexts[{ci}]")
         row = []
         for a in ctx:
+            if isinstance(a, (list, dict)):  # unhashable, so no atom name
+                raise LogicFileError("must be a list of atom names", f"contexts[{ci}]")
             if a not in index:
                 raise LogicFileError(f"unknown atom {a!r}", f"contexts[{ci}]")
             row.append(index[a])
@@ -601,11 +578,8 @@ def is_separating(states: StateSet, logic: PartitionLogic) -> SeparationResult:
     return supports(logic, states).separation()
 
 
-_FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # a 0/1 byte string's complement
-
-
 def supports(logic: PartitionLogic, states: StateSet) -> SupportTable:
-    """T and F label sets per atom, both in ascending state-index order.
+    """Per atom, its column of state values and T label set, in state order.
 
     The only code that turns valuations into supports; all readers share it.
     """

@@ -282,36 +282,19 @@ def emit_logic_program(grammar: Grammar, spec: RenderSpec) -> str:
     ) + "\n"
 
 
-class Event(Value):
-    row: int
-    pos: int
-    symbol: str
-    kind: str
-
-
 def _event_tail(symbol) -> str:
     name, kind = _json_string(symbol.name), _json_string(symbol.kind.value)
     return f',"symbol":{name},"kind":{kind}}}\n'
 
 
 class EventStream(Value):
-    """The events of a derivation: one per non-linebreak token, by (row, position).
-
-    A view: ``Event`` objects are made only while iterating.
-    """
+    """The events of a derivation: one per non-linebreak token, by (row, position),
+    each a JSON object with its row, position, symbol name and symbol kind."""
 
     derivation: Derivation
 
     def to_jsonl(self) -> str:
         return join_chunks(event_chunks(self.derivation))
-
-    def __len__(self) -> int:
-        return sum(map(len, self.derivation.rows()))
-
-    def __iter__(self) -> Iterator[Event]:
-        for r, row in enumerate(self.derivation.rows()):
-            for p, sym in enumerate(map(self.derivation.symbols.__getitem__, row)):
-                yield Event(r, p, sym.name, sym.kind.value)
 
 
 def event_chunks(derivation: Derivation) -> Iterator[tuple[str]]:

@@ -8,12 +8,14 @@ so enumeration bugs cannot hide behind a shared implementation.
 from __future__ import annotations
 
 import random
+import re
 import string
 from itertools import combinations, product
 from pathlib import Path
 
 from sglg import (
     Grammar,
+    LogicFileError,
     PartitionLogic,
     StateSet,
     Symbol,
@@ -49,6 +51,12 @@ def load_fixture(name: str):
 
 def resolve_fixture(name: str) -> tuple[PartitionLogic, StateSet]:
     return resolve_states(load_fixture(name))
+
+
+def state_vectors(states: StateSet) -> tuple[tuple[int, ...], ...]:
+    """Per state in order, its 0/1 values over the atoms; state i is labeled
+    ``states.labels()[i]``."""
+    return tuple(map(tuple, states.rows))
 
 
 def brute_force_states(logic: PartitionLogic) -> set[tuple[int, ...]]:
@@ -130,7 +138,8 @@ def true_labels(table, atom: str) -> tuple[str, ...]:
 
 def false_labels(table, atom: str) -> tuple[str, ...]:
     """The labels of the states that value ``atom`` 0, in state order."""
-    return table.false_sets[table.atoms.index(atom)]
+    column = table.columns[table.atoms.index(atom)]
+    return tuple(label for label, value in zip(table.state_labels, column) if value == 0)
 
 
 def body_names(grammar: Grammar, head: str) -> list[str]:
@@ -145,12 +154,39 @@ def listing(grammar: Grammar) -> tuple[tuple[str, tuple[str, ...]], ...]:
     )
 
 
+_RULE_RE = re.compile(r"^(?P<head>\S+)\s*-->\s*(?P<body>.*)\.$")
+
+
+def parse_production_listing(text: str) -> tuple[tuple[str, tuple[str, ...]], ...]:
+    """Recover (head, body-symbol-names) pairs from a production listing.
+
+    Bracketed bodies (repertoire and layout bindings of a full logic
+    program) are skipped, so the structural layer can be recovered from
+    either a bare listing or complete program source.
+    """
+    productions = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        match = _RULE_RE.match(stripped)
+        if match is None:
+            raise LogicFileError("not a production rule", f"line {lineno}")
+        body = match.group("body").strip()
+        if body.startswith("["):
+            continue
+        names = tuple(part.strip() for part in body.split(","))
+        if not all(names):
+            raise LogicFileError("empty symbol in rule body", f"line {lineno}")
+        productions.append((match.group("head"), names))
+    return tuple(productions)
+
+
 def separating_by_oracle(states, logic: PartitionLogic) -> bool:
     """Independent pairwise-support comparison."""
+    vectors = state_vectors(states)
     support = {
-        atom: frozenset(
-            i for i, s in enumerate(states) if s.values[j] == 1
-        )
+        atom: frozenset(i for i, values in enumerate(vectors) if values[j] == 1)
         for j, atom in enumerate(logic.atoms)
     }
     return all(

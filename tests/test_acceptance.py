@@ -21,7 +21,6 @@ from sglg import (
     derive,
     emit_logic_program,
     enumerate_states,
-    parse_production_listing,
     render_schema,
     render_tiles,
     supports,
@@ -33,8 +32,10 @@ from support import (
     body_names,
     brute_force_states,
     listing,
+    parse_production_listing,
     random_separating_logic,
     resolve_fixture,
+    state_vectors,
     true_labels,
 )
 
@@ -43,7 +44,7 @@ def test_criterion_1_l12_state_enumeration():
     logic, _ = resolve_fixture("l12.json")
     states = enumerate_states(logic)
     assert len(states) == 5
-    assert {s.values for s in states} == set(L12_TABLE)
+    assert set(state_vectors(states)) == set(L12_TABLE)
     print("criterion 1: l12 enumerates exactly the 5 pinned fixture states — pass")
 
 
@@ -51,7 +52,7 @@ def test_criterion_2_triangle_state_enumeration():
     logic, _ = resolve_fixture("triangle.json")
     states = enumerate_states(logic)
     assert len(states) == 4
-    assert {s.values for s in states} == set(TRIANGLE_TABLE)
+    assert set(state_vectors(states)) == set(TRIANGLE_TABLE)
     print("criterion 2: triangle enumerates exactly the 4 pinned fixture states — pass")
 
 
@@ -121,7 +122,7 @@ def test_criterion_5_proposition_property_suite():
     checked = 0
     while checked < 200:
         logic, states = random_separating_logic(rng)
-        assert {s.values for s in states} == brute_force_states(logic)
+        assert set(state_vectors(states)) == brute_force_states(logic)
         report = check_incidence(derive(compile_grammar(logic, states)), logic, states)
         assert report.ok, f"incidence violated for {logic.atoms}/{logic.contexts}"
         checked += 1

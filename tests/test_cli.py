@@ -141,19 +141,6 @@ def test_render_events_jsonl(capsys):
     }
 
 
-def test_render_events_builds_no_event_objects(capsys, monkeypatch):
-    from sglg import render
-
-    expected = (
-        '{"row":0,"pos":0,"symbol":"s1","kind":"state"}\n'
-        '{"row":0,"pos":1,"symbol":"s2","kind":"state"}\n'
-        '{"row":0,"pos":2,"symbol":"br","kind":"separator"}\n'
-    )
-    monkeypatch.setattr(render, "Event", None)  # any Event(...) call raises
-    assert main(["render", L12, "--format", "events"]) == 0
-    assert capsys.readouterr().out.startswith(expected)
-
-
 def test_palette_override_changes_fills(tmp_path):
     plain, tinted = tmp_path / "plain.svg", tmp_path / "tinted.svg"
     assert main(["render", L12, "--format", "svg-tiles", "-o", str(plain)]) == 0
@@ -620,6 +607,25 @@ def test_base_set_points_must_be_ints_or_strings(tmp_path, capsys, payload, loca
     assert location in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (["b"], "contexts[0]: must be a list of atom names"),
+        ({"b": 1}, "contexts[0]: must be a list of atom names"),
+        (1, "contexts[0]: unknown atom 1"),
+    ],
+    ids=["list", "dict", "int"],
+)
+def test_context_entries_that_are_no_atom_name_exit_2(tmp_path, capsys, entry, message):
+    """A list or dict has no hash to look up; it is rejected like any other
+    entry that names no atom."""
+    spec = write_spec(tmp_path, {"atoms": ["a", "b"], "contexts": [["a", entry]]})
+    assert main(["check", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"sglg: error: {message}\n"
+
+
 # ------------------------------------- undecodable and unencodable text
 
 
@@ -917,31 +923,6 @@ def test_ansi_output_file_is_written_without_holding_its_text(name, tmp_path):
     out = tmp_path / "out"
     peak = traced_peak(lambda: _emit(text_chunks(derivation, spec), str(out)))
     assert peak < out.stat().st_size
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["check"],
-        ["states"],
-        ["grammar"],
-        ["grammar", "--format", "json"],
-        *(
-            ["render", "--format", fmt]
-            for fmt in ("svg-tiles", "ansi", "html", "logic-program", "events")
-        ),
-        ["schema"],
-    ],
-    ids=" ".join,
-)
-def test_cli_paths_build_no_state_objects(argv, tmp_path, monkeypatch, capsys):
-    from sglg import logic
-
-    spec = write_spec(tmp_path, CHAIN10_SPEC)
-    command, *flags = argv
-    out = ["-o", str(tmp_path / "out")] if command in ("render", "schema") else []
-    monkeypatch.setattr(logic, "TwoValuedState", None)  # any construction raises
-    assert main([command, spec, *flags, *out]) == 0
 
 
 def test_render_events_builds_no_palette(monkeypatch, capsys):

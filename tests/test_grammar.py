@@ -32,7 +32,6 @@ from sglg import (
     derive,
     enumerate_states,
     parse_logic_file,
-    parse_production_listing,
     production_text,
     productions_json,
     resolve_states,
@@ -43,9 +42,11 @@ from support import (
     chain_spec,
     listing,
     one_state_grammar,
+    parse_production_listing,
     random_base_set_spec,
     random_separating_logic,
     resolve_fixture,
+    state_vectors,
     true_labels,
 )
 
@@ -153,14 +154,22 @@ def test_compile_names_the_first_inadmissible_state():
 
 
 def test_compile_rejects_symbol_collisions():
-    # an atom named like a state label would make rows ambiguous
-    logic = PartitionLogic("logic", ("s1", "y"), ((0, 1),))
-    with pytest.raises(ValueError, match="collides"):
-        compile_grammar(logic, enumerate_states(logic))
-    # ... and so would a logic named after one of its atoms
-    logic = PartitionLogic("x", ("x", "y"), ((0, 1),))
-    with pytest.raises(ValueError, match="collides"):
-        compile_grammar(logic, enumerate_states(logic))
+    # an atom named like a state label or a layout symbol would make rows
+    # ambiguous; one two-atom context has two states, s1 and s2
+    for atom in ("s1", "s2", "br", "n"):
+        logic = PartitionLogic("logic", (atom, "y"), ((0, 1),))
+        with pytest.raises(ValidationError, match=rf"^atom '{atom}' collides"):
+            compile_grammar(logic, enumerate_states(logic))
+    # ... a name that only looks like a label does not
+    for atom in ("s0", "s01", "s3"):
+        logic = PartitionLogic("logic", (atom, "y"), ((0, 1),))
+        grammar = compile_grammar(logic, enumerate_states(logic))
+        assert grammar.nonterminals == ("logic", atom, "y")
+    # ... and a logic named after one of its atoms or a state label collides
+    for name, atoms in (("x", ("x", "y")), ("s1", ("x", "y"))):
+        logic = PartitionLogic(name, atoms, ((0, 1),))
+        with pytest.raises(ValidationError, match=rf"^logic name '{name}' collides"):
+            compile_grammar(logic, enumerate_states(logic))
 
 
 # ------------------------------------------------------------- derivation
@@ -575,6 +584,7 @@ def incidence_by_token_walk(derivation, logic, states):
             f"derivation has {len(rows)} rows for {len(logic.atoms)} atoms"
         )
     labels = sorted(states.labels())
+    labeled = list(zip(states.labels(), state_vectors(states)))
     violations = []
     for j, row in enumerate(rows):
         separators = [k for k, sym in enumerate(row) if sym.kind is SymbolKind.SEPARATOR]
@@ -587,9 +597,9 @@ def incidence_by_token_walk(derivation, logic, states):
         left = {sym.name for sym in row[:cut]}
         atom = logic.atoms[j]
         mismatched = tuple(
-            state.label
-            for i, state in enumerate(states)
-            if (state.label in left) != (state.values[j] == 1)
+            label
+            for label, values in labeled
+            if (label in left) != (values[j] == 1)
         )
         if mismatched:
             violations.append(RowViolation(j, atom, mismatched))
@@ -665,7 +675,7 @@ def test_check_incidence_equals_the_token_walk(seed, damages, pinned):
     rng = random.Random(seed)
     logic, states = random_separating_logic(rng, max_atoms=10)
     if pinned:  # compile from a shuffled state order, check against the canonical one
-        vectors = [s.values for s in states]
+        vectors = list(state_vectors(states))
         rng.shuffle(vectors)
         compiled = StateSet.from_vectors(vectors, StateOrder.PINNED)
     else:

@@ -37,6 +37,7 @@ from support import (
     random_logic,
     resolve_fixture,
     separating_by_oracle,
+    state_vectors,
     true_labels,
 )
 
@@ -154,7 +155,7 @@ def test_palette_key_is_parsed_and_validated():
 def test_l12_enumeration_matches_table_as_set():
     logic, _ = resolve_fixture("l12.json")
     enumerated = enumerate_states(logic)
-    assert {s.values for s in enumerated} == set(L12_TABLE)
+    assert set(state_vectors(enumerated)) == set(L12_TABLE)
     assert len(enumerated) == 5
 
 
@@ -162,14 +163,14 @@ def test_triangle_enumeration_is_table_ii_in_order():
     logic, _ = resolve_fixture("triangle.json")
     enumerated = enumerate_states(logic)
     # For the triangle the canonical order coincides with the printed table.
-    assert tuple(s.values for s in enumerated) == TRIANGLE_TABLE
+    assert state_vectors(enumerated) == TRIANGLE_TABLE
     assert enumerated.order_source is StateOrder.CANONICAL
 
 
 def test_single_context_enumeration():
     logic = small_logic([(0, 1)], atoms=("x", "y"))
     states = enumerate_states(logic)
-    assert tuple(s.values for s in states) == ((1, 0), (0, 1))
+    assert state_vectors(states) == ((1, 0), (0, 1))
     assert states.labels() == ("s1", "s2")
 
 
@@ -181,7 +182,7 @@ def test_three_disjoint_binary_contexts_give_eight_states():
     )
     states = enumerate_states(logic)
     assert len(states) == 8
-    assert {s.values for s in states} == brute_force_states(logic)
+    assert set(state_vectors(states)) == brute_force_states(logic)
 
 
 def test_enumeration_can_be_empty():
@@ -195,7 +196,7 @@ def test_canonical_order_is_descending_lexicographic():
     for _ in range(40):
         logic = random_logic(rng)
         states = enumerate_states(logic)
-        vectors = [s.values for s in states]
+        vectors = list(state_vectors(states))
         assert vectors == sorted(vectors, reverse=True)
         assert states.labels() == tuple(f"s{i + 1}" for i in range(len(vectors)))
 
@@ -204,17 +205,17 @@ def test_enumeration_agrees_with_brute_force_oracle_up_to_12_atoms():
     rng = random.Random(90125)
     for _ in range(60):
         logic = random_logic(rng, max_atoms=12)
-        assert {s.values for s in enumerate_states(logic)} == brute_force_states(logic)
+        assert set(state_vectors(enumerate_states(logic))) == brute_force_states(logic)
 
 
 def test_every_enumerated_state_is_admissible():
     rng = random.Random(777)
     for _ in range(60):
         logic = random_logic(rng)
-        for state in enumerate_states(logic):
-            assert is_admissible(state.values, logic)
+        for values in state_vectors(enumerate_states(logic)):
+            assert is_admissible(values, logic)
             for ctx in logic.contexts:
-                assert sum(state.values[j] for j in ctx) == 1
+                assert sum(values[j] for j in ctx) == 1
 
 
 @st.composite
@@ -267,7 +268,7 @@ def test_enumeration_is_the_descending_brute_force_in_order(logic):
         for bits in product((1, 0), repeat=len(logic.atoms))
         if all(sum(bits[j] for j in ctx) == 1 for ctx in logic.contexts)
     )
-    assert tuple(s.values for s in enumerate_states(logic)) == expected
+    assert state_vectors(enumerate_states(logic)) == expected
 
 
 def first_nested_by_pairs(contexts) -> tuple[int, int] | None:
@@ -310,7 +311,7 @@ def test_deep_pair_chain_enumerates_without_recursion():
         "logic", atom_names(n + 1), tuple((i, i + 1) for i in range(n))
     )
     states = enumerate_states(logic)
-    assert [s.values for s in states] == [
+    assert list(state_vectors(states)) == [
         tuple((i + 1) % 2 for i in range(n + 1)),
         tuple(i % 2 for i in range(n + 1)),
     ]
@@ -322,9 +323,9 @@ def test_deep_pair_chain_enumerates_without_recursion():
 def test_l12_fixture_pins_a_noncanonical_order():
     logic, states = resolve_fixture("l12.json")
     assert states.order_source is StateOrder.PINNED
-    assert tuple(s.values for s in states) == L12_TABLE
+    assert state_vectors(states) == L12_TABLE
     # The fixture's order is *not* the canonical one; the pin matters.
-    assert tuple(s.values for s in enumerate_states(logic)) != L12_TABLE
+    assert state_vectors(enumerate_states(logic)) != L12_TABLE
 
 
 def test_pinned_states_must_cover_the_enumeration():
@@ -404,8 +405,8 @@ def test_example_a_point_induced_states():
 
 def test_example_a_states_are_a_strict_subset_of_the_enumeration():
     logic, states = resolve_fixture("example_a.json")
-    full = {s.values for s in enumerate_states(logic)}
-    induced = {s.values for s in states}
+    full = set(state_vectors(enumerate_states(logic)))
+    induced = set(state_vectors(states))
     assert induced < full
     assert (len(induced), len(full)) == (3, 8)
 
@@ -426,7 +427,7 @@ def test_l12_as_partitions_matches_the_hypergraph_fixture():
     assert logic.contexts == fixture_logic.contexts
     assert supports(logic, states) == supports(fixture_logic, fixture_states)
     # Point-induced states reproduce the pinned fixture order exactly.
-    assert tuple(s.values for s in states) == L12_TABLE
+    assert state_vectors(states) == L12_TABLE
 
 
 def test_blocks_map_back_to_their_points():
@@ -538,7 +539,7 @@ def _induced(build, spec: BaseSetSpec):
         logic, states = build(spec)
     except LogicFileError as exc:
         return ("error", str(exc), exc.location)
-    return logic.atoms, logic.contexts, tuple(s.values for s in states), states.order_source
+    return logic.atoms, logic.contexts, state_vectors(states), states.order_source
 
 
 @st.composite
@@ -619,7 +620,7 @@ def tuples_view(logic: PartitionLogic, vectors, order: StateOrder):
 def matrix_view(logic: PartitionLogic, states: StateSet):
     view = (
         states.labels(),
-        tuple(s.values for s in states),
+        state_vectors(states),
         states.order_source,
         supports(logic, states).columns,
     )
@@ -718,7 +719,7 @@ def test_single_context_separates():
 def test_shared_atom_pair_fails_separation_with_witness():
     logic = small_logic([(0, 1), (0, 2)])
     states = enumerate_states(logic)
-    assert {s.values for s in states} == {(1, 0, 0), (0, 1, 1)}
+    assert set(state_vectors(states)) == {(1, 0, 0), (0, 1, 1)}
     result = is_separating(states, logic)
     assert not result
     assert result.witness == ("y", "z")
@@ -735,8 +736,9 @@ def test_separation_agrees_with_oracle_on_random_logics():
 
 def first_clash_by_pairs(states, logic):
     """The first atom pair in (i, j) order with equal supports, or None."""
+    labeled = list(zip(states.labels(), state_vectors(states)))
     support = [
-        frozenset(s.label for s in states if s.values[j] == 1)
+        frozenset(label for label, values in labeled if values[j] == 1)
         for j in range(len(logic.atoms))
     ]
     for i in range(len(logic.atoms)):

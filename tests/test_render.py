@@ -7,6 +7,7 @@ import html
 import json
 import random
 import re
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +30,6 @@ from sglg import (
     emit_logic_program,
     enumerate_states,
     parse_logic_file,
-    parse_production_listing,
     production_text,
     render_schema,
     render_text,
@@ -47,9 +47,11 @@ from support import (
     chain_spec,
     listing,
     one_state_grammar,
+    parse_production_listing,
     random_logic,
     random_separating_logic,
     resolve_fixture,
+    state_vectors,
 )
 
 GREEN, BLUE, RED, ORANGE, VIOLET = (
@@ -416,15 +418,19 @@ def test_logic_program_structural_layer_round_trips():
 # ------------------------------------------------------------------ events
 
 
+def event_tuples(derivation: Derivation) -> list[tuple]:
+    """(row, pos, symbol, kind) per line of the derivation's events JSONL."""
+    lines = emit_events(derivation).to_jsonl().splitlines()
+    return [itemgetter("row", "pos", "symbol", "kind")(json.loads(line)) for line in lines]
+
+
 def test_l12_emits_30_events():
     *_, derivation = l12_pipeline()
-    stream = emit_events(derivation)
-    assert len(stream) == 30  # 35 tokens minus 5 linebreaks
+    assert len(event_tuples(derivation)) == 30  # 35 tokens minus 5 linebreaks
 
 
 def test_one_state_grammar_emits_two_events():
-    stream = emit_events(derive(one_state_grammar()))
-    assert [(e.row, e.pos, e.symbol, e.kind) for e in stream] == [
+    assert event_tuples(derive(one_state_grammar())) == [
         (0, 0, "s1", "state"),
         (0, 1, "br", "separator"),
     ]
@@ -432,8 +438,8 @@ def test_one_state_grammar_emits_two_events():
 
 def test_events_are_strictly_ordered():
     logic, states = resolve_fixture("triangle.json")
-    stream = emit_events(derive(compile_grammar(logic, states)))
-    keys = [(e.row, e.pos) for e in stream]
+    events = event_tuples(derive(compile_grammar(logic, states)))
+    keys = [(row, pos) for row, pos, _, _ in events]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
 
@@ -459,10 +465,8 @@ def test_events_jsonl_is_json_dumps_per_event():
         + "\n"
         for row, pos, symbol, kind in events
     )
-    stream = emit_events(derivation)
-    assert stream.to_jsonl() == expected
-    assert [(e.row, e.pos, e.symbol, e.kind) for e in stream] == events
-    assert len(stream) == len(events)
+    assert emit_events(derivation).to_jsonl() == expected
+    assert event_tuples(derivation) == events
     assert emit_events(Derivation.from_tokens((), (), ())).to_jsonl() == ""
 
 
@@ -532,12 +536,13 @@ def reference_schema(logic, states, spec: RenderSpec) -> str:
     width = left + n * cell + max(n - 1, 0) * gap
     height = top + m * cell + max(m - 1, 0) * gap
     font = max(cell // 2, 1)
+    labeled = list(zip(states.labels(), state_vectors(states)))
     body = []
-    for i, state in enumerate(states):
+    for i, label in enumerate(states.labels()):
         body.append(
             f'  <text x="{left + i * step + cell // 2}" y="{top - font // 2}" '
             f'text-anchor="middle" font-family="monospace" '
-            f'font-size="{font}">{html.escape(state.label, quote=False)}</text>'
+            f'font-size="{font}">{html.escape(label, quote=False)}</text>'
         )
     for j, atom in enumerate(logic.atoms):
         body.append(
@@ -545,10 +550,10 @@ def reference_schema(logic, states, spec: RenderSpec) -> str:
             f'text-anchor="end" font-family="monospace" '
             f'font-size="{font}">{html.escape(atom, quote=False)}</text>'
         )
-        for i, state in enumerate(states):
+        for i, (label, values) in enumerate(labeled):
             fill = spec.false_cell_color
-            if state.values[j] == 1:
-                fill = spec.color(state.label)
+            if values[j] == 1:
+                fill = spec.color(label)
             body.append(
                 f'  <rect x="{left + i * step}" y="{top + j * step}" '
                 f'width="{cell}" height="{cell}" fill="{fill}"/>'

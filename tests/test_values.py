@@ -20,7 +20,6 @@ from sglg import (
     BaseSetSpec,
     CheckResult,
     Derivation,
-    Event,
     EventStream,
     FaithfulnessReport,
     Grammar,
@@ -36,7 +35,6 @@ from sglg import (
     SupportTable,
     Symbol,
     SymbolKind,
-    TwoValuedState,
     VectorRealization,
     build_v_realization,
     compile_grammar,
@@ -98,7 +96,6 @@ CASES = {
         BASE_SET,
         BaseSetSpec("pairs", (1, "x"), (((1,), ("x",)), ((1, "x"),))),
     ),
-    TwoValuedState: (("label", "values"), ("s1", (1, 0)), ("s2", (0, 1))),
     StateSet: _read(("matrix", "width", "order_source"), L12_STATES, TRIANGLE_STATES),
     SupportTable: _read(
         ("atoms", "state_labels", "columns"),
@@ -123,7 +120,6 @@ CASES = {
         ({"s1": "#112233"}, "#000000", "#BFBFBF", 20, 2, Backend.SVG_TILES),
         ({}, "#FFFFFF", "#000000", 3, 0, Backend.ANSI),
     ),
-    Event: (("row", "pos", "symbol", "kind"), (0, 1, "s1", "state"), (1, 0, "br", "separator")),
     EventStream: (("derivation",), (L12_DERIVATION,), (TRIANGLE_DERIVATION,)),
     VectorRealization: (
         ("dimension", "vectors", "tolerance"),
