@@ -626,6 +626,34 @@ def test_context_entries_that_are_no_atom_name_exit_2(tmp_path, capsys, entry, m
     assert captured.err == f"sglg: error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check"],
+        ["states"],
+        ["grammar"],
+        ["grammar", "--format", "json"],
+        *(
+            ["render", "--format", fmt]
+            for fmt in ("svg-tiles", "ansi", "html", "logic-program", "events")
+        ),
+        ["schema"],
+    ],
+    ids=" ".join,
+)
+def test_cli_paths_reject_a_list_in_a_context(argv, tmp_path, capsys):
+    """Every command exits 2 on the same one-line error, and writes no -o file."""
+    spec = write_spec(tmp_path, {"atoms": ["a", "b"], "contexts": [["a", ["b"]]]})
+    command, *flags = argv
+    out = tmp_path / "out"
+    target = ["-o", str(out)] if command in ("render", "schema") else []
+    assert main([command, spec, *flags, *target]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "sglg: error: contexts[0]: must be a list of atom names\n"
+    assert not out.exists()
+
+
 # ------------------------------------- undecodable and unencodable text
 
 

@@ -144,32 +144,85 @@ def test_compile_rejects_inadmissible_states():
         compile_grammar(logic, states)
 
 
-def test_compile_names_the_first_inadmissible_state():
-    logic = PartitionLogic("logic", ("x", "y", "z"), ((0, 1), (1, 2)))
-    states = StateSet.from_vectors(
-        [(1, 0, 1), (0, 1, 0), (1, 1, 0), (0, 0, 0)], StateOrder.PINNED
-    )
-    with pytest.raises(ValidationError, match=r"^state s3 is not admissible$"):
+def one_context_logic(name: str, first: str, size: int) -> PartitionLogic:
+    """A logic whose one context holds ``size`` atoms, ``first`` and y1, y2, ...;
+    its states are the unit vectors, labeled s1..s{size}."""
+    atoms = (first, *(f"y{i}" for i in range(1, size)))
+    return PartitionLogic(name, atoms, (tuple(range(size)),))
+
+
+def unit_vectors(size: int) -> list[tuple[int, ...]]:
+    return [tuple(int(i == j) for j in range(size)) for i in range(size)]
+
+
+@pytest.mark.parametrize(
+    "logic, vectors, label",
+    [
+        (
+            PartitionLogic("logic", ("x", "y", "z"), ((0, 1), (1, 2))),
+            [(1, 1, 0), (1, 0, 1), (0, 1, 0)],
+            "s1",
+        ),
+        (
+            PartitionLogic("logic", ("x", "y", "z"), ((0, 1), (1, 2))),
+            [(1, 0, 1), (0, 1, 0), (1, 1, 0), (0, 0, 0)],
+            "s3",
+        ),
+        (one_context_logic("logic", "x", 11), [*unit_vectors(11), (0,) * 11], "s12"),
+    ],
+    ids=["first", "third", "twelfth"],
+)
+def test_compile_names_the_first_inadmissible_state(logic, vectors, label):
+    states = StateSet.from_vectors(vectors, StateOrder.PINNED)
+    with pytest.raises(ValidationError, match=rf"^state {label} is not admissible$"):
         compile_grammar(logic, states)
 
 
-def test_compile_rejects_symbol_collisions():
-    # an atom named like a state label or a layout symbol would make rows
-    # ambiguous; one two-atom context has two states, s1 and s2
-    for atom in ("s1", "s2", "br", "n"):
-        logic = PartitionLogic("logic", (atom, "y"), ((0, 1),))
-        with pytest.raises(ValidationError, match=rf"^atom '{atom}' collides"):
-            compile_grammar(logic, enumerate_states(logic))
-    # ... a name that only looks like a label does not
-    for atom in ("s0", "s01", "s3"):
-        logic = PartitionLogic("logic", (atom, "y"), ((0, 1),))
-        grammar = compile_grammar(logic, enumerate_states(logic))
-        assert grammar.nonterminals == ("logic", atom, "y")
-    # ... and a logic named after one of its atoms or a state label collides
-    for name, atoms in (("x", ("x", "y")), ("s1", ("x", "y"))):
-        logic = PartitionLogic(name, atoms, ((0, 1),))
-        with pytest.raises(ValidationError, match=rf"^logic name '{name}' collides"):
-            compile_grammar(logic, enumerate_states(logic))
+# An atom named like a state label or a layout symbol would make rows
+# ambiguous, and so would a logic named like any other grammar symbol.
+# Contexts of 2 atoms have states s1, s2; of 11 atoms, s1..s11.
+COLLISIONS = [  # logic name, first atom, context size, start of the message
+    ("logic", "s1", 2, "atom 's1' collides"),
+    ("logic", "s2", 2, "atom 's2' collides"),
+    ("logic", "br", 2, "atom 'br' collides"),
+    ("logic", "n", 2, "atom 'n' collides"),
+    ("logic", "s10", 11, "atom 's10' collides"),
+    ("logic", "s11", 11, "atom 's11' collides"),
+    ("x", "x", 2, "logic name 'x' collides"),
+    ("s1", "x", 2, "logic name 's1' collides"),
+    ("s11", "x", 11, "logic name 's11' collides"),
+    ("br", "x", 2, "logic name 'br' collides"),
+    ("n", "x", 2, "logic name 'n' collides"),
+]
+LOOKALIKES = [  # logic name, first atom, context size
+    ("logic", "s0", 2),
+    ("logic", "s01", 2),
+    ("logic", "s3", 2),
+    ("logic", "s011", 11),
+    ("logic", "s12", 11),
+    ("s0", "x", 2),
+    ("s3", "x", 2),
+]
+
+
+def case_id(name: str, atom: str, size: int, *_) -> str:
+    return f"{name}/{atom}/{size}"
+
+
+@pytest.mark.parametrize(
+    "name, atom, size, message", COLLISIONS, ids=[case_id(*c) for c in COLLISIONS]
+)
+def test_compile_rejects_symbol_collisions(name, atom, size, message):
+    logic = one_context_logic(name, atom, size)
+    with pytest.raises(ValidationError, match=rf"^{message}"):
+        compile_grammar(logic, enumerate_states(logic))
+
+
+@pytest.mark.parametrize("name, atom, size", LOOKALIKES, ids=[case_id(*c) for c in LOOKALIKES])
+def test_compile_accepts_names_that_only_look_like_labels(name, atom, size):
+    logic = one_context_logic(name, atom, size)
+    grammar = compile_grammar(logic, enumerate_states(logic))
+    assert grammar.nonterminals == (name, *logic.atoms)
 
 
 # ------------------------------------------------------------- derivation
