@@ -389,6 +389,7 @@ def logic_from_partitions(spec: BaseSetSpec) -> tuple[PartitionLogic, StateSet]:
     blocks: list[frozenset[Point]] = []
     by_block: dict[frozenset[Point], int] = {}
     contexts: list[tuple[int, ...]] = []
+    first: dict[frozenset[int], int] = {}  # a context's atoms -> its first partition
     for pi, partition in enumerate(spec.partitions):
         row = []
         for bi, block in enumerate(partition):
@@ -416,6 +417,14 @@ def logic_from_partitions(spec: BaseSetSpec) -> tuple[PartitionLogic, StateSet]:
                 taken.add(name)
                 blocks.append(key)
             row.append(j)
+        if len(row) < 2:
+            raise LogicFileError("partition has fewer than 2 blocks", f"partitions[{pi}]")
+        # Partitions all cover the base set, so contexts nest only if equal.
+        same = first.setdefault(frozenset(row), pi)
+        if same != pi:
+            raise LogicFileError(
+                f"partitions {same} and {pi} have the same blocks", f"partitions[{pi}]"
+            )
         contexts.append(tuple(row))
 
     logic = PartitionLogic(spec.name, tuple(atoms), tuple(contexts))
@@ -463,9 +472,14 @@ def _state_masks(logic: PartitionLogic) -> list[int]:
     """Every two-valued state as an atom mask, atom 0 the top bit; unordered.
 
     An exact cover of the contexts by the atoms (Knuth's Algorithm X) with
-    an explicit stack, so no depth is too deep. Each node branches on the
-    open context with the fewest live atoms; choosing an atom closes its
-    contexts and kills every atom sharing a context with it.
+    an explicit stack, so no depth is too deep. Choosing an atom closes its
+    contexts and kills every atom sharing a context with it. A node takes
+    each forced atom (an open context's last live one) in place, then
+    branches on the open context with the fewest live atoms. Its completions
+    depend only on its entry key (live atoms, open contexts), so each key is
+    solved once; forced steps get no memo entry, so long forced runs cost no
+    memory. ``hot`` only steers the branching, so two paths to one key may
+    differ in it.
     """
     m = len(logic.atoms)
     bits = [1 << (m - 1 - j) for j in range(m)]
@@ -480,45 +494,61 @@ def _state_masks(logic: PartitionLogic) -> list[int]:
         for j in ctx:
             clash[j] |= members[ci]
             touch[j] |= reach
-    found: list[int] = []
-    # (state, live atoms, open contexts, hot): every open context with at
-    # most one live atom is in hot, so a forced or dead context is found
-    # without scanning all of them.
-    stack = [(0, (1 << m) - 1, (1 << len(logic.contexts)) - 1, 0)]
+    memo: dict[tuple[int, int], list[int]] = {}  # key -> completion masks
+    root = ((1 << m) - 1, (1 << len(logic.contexts)) - 1)
+    # (key, hot) to solve, or (key, forced, kids) once the kids are solved;
+    # hot holds every open context with at most one live atom, to find those fast.
+    stack: list[tuple] = [(root, 0)]
     while stack:
-        state, live, open_, hot = stack.pop()
-        if not open_:
-            found.append(state)
+        top = stack.pop()
+        if len(top) == 3:
+            key, forced, kids = top
+            memo[key] = [forced | b | s for b, kid in kids for s in memo[kid]]
             continue
-        pick, fewest = -1, m + 1
-        while hot:
-            low = hot & -hot
-            ci = low.bit_length() - 1
-            count = (members[ci] & live).bit_count()
-            if count <= 1:
-                pick, fewest = ci, count
-                break
-            hot ^= low
-        if pick < 0:
-            rest = open_
-            while rest:
-                low = rest & -rest
-                rest ^= low
+        key, hot = top
+        if key in memo:  # solved since it was pushed
+            continue
+        (live, open_), forced = key, 0
+        while open_:
+            pick, fewest = -1, m + 1
+            while hot:
+                low = hot & -hot
                 ci = low.bit_length() - 1
                 count = (members[ci] & live).bit_count()
-                if count < fewest:
+                if count <= 1:
                     pick, fewest = ci, count
-                    if count == 2:  # the least possible once hot is empty
-                        break
-        if fewest == 0:
+                    break
+                hot ^= low
+            if pick < 0:
+                rest = open_
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    ci = low.bit_length() - 1
+                    count = (members[ci] & live).bit_count()
+                    if count < fewest:
+                        pick, fewest = ci, count
+                        if count == 2:  # the least possible once hot is empty
+                            break
+            if fewest != 1:
+                break
+            j = m - (members[pick] & live).bit_length()  # the one live atom
+            forced |= bits[j]
+            live &= ~clash[j]
+            open_ &= ~lies_in[j]
+            hot = (hot | touch[j]) & open_
+        else:
+            memo[key] = [forced]
             continue
+        kids: list[tuple[int, tuple[int, int]]] = []  # (atom bit, key); none if dead
+        stack.append((key, forced, kids))
         for j in logic.contexts[pick]:
             if live & bits[j]:
-                closed = open_ & ~lies_in[j]
-                stack.append(
-                    (state | bits[j], live & ~clash[j], closed, (hot | touch[j]) & closed)
-                )
-    return found
+                kid = (live & ~clash[j], open_ & ~lies_in[j])
+                kids.append((bits[j], kid))
+                if kid not in memo:
+                    stack.append((kid, (hot | touch[j]) & kid[1]))
+    return memo[root]
 
 
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")

@@ -10,8 +10,11 @@ from __future__ import annotations
 import random
 import re
 import string
+import tracemalloc
 from itertools import combinations, product
 from pathlib import Path
+
+import pytest
 
 from sglg import (
     Grammar,
@@ -25,6 +28,7 @@ from sglg import (
     parse_logic_file,
     resolve_states,
 )
+from sglg.logic import _context_masks
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "fixtures"
@@ -66,6 +70,70 @@ def brute_force_states(logic: PartitionLogic) -> set[tuple[int, ...]]:
         if all(sum(bits[j] for j in ctx) == 1 for ctx in logic.contexts):
             hits.add(bits)
     return hits
+
+
+def reference_state_masks(logic: PartitionLogic) -> list[int]:
+    """Every two-valued state as an atom mask, atom 0 the top bit; unordered.
+
+    The plain search that ``sglg.logic._state_masks`` memoizes, kept as its
+    oracle: it solves a subproblem again each time a prefix reaches it and
+    pushes a node per forced choice. An exact cover of the contexts by the atoms (Knuth's Algorithm X) with
+    an explicit stack, so no depth is too deep. Each node branches on the
+    open context with the fewest live atoms; choosing an atom closes its
+    contexts and kills every atom sharing a context with it.
+    """
+    m = len(logic.atoms)
+    bits = [1 << (m - 1 - j) for j in range(m)]
+    members = [sum(bits[j] for j in ctx) for ctx in logic.contexts]
+    lies_in = _context_masks(logic)
+    clash = [0] * m  # atoms sharing a context with atom j, j included
+    touch = [0] * m  # contexts whose live count may drop when j is chosen
+    for ci, ctx in enumerate(logic.contexts):
+        reach = 0
+        for k in ctx:
+            reach |= lies_in[k]
+        for j in ctx:
+            clash[j] |= members[ci]
+            touch[j] |= reach
+    found: list[int] = []
+    # (state, live atoms, open contexts, hot): every open context with at
+    # most one live atom is in hot, so a forced or dead context is found
+    # without scanning all of them.
+    stack = [(0, (1 << m) - 1, (1 << len(logic.contexts)) - 1, 0)]
+    while stack:
+        state, live, open_, hot = stack.pop()
+        if not open_:
+            found.append(state)
+            continue
+        pick, fewest = -1, m + 1
+        while hot:
+            low = hot & -hot
+            ci = low.bit_length() - 1
+            count = (members[ci] & live).bit_count()
+            if count <= 1:
+                pick, fewest = ci, count
+                break
+            hot ^= low
+        if pick < 0:
+            rest = open_
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                ci = low.bit_length() - 1
+                count = (members[ci] & live).bit_count()
+                if count < fewest:
+                    pick, fewest = ci, count
+                    if count == 2:  # the least possible once hot is empty
+                        break
+        if fewest == 0:
+            continue
+        for j in logic.contexts[pick]:
+            if live & bits[j]:
+                closed = open_ & ~lies_in[j]
+                stack.append(
+                    (state | bits[j], live & ~clash[j], closed, (hot | touch[j]) & closed)
+                )
+    return found
 
 
 def random_logic(rng: random.Random, max_atoms: int = 8) -> PartitionLogic:
@@ -140,6 +208,18 @@ def false_labels(table, atom: str) -> tuple[str, ...]:
     """The labels of the states that value ``atom`` 0, in state order."""
     column = table.columns[table.atoms.index(atom)]
     return tuple(label for label, value in zip(table.state_labels, column) if value == 0)
+
+
+def traced_peak(call, *args) -> int:
+    """The peak of the memory ``tracemalloc`` sees allocated during the call."""
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing")
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def body_names(grammar: Grammar, head: str) -> list[str]:

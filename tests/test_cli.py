@@ -34,7 +34,7 @@ from sglg import (
 )
 from sglg.cli import _emit, main
 from sglg.render import text_chunks
-from support import FIXTURES, ROOT, chain_spec, random_base_set_spec
+from support import FIXTURES, ROOT, chain_spec, random_base_set_spec, traced_peak
 
 L12 = str(FIXTURES / "l12.json")
 TRIANGLE = str(FIXTURES / "triangle.json")
@@ -608,6 +608,39 @@ def test_base_set_points_must_be_ints_or_strings(tmp_path, capsys, payload, loca
 
 
 @pytest.mark.parametrize(
+    "partitions, message",
+    [
+        ([[[1, 2, 3]]], "partitions[0]: partition has fewer than 2 blocks"),
+        (
+            [[[1], [2, 3]], [[1, 2, 3]]],
+            "partitions[1]: partition has fewer than 2 blocks",
+        ),
+        (
+            [[[1], [2, 3]], [[1], [2, 3]]],
+            "partitions[1]: partitions 0 and 1 have the same blocks",
+        ),
+        (
+            [[[1], [2, 3]], [[1, 2], [3]], [[3], [1, 2]]],
+            "partitions[2]: partitions 1 and 2 have the same blocks",
+        ),
+        (  # the first partition, in file order, that repeats an earlier one
+            [[[1], [2, 3]], [[1, 2], [3]], [[3], [1, 2]], [[2, 3], [1]]],
+            "partitions[2]: partitions 1 and 2 have the same blocks",
+        ),
+    ],
+    ids=["one-block", "one-block-later", "same", "same-reordered", "first-repeat"],
+)
+@pytest.mark.parametrize("command", ["check", "states"])
+def test_base_set_contexts_are_reported_as_partitions(
+    tmp_path, capsys, command, partitions, message
+):
+    """A base-set file has no contexts key: its partitions are named instead."""
+    payload = {"name": "x", "base_set": [1, 2, 3], "partitions": partitions}
+    assert main([command, write_spec(tmp_path, payload)]) == 2
+    assert capsys.readouterr() == ("", f"sglg: error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "entry, message",
     [
         (["b"], "contexts[0]: must be a list of atom names"),
@@ -898,18 +931,6 @@ MEMORY_INPUTS = {
     "chain12": lambda: chain_spec(12),
     "wide32x200": lambda: random_base_set_spec(random.Random(32200), 32, 200),
 }
-
-
-def traced_peak(call, *args) -> int:
-    """The peak of the memory ``tracemalloc`` sees allocated during the call."""
-    if tracemalloc.is_tracing():
-        pytest.skip("tracemalloc is already tracing")
-    tracemalloc.start()
-    try:
-        call(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("name", sorted(MEMORY_INPUTS))

@@ -28,6 +28,7 @@ from sglg import (
     resolve_states,
     supports,
 )
+from sglg.logic import _state_masks
 from support import (
     L12_TABLE,
     TRIANGLE_TABLE,
@@ -35,9 +36,11 @@ from support import (
     false_labels,
     load_fixture,
     random_logic,
+    reference_state_masks,
     resolve_fixture,
     separating_by_oracle,
     state_vectors,
+    traced_peak,
     true_labels,
 )
 
@@ -317,6 +320,95 @@ def test_deep_pair_chain_enumerates_without_recursion():
     ]
 
 
+def chain_logic(k: int) -> PartitionLogic:
+    """Chain-k: contexts {x_i, y_i, x_(i+1)}, atoms x_0..x_k then y_0..y_(k-1)."""
+    return PartitionLogic(
+        "chain", atom_names(2 * k + 1), tuple((i, k + 1 + i, i + 1) for i in range(k))
+    )
+
+
+def glued_logic(k: int, sizes: list[int]) -> PartitionLogic:
+    """Chain-k, then a product of disjoint contexts of the given sizes; with
+    k > 0 the first of those shares the chain's last atom x_k."""
+    contexts = [(i, k + 1 + i, i + 1) for i in range(k)]
+    m = 2 * k + 1 if k else 0
+    for n, size in enumerate(sizes):
+        glue = (k,) if k and n == 0 else ()
+        fresh = size - len(glue)
+        contexts.append(glue + tuple(range(m, m + fresh)))
+        m += fresh
+    return PartitionLogic("glued", atom_names(m), tuple(contexts))
+
+
+@st.composite
+def shuffled_pair_chains(draw) -> PartitionLogic:
+    """Contexts {a_i, a_(i+1)}, with atoms renumbered and contexts reordered."""
+    n = draw(st.integers(1, 40))
+    number = draw(st.permutations(range(n + 1)))
+    pairs = [(number[i], number[i + 1]) for i in range(n)]
+    flips = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    contexts = [pair[::-1] if flip else pair for pair, flip in zip(pairs, flips)]
+    return PartitionLogic("pairs", atom_names(n + 1), tuple(draw(st.permutations(contexts))))
+
+
+@st.composite
+def context_sizes(draw, most: int) -> list[int]:
+    """Up to ``most`` sizes of two or three, at most four of them three, so
+    that a product of such contexts has at most 20,736 states."""
+    k = draw(st.integers(1, most))
+    threes = draw(st.integers(0, min(k, 4)))
+    return draw(st.permutations([3] * threes + [2] * (k - threes)))
+
+
+SEARCH_FAMILIES = st.one_of(
+    st.integers(1, 20).map(chain_logic),
+    context_sizes(12).map(lambda sizes: glued_logic(0, sizes)),
+    shuffled_pair_chains(),
+    st.builds(glued_logic, st.integers(1, 10), context_sizes(6)),
+    logics(max_atoms=14),
+)
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+@settings(max_examples=250, deadline=None)
+@given(SEARCH_FAMILIES)
+def test_enumeration_equals_the_plain_search(logic):
+    # Chains and products reach one subproblem by many prefixes and pair
+    # chains are long forced runs: where the memo and the in-place forced
+    # choices could go wrong.
+    m = len(logic.atoms)
+    masks = sorted(reference_state_masks(logic), reverse=True)
+    rows = tuple(row.translate(_DIGITS) for row in enumerate_states(logic).rows)
+    assert rows == tuple(format(mask, f"0{m}b").encode() for mask in masks)
+
+
+def fibonacci(n: int) -> int:
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+@pytest.mark.parametrize("k", range(1, 21))
+def test_chain_k_has_fibonacci_many_states(k):
+    assert len(enumerate_states(chain_logic(k))) == fibonacci(k + 3)
+
+
+@pytest.mark.parametrize("k", range(1, 17))
+def test_product_k_has_two_to_the_k_states(k):
+    assert len(enumerate_states(glued_logic(0, [2] * k))) == 2**k
+
+
+def test_forced_runs_peak_no_higher_than_the_plain_search():
+    # A memo entry per forced step held 1.95 times the plain search's peak.
+    n = 3000
+    logic = PartitionLogic(
+        "logic", atom_names(n + 1), tuple((i, i + 1) for i in range(n))
+    )
+    plain = traced_peak(reference_state_masks, logic)
+    assert traced_peak(_state_masks, logic) <= 1.2 * plain
+
+
 # ------------------------------------------------------------- pinning
 
 
@@ -473,8 +565,9 @@ def test_repeated_partitions_make_nested_contexts():
     spec = parse_logic_file(
         '{"base_set": [1, 2, 3], "partitions": [[[1], [2, 3]], [[2, 3], [1]]]}'
     ).source
-    with pytest.raises(LogicFileError, match="nested"):
+    with pytest.raises(LogicFileError) as info:
         logic_from_partitions(spec)
+    assert str(info.value) == "partitions[1]: partitions 0 and 1 have the same blocks"
 
 
 def test_duplicate_point_valuations_collapse():
@@ -524,6 +617,14 @@ def partitions_by_loops(spec: BaseSetSpec) -> tuple[PartitionLogic, StateSet]:
                 blocks.append(key)
                 j = by_block[key]
             row.append(j)
+        if len(partition) < 2:
+            raise LogicFileError("partition has fewer than 2 blocks", f"partitions[{pi}]")
+        for earlier, ctx in enumerate(contexts):
+            if set(ctx) == set(row):
+                raise LogicFileError(
+                    f"partitions {earlier} and {pi} have the same blocks",
+                    f"partitions[{pi}]",
+                )
         contexts.append(tuple(row))
     logic = PartitionLogic(spec.name, tuple(atoms), tuple(contexts))
     vectors: list[tuple[int, ...]] = []
@@ -557,7 +658,7 @@ def base_set_specs(draw) -> BaseSetSpec:
         blocks: dict[int, list] = {}
         for p, b in zip(base, parts):
             blocks.setdefault(b, []).append(p)
-        if len(blocks) == 1:  # a one-block partition is only a context error
+        if len(blocks) == 1:  # a one-block partition would only meet its error
             blocks = {0: base[:1], 1: base[1:]}
         partitions.append(tuple(map(tuple, draw(st.permutations(list(blocks.values()))))))
     naming = draw(st.sampled_from(["none", "pool", "by points"]))
