@@ -12,7 +12,7 @@ import argparse
 import math
 import os
 import sys
-from operator import getitem
+from itertools import accumulate
 from pathlib import Path
 
 from .errors import LogicFileError, ValidationError
@@ -29,6 +29,7 @@ from .logic import (
     LogicFile,
     PartitionLogic,
     StateSet,
+    _atom_width,
     parse_logic_file,
     resolve_states,
 )
@@ -55,6 +56,7 @@ _WORST_LABELS = {
     "basis completeness": "max size gap",
     "faithfulness": "min |dot|",
 }
+_DIGITS = bytes.maketrans(b"\0\1", b"01")  # state values as table digits
 
 
 def _palette_override(text: str) -> tuple[str, str]:
@@ -202,16 +204,26 @@ def _render_spec(logic_file: LogicFile, states: StateSet, args, backend) -> Rend
 
 
 def format_state_table(logic: PartitionLogic, states: StateSet) -> str:
-    """The Table-I layout: one column per atom, one labeled row per state."""
-    label_width = max(map(len, states.labels()), default=0)
-    lines = [
-        " " * label_width + "".join(f"  {atom}" for atom in logic.atoms)
-    ]
-    # Per atom, its cell for value 0 and for value 1, right-aligned under it.
-    cells = [(f"  {0:>{len(atom)}}", f"  {1:>{len(atom)}}") for atom in logic.atoms]
-    for label, row in zip(states.labels(), states.rows):
-        lines.append(f"{label:<{label_width}}" + "".join(map(getitem, cells, row)))
-    return "\n".join(lines) + "\n"
+    """The Table-I layout: one column per atom, one labeled row per state, written
+    into a buffer of spaces by a strided copy per label character and per atom."""
+    m, n = _atom_width(logic, states), len(states)
+    label_width = len(f"s{n}") if n else 0
+    head = (" " * label_width + "  " + "  ".join(logic.atoms) + "\n").encode()
+    # Where each atom's cell ends: its value is right-aligned under its name.
+    ends = list(accumulate((len(atom) + 2 for atom in logic.atoms), initial=label_width))
+    h, line = len(head), ends[-1] + 1
+    body = bytearray(b" ") * (h + n * line)
+    body[:h] = head
+    body[h::line] = b"s" * n
+    body[h + line - 1 :: line] = b"\n" * n
+    for d in range(1, label_width):  # labels of d digits: s<lo>..s<hi>
+        lo, hi = 10 ** (d - 1), min(n, 10**d - 1)
+        numbers = "".join(map(str, range(lo, hi + 1))).encode()
+        for c in range(d):
+            body[h + (lo - 1) * line + 1 + c : h + hi * line : line] = numbers[c::d]
+    for j, end in enumerate(ends[1:]):
+        body[h + end - 1 :: line] = states.matrix[j::m].translate(_DIGITS)
+    return body.decode()
 
 
 def _cmd_states(args) -> int:

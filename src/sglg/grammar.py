@@ -23,9 +23,9 @@ import json
 from array import array
 from bisect import bisect_left, bisect_right
 from enum import Enum
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import compress, repeat
-from operator import attrgetter, or_
+from operator import attrgetter
 
 from .errors import (
     CyclicGrammarError,
@@ -33,7 +33,7 @@ from .errors import (
     NotSeparatingError,
     ValidationError,
 )
-from .logic import PartitionLogic, StateSet, is_admissible, supports
+from .logic import PartitionLogic, StateSet, _atom_width, _first_inadmissible, supports
 from .value import Value
 
 SEPARATOR_NAME = "br"
@@ -255,15 +255,9 @@ def compile_grammar(logic: PartitionLogic, states: StateSet) -> Grammar:
     if len(states) == 0:
         raise EmptyStateSetError(f"logic {logic.name!r} admits no two-valued states")
     table = supports(logic, states)
-    # Every state has one true atom per context iff the context's columns hold
-    # N ones and, or-ed as integers, cover all; only a failure looks at states.
-    everyone = int.from_bytes(b"\1" * len(states), "big")
-    for ctx in logic.contexts:
-        cells = [table.columns[j] for j in ctx]
-        covered = reduce(or_, (int.from_bytes(c, "big") for c in cells), 0)
-        if sum(c.count(1) for c in cells) != len(states) or covered != everyone:
-            bad = next(i for i, row in enumerate(states.rows) if not is_admissible(row, logic))
-            raise ValidationError(f"state s{bad + 1} is not admissible")
+    bad = _first_inadmissible(logic, states, table.columns)
+    if bad is not None:
+        raise ValidationError(f"state s{bad + 1} is not admissible")
     separation = table.separation()
     if not separation:
         raise NotSeparatingError(*separation.witness)
@@ -297,8 +291,7 @@ def compile_grammar(logic: PartitionLogic, states: StateSet) -> Grammar:
     # The checks above cover __post_init__'s, so the grammar comes with its layout:
     # the start rule names atoms 0..M-1; a row rule, no nonterminal and n at N+1.
     row = ([], [n + 1])  # one for every atom: derive only reads a layout
-    grammar = Grammar.__new__(Grammar)
-    grammar.__dict__.update(
+    return Grammar._trusted(
         nonterminals=(logic.name, *logic.atoms),
         terminals=labels,
         productions=tuple(productions),
@@ -306,7 +299,6 @@ def compile_grammar(logic: PartitionLogic, states: StateSet) -> Grammar:
         symbols=symbols,
         _layout={logic.name: (list(range(m)), []), **dict.fromkeys(logic.atoms, row)},
     )
-    return grammar
 
 
 def derive(grammar: Grammar) -> Derivation:
@@ -364,11 +356,9 @@ def check_incidence(
     reported.
     """
     rows = derivation.rows()
-    m = len(logic.atoms)
-    if len(rows) != m:
-        raise ValueError(f"derivation has {len(rows)} rows for {m} atoms")
-    if len(states) and states.width != m:
-        raise ValueError(f"state s1 has a {states.width}-value vector for {m} atoms")
+    if len(rows) != len(logic.atoms):
+        raise ValueError(f"derivation has {len(rows)} rows for {len(logic.atoms)} atoms")
+    m = _atom_width(logic, states)
     labels = states.labels()
     symbols = derivation.symbols
     separators = [i for i, s in enumerate(symbols) if s.kind is SymbolKind.SEPARATOR]

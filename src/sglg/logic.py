@@ -15,9 +15,11 @@ from __future__ import annotations
 import json
 import re
 import sys
+from contextlib import suppress
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain, compress, repeat
+from operator import or_
 
 from .errors import LogicFileError, NotAPartitionError, PinnedStatesError
 from .value import Value
@@ -230,7 +232,7 @@ class LogicFile(Value):
     """One parsed logic file: the input-mode payload plus optional extras."""
 
     source: PartitionLogic | BaseSetSpec
-    pinned_states: tuple[tuple[int, ...], ...] | None = None
+    pinned_states: bytes | None = None  # a state matrix, rows in the file's order
     palette: dict[str, str] | None = None
 
 
@@ -342,25 +344,29 @@ def _parse_base_set_mode(name: str, raw: dict) -> BaseSetSpec:
     return BaseSetSpec(name, tuple(base), tuple(parsed), names)
 
 
-def _parse_pinned_states(raw_states, logic: PartitionLogic):
+def _parse_pinned_states(raw_states, logic: PartitionLogic) -> bytes | None:
     if raw_states is None:
         return None
     if not isinstance(raw_states, list):
         raise LogicFileError("must be a list of 0/1 rows", "states")
-    rows = []
+    m, values = len(logic.atoms), chain.from_iterable
+    # One matrix of 0/1 bytes, checked at once, widths before values so that no
+    # row lends values to the next; only a failure walks the rows to name one.
+    if set(map(type, raw_states)) <= {list} and set(map(len, raw_states)) <= {m}:
+        if set(map(type, values(raw_states))) <= {int}:  # no bool, float or list
+            with suppress(ValueError):  # a value outside 0..255
+                matrix = bytes(values(raw_states))
+                if not matrix.translate(None, b"\0\1"):
+                    return matrix
     for si, row in enumerate(raw_states):
         if (
             not isinstance(row, list)
-            or len(row) != len(logic.atoms)
+            or len(row) != m
             or set(map(type, row)) != {int}
             or not set(row) <= {0, 1}
         ):
-            raise LogicFileError(
-                f"must be a list of {len(logic.atoms)} values, each 0 or 1",
-                f"states[{si}]",
-            )
-        rows.append(tuple(row))
-    return tuple(rows)
+            raise LogicFileError(f"must be a list of {m} values, each 0 or 1", f"states[{si}]")
+    raise AssertionError("a rejected state table holds no bad row")
 
 
 def _parse_palette(raw_palette):
@@ -435,7 +441,7 @@ def logic_from_partitions(spec: BaseSetSpec) -> tuple[PartitionLogic, StateSet]:
         for point in block:
             marks[point][j] = 1
     rows = dict.fromkeys(map(bytes, marks.values()))
-    return logic, StateSet(b"".join(rows), len(atoms), StateOrder.POINT_INDUCED)
+    return logic, StateSet._trusted(b"".join(rows), len(atoms), StateOrder.POINT_INDUCED)
 
 
 def _context_masks(logic: PartitionLogic) -> list[int]:
@@ -565,32 +571,49 @@ def enumerate_states(logic: PartitionLogic) -> StateSet:
     masks.sort(reverse=True)  # atom 0 is the top bit: lexicographic order
     m = len(logic.atoms)
     bits = "".join(map(format, masks, repeat(f"0{m}b"))).encode()  # a row per mask
-    return StateSet(bits.translate(_BIT_VALUES), m, StateOrder.CANONICAL)
+    return StateSet._trusted(bits.translate(_BIT_VALUES), m, StateOrder.CANONICAL)
 
 
-def pinned_state_set(
-    logic: PartitionLogic, rows: tuple[tuple[int, ...], ...]
-) -> StateSet:
-    """Validate an explicit state order against the full enumeration."""
-    enumerated = set(enumerate_states(logic).rows)
-    pinned_rows = list(map(bytes, rows))
-    for si, row in enumerate(pinned_rows):
-        # A row among the enumerated states is admissible by construction.
-        if row not in enumerated and not is_admissible(row, logic):
-            raise PinnedStatesError(
-                f"pinned state s{si + 1} is not admissible (some context does "
-                "not have exactly one true atom)"
-            )
-    pinned = set(pinned_rows)
-    if len(pinned) != len(rows):
+def _first_inadmissible(logic: PartitionLogic, states: StateSet, columns) -> int | None:
+    """The index of the first state that is not admissible, if any.
+
+    A context has one true atom in every state iff its ``columns`` hold a one
+    per state and, or-ed as integers, cover all (a value past 1 sets a bit no
+    state has); only a failure looks at the states."""
+    everyone = int.from_bytes(b"\1" * len(states), "big")
+    for ctx in logic.contexts:
+        cells = [columns[j] for j in ctx]
+        covered = reduce(or_, (int.from_bytes(c, "big") for c in cells), 0)
+        if sum(c.count(1) for c in cells) != len(states) or covered != everyone:
+            rows = enumerate(states.rows)
+            return next(i for i, row in rows if not is_admissible(row, logic))
+    return None
+
+
+def pinned_state_set(logic: PartitionLogic, matrix: bytes) -> StateSet:
+    """Check an explicit state order, rows of a byte per atom, against the full
+    enumeration. Admissible, distinct rows are some of the states, so they are
+    all of them iff there are as many rows as states: the states are counted."""
+    m = len(logic.atoms)
+    states = StateSet._trusted(bytes(matrix), m, StateOrder.PINNED)
+    if len(states.matrix) % m:
+        cut = f"has a {len(states.matrix) % m}-value vector for {m} atoms"
+        raise PinnedStatesError(f"pinned state s{len(states) + 1} {cut}")
+    bad = _first_inadmissible(logic, states, states.columns)
+    if bad is not None:
+        raise PinnedStatesError(
+            f"pinned state s{bad + 1} is not admissible (some context does "
+            "not have exactly one true atom)"
+        )
+    if len(set(states.rows)) != len(states):
         raise PinnedStatesError("pinned states repeat a valuation")
-    if pinned != enumerated:
-        missing = len(enumerated - pinned)
+    total = len(_state_masks(logic))
+    if len(states) != total:
         raise PinnedStatesError(
             "pinned states do not match the full enumeration "
-            f"({missing} of {len(enumerated)} valuations missing)"
+            f"({total - len(states)} of {total} valuations missing)"
         )
-    return StateSet(b"".join(pinned_rows), len(logic.atoms), StateOrder.PINNED)
+    return states
 
 
 def resolve_states(logic_file: LogicFile) -> tuple[PartitionLogic, StateSet]:
@@ -608,12 +631,20 @@ def is_separating(states: StateSet, logic: PartitionLogic) -> SeparationResult:
     return supports(logic, states).separation()
 
 
+def _atom_width(logic: PartitionLogic, states: StateSet) -> int:
+    """The atom count, which a nonempty state set must have as its width."""
+    m = len(logic.atoms)
+    if len(states) and states.width != m:
+        raise ValueError(f"state s1 has a {states.width}-value vector for {m} atoms")
+    return m
+
+
 def supports(logic: PartitionLogic, states: StateSet) -> SupportTable:
     """Per atom, its column of state values and T label set, in state order.
 
     The only code that turns valuations into supports; all readers share it.
     """
-    m = len(logic.atoms)  # atom j's column is every m-th byte of the matrix
+    m = _atom_width(logic, states)  # atom j's column is every m-th byte of the matrix
     columns = tuple(states.matrix[j::m] for j in range(m))
     return SupportTable(logic.atoms, states.labels(), columns)
 

@@ -40,6 +40,13 @@ class Value:
     def __post_init__(self) -> None:
         """Validate the fields; by default any values pass."""
 
+    @classmethod
+    def _trusted(cls, *values, **named):
+        """An instance its builder has proven valid: ``__post_init__`` is not run."""
+        value = cls.__new__(cls)
+        value.__dict__.update(zip(cls._fields, values), **named)
+        return value
+
     def _values(self) -> tuple:
         return tuple(map(self.__dict__.__getitem__, self._fields))
 

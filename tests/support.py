@@ -11,7 +11,8 @@ import random
 import re
 import string
 import tracemalloc
-from itertools import combinations, product
+from itertools import chain, combinations, product
+from operator import getitem
 from pathlib import Path
 
 import pytest
@@ -61,6 +62,25 @@ def state_vectors(states: StateSet) -> tuple[tuple[int, ...], ...]:
     """Per state in order, its 0/1 values over the atoms; state i is labeled
     ``states.labels()[i]``."""
     return tuple(map(tuple, states.rows))
+
+
+def state_matrix(rows) -> bytes:
+    """Rows of 0/1 values, all of one width, joined into one state matrix."""
+    if len(set(map(len, rows))) > 1:
+        raise ValueError("rows of differing widths do not make a matrix")
+    return bytes(chain.from_iterable(rows))
+
+
+def reference_state_table(logic: PartitionLogic, states: StateSet) -> str:
+    """Table I a row at a time: the join per state that ``sglg.cli.format_state_table``
+    replaced with strided copies, kept as its oracle."""
+    label_width = max(map(len, states.labels()), default=0)
+    lines = [" " * label_width + "".join(f"  {atom}" for atom in logic.atoms)]
+    # Per atom, its cell for value 0 and for value 1, right-aligned under it.
+    cells = [(f"  {0:>{len(atom)}}", f"  {1:>{len(atom)}}") for atom in logic.atoms]
+    for label, row in zip(states.labels(), states.rows):
+        lines.append(f"{label:<{label_width}}" + "".join(map(getitem, cells, row)))
+    return "\n".join(lines) + "\n"
 
 
 def brute_force_states(logic: PartitionLogic) -> set[tuple[int, ...]]:

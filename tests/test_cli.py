@@ -32,7 +32,7 @@ from sglg import (
     parse_logic_file,
     resolve_states,
 )
-from sglg.cli import _emit, main
+from sglg.cli import _emit, format_state_table, main
 from sglg.render import text_chunks
 from support import FIXTURES, ROOT, chain_spec, random_base_set_spec, traced_peak
 
@@ -881,6 +881,29 @@ def test_chain10_outputs_are_pinned_byte_for_byte(case, tmp_path, monkeypatch, c
     assert digest == CHAIN10_SHA256[case]
 
 
+def chain10_pinned_spec() -> dict:
+    """Chain-10 with its 233 states pinned in a seeded shuffled order."""
+    _, states = resolve_states(parse_logic_file(json.dumps(CHAIN10_SPEC)))
+    rows = sorted(map(list, states.rows))
+    random.Random(1010).shuffle(rows)
+    return {**CHAIN10_SPEC, "states": rows}
+
+
+# sha256 of `sglg states`, recorded before Table I was written by strided copies.
+CHAIN10_STATES_SHA256 = {
+    "canonical": "d219ad13bbcb367d20a4212fba45b3253714783c03c243a4dc252237c7747f81",
+    "pinned": "404909addc4c65a764a9fffbdd7cf61eca3caa82424f0abc9dcefb78ef654d94",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHAIN10_STATES_SHA256))
+def test_chain10_state_table_is_pinned_byte_for_byte(case, tmp_path, capsys):
+    spec = CHAIN10_SPEC if case == "canonical" else chain10_pinned_spec()
+    assert main(["states", write_spec(tmp_path, spec)]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == CHAIN10_STATES_SHA256[case]
+
+
 @pytest.mark.parametrize("chars", [1, 7, 1 << 16])
 @pytest.mark.parametrize("text", ["", "<svg>\n", "s\u00e9\u2192\U0001f3b5\n" * 40])
 def test_output_file_written_by_chunks_holds_the_whole_text(text, chars, tmp_path):
@@ -948,6 +971,17 @@ def test_compile_peaks_near_the_grammar_it_returns(name):
         tracemalloc.stop()
     assert len(grammar.productions) == len(logic.atoms) + 1
     assert peak <= 1.5 * held
+
+
+@pytest.mark.parametrize("name", sorted(MEMORY_INPUTS))
+def test_state_table_peaks_near_its_text(name):
+    # A join per row peaked at 4.1 (chain-12) and 3.7 (base set) times the
+    # text; strided copies into one buffer, at 2.0 and 2.2: the buffer and
+    # the text it decodes to.
+    logic, states = resolve_states(parse_logic_file(json.dumps(MEMORY_INPUTS[name]())))
+    texts = []
+    peak = traced_peak(lambda: texts.append(format_state_table(logic, states)))
+    assert peak <= 3 * len(texts[0])
 
 
 @pytest.mark.parametrize("fmt", ["svg-tiles", "schema", "html", "events"])

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import json
 import random
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from sglg import (
@@ -28,7 +28,9 @@ from sglg import (
     resolve_states,
     supports,
 )
-from sglg.logic import _state_masks
+from sglg.cli import format_state_table
+from sglg.grammar import compile_grammar
+from sglg.logic import _parse_pinned_states, _state_masks
 from support import (
     L12_TABLE,
     TRIANGLE_TABLE,
@@ -37,8 +39,10 @@ from support import (
     load_fixture,
     random_logic,
     reference_state_masks,
+    reference_state_table,
     resolve_fixture,
     separating_by_oracle,
+    state_matrix,
     state_vectors,
     traced_peak,
     true_labels,
@@ -423,20 +427,20 @@ def test_l12_fixture_pins_a_noncanonical_order():
 def test_pinned_states_must_cover_the_enumeration():
     logic, _ = resolve_fixture("l12.json")
     with pytest.raises(PinnedStatesError, match="do not match the full enumeration"):
-        pinned_state_set(logic, L12_TABLE[:4])  # s5 omitted
+        pinned_state_set(logic, state_matrix(L12_TABLE[:4]))  # s5 omitted
 
 
 def test_pinned_states_must_be_admissible():
     logic, _ = resolve_fixture("l12.json")
     rows = ((1, 1, 0, 0, 1),) + L12_TABLE[1:]
     with pytest.raises(PinnedStatesError, match="not admissible"):
-        pinned_state_set(logic, rows)
+        pinned_state_set(logic, state_matrix(rows))
 
 
 def test_pinned_mismatch_counts_the_missing_valuations():
     logic, _ = resolve_fixture("l12.json")
     with pytest.raises(PinnedStatesError) as info:
-        pinned_state_set(logic, L12_TABLE[:2])
+        pinned_state_set(logic, state_matrix(L12_TABLE[:2]))
     assert str(info.value) == (
         "pinned states do not match the full enumeration "
         "(3 of 5 valuations missing)"
@@ -447,13 +451,50 @@ def test_first_inadmissible_pinned_row_is_named():
     logic, _ = resolve_fixture("l12.json")
     rows = L12_TABLE[:2] + ((1, 1, 0, 0, 1), (0, 0, 0, 0, 0)) + L12_TABLE[2:]
     with pytest.raises(PinnedStatesError, match=r"^pinned state s3 is not admissible"):
-        pinned_state_set(logic, rows)
+        pinned_state_set(logic, state_matrix(rows))
 
 
 def test_pinned_states_must_be_distinct():
     logic = small_logic([(0, 1)], atoms=("x", "y"))
     with pytest.raises(PinnedStatesError, match="repeat"):
-        pinned_state_set(logic, ((1, 0), (1, 0)))
+        pinned_state_set(logic, state_matrix(((1, 0), (1, 0))))
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        (b"\1\0", "pinned state s1 has a 2-value vector for 3 atoms"),
+        (b"\1\0\0\0", "pinned state s2 has a 1-value vector for 3 atoms"),
+        (b"\1\0\0\0\1\0\0\0", "pinned state s3 has a 2-value vector for 3 atoms"),
+    ],
+)
+def test_pinned_matrix_of_no_whole_rows_names_the_cut_row(matrix, message):
+    # Once an IndexError (too short) or a missing valuation (too long).
+    logic = small_logic([(0, 1, 2)])
+    with pytest.raises(PinnedStatesError, match=f"^{message}$"):
+        pinned_state_set(logic, matrix)
+
+
+@pytest.mark.parametrize(
+    "rows, bad",
+    [
+        ([[1, 0]], 0),
+        ([[1, 0, 0], [0, 1, 0, 0]], 1),
+        # Nine values that would re-split into the three 3-value states.
+        ([[1, 0], [0, 0, 1, 0], [0, 0, 1]], 0),
+        ([[1, 0, 0], [0, 1], [0, 0, 0, 1]], 1),
+    ],
+)
+def test_pinned_rows_of_the_wrong_width_are_named_not_resplit(rows, bad):
+    text = json.dumps({"atoms": ["x", "y", "z"], "contexts": [["x", "y", "z"]], "states": rows})
+    with pytest.raises(LogicFileError) as info:
+        parse_logic_file(text)
+    assert str(info.value) == f"states[{bad}]: must be a list of 3 values, each 0 or 1"
+
+
+def test_pinned_states_are_parsed_into_the_matrix():
+    logic_file = load_fixture("l12.json")
+    assert logic_file.pinned_states == state_matrix(L12_TABLE)
 
 
 def test_state_set_rejects_bad_matrices():
@@ -476,6 +517,47 @@ def test_state_set_rejects_bad_matrices():
         StateSet(b"\1\0\0\1\1\0", 2, order)
     with pytest.raises(ValueError, match=r"^state value vectors are not distinct$"):
         StateSet.from_vectors([(1, 0), (0, 1), (1, 0)], order)
+
+
+def test_builders_prove_their_states_without_the_constructor_checks(monkeypatch):
+    # Enumeration, pinning and point induction prove distinct 0/1 rows
+    # themselves; what they build still passes every public check.
+    built = [
+        enumerate_states(resolve_fixture("triangle.json")[0]),
+        resolve_fixture("l12.json")[1],
+        resolve_fixture("example_a.json")[1],
+    ]
+    assert [s.order_source for s in built] == list(StateOrder)
+    for states in built:
+        assert StateSet(states.matrix, states.width, states.order_source) == states
+    monkeypatch.setattr(StateSet, "__post_init__", lambda self: pytest.fail("re-checked"))
+    assert [
+        enumerate_states(resolve_fixture("triangle.json")[0]),
+        resolve_fixture("l12.json")[1],
+        resolve_fixture("example_a.json")[1],
+    ] == built
+
+
+WIDTH_CHECKED = {
+    "supports": supports,
+    "is_separating": lambda logic, states: is_separating(states, logic),
+    "partition_representation": partition_representation,
+    "compile_grammar": compile_grammar,
+    "format_state_table": format_state_table,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(WIDTH_CHECKED))
+def test_state_width_must_be_the_atom_count(entry):
+    # A 2-wide state for 3 atoms once gave ((('s1',), (), ()),) as the
+    # partition representation, and a grammar.
+    logic = small_logic([(0, 1, 2)])
+    narrow = StateSet(b"\1\0", 2, StateOrder.PINNED)
+    with pytest.raises(ValueError, match="^state s1 has a 2-value vector for 3 atoms$"):
+        WIDTH_CHECKED[entry](logic, narrow)
+    # A set without states has no width to get wrong.
+    if entry != "compile_grammar":  # which rejects it for having no states
+        WIDTH_CHECKED[entry](logic, StateSet(b"", 2, StateOrder.PINNED))
 
 
 # ------------------------------------------------- base-set / partitions
@@ -778,7 +860,7 @@ def test_enumerated_and_pinned_matrices_equal_the_per_tuple_path(rng, data):
         rows[si : si + 1] = [tuple(row)]
     rows = tuple(rows)
     reference = pinned_outcome(pinned_by_tuples, logic, rows)
-    got = pinned_outcome(pinned_state_set, logic, rows)
+    got = pinned_outcome(pinned_state_set, logic, state_matrix(rows))
     assert (got if isinstance(got, str) else matrix_view(logic, got)) == reference
 
 
@@ -950,3 +1032,102 @@ def test_representation_partitions_labels_on_random_logics():
             labels = [label for cell in cells for label in cell]
             assert sorted(labels) == sorted(states.labels())
             assert len(labels) == len(set(labels))
+
+
+# ------------------------------------------------------------- Table I
+# Atom names of one to four characters, some of them non-ASCII \w letters.
+ATOM_NAMES = st.text(alphabet="xyZ_7\u00e9\u00df\u03a9\u4e2d", min_size=1, max_size=4)
+
+
+def renamed(logic: PartitionLogic, names: list[str]) -> PartitionLogic:
+    return PartitionLogic(logic.name, tuple(names), logic.contexts)
+
+
+@st.composite
+def tables(draw) -> tuple[PartitionLogic, StateSet]:
+    """A logic with fresh atom names, and its states: enumerated, pinned in
+    a shuffled order, or point-induced; then cut to a prefix of the rows."""
+    kind = draw(st.sampled_from(["enumerated", "pinned", "base set"]))
+    if kind == "base set":
+        try:
+            logic, states = logic_from_partitions(draw(base_set_specs()))
+        except LogicFileError:  # naming errors are compared with the loops above
+            reject()
+    else:
+        logic = draw(TABLE_FAMILIES)
+        states = enumerate_states(logic)
+        if kind == "pinned":
+            rows = draw(st.permutations(states.rows))
+            states = pinned_state_set(logic, b"".join(rows))
+    m = len(logic.atoms)
+    names = draw(st.lists(ATOM_NAMES, min_size=m, max_size=m, unique=True))
+    n = draw(st.integers(0, len(states)))
+    return renamed(logic, names), StateSet(states.matrix[: n * m], m, states.order_source)
+
+
+TABLE_FAMILIES = st.one_of(
+    st.integers(1, 12).map(chain_logic),
+    context_sizes(8).map(lambda sizes: glued_logic(0, sizes)),
+    logics(max_atoms=14),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables())
+def test_state_table_equals_the_row_at_a_time_table(table):
+    assert format_state_table(*table) == reference_state_table(*table)
+
+
+@pytest.mark.parametrize("n", [0, 1, 9, 10, 11, 99, 100, 101, 233])
+def test_state_table_labels_cross_a_digit(n):
+    logic = renamed(chain_logic(10), [f"\u00e9{'x' * (j % 4)}{j}" for j in range(21)])
+    states = enumerate_states(logic)
+    states = StateSet(states.matrix[: n * 21], 21, StateOrder.CANONICAL)
+    assert format_state_table(logic, states) == reference_state_table(logic, states)
+
+
+def pinned_rows_by_loop(raw_states, logic: PartitionLogic) -> bytes:
+    """Reference: the pinned rows checked one at a time, then joined."""
+    m = len(logic.atoms)
+    for si, row in enumerate(raw_states):
+        if (
+            not isinstance(row, list)
+            or len(row) != m
+            or set(map(type, row)) != {int}
+            or not set(row) <= {0, 1}
+        ):
+            raise LogicFileError(f"must be a list of {m} values, each 0 or 1", f"states[{si}]")
+    return bytes(chain.from_iterable(raw_states))
+
+
+HOSTILE_VALUES = st.sampled_from([0, 1, True, False, 0.0, 1.0, 2, -1, 256, [0], [], None, "1"])
+
+
+@st.composite
+def hostile_rows(draw, m: int):
+    """Mostly valid 0/1 rows of width m, some with a hostile value, a wrong
+    width, or no list at all."""
+    row = draw(st.lists(st.sampled_from([0, 1]), min_size=m, max_size=m))
+    edit = draw(st.sampled_from(["none"] * 4 + ["value", "width", "not a list"]))
+    if edit == "value":
+        row[draw(st.integers(0, m - 1))] = draw(HOSTILE_VALUES)
+    elif edit == "width":
+        row = row[: draw(st.integers(0, m - 1))] + [0] * draw(st.integers(0, 2))
+    elif edit == "not a list":
+        row = draw(st.sampled_from([tuple(row), "01", 1, None, {"0": 1}]))
+    return row
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda m: st.tuples(st.just(m), st.lists(hostile_rows(m)))))
+def test_pinned_rows_parse_as_the_row_loop_does(drawn):
+    m, raw_states = drawn
+    logic = PartitionLogic("logic", atom_names(m + 1), ((*range(m), m),))
+
+    def outcome(parse):
+        try:
+            return parse(raw_states, logic)
+        except LogicFileError as exc:
+            return str(exc)
+
+    assert outcome(_parse_pinned_states) == outcome(pinned_rows_by_loop)
