@@ -39,7 +39,6 @@ from .logic import (
     SeparationResult,
     StateOrder,
     StateSet,
-    SupportTable,
     enumerate_states,
     is_admissible,
     is_separating,

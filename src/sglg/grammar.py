@@ -7,9 +7,10 @@ separator, the complementary symbols, and a line break. The derivation
 engine expands any grammar of this kind (not only compiled ones) by
 deterministic leftmost rewriting.
 
-Symbols live in one table per grammar, each distinct symbol once; a
-production body, like a derivation's token sequence, is an ``array('I')``
-of symbol numbers (table positions), 4 bytes a token. A compiled table is
+A grammar is its productions, the first one the start rule, and its
+symbol table, which holds each distinct symbol once. A production body,
+like a derivation's token sequence, is an ``array('I')`` of symbol
+numbers (table positions), 4 bytes a token. A compiled table is
 ``br``, ``n``, ``s1..sN``, then the atoms, so row bodies come straight
 from the state columns. ``Grammar.from_symbols`` and
 ``Derivation.from_tokens`` intern hand-built ``Symbol`` sequences. Only
@@ -21,11 +22,11 @@ from __future__ import annotations
 
 import json
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from enum import Enum
 from functools import cached_property
 from itertools import compress, repeat
-from operator import attrgetter
+from operator import attrgetter, is_
 
 from .errors import (
     CyclicGrammarError,
@@ -33,7 +34,8 @@ from .errors import (
     NotSeparatingError,
     ValidationError,
 )
-from .logic import PartitionLogic, StateSet, _atom_width, _first_inadmissible, supports
+from .logic import PartitionLogic, StateSet, _atom_width, _clash, _first_inadmissible
+from .logic import supports
 from .value import Value
 
 SEPARATOR_NAME = "br"
@@ -66,6 +68,7 @@ LINEBREAK = Symbol(SymbolKind.LINEBREAK, LINEBREAK_NAME)
 
 _kind = attrgetter("kind")
 _name = attrgetter("name")
+_head = attrgetter("head")
 
 
 def _intern(sequences) -> tuple[tuple[Symbol, ...], list[array]]:
@@ -95,59 +98,64 @@ class Production(Value):
         fields["head"], fields["body"] = head, body
 
 
+_MISFIT = {  # per kind, the error for a symbol whose name fits another kind
+    SymbolKind.NONTERMINAL: "undeclared nonterminal {!r}",
+    SymbolKind.STATE: "symbols declared in more than one class: [{!r}]",
+    SymbolKind.SEPARATOR: "separator symbol must be named 'br'",
+    SymbolKind.LINEBREAK: "linebreak symbol must be named 'n'",
+}
+
+
 class Grammar(Value):
-    """Nonterminals, state terminals, productions and start symbol.
+    """Productions, the first one the start rule, and the symbol table.
 
     ``symbols`` is the table the production bodies index, each symbol
-    once. The layout symbols are always ``br`` and ``n``; binding symbols
-    to colors or other realizations happens in the render layer. Only the
+    once. The nonterminals are the production heads, the start symbol the
+    first head and the terminals the table's state symbols, in table order.
+    The layout symbols are always ``br`` and ``n``; binding symbols to
+    colors or other realizations happens in the render layer. Only the
     constructor and ``from_symbols`` scan bodies for the layout (where the
     nonterminals and ``n`` sit); a compiled grammar comes with its layout.
     """
 
-    nonterminals: tuple[str, ...]
-    terminals: tuple[str, ...]
     productions: tuple[Production, ...]
-    start: str
     symbols: tuple[Symbol, ...]
 
     @classmethod
-    def from_symbols(cls, nonterminals, terminals, rules, start) -> Grammar:
-        """A grammar from ``(head, body symbols)`` rules; equal symbols share
-        one table entry, in order of first use."""
+    def from_symbols(cls, rules) -> Grammar:
+        """A grammar from ``(head, body symbols)`` rules, the start rule first;
+        equal symbols share one table entry, in order of first use."""
         symbols, bodies = _intern(body for _, body in rules)
-        productions = tuple(Production(h, body) for (h, _), body in zip(rules, bodies))
-        return cls(tuple(nonterminals), tuple(terminals), productions, start, symbols)
+        return cls(tuple(Production(h, body) for (h, _), body in zip(rules, bodies)), symbols)
+
+    @property
+    def nonterminals(self) -> tuple[str, ...]:
+        return tuple(map(_head, self.productions))
+
+    @property
+    def terminals(self) -> tuple[str, ...]:
+        states = map(is_, map(_kind, self.symbols), repeat(SymbolKind.STATE))
+        return tuple(map(_name, compress(self.symbols, states)))
+
+    @property
+    def start(self) -> str:
+        return self.productions[0].head
 
     def __post_init__(self):
-        v, sigma = set(self.nonterminals), set(self.terminals)
-        if len(v) != len(self.nonterminals) or len(sigma) != len(self.terminals):
-            raise ValueError("symbol declarations repeat a name")
-        overlap = (v & sigma) | ((v | sigma) & {SEPARATOR_NAME, LINEBREAK_NAME})
-        if overlap:
-            raise ValueError(f"symbols declared in more than one class: {sorted(overlap)}")
-        if self.start not in v:
-            raise ValueError(f"start symbol {self.start!r} is not a nonterminal")
-        heads = [p.head for p in self.productions]
-        if sorted(heads) != sorted(self.nonterminals):
+        if not self.productions:
+            raise ValueError("grammar needs at least one production")
+        # Each name fixes a kind: br and n their own, a head NONTERMINAL, any other STATE.
+        kind_of = dict.fromkeys(self.nonterminals, SymbolKind.NONTERMINAL)
+        if len(kind_of) != len(self.productions):
             raise ValueError("grammar needs exactly one production per nonterminal")
-        # Each declared name fixes a kind; only a misfit looks at single symbols.
-        kind_of = {SEPARATOR.name: SEPARATOR.kind, LINEBREAK.name: LINEBREAK.kind}
-        kind_of.update(dict.fromkeys(v, SymbolKind.NONTERMINAL))
-        kind_of.update(dict.fromkeys(sigma, SymbolKind.STATE))
-        names = list(map(_name, self.symbols))
-        if list(map(kind_of.get, names)) != list(map(_kind, self.symbols)):
-            for sym in self.symbols:  # the first misfit in table order
-                if sym.kind is SymbolKind.NONTERMINAL and sym.name not in v:
-                    raise ValueError(f"undeclared nonterminal {sym.name!r}")
-                if sym.kind is SymbolKind.STATE and sym.name not in sigma:
-                    raise ValueError(f"undeclared terminal {sym.name!r}")
-                if sym.kind is SymbolKind.SEPARATOR and sym.name != SEPARATOR_NAME:
-                    raise ValueError("separator symbol must be named 'br'")
-                if sym.kind is SymbolKind.LINEBREAK and sym.name != LINEBREAK_NAME:
-                    raise ValueError("linebreak symbol must be named 'n'")
-        # A name fixes the kind now, so a repeated name is a repeated entry.
-        if len(set(names)) != len(names):
+        layout = {SEPARATOR_NAME, LINEBREAK_NAME} & kind_of.keys()
+        if layout:
+            raise ValueError(f"symbols declared in more than one class: {sorted(layout)}")
+        kind_of.update({SEPARATOR.name: SEPARATOR.kind, LINEBREAK.name: LINEBREAK.kind})
+        for sym in self.symbols:  # the first misfit in table order
+            if sym.kind is not kind_of.get(sym.name, SymbolKind.STATE):
+                raise ValueError(_MISFIT[sym.kind].format(sym.name))
+        if len(set(map(_name, self.symbols))) != len(self.symbols):
             raise ValueError("symbol table repeats a symbol")
         self._check_acyclic()
 
@@ -205,21 +213,18 @@ class Grammar(Value):
 class Derivation(Value):
     """Fully expanded token sequence: ``symbols`` holds each distinct symbol
     once and ``indices`` the tokens as an ``array('I')`` of positions in it.
-
-    ``row_boundaries`` are the token indices of linebreaks; ``row_atoms``
-    names, per row, the nonterminal whose production emitted it.
+    ``row_boundaries`` are the token indices of linebreaks.
     """
 
     symbols: tuple[Symbol, ...]
     indices: array
     row_boundaries: tuple[int, ...]
-    row_atoms: tuple[str, ...]
 
     @classmethod
-    def from_tokens(cls, tokens, row_boundaries, row_atoms) -> Derivation:
+    def from_tokens(cls, tokens, row_boundaries) -> Derivation:
         """A derivation from one ``Symbol`` per token, equal ones interned."""
         symbols, (indices,) = _intern([tokens])
-        return cls(symbols, indices, tuple(row_boundaries), tuple(row_atoms))
+        return cls(symbols, indices, tuple(row_boundaries))
 
     @property
     def tokens(self) -> tuple[Symbol, ...]:
@@ -240,8 +245,11 @@ class RowViolation(Value):
 
 
 class IncidenceReport(Value):
-    ok: bool
     violations: tuple[RowViolation, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
 def compile_grammar(logic: PartitionLogic, states: StateSet) -> Grammar:
@@ -254,15 +262,15 @@ def compile_grammar(logic: PartitionLogic, states: StateSet) -> Grammar:
     """
     if len(states) == 0:
         raise EmptyStateSetError(f"logic {logic.name!r} admits no two-valued states")
-    table = supports(logic, states)
-    bad = _first_inadmissible(logic, states, table.columns)
+    columns = supports(logic, states)
+    bad = _first_inadmissible(logic, states, columns)
     if bad is not None:
         raise ValidationError(f"state s{bad + 1} is not admissible")
-    separation = table.separation()
-    if not separation:
-        raise NotSeparatingError(*separation.witness)
+    witness = _clash(logic.atoms, columns)
+    if witness is not None:
+        raise NotSeparatingError(*witness)
 
-    labels = table.state_labels
+    labels = states.labels()
     taken = {SEPARATOR_NAME, LINEBREAK_NAME, *{logic.name, *logic.atoms}.intersection(labels)}
     if logic.name in taken or logic.name in logic.atoms:
         raise ValidationError(
@@ -284,7 +292,7 @@ def compile_grammar(logic: PartitionLogic, states: StateSet) -> Grammar:
         *map(Symbol, repeat(SymbolKind.NONTERMINAL), logic.atoms),
     )
     productions = [Production(logic.name, array("I", range(n + 2, n + 2 + m)))]
-    for atom, column in zip(logic.atoms, table.columns):
+    for atom, column in zip(logic.atoms, columns):
         false = column.translate(_FLIP)
         body = array("I", [*compress(ids, column), 0, *compress(ids, false), 1])
         productions.append(Production(atom, body))
@@ -292,10 +300,7 @@ def compile_grammar(logic: PartitionLogic, states: StateSet) -> Grammar:
     # the start rule names atoms 0..M-1; a row rule, no nonterminal and n at N+1.
     row = ([], [n + 1])  # one for every atom: derive only reads a layout
     return Grammar._trusted(
-        nonterminals=(logic.name, *logic.atoms),
-        terminals=labels,
         productions=tuple(productions),
-        start=logic.name,
         symbols=symbols,
         _layout={logic.name: (list(range(m)), []), **dict.fromkeys(logic.atoms, row)},
     )
@@ -312,8 +317,6 @@ def derive(grammar: Grammar) -> Derivation:
     end = max(ends, default=0)
     indices = array("I")
     boundaries: list[int] = []  # token indices of the linebreaks
-    run_starts: list[int] = []  # first token of each run of terminals ...
-    run_heads: list[str] = []  # ... and the nonterminal whose body holds it
     # Per open expansion: head and how many of its references are expanded.
     stack = [(grammar.start, 0)]
     while stack:
@@ -324,23 +327,13 @@ def derive(grammar: Grammar) -> Derivation:
         stop = refs[done] if done < len(refs) else len(body)
         if stop > pos:
             offset = len(indices) - pos
-            run_starts.append(len(indices))
-            run_heads.append(head)
             indices.extend(body[pos:stop])
             lo, hi = bisect_left(breaks, pos), bisect_left(breaks, stop)
             boundaries.extend(k + offset for k in breaks[lo:hi])
         if done < len(refs):
             stack.append((head, done + 1))
             stack.append((symbols[body[stop]].name, 0))
-
-    # Each nonempty row belongs to the run that holds its first token.
-    starts = (0, *(boundary + 1 for boundary in boundaries))
-    row_atoms = tuple(
-        run_heads[bisect_right(run_starts, start) - 1]
-        for start, stop in zip(starts, (*boundaries, len(indices)))
-        if stop > start
-    )
-    return Derivation(symbols[:end], indices, tuple(boundaries), row_atoms)
+    return Derivation(symbols[:end], indices, tuple(boundaries))
 
 
 def check_incidence(
@@ -350,8 +343,9 @@ def check_incidence(
 
     For row j and state i, the symbol s_i must sit left of the separator
     exactly when state i values atom j as 1. Structural damage (wrong row
-    count, state vectors that do not fit the atoms, missing separator,
-    token numbers past the symbol table, wrong symbol multiset) is a
+    count, state vectors that do not fit the atoms, a row without exactly
+    one separator, token numbers past the symbol table, a row holding
+    anything beside its separator but each label's state symbol once) is a
     precondition breach and raises ``ValueError``; side mismatches are
     reported.
     """
@@ -362,8 +356,8 @@ def check_incidence(
     labels = states.labels()
     symbols = derivation.symbols
     separators = [i for i, s in enumerate(symbols) if s.kind is SymbolKind.SEPARATOR]
-    # Each label's state symbol by number. A row that holds only these
-    # beside its separator is checked by set sizes, any other name by name.
+    # Each label's state symbol by number: beside its separator, a row must
+    # hold each of these once and nothing else, which set sizes show.
     number = {s.name: i for i, s in enumerate(symbols) if s.kind is SymbolKind.STATE}
     ids = [number.get(label) for label in labels]
     label_numbers = set(ids) - {None}
@@ -376,17 +370,10 @@ def check_incidence(
         if len(cuts) != 1:
             raise ValueError(f"row {j} does not contain exactly one separator")
         left, right = set(row[: cuts[0]]), set(row[cuts[0] + 1 :])
-        if left <= label_numbers and right <= label_numbers:
-            once = len(left) + len(right) == len(row) - 1 == len(labels)
-            once = once and left.isdisjoint(right)
-        else:
+        only = left <= label_numbers and right <= label_numbers and left.isdisjoint(right)
+        if not (only and len(left) + len(right) == len(row) - 1 == len(labels)):
             if max(row) >= len(symbols):
                 raise ValueError(f"row {j} names symbol number {max(row)}, past the table")
-            tokens = list(map(symbols.__getitem__, row))
-            states_named = [s.name for s in tokens if s.kind is SymbolKind.STATE]
-            once = sorted(states_named) == sorted(labels)
-            left = {number.get(s.name) for s in tokens[: cuts[0]]} & label_numbers
-        if not once:
             raise ValueError(f"row {j} does not carry each state symbol exactly once")
         column = matrix[j::m]
         if len(left) != column.count(1) or not left.issuperset(compress(ids, column)):
@@ -396,7 +383,7 @@ def check_incidence(
                 if (i in left) != (value == 1)
             )
             violations.append(RowViolation(j, logic.atoms[j], mismatched))
-    return IncidenceReport(not violations, tuple(violations))
+    return IncidenceReport(tuple(violations))
 
 
 def production_text(grammar: Grammar) -> str:

@@ -198,31 +198,14 @@ class StateSet(Value):
         return len(self.matrix) // self.width
 
 
-class SupportTable(Value):
-    """Per atom, its column of state values (a byte per state), and from it
-    the state labels valuing it 1 (T), in state order."""
-
-    atoms: tuple[str, ...]
-    state_labels: tuple[str, ...]
-    columns: tuple[bytes, ...]
-
-    @cached_property
-    def true_sets(self) -> tuple[tuple[str, ...], ...]:
-        return tuple(tuple(compress(self.state_labels, c)) for c in self.columns)
-
-    def separation(self) -> "SeparationResult":
-        """Whether all T-sets differ; if not, the least atom pair (i, j) sharing one."""
-        first: dict[bytes, int] = {}  # column -> first atom index holding it
-        clashes = [(first.setdefault(c, j), j) for j, c in enumerate(self.columns)]
-        witness = min((pair for pair in clashes if pair[0] != pair[1]), default=None)
-        if witness is None:
-            return SeparationResult(True)
-        return SeparationResult(False, (self.atoms[witness[0]], self.atoms[witness[1]]))
-
-
 class SeparationResult(Value):
-    separating: bool
+    """The least atom pair (i, j) with equal supports, or ``None`` if all differ."""
+
     witness: tuple[str, str] | None = None
+
+    @property
+    def separating(self) -> bool:
+        return self.witness is None
 
     def __bool__(self) -> bool:
         return self.separating
@@ -628,7 +611,15 @@ def resolve_states(logic_file: LogicFile) -> tuple[PartitionLogic, StateSet]:
 
 def is_separating(states: StateSet, logic: PartitionLogic) -> SeparationResult:
     """Whether all atoms have pairwise distinct supports; witness on failure."""
-    return supports(logic, states).separation()
+    return SeparationResult(_clash(logic.atoms, supports(logic, states)))
+
+
+def _clash(atoms: tuple[str, ...], columns: tuple[bytes, ...]) -> tuple[str, str] | None:
+    """The least atom pair (i, j) whose columns are equal, or ``None``."""
+    first: dict[bytes, int] = {}  # column -> first atom index holding it
+    clashes = [(first.setdefault(c, j), j) for j, c in enumerate(columns)]
+    pair = min((pair for pair in clashes if pair[0] != pair[1]), default=None)
+    return None if pair is None else (atoms[pair[0]], atoms[pair[1]])
 
 
 def _atom_width(logic: PartitionLogic, states: StateSet) -> int:
@@ -639,14 +630,13 @@ def _atom_width(logic: PartitionLogic, states: StateSet) -> int:
     return m
 
 
-def supports(logic: PartitionLogic, states: StateSet) -> SupportTable:
-    """Per atom, its column of state values and T label set, in state order.
+def supports(logic: PartitionLogic, states: StateSet) -> tuple[bytes, ...]:
+    """Per atom, its column of state values: a byte per state, in state order.
 
     The only code that turns valuations into supports; all readers share it.
     """
     m = _atom_width(logic, states)  # atom j's column is every m-th byte of the matrix
-    columns = tuple(states.matrix[j::m] for j in range(m))
-    return SupportTable(logic.atoms, states.labels(), columns)
+    return tuple(states.matrix[j::m] for j in range(m))
 
 
 def partition_representation(
@@ -654,16 +644,18 @@ def partition_representation(
 ) -> tuple[tuple[tuple[str, ...], ...], ...]:
     """Per context, the T-sets of its atoms in context order.
 
+    An atom's T-set is the labels of the states valuing it 1, in state order.
     For admissible states each context's T-sets are pairwise disjoint and
     cover the state labels; this is still checked defensively. A cell may
     be empty (an atom valued 0 by every state).
     """
-    table = supports(logic, states)
+    labels = states.labels()
+    true_sets = [tuple(compress(labels, column)) for column in supports(logic, states)]
     result = []
     for ci, ctx in enumerate(logic.contexts):
-        cells = tuple(table.true_sets[j] for j in ctx)
+        cells = tuple(true_sets[j] for j in ctx)
         seen = set().union(*cells)
-        if sum(map(len, cells)) != len(seen) or seen != set(states.labels()):
+        if sum(map(len, cells)) != len(seen) or seen != set(labels):
             raise NotAPartitionError(
                 f"context {ci}: supports do not partition the state labels"
             )

@@ -49,9 +49,12 @@ class VectorRealization(Value):
 
 class CheckResult(Value):
     name: str
-    passed: bool
     worst: float
     failures: tuple[str, ...]
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
 
 class FaithfulnessReport(Value):
@@ -61,11 +64,7 @@ class FaithfulnessReport(Value):
 
     @property
     def passed(self) -> bool:
-        return (
-            self.orthonormality.passed
-            and self.completeness.passed
-            and self.faithfulness.passed
-        )
+        return all(check.passed for check in self.checks())
 
     def checks(self) -> tuple[CheckResult, CheckResult, CheckResult]:
         return (self.orthonormality, self.completeness, self.faithfulness)
@@ -183,18 +182,9 @@ def verify_faithful(
             faith_failures.append(f"{u}·{v} = {margin:.3e} though they share no context")
 
     return FaithfulnessReport(
-        CheckResult(
-            "context orthonormality", not ortho_failures, ortho_worst,
-            tuple(ortho_failures),
-        ),
-        CheckResult(
-            "basis completeness", not comp_failures, comp_worst,
-            tuple(comp_failures),
-        ),
-        CheckResult(
-            "faithfulness", not faith_failures, faith_worst,
-            tuple(faith_failures),
-        ),
+        CheckResult("context orthonormality", ortho_worst, tuple(ortho_failures)),
+        CheckResult("basis completeness", comp_worst, tuple(comp_failures)),
+        CheckResult("faithfulness", faith_worst, tuple(faith_failures)),
     )
 
 

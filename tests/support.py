@@ -28,6 +28,7 @@ from sglg import (
     is_separating,
     parse_logic_file,
     resolve_states,
+    supports,
 )
 from sglg.logic import _context_masks
 
@@ -202,9 +203,7 @@ def random_separating_logic(
 def one_state_grammar(name: str = "g") -> Grammar:
     """The smallest useful grammar: one row holding one state symbol."""
     return Grammar.from_symbols(
-        nonterminals=(name, "x"),
-        terminals=("s1",),
-        rules=(
+        (
             (name, (Symbol(SymbolKind.NONTERMINAL, "x"),)),
             (
                 "x",
@@ -214,20 +213,25 @@ def one_state_grammar(name: str = "g") -> Grammar:
                     Symbol(SymbolKind.LINEBREAK, "n"),
                 ),
             ),
-        ),
-        start=name,
+        )
     )
 
 
-def true_labels(table, atom: str) -> tuple[str, ...]:
+def _labels_valuing(logic: PartitionLogic, states: StateSet, atom: str, value: int):
+    """The labels of the states that value ``atom`` as ``value``, in state
+    order, read off the atom's support column."""
+    column = supports(logic, states)[logic.atoms.index(atom)]
+    return tuple(label for label, v in zip(states.labels(), column) if v == value)
+
+
+def true_labels(logic: PartitionLogic, states: StateSet, atom: str) -> tuple[str, ...]:
     """The labels of the states that value ``atom`` 1, in state order."""
-    return table.true_sets[table.atoms.index(atom)]
+    return _labels_valuing(logic, states, atom, 1)
 
 
-def false_labels(table, atom: str) -> tuple[str, ...]:
+def false_labels(logic: PartitionLogic, states: StateSet, atom: str) -> tuple[str, ...]:
     """The labels of the states that value ``atom`` 0, in state order."""
-    column = table.columns[table.atoms.index(atom)]
-    return tuple(label for label, value in zip(table.state_labels, column) if value == 0)
+    return _labels_valuing(logic, states, atom, 0)
 
 
 def traced_peak(call, *args) -> int:

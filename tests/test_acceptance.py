@@ -23,7 +23,6 @@ from sglg import (
     enumerate_states,
     render_schema,
     render_tiles,
-    supports,
     verify_faithful,
 )
 from support import (
@@ -59,7 +58,6 @@ def test_criterion_2_triangle_state_enumeration():
 def test_criterion_3_example_a_supports_and_grammar():
     logic, states = resolve_fixture("example_a.json")
     assert len(states) == 3
-    table = supports(logic, states)
     expected_supports = {
         "p": ("s1",),
         "not_p": ("s2", "s3"),
@@ -69,7 +67,7 @@ def test_criterion_3_example_a_supports_and_grammar():
         "not_r": ("s1", "s2"),
     }
     for atom, labels in expected_supports.items():
-        assert true_labels(table, atom) == labels
+        assert true_labels(logic, states, atom) == labels
     grammar = compile_grammar(logic, states)
     expected_rows = {
         "p": "s1,br,s2,s3,n",

@@ -21,6 +21,7 @@ from sglg import (
     LogicFileError,
     NotSeparatingError,
     PartitionLogic,
+    Production,
     RowViolation,
     StateOrder,
     StateSet,
@@ -82,9 +83,19 @@ def symbol_rows(derivation: Derivation) -> list[list[Symbol]]:
     return [[derivation.symbols[i] for i in row] for row in derivation.rows()]
 
 
+def from_rows(rows: list[list[Symbol]]) -> Derivation:
+    """A derivation of ``rows``, each ended by a linebreak."""
+    tokens, boundaries = [], []
+    for row in rows:
+        tokens.extend(row)
+        boundaries.append(len(tokens))
+        tokens.append(Symbol(SymbolKind.LINEBREAK, "n"))
+    return Derivation.from_tokens(tokens, boundaries)
+
+
 def derivation_content(derivation: Derivation):
     """What a derivation says, whatever the numbering of its table."""
-    return derivation.tokens, derivation.row_boundaries, derivation.row_atoms
+    return derivation.tokens, derivation.row_boundaries
 
 
 # ------------------------------------------------------------ compilation
@@ -232,9 +243,8 @@ def test_l12_derivation_has_35_tokens_and_5_rows():
     logic, states = resolve_fixture("l12.json")
     derivation = derive(compile_grammar(logic, states))
     assert len(derivation.tokens) == 35
-    assert len(derivation.row_atoms) == 5
-    assert derivation.row_atoms == ("a", "b", "c", "d", "e")
     rows = symbol_rows(derivation)
+    assert len(rows) == 5
     assert [sym.name for sym in rows[3]] == ["s2", "s4", "br", "s1", "s3", "s5"]
 
 
@@ -242,7 +252,7 @@ def test_triangle_derivation_has_36_tokens_and_6_rows():
     logic, states = resolve_fixture("triangle.json")
     derivation = derive(compile_grammar(logic, states))
     assert len(derivation.tokens) == 36
-    assert len(derivation.row_atoms) == 6
+    assert len(derivation.rows()) == 6
 
 
 def test_chain10_derivation_is_a_symbol_table_plus_index_rows():
@@ -264,7 +274,7 @@ def test_chain10_derivation_is_a_symbol_table_plus_index_rows():
 def test_one_state_grammar_derivation():
     derivation = derive(one_state_grammar())
     assert [sym.name for sym in derivation.tokens] == ["s1", "br", "n"]
-    assert derivation.row_atoms == ("x",)
+    assert derivation.row_boundaries == (2,)
 
 
 def test_derivation_is_deterministic():
@@ -299,49 +309,31 @@ def test_grammar_rejects_cycles():
     x = Symbol(SymbolKind.NONTERMINAL, "x")
     y = Symbol(SymbolKind.NONTERMINAL, "y")
     with pytest.raises(CyclicGrammarError):
-        Grammar.from_symbols(
-            nonterminals=("x", "y"),
-            terminals=(),
-            rules=(("x", (y,)), ("y", (x,))),
-            start="x",
-        )
+        Grammar.from_symbols((("x", (y,)), ("y", (x,))))
 
 
 def test_grammar_rejects_self_reference():
     x = Symbol(SymbolKind.NONTERMINAL, "x")
     with pytest.raises(CyclicGrammarError):
-        Grammar.from_symbols(
-            nonterminals=("x",),
-            terminals=(),
-            rules=(("x", (x,)),),
-            start="x",
-        )
+        Grammar.from_symbols((("x", (x,)),))
 
 
 def derive_by_recursion(grammar: Grammar) -> Derivation:
     """The reference expansion: recursive leftmost rewriting, one token at a time."""
     tokens: list[Symbol] = []
-    parents: list[str] = []
 
-    def expand(symbol: Symbol, parent: str) -> None:
+    def expand(symbol: Symbol) -> None:
         if symbol.kind is not SymbolKind.NONTERMINAL:
             tokens.append(symbol)
-            parents.append(parent)
             return
         for child in grammar.production_for(symbol.name).body:
-            expand(grammar.symbols[child], symbol.name)
+            expand(grammar.symbols[child])
 
-    expand(Symbol(SymbolKind.NONTERMINAL, grammar.start), grammar.start)
+    expand(Symbol(SymbolKind.NONTERMINAL, grammar.start))
     boundaries = tuple(
         i for i, sym in enumerate(tokens) if sym.kind is SymbolKind.LINEBREAK
     )
-    row_atoms = []
-    start = 0
-    for boundary in (*boundaries, len(tokens)):
-        if boundary > start:
-            row_atoms.append(parents[start])
-        start = boundary + 1
-    return Derivation.from_tokens(tokens, boundaries, row_atoms)
+    return Derivation.from_tokens(tokens, boundaries)
 
 
 @st.composite
@@ -360,7 +352,7 @@ def acyclic_grammars(draw) -> Grammar:
         ]
         body = draw(st.lists(st.sampled_from(choices), max_size=8))
         productions.append((name, tuple(body)))
-    return Grammar.from_symbols(names, ("s1", "s2"), productions, names[0])
+    return Grammar.from_symbols(productions)
 
 
 @settings(max_examples=200, deadline=None)
@@ -398,30 +390,25 @@ def compiled_inputs(draw) -> tuple[PartitionLogic, StateSet]:
 @settings(max_examples=100, deadline=None)
 @given(compiled_inputs())
 def test_compiled_layout_equals_the_scanned_one(inputs):
-    grammar = compile_grammar(*inputs)
+    logic, states = inputs
+    grammar = compile_grammar(logic, states)
     stated = grammar.__dict__["_layout"]  # there before any read of it
-    scanned = Grammar(
-        grammar.nonterminals,
-        grammar.terminals,
-        grammar.productions,
-        grammar.start,
-        grammar.symbols,
-    )
+    scanned = Grammar(grammar.productions, grammar.symbols)
     assert scanned == grammar
     assert scanned._layout == stated
     assert derive(scanned) == derive(grammar)
+    # The names a compiled grammar reads off its productions and table.
+    assert grammar.nonterminals == (logic.name, *logic.atoms)
+    assert grammar.terminals == states.labels()
+    assert grammar.start == logic.name
+    assert supports(logic, states) == states.columns
 
 
 def test_first_undeclared_symbol_in_production_order_is_named():
-    x = Symbol(SymbolKind.NONTERMINAL, "x")
-    s1, s8, s9 = (Symbol(SymbolKind.STATE, name) for name in ("s1", "s8", "s9"))
-    with pytest.raises(ValueError, match="^undeclared terminal 's8'$"):
-        Grammar.from_symbols(
-            nonterminals=("g", "x"),
-            terminals=("s1",),
-            rules=(("g", (s1, x, s8)), ("x", (s9,))),
-            start="g",
-        )
+    s1 = Symbol(SymbolKind.STATE, "s1")
+    x, y, z = (Symbol(SymbolKind.NONTERMINAL, name) for name in "xyz")
+    with pytest.raises(ValueError, match="^undeclared nonterminal 'y'$"):
+        Grammar.from_symbols((("g", (s1, x, y)), ("x", (z,))))
 
 
 def nonterminal_chain(depth: int, cyclic: bool) -> Grammar:
@@ -434,12 +421,7 @@ def nonterminal_chain(depth: int, cyclic: bool) -> Grammar:
         Symbol(SymbolKind.LINEBREAK, "n"),
     )
     bodies = [(ref,) for ref in refs[1:]] + [last]
-    return Grammar.from_symbols(
-        nonterminals=("g", *names),
-        terminals=("s1",),
-        rules=(("g", (refs[0],)), *zip(names, bodies)),
-        start="g",
-    )
+    return Grammar.from_symbols((("g", (refs[0],)), *zip(names, bodies)))
 
 
 def test_nonterminal_chain_deeper_than_the_recursion_limit_derives():
@@ -447,7 +429,6 @@ def test_nonterminal_chain_deeper_than_the_recursion_limit_derives():
     assert depth > sys.getrecursionlimit()
     derivation = derive(nonterminal_chain(depth, cyclic=False))
     assert [sym.name for sym in derivation.tokens] == ["s1", "br", "n"]
-    assert derivation.row_atoms == (f"x{depth - 1}",)
     assert derivation.row_boundaries == (2,)
 
 
@@ -464,59 +445,57 @@ def test_long_cycle_is_rejected_naming_a_nonterminal_on_it():
 def test_cycle_below_an_acyclic_prefix_names_a_nonterminal_on_the_cycle():
     x, y, z = (Symbol(SymbolKind.NONTERMINAL, name) for name in "xyz")
     with pytest.raises(CyclicGrammarError, match="^nonterminal 'y' derives itself$"):
-        Grammar.from_symbols(
-            nonterminals=("x", "y", "z"),
-            terminals=(),
-            rules=(("x", (y,)), ("y", (z,)), ("z", (y,))),
-            start="x",
-        )
+        Grammar.from_symbols((("x", (y,)), ("y", (z,)), ("z", (y,))))
 
 
-@pytest.mark.parametrize(
-    "kwargs, message",
-    [
-        (dict(nonterminals=("g", "x", "x")), "repeat"),
-        (dict(start="nope"), "start symbol"),
-        (dict(terminals=("s1", "g")), "more than one class"),
-        (dict(terminals=("s1", "br")), "more than one class"),
-    ],
-)
-def test_grammar_structural_validation(kwargs, message):
-    base = one_state_grammar()
-    fields = dict(
-        nonterminals=base.nonterminals,
-        terminals=base.terminals,
-        productions=base.productions,
-        start=base.start,
-        symbols=base.symbols,
-    )
-    fields.update(kwargs)
-    with pytest.raises(ValueError, match=message):
+BASE = one_state_grammar()  # g -> x; x -> s1 br n
+G_RULE, X_RULE = BASE.productions
+X, S1, BR, N = BASE.symbols
+STRUCTURAL = {  # id: changed fields, start of the message
+    "no productions": (dict(productions=()), "grammar needs at least one production"),
+    "head named br": (
+        dict(productions=(G_RULE, X_RULE, Production("br", X_RULE.body))),
+        r"symbols declared in more than one class: \['br'\]",
+    ),
+    "state named like a head": (
+        dict(symbols=(X, Symbol(SymbolKind.STATE, "g"), BR, N)),
+        r"symbols declared in more than one class: \['g'\]",
+    ),
+    "state named br": (
+        dict(symbols=(X, Symbol(SymbolKind.STATE, "br"), BR, N)),
+        r"symbols declared in more than one class: \['br'\]",
+    ),
+    "separator misnamed": (
+        dict(symbols=(X, S1, Symbol(SymbolKind.SEPARATOR, "sep"), N)),
+        "separator symbol must be named 'br'",
+    ),
+    "linebreak misnamed": (
+        dict(symbols=(X, S1, BR, Symbol(SymbolKind.LINEBREAK, "nl"))),
+        "linebreak symbol must be named 'n'",
+    ),
+    "repeated symbol": (dict(symbols=(X, S1, BR, N, S1)), "symbol table repeats a symbol"),
+}
+
+
+@pytest.mark.parametrize("case", STRUCTURAL)
+def test_grammar_structural_validation(case):
+    changed, message = STRUCTURAL[case]
+    fields = {"productions": BASE.productions, "symbols": BASE.symbols, **changed}
+    with pytest.raises(ValueError, match=f"^{message}$"):
         Grammar(**fields)
 
 
 def test_grammar_requires_one_production_per_nonterminal():
-    base = one_state_grammar()
     with pytest.raises(ValueError, match="one production per nonterminal"):
-        Grammar(
-            nonterminals=base.nonterminals,
-            terminals=base.terminals,
-            productions=base.productions[:1],
-            start=base.start,
-            symbols=base.symbols,
-        )
+        Grammar((G_RULE, X_RULE, X_RULE), BASE.symbols)
+    with pytest.raises(ValueError, match="^undeclared nonterminal 'x'$"):
+        Grammar((G_RULE,), BASE.symbols)
 
 
 def test_grammar_rejects_undeclared_body_symbols():
-    g = Symbol(SymbolKind.NONTERMINAL, "g")
-    ghost = Symbol(SymbolKind.STATE, "s9")
-    with pytest.raises(ValueError, match="undeclared terminal"):
-        Grammar.from_symbols(
-            nonterminals=("g",),
-            terminals=(),
-            rules=(("g", (ghost,)),),
-            start="g",
-        )
+    ghost = Symbol(SymbolKind.NONTERMINAL, "ghost")
+    with pytest.raises(ValueError, match="undeclared nonterminal"):
+        Grammar.from_symbols((("g", (ghost,)),))
 
 
 # ---------------------------------------------------------- incidence
@@ -536,14 +515,7 @@ def test_incidence_detects_swapped_rows():
     derivation = derive(compile_grammar(logic, states))
     rows = symbol_rows(derivation)
     rows[1], rows[2] = rows[2], rows[1]  # swap rows b and c
-    tokens = []
-    boundaries = []
-    for row in rows:
-        tokens.extend(row)
-        tokens.append(Symbol(SymbolKind.LINEBREAK, "n"))
-        boundaries.append(len(tokens) - 1)
-    mutated = Derivation.from_tokens(tokens, boundaries, derivation.row_atoms)
-    report = check_incidence(mutated, logic, states)
+    report = check_incidence(from_rows(rows), logic, states)
     assert not report.ok
     assert len(report.violations) == 2
     assert {v.atom for v in report.violations} == {"b", "c"}
@@ -586,11 +558,22 @@ def test_incidence_rejects_rows_missing_a_separator():
         Symbol(SymbolKind.STATE, "s1") if sym.kind is SymbolKind.SEPARATOR else sym
         for sym in derivation.tokens
     )
-    broken = Derivation.from_tokens(
-        tokens, derivation.row_boundaries, derivation.row_atoms
-    )
+    broken = Derivation.from_tokens(tokens, derivation.row_boundaries)
     with pytest.raises(ValueError, match="separator"):
         check_incidence(broken, logic, states)
+
+
+def test_incidence_rejects_a_nonterminal_named_like_a_state_symbol():
+    # Row a with s1 moved right of br and a nonterminal named s1 put at its
+    # left once passed: the tokens left of the cut were read by name.
+    logic, states = resolve_fixture("l12.json")
+    rows = symbol_rows(derive(compile_grammar(logic, states)))
+    s1 = rows[0].pop(0)
+    assert [sym.name for sym in rows[0]] == ["s2", "br", "s3", "s4", "s5"]
+    rows[0] = [Symbol(SymbolKind.NONTERMINAL, "s1"), *rows[0], s1]
+    message = "^row 0 does not carry each state symbol exactly once$"
+    with pytest.raises(ValueError, match=message):
+        check_incidence(from_rows(rows), logic, states)
 
 
 def test_incidence_rejects_token_numbers_past_the_symbol_table():
@@ -599,9 +582,7 @@ def test_incidence_rejects_token_numbers_past_the_symbol_table():
     indices = array("I", derivation.indices)
     past = len(derivation.symbols) + 3
     indices[derivation.row_boundaries[1] + 1] = past  # row 2 opens with s5
-    broken = Derivation(
-        derivation.symbols, indices, derivation.row_boundaries, derivation.row_atoms
-    )
+    broken = Derivation(derivation.symbols, indices, derivation.row_boundaries)
     with pytest.raises(ValueError, match=f"^row 2 names symbol number {past}, "):
         check_incidence(broken, logic, states)
 
@@ -619,8 +600,7 @@ def test_distinct_support_tables_give_distinct_productions():
     seen: dict[tuple, tuple] = {}
     for _ in range(60):
         logic, states = random_separating_logic(rng)
-        table = supports(logic, states)
-        key = tuple((atom, true_labels(table, atom)) for atom in logic.atoms)
+        key = tuple((atom, true_labels(logic, states, atom)) for atom in logic.atoms)
         rows = listing(compile_grammar(logic, states))[1:]
         if key in seen:
             assert seen[key] == rows
@@ -643,8 +623,9 @@ def incidence_by_token_walk(derivation, logic, states):
         separators = [k for k, sym in enumerate(row) if sym.kind is SymbolKind.SEPARATOR]
         if len(separators) != 1:
             raise ValueError(f"row {j} does not contain exactly one separator")
-        row_labels = sorted(sym.name for sym in row if sym.kind is SymbolKind.STATE)
-        if row_labels != labels:
+        others = [sym for sym in row if sym.kind is not SymbolKind.SEPARATOR]
+        kinds = {sym.kind for sym in others}
+        if kinds - {SymbolKind.STATE} or sorted(sym.name for sym in others) != labels:
             raise ValueError(f"row {j} does not carry each state symbol exactly once")
         cut = separators[0]
         left = {sym.name for sym in row[:cut]}
@@ -656,7 +637,7 @@ def incidence_by_token_walk(derivation, logic, states):
         )
         if mismatched:
             violations.append(RowViolation(j, atom, mismatched))
-    return IncidenceReport(not violations, tuple(violations))
+    return IncidenceReport(tuple(violations))
 
 
 def _outcome(check, derivation, logic, states):
@@ -667,7 +648,6 @@ def _outcome(check, derivation, logic, states):
 
 
 SEPARATOR = Symbol(SymbolKind.SEPARATOR, "br")
-LINEBREAK = Symbol(SymbolKind.LINEBREAK, "n")
 
 
 def _damage(rows: list[list[Symbol]], how: str, rng: random.Random) -> None:
@@ -737,16 +717,11 @@ def test_check_incidence_equals_the_token_walk(seed, damages, pinned):
     rows = symbol_rows(derivation)
     for how in damages:
         _damage(rows, how, rng)
-    tokens, boundaries = [], []
-    for row in rows:
-        tokens.extend(row)
-        boundaries.append(len(tokens))
-        tokens.append(LINEBREAK)
-    damaged = Derivation.from_tokens(tokens, boundaries, derivation.row_atoms)
+    damaged = from_rows(rows)
     expected = _outcome(incidence_by_token_walk, damaged, logic, states)
     assert _outcome(check_incidence, damaged, logic, states) == expected
     if damages == ["none"] and not pinned:
-        assert expected == IncidenceReport(True, ())
+        assert expected == IncidenceReport(())
 
 
 # ------------------------------------------------------------- listings

@@ -568,13 +568,12 @@ def test_example_a_point_induced_states():
     assert logic.atoms == ("p", "not_p", "q", "not_q", "r", "not_r")
     assert logic.contexts == ((0, 1), (2, 3), (4, 5))
     assert states.order_source is StateOrder.POINT_INDUCED
-    table = supports(logic, states)
-    assert true_labels(table, "p") == ("s1",)
-    assert true_labels(table, "not_p") == ("s2", "s3")
-    assert true_labels(table, "q") == ("s2",)
-    assert true_labels(table, "not_q") == ("s1", "s3")
-    assert true_labels(table, "r") == ("s3",)
-    assert true_labels(table, "not_r") == ("s1", "s2")
+    assert true_labels(logic, states, "p") == ("s1",)
+    assert true_labels(logic, states, "not_p") == ("s2", "s3")
+    assert true_labels(logic, states, "q") == ("s2",)
+    assert true_labels(logic, states, "not_q") == ("s1", "s3")
+    assert true_labels(logic, states, "r") == ("s3",)
+    assert true_labels(logic, states, "not_r") == ("s1", "s2")
 
 
 def test_example_a_states_are_a_strict_subset_of_the_enumeration():
@@ -612,10 +611,9 @@ def test_blocks_map_back_to_their_points():
         block_names=(("a", "b", "c"), ("c", "d", "e")),
     )
     logic, states = logic_from_partitions(spec)
-    table = supports(logic, states)
     blocks = {"a": {1, 2}, "b": {3, 4}, "c": {5}, "d": {2, 4}, "e": {1, 3}}
     for atom, points in blocks.items():
-        labels = true_labels(table, atom)
+        labels = true_labels(logic, states, atom)
         # state s_i was induced by base point i (no collapsing here)
         assert {int(label[1:]) for label in labels} == points
 
@@ -805,7 +803,7 @@ def matrix_view(logic: PartitionLogic, states: StateSet):
         states.labels(),
         state_vectors(states),
         states.order_source,
-        supports(logic, states).columns,
+        supports(logic, states),
     )
     assert states.rows == tuple(map(bytes, view[1]))
     assert states.columns == view[3]
@@ -960,20 +958,18 @@ def test_witness_agrees_with_pairwise_oracle_on_random_logics():
 
 def test_l12_support_goldens():
     logic, states = resolve_fixture("l12.json")
-    table = supports(logic, states)
-    assert true_labels(table, "a") == ("s1", "s2")
-    assert true_labels(table, "b") == ("s3", "s4")
-    assert true_labels(table, "c") == ("s5",)
-    assert true_labels(table, "d") == ("s2", "s4")
-    assert true_labels(table, "e") == ("s1", "s3")
-    assert false_labels(table, "d") == ("s1", "s3", "s5")
+    assert true_labels(logic, states, "a") == ("s1", "s2")
+    assert true_labels(logic, states, "b") == ("s3", "s4")
+    assert true_labels(logic, states, "c") == ("s5",)
+    assert true_labels(logic, states, "d") == ("s2", "s4")
+    assert true_labels(logic, states, "e") == ("s1", "s3")
+    assert false_labels(logic, states, "d") == ("s1", "s3", "s5")
 
 
 def test_triangle_support_goldens():
     logic, states = resolve_fixture("triangle.json")
-    table = supports(logic, states)
-    assert true_labels(table, "f") == ("s2", "s4")
-    assert true_labels(table, "e") == ("s3",)
+    assert true_labels(logic, states, "f") == ("s2", "s4")
+    assert true_labels(logic, states, "e") == ("s3",)
 
 
 def test_supports_partition_all_labels():
@@ -981,9 +977,9 @@ def test_supports_partition_all_labels():
     for _ in range(40):
         logic = random_logic(rng)
         states = enumerate_states(logic)
-        table = supports(logic, states)
         for atom in logic.atoms:
-            t, f = set(true_labels(table, atom)), set(false_labels(table, atom))
+            t = set(true_labels(logic, states, atom))
+            f = set(false_labels(logic, states, atom))
             assert t | f == set(states.labels())
             assert not t & f
 

@@ -449,9 +449,7 @@ def test_events_jsonl_is_json_dumps_per_event():
     n = Symbol(SymbolKind.LINEBREAK, "n")
     hostile = Symbol(SymbolKind.SEPARATOR, 'q"\\é\u2028\n😀')
     # Rows: (s1), an empty row that is skipped, then 12 x s1 and the hostile br.
-    derivation = Derivation.from_tokens(
-        (s1, n, n, *[s1] * 12, hostile), (1, 2), ("x", "y")
-    )
+    derivation = Derivation.from_tokens((s1, n, n, *[s1] * 12, hostile), (1, 2))
     events = [
         (0, 0, "s1", "state"),
         *((1, p, "s1", "state") for p in range(12)),
@@ -467,7 +465,7 @@ def test_events_jsonl_is_json_dumps_per_event():
     )
     assert emit_events(derivation).to_jsonl() == expected
     assert event_tuples(derivation) == events
-    assert emit_events(Derivation.from_tokens((), (), ())).to_jsonl() == ""
+    assert emit_events(Derivation.from_tokens((), ())).to_jsonl() == ""
 
 
 def test_events_jsonl_shape():
@@ -691,9 +689,7 @@ def test_backends_equal_per_token_references_on_hand_built_derivations(
     drawn, spec
 ):
     tokens, boundaries = drawn
-    derivation = Derivation.from_tokens(
-        tokens, boundaries, ("x",) * (len(boundaries) + 1)
-    )
+    derivation = Derivation.from_tokens(tokens, boundaries)
     # Equal symbols, also as distinct objects, share one table entry; the
     # references run over the original objects.
     assert len(derivation.symbols) == len(set(tokens))
@@ -734,7 +730,7 @@ def test_backends_equal_references_on_rows_of_0_1_and_3_tokens(lengths):
     pool = {0: [], 1: [s2], 3: [s1, br, s2]}
     tokens = [token for k in lengths for token in (*pool[k], n)]
     boundaries = [i for i, token in enumerate(tokens) if token is n]
-    derivation = Derivation.from_tokens(tokens, boundaries, ("x", "y", "z"))
+    derivation = Derivation.from_tokens(tokens, boundaries)
     spec = RenderSpec(palette={"s1": RED, "s2": BLUE}, cell_size=5, cell_gap=1)
     rows = token_rows(tokens, boundaries)
     assert list(map(len, rows)) == [k for k in lengths if k]
@@ -820,7 +816,7 @@ def short_row_derivations(draw) -> tuple[Derivation, list[list[Symbol]]]:
         tokens += row
         boundaries.append(len(tokens))
         tokens.append(Symbol(SymbolKind.LINEBREAK, "n"))
-    derivation = Derivation.from_tokens(tokens, boundaries, ("x",) * len(rows))
+    derivation = Derivation.from_tokens(tokens, boundaries)
     return derivation, rows
 
 
@@ -862,10 +858,10 @@ def test_chunk_builders_raise_on_the_call_at_the_first_bad_token(builder, backen
     s1, s3 = Symbol(SymbolKind.STATE, "s1"), Symbol(SymbolKind.STATE, "s3")
     x, n = Symbol(SymbolKind.NONTERMINAL, "x"), Symbol(SymbolKind.LINEBREAK, "n")
     spec = RenderSpec(palette={"s1": RED}, backend=backend)
-    derivation = Derivation.from_tokens([s1, n, s1, x, s3, n], [1, 5], ("a", "b"))
+    derivation = Derivation.from_tokens([s1, n, s1, x, s3, n], [1, 5])
     with pytest.raises(ValueError, match="^unrenderable token 'x' of kind nonterminal$"):
         builder(derivation, spec)
-    derivation = Derivation.from_tokens([s1, n, s3, x, n, x], [1, 4], ("a", "b", "c"))
+    derivation = Derivation.from_tokens([s1, n, s3, x, n, x], [1, 4])
     with pytest.raises(MissingPaletteEntryError) as excinfo:
         builder(derivation, spec)
     assert excinfo.value.label == "s3"

@@ -32,14 +32,12 @@ from sglg import (
     SeparationResult,
     StateOrder,
     StateSet,
-    SupportTable,
     Symbol,
     SymbolKind,
     VectorRealization,
     build_v_realization,
     compile_grammar,
     derive,
-    supports,
     verify_faithful,
 )
 from support import load_fixture, resolve_fixture
@@ -71,20 +69,20 @@ CASES = {
         ("b", array("I", [0, 1])),
     ),
     Grammar: _read(
-        ("nonterminals", "terminals", "productions", "start", "symbols"),
+        ("productions", "symbols"),
         L12_GRAMMAR,
         TRIANGLE_GRAMMAR,
     ),
     Derivation: _read(
-        ("symbols", "indices", "row_boundaries", "row_atoms"),
+        ("symbols", "indices", "row_boundaries"),
         L12_DERIVATION,
         TRIANGLE_DERIVATION,
     ),
     RowViolation: (("row_index", "atom", "labels"), (0, "a", ("s1",)), (1, "b", ())),
     IncidenceReport: (
-        ("ok", "violations"),
-        (True, ()),
-        (False, (RowViolation(0, "a", ("s1", "s2")),)),
+        ("violations",),
+        ((),),
+        ((RowViolation(0, "a", ("s1", "s2")),),),
     ),
     PartitionLogic: _read(
         ("name", "atoms", "contexts"),
@@ -97,12 +95,7 @@ CASES = {
         BaseSetSpec("pairs", (1, "x"), (((1,), ("x",)), ((1, "x"),))),
     ),
     StateSet: _read(("matrix", "width", "order_source"), L12_STATES, TRIANGLE_STATES),
-    SupportTable: _read(
-        ("atoms", "state_labels", "columns"),
-        supports(L12_LOGIC, L12_STATES),
-        supports(TRIANGLE_LOGIC, TRIANGLE_STATES),
-    ),
-    SeparationResult: (("separating", "witness"), (True, None), (False, ("a", "b"))),
+    SeparationResult: (("witness",), (None,), (("a", "b"),)),
     LogicFile: (
         ("source", "pinned_states", "palette"),
         (L12_LOGIC, None, None),
@@ -127,9 +120,9 @@ CASES = {
         (2, {"x": (0.0, 1.0)}, 0.5),
     ),
     CheckResult: (
-        ("name", "passed", "worst", "failures"),
-        ("faithfulness", True, 0.5, ()),
-        ("basis completeness", False, 1.0, ("context 0 has 2 atoms in dimension 3",)),
+        ("name", "worst", "failures"),
+        ("faithfulness", 0.5, ()),
+        ("basis completeness", 1.0, ("context 0 has 2 atoms in dimension 3",)),
     ),
     FaithfulnessReport: _read(
         ("orthonormality", "completeness", "faithfulness"),
@@ -268,8 +261,27 @@ def test_cached_members_live_on_the_instance():
     states = StateSet(L12_STATES.matrix, L12_STATES.width, StateOrder.PINNED)
     assert states.labels() is states.labels()
     assert states == StateSet(L12_STATES.matrix, L12_STATES.width, StateOrder.PINNED)
-    table = supports(L12_LOGIC, L12_STATES)
-    assert table.true_sets is table.true_sets
     grammar = Grammar(*CASES[Grammar][1])
     assert grammar.production_for("a") is grammar.production_for("a")
     assert grammar == L12_GRAMMAR
+
+
+# Per class, a flag read off one field: true for the first value in CASES,
+# false for the second.
+FLAGS = {
+    IncidenceReport: ("ok", "violations"),
+    SeparationResult: ("separating", "witness"),
+    CheckResult: ("passed", "failures"),
+}
+
+
+@pytest.mark.parametrize("cls", FLAGS, ids=[cls.__name__ for cls in FLAGS])
+def test_flags_are_read_off_the_fields_and_cannot_be_given(cls):
+    """A report cannot say it passed while it lists a failure."""
+    names, first, second = CASES[cls]
+    flag, source = FLAGS[cls]
+    assert flag not in names and source in names
+    for values, want in ((first, True), (second, False)):
+        assert getattr(cls(*values), flag) is want
+        with pytest.raises(TypeError):
+            cls(*values, **{flag: want})
