@@ -24,8 +24,6 @@ from .grammar import (
     IncidenceReport,
     Production,
     RowViolation,
-    Symbol,
-    SymbolKind,
     check_incidence,
     compile_grammar,
     derive,

@@ -45,7 +45,6 @@ from .render import (
     default_palette,
     emit_logic_program,
     event_chunks,
-    join_chunks,
     schema_chunks,
     text_chunks,
     tile_chunks,
@@ -184,11 +183,12 @@ def _read_logic_file(path: str) -> LogicFile:
 
 
 def _emit(chunks, output: str | None) -> None:
-    if output:  # a chunk at a time, so the file's text is never held whole
+    """Write the text a chunk at a time, so it is never held whole."""
+    if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.writelines(map("".join, chunks))
     else:
-        sys.stdout.write(join_chunks(chunks))
+        sys.stdout.writelines(map("".join, chunks))
 
 
 def _render_spec(logic_file: LogicFile, states: StateSet, args, backend) -> RenderSpec:
@@ -305,8 +305,9 @@ def _cmd_check(args) -> int:
     report = check_incidence(derivation, logic, states)
     if not report.ok:
         for violation in report.violations:
+            j = violation.row_index
             print(
-                f"sglg: error: row {violation.row_index} ({violation.atom}) "
+                f"sglg: error: row {j} ({logic.atoms[j]}) "
                 f"misplaces {', '.join(violation.labels)}",
                 file=sys.stderr,
             )

@@ -7,15 +7,17 @@ separator, the complementary symbols, and a line break. The derivation
 engine expands any grammar of this kind (not only compiled ones) by
 deterministic leftmost rewriting.
 
-A grammar is its productions, the first one the start rule, and its
-symbol table, which holds each distinct symbol once. A production body,
-like a derivation's token sequence, is an ``array('I')`` of symbol
-numbers (table positions), 4 bytes a token. A compiled table is
-``br``, ``n``, ``s1..sN``, then the atoms, so row bodies come straight
-from the state columns. ``Grammar.from_symbols`` and
-``Derivation.from_tokens`` intern hand-built ``Symbol`` sequences. Only
-they and the ``Grammar`` constructor scan bodies to check and lay out a
-grammar; a compiled grammar comes with its layout, known before any token.
+A symbol is its name, a ``str``, and the name fixes its kind: ``br`` is
+the separator, ``n`` the linebreak, a production head a nonterminal, and
+any other name a state (a terminal). A grammar is its productions, the
+first one the start rule, and its symbol table, which holds each distinct
+name once. A production body, like a derivation's token sequence, is an
+``array('I')`` of symbol numbers (table positions), 4 bytes a token. A
+compiled table is ``br``, ``n``, ``s1..sN``, then the atoms, so row bodies
+come straight from the state columns. ``Grammar.from_symbols`` and
+``Derivation.from_tokens`` intern hand-built name sequences. Only they and
+the ``Grammar`` constructor scan bodies to check and lay out a grammar; a
+compiled grammar comes with its layout, known before any token.
 """
 
 from __future__ import annotations
@@ -23,10 +25,9 @@ from __future__ import annotations
 import json
 from array import array
 from bisect import bisect_left
-from enum import Enum
 from functools import cached_property
-from itertools import compress, repeat
-from operator import attrgetter, is_
+from itertools import compress, count, filterfalse
+from operator import attrgetter
 
 from .errors import (
     CyclicGrammarError,
@@ -43,37 +44,12 @@ LINEBREAK_NAME = "n"
 _FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # a 0/1 byte string's complement
 
 
-class SymbolKind(Enum):
-    NONTERMINAL = "nonterminal"
-    STATE = "state"
-    SEPARATOR = "separator"
-    LINEBREAK = "linebreak"
-
-
-class Symbol(Value):
-    kind: SymbolKind
-    name: str
-
-    def __init__(self, kind: SymbolKind, name: str):  # once per state and atom
-        fields = self.__dict__
-        fields["kind"], fields["name"] = kind, name
-
-    def __str__(self) -> str:
-        return self.name
-
-
-SEPARATOR = Symbol(SymbolKind.SEPARATOR, SEPARATOR_NAME)
-LINEBREAK = Symbol(SymbolKind.LINEBREAK, LINEBREAK_NAME)
-
-
-_kind = attrgetter("kind")
-_name = attrgetter("name")
 _head = attrgetter("head")
 
 
-def _intern(sequences) -> tuple[tuple[Symbol, ...], list[array]]:
-    """The distinct symbols by first use, and each sequence as their numbers."""
-    ids: dict[Symbol, int] = {}
+def _intern(sequences) -> tuple[tuple[str, ...], list[array]]:
+    """The distinct names by first use, and each sequence as their numbers."""
+    ids: dict[str, int] = {}
     arrays = [array("I", [ids.setdefault(s, len(ids)) for s in q]) for q in sequences]
     return tuple(ids), arrays
 
@@ -98,33 +74,25 @@ class Production(Value):
         fields["head"], fields["body"] = head, body
 
 
-_MISFIT = {  # per kind, the error for a symbol whose name fits another kind
-    SymbolKind.NONTERMINAL: "undeclared nonterminal {!r}",
-    SymbolKind.STATE: "symbols declared in more than one class: [{!r}]",
-    SymbolKind.SEPARATOR: "separator symbol must be named 'br'",
-    SymbolKind.LINEBREAK: "linebreak symbol must be named 'n'",
-}
-
-
 class Grammar(Value):
     """Productions, the first one the start rule, and the symbol table.
 
-    ``symbols`` is the table the production bodies index, each symbol
+    ``symbols`` is the table of names the production bodies index, each
     once. The nonterminals are the production heads, the start symbol the
-    first head and the terminals the table's state symbols, in table order.
-    The layout symbols are always ``br`` and ``n``; binding symbols to
-    colors or other realizations happens in the render layer. Only the
-    constructor and ``from_symbols`` scan bodies for the layout (where the
-    nonterminals and ``n`` sit); a compiled grammar comes with its layout.
+    first head and the terminals the other names but ``br`` and ``n``, in
+    table order. Binding symbols to colors or other realizations happens in
+    the render layer. Only the constructor and ``from_symbols`` scan bodies
+    for the layout (where the nonterminals and ``n`` sit); a compiled
+    grammar comes with its layout.
     """
 
     productions: tuple[Production, ...]
-    symbols: tuple[Symbol, ...]
+    symbols: tuple[str, ...]
 
     @classmethod
     def from_symbols(cls, rules) -> Grammar:
-        """A grammar from ``(head, body symbols)`` rules, the start rule first;
-        equal symbols share one table entry, in order of first use."""
+        """A grammar from ``(head, body names)`` rules, the start rule first;
+        equal names share one table entry, in order of first use."""
         symbols, bodies = _intern(body for _, body in rules)
         return cls(tuple(Production(h, body) for (h, _), body in zip(rules, bodies)), symbols)
 
@@ -134,8 +102,8 @@ class Grammar(Value):
 
     @property
     def terminals(self) -> tuple[str, ...]:
-        states = map(is_, map(_kind, self.symbols), repeat(SymbolKind.STATE))
-        return tuple(map(_name, compress(self.symbols, states)))
+        other = {SEPARATOR_NAME, LINEBREAK_NAME, *self.nonterminals}
+        return tuple(filterfalse(other.__contains__, self.symbols))
 
     @property
     def start(self) -> str:
@@ -144,28 +112,23 @@ class Grammar(Value):
     def __post_init__(self):
         if not self.productions:
             raise ValueError("grammar needs at least one production")
-        # Each name fixes a kind: br and n their own, a head NONTERMINAL, any other STATE.
-        kind_of = dict.fromkeys(self.nonterminals, SymbolKind.NONTERMINAL)
-        if len(kind_of) != len(self.productions):
+        heads = set(self.nonterminals)
+        if len(heads) != len(self.productions):
             raise ValueError("grammar needs exactly one production per nonterminal")
-        layout = {SEPARATOR_NAME, LINEBREAK_NAME} & kind_of.keys()
+        layout = {SEPARATOR_NAME, LINEBREAK_NAME} & heads
         if layout:
             raise ValueError(f"symbols declared in more than one class: {sorted(layout)}")
-        kind_of.update({SEPARATOR.name: SEPARATOR.kind, LINEBREAK.name: LINEBREAK.kind})
-        for sym in self.symbols:  # the first misfit in table order
-            if sym.kind is not kind_of.get(sym.name, SymbolKind.STATE):
-                raise ValueError(_MISFIT[sym.kind].format(sym.name))
-        if len(set(map(_name, self.symbols))) != len(self.symbols):
+        if len(set(self.symbols)) != len(self.symbols):
             raise ValueError("symbol table repeats a symbol")
         self._check_acyclic()
 
     @cached_property
     def _layout(self) -> dict[str, tuple[list[int], list[int]]]:
         """Per head, the body positions of its nonterminals and of ``n``."""
-        kinds = list(map(_kind, self.symbols))
-        nts = {i for i, kind in enumerate(kinds) if kind is SymbolKind.NONTERMINAL}
-        breaks = {i for i, kind in enumerate(kinds) if kind is SymbolKind.LINEBREAK}
-        numbers, layout = set(range(len(kinds))), {}
+        symbols = self.symbols
+        nts = set(compress(count(), map(self._by_head.__contains__, symbols)))
+        breaks = set(compress(count(), map(LINEBREAK_NAME.__eq__, symbols)))
+        numbers, layout = set(range(len(symbols))), {}
         for p in self.productions:
             present = set(p.body)  # each distinct symbol number once
             if not present <= numbers:
@@ -177,7 +140,7 @@ class Grammar(Value):
 
     def _check_acyclic(self) -> None:
         refs = {
-            p.head: [self.symbols[p.body[k]].name for k in self._layout[p.head][0]]
+            p.head: [self.symbols[p.body[k]] for k in self._layout[p.head][0]]
             for p in self.productions
         }
         # Depth-first with an explicit stack of child iterators: a reference
@@ -211,24 +174,26 @@ class Grammar(Value):
 
 
 class Derivation(Value):
-    """Fully expanded token sequence: ``symbols`` holds each distinct symbol
+    """Fully expanded token sequence: ``symbols`` holds each distinct name
     once and ``indices`` the tokens as an ``array('I')`` of positions in it.
-    ``row_boundaries`` are the token indices of linebreaks.
+    ``row_boundaries`` are the token indices of linebreaks. A derivation
+    holds no nonterminal, so ``br`` is its separator, ``n`` its linebreak
+    and any other name a state.
     """
 
-    symbols: tuple[Symbol, ...]
+    symbols: tuple[str, ...]
     indices: array
     row_boundaries: tuple[int, ...]
 
     @classmethod
     def from_tokens(cls, tokens, row_boundaries) -> Derivation:
-        """A derivation from one ``Symbol`` per token, equal ones interned."""
+        """A derivation from one name per token, equal ones interned."""
         symbols, (indices,) = _intern([tokens])
         return cls(symbols, indices, tuple(row_boundaries))
 
     @property
-    def tokens(self) -> tuple[Symbol, ...]:
-        """One ``Symbol`` per token, looked up in the table."""
+    def tokens(self) -> tuple[str, ...]:
+        """One name per token, looked up in the table."""
         return tuple(map(self.symbols.__getitem__, self.indices))
 
     def rows(self) -> tuple[array, ...]:
@@ -240,7 +205,6 @@ class Derivation(Value):
 
 class RowViolation(Value):
     row_index: int
-    atom: str
     labels: tuple[str, ...]
 
 
@@ -285,12 +249,7 @@ def compile_grammar(logic: PartitionLogic, states: StateSet) -> Grammar:
     # Symbol numbers: br 0, n 1, the state labels 2..N+1, then the atoms.
     n, m = len(labels), len(logic.atoms)
     ids = list(range(2, n + 2))
-    symbols = (
-        SEPARATOR,
-        LINEBREAK,
-        *map(Symbol, repeat(SymbolKind.STATE), labels),
-        *map(Symbol, repeat(SymbolKind.NONTERMINAL), logic.atoms),
-    )
+    symbols = (SEPARATOR_NAME, LINEBREAK_NAME, *labels, *logic.atoms)
     productions = [Production(logic.name, array("I", range(n + 2, n + 2 + m)))]
     for atom, column in zip(logic.atoms, columns):
         false = column.translate(_FLIP)
@@ -312,9 +271,10 @@ def derive(grammar: Grammar) -> Derivation:
     Each run of terminals is copied into the token array in one piece. The
     derivation shares the grammar's table up to its last terminal.
     """
-    symbols = grammar.symbols
-    ends = [i + 1 for i, s in enumerate(symbols) if s.kind is not SymbolKind.NONTERMINAL]
-    end = max(ends, default=0)
+    symbols, heads = grammar.symbols, grammar._by_head
+    end = len(symbols)
+    while end and symbols[end - 1] in heads:  # drop the heads that end the table
+        end -= 1
     indices = array("I")
     boundaries: list[int] = []  # token indices of the linebreaks
     # Per open expansion: head and how many of its references are expanded.
@@ -332,7 +292,7 @@ def derive(grammar: Grammar) -> Derivation:
             boundaries.extend(k + offset for k in breaks[lo:hi])
         if done < len(refs):
             stack.append((head, done + 1))
-            stack.append((symbols[body[stop]].name, 0))
+            stack.append((symbols[body[stop]], 0))
     return Derivation(symbols[:end], indices, tuple(boundaries))
 
 
@@ -355,11 +315,10 @@ def check_incidence(
     m = _atom_width(logic, states)
     labels = states.labels()
     symbols = derivation.symbols
-    separators = [i for i, s in enumerate(symbols) if s.kind is SymbolKind.SEPARATOR]
+    separators = list(compress(count(), map(SEPARATOR_NAME.__eq__, symbols)))
     # Each label's state symbol by number: beside its separator, a row must
     # hold each of these once and nothing else, which set sizes show.
-    number = {s.name: i for i, s in enumerate(symbols) if s.kind is SymbolKind.STATE}
-    ids = [number.get(label) for label in labels]
+    ids = list(map(dict(zip(symbols, count())).get, labels))
     label_numbers = set(ids) - {None}
     # Atom j's column is every m-th byte: read from the states, not supports().
     matrix = states.matrix
@@ -382,7 +341,7 @@ def check_incidence(
                 for label, i, value in zip(labels, ids, column)
                 if (i in left) != (value == 1)
             )
-            violations.append(RowViolation(j, logic.atoms[j], mismatched))
+            violations.append(RowViolation(j, mismatched))
     return IncidenceReport(tuple(violations))
 
 
@@ -392,7 +351,7 @@ def production_text(grammar: Grammar) -> str:
     The start rule is set off from the row rules by a blank line, matching
     the layered source layout used by :func:`sglg.render.emit_logic_program`.
     """
-    names = list(map(_name, grammar.symbols))
+    names = grammar.symbols
     lines = [
         f"{p.head} --> {','.join(map(names.__getitem__, p.body))}."
         for p in grammar.productions
@@ -404,6 +363,6 @@ def production_text(grammar: Grammar) -> str:
 
 def productions_json(grammar: Grammar) -> str:
     """Productions as a JSON object mapping each head to its body symbols."""
-    names = list(map(_name, grammar.symbols))
+    names = grammar.symbols
     payload = {p.head: list(map(names.__getitem__, p.body)) for p in grammar.productions}
     return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"

@@ -182,11 +182,6 @@ class StateSet(Value):
         """Per state, its values over the atoms: the matrix in width-byte runs."""
         return tuple(re.findall(b"(?s).{%d}" % self.width, self.matrix))
 
-    @property
-    def columns(self) -> tuple[bytes, ...]:
-        """Per atom, its value in each state."""
-        return tuple(self.matrix[j :: self.width] for j in range(self.width))
-
     @cached_property
     def _labels(self) -> tuple[str, ...]:
         return tuple(map("s{}".format, range(1, len(self) + 1)))
@@ -582,7 +577,7 @@ def pinned_state_set(logic: PartitionLogic, matrix: bytes) -> StateSet:
     if len(states.matrix) % m:
         cut = f"has a {len(states.matrix) % m}-value vector for {m} atoms"
         raise PinnedStatesError(f"pinned state s{len(states) + 1} {cut}")
-    bad = _first_inadmissible(logic, states, states.columns)
+    bad = _first_inadmissible(logic, states, supports(logic, states))
     if bad is not None:
         raise PinnedStatesError(
             f"pinned state s{bad + 1} is not admissible (some context does "

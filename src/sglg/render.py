@@ -29,8 +29,9 @@ from json.encoder import encode_basestring_ascii as _json_string
 from operator import getitem
 
 from .errors import MissingPaletteEntryError
-from .grammar import Derivation, Grammar, SymbolKind, _find_all, production_text
-from .logic import _HEX_COLOR_RE, PartitionLogic, StateSet
+from .grammar import LINEBREAK_NAME, SEPARATOR_NAME, Derivation, Grammar, _find_all
+from .grammar import production_text
+from .logic import _HEX_COLOR_RE, PartitionLogic, StateSet, supports
 from .value import Value
 
 DEFAULT_COLORS = ("#008000", "#0000FF", "#FF0000", "#FFA500", "#8F00FF")
@@ -109,12 +110,14 @@ class RenderSpec(Value):
 
 def _fragments(derivation: Derivation, spec: RenderSpec, rows, fragment) -> list:
     """Per symbol number, ``fragment(color)``, or ``None`` for a symbol without
-    a color; the first such token in ``rows``, in row-major order, raises."""
+    a color: ``br`` has the separator color, ``n`` none and a state its palette
+    entry, if any. The first such token in ``rows``, in row-major order, raises."""
+    palette = spec.palette
     table = [
-        fragment(spec.separator_color) if sym.kind is SymbolKind.SEPARATOR
-        else fragment(spec.palette[sym.name])
-        if sym.kind is SymbolKind.STATE and sym.name in spec.palette else None
-        for sym in derivation.symbols
+        fragment(spec.separator_color) if name == SEPARATOR_NAME
+        else fragment(palette[name]) if name in palette and name != LINEBREAK_NAME
+        else None
+        for name in derivation.symbols
     ]
     # A compiled derivation's linebreak has no color and stands in no row:
     # one search of the rows' bytes per such symbol finds that.
@@ -122,10 +125,10 @@ def _fragments(derivation: Derivation, spec: RenderSpec, rows, fragment) -> list
     missing = [number for number, text in enumerate(table) if text is None]
     if any(map(_find_all, repeat(raw), missing)):
         number = next(n for row in rows for n in row if table[n] is None)
-        sym = derivation.symbols[number]
-        if sym.kind is SymbolKind.STATE:
-            spec.color(sym.name)  # raises MissingPaletteEntryError
-        raise ValueError(f"unrenderable token {sym.name!r} of kind {sym.kind.value}")
+        name = derivation.symbols[number]
+        if name != LINEBREAK_NAME:
+            spec.color(name)  # raises MissingPaletteEntryError
+        raise ValueError(f"unrenderable token {name!r} of kind linebreak")
     return table
 
 
@@ -193,11 +196,11 @@ def schema_chunks(logic: PartitionLogic, states: StateSet, spec: RenderSpec) -> 
     height = top + m * cell + max(m - 1, 0) * gap
     font = max(cell // 2, 1)
     labels = states.labels()
-    columns = states.columns  # per atom, the value each state gives it
+    columns = supports(logic, states)  # per atom, the value each state gives it
     # A label missing from the palette fails at its first true cell in
     # row-major order, as a lookup per cell would.
     missing = [i for i, label in enumerate(labels) if label not in spec.palette]
-    for column in columns[:m]:
+    for column in columns:
         for i in missing:
             if column[i] == 1:
                 spec.color(labels[i])  # raises MissingPaletteEntryError
@@ -282,9 +285,12 @@ def emit_logic_program(grammar: Grammar, spec: RenderSpec) -> str:
     ) + "\n"
 
 
-def _event_tail(symbol) -> str:
-    name, kind = _json_string(symbol.name), _json_string(symbol.kind.value)
-    return f',"symbol":{name},"kind":{kind}}}\n'
+_KINDS = {SEPARATOR_NAME: '"separator"', LINEBREAK_NAME: '"linebreak"'}
+
+
+def _event_tail(name: str) -> str:
+    kind = _KINDS.get(name, '"state"')  # no name in a derivation is a head
+    return f',"symbol":{_json_string(name)},"kind":{kind}}}\n'
 
 
 class EventStream(Value):

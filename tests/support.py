@@ -22,8 +22,6 @@ from sglg import (
     LogicFileError,
     PartitionLogic,
     StateSet,
-    Symbol,
-    SymbolKind,
     enumerate_states,
     is_separating,
     parse_logic_file,
@@ -202,19 +200,7 @@ def random_separating_logic(
 
 def one_state_grammar(name: str = "g") -> Grammar:
     """The smallest useful grammar: one row holding one state symbol."""
-    return Grammar.from_symbols(
-        (
-            (name, (Symbol(SymbolKind.NONTERMINAL, "x"),)),
-            (
-                "x",
-                (
-                    Symbol(SymbolKind.STATE, "s1"),
-                    Symbol(SymbolKind.SEPARATOR, "br"),
-                    Symbol(SymbolKind.LINEBREAK, "n"),
-                ),
-            ),
-        )
-    )
+    return Grammar.from_symbols(((name, ("x",)), ("x", ("s1", "br", "n"))))
 
 
 def _labels_valuing(logic: PartitionLogic, states: StateSet, atom: str, value: int):
@@ -247,13 +233,13 @@ def traced_peak(call, *args) -> int:
 
 
 def body_names(grammar: Grammar, head: str) -> list[str]:
-    return [grammar.symbols[i].name for i in grammar.production_for(head).body]
+    return [grammar.symbols[i] for i in grammar.production_for(head).body]
 
 
 def listing(grammar: Grammar) -> tuple[tuple[str, tuple[str, ...]], ...]:
     """(head, body symbol names) per production."""
     return tuple(
-        (p.head, tuple(grammar.symbols[i].name for i in p.body))
+        (p.head, tuple(grammar.symbols[i] for i in p.body))
         for p in grammar.productions
     )
 

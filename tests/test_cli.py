@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from sglg import (
     Backend,
+    Derivation,
     RenderSpec,
     compile_grammar,
     default_palette,
@@ -237,6 +238,26 @@ def test_check_report_is_pinned_byte_for_byte(fixture, capsys):
     captured = capsys.readouterr()
     assert captured.out == CHECK_REPORTS[fixture]
     assert captured.err == ""
+
+
+def test_check_names_each_misplaced_row_by_its_atom(monkeypatch, capsys):
+    from sglg import cli
+
+    def swapped(grammar):  # rows b and c of l12 traded; all rows are equally long
+        derivation = derive(grammar)
+        tokens, ends = derivation.tokens, derivation.row_boundaries
+        rows = [tokens[start:end] for start, end in zip((0, *(k + 1 for k in ends)), ends)]
+        rows[1], rows[2] = rows[2], rows[1]
+        return Derivation.from_tokens([t for row in rows for t in (*row, "n")], ends)
+
+    monkeypatch.setattr(cli, "derive", swapped)
+    assert main(["check", L12]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "sglg: error: row 1 (b) misplaces s3, s4, s5\n"
+        "sglg: error: row 2 (c) misplaces s3, s4, s5\n"
+    )
 
 
 def test_check_rejects_pinned_states_omitting_s5(tmp_path, capsys):
@@ -912,6 +933,22 @@ def test_output_file_written_by_chunks_holds_the_whole_text(text, chars, tmp_pat
     out = tmp_path / "out.svg"
     _emit(chunks, str(out))
     assert out.read_bytes() == text.encode("utf-8")
+
+
+def test_stdout_is_written_a_chunk_at_a_time(tmp_path, monkeypatch):
+    # Without -o each row goes to stdout as it is made, as with -o to the file.
+    writes = []
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    stdout = Recorder()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["render", write_spec(tmp_path, chain_spec(3)), "--format", "events"]) == 0
+    assert len(writes) == 7  # one per atom of chain-3
+    assert stdout.getvalue() == "".join(writes) and writes[0].startswith('{"row":0,')
 
 
 WRITTEN_FORMATS = ("svg-tiles", "ansi", "html", "logic-program", "events", "schema")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import operator
 import random
 import re
 import sys
@@ -25,8 +26,6 @@ from sglg import (
     RowViolation,
     StateOrder,
     StateSet,
-    Symbol,
-    SymbolKind,
     ValidationError,
     check_incidence,
     compile_grammar,
@@ -78,18 +77,18 @@ HORIZONTAL_ROWS = {
 }
 
 
-def symbol_rows(derivation: Derivation) -> list[list[Symbol]]:
-    """The derivation's rows with one ``Symbol`` per token."""
+def symbol_rows(derivation: Derivation) -> list[list[str]]:
+    """The derivation's rows with one name per token."""
     return [[derivation.symbols[i] for i in row] for row in derivation.rows()]
 
 
-def from_rows(rows: list[list[Symbol]]) -> Derivation:
+def from_rows(rows: list[list[str]]) -> Derivation:
     """A derivation of ``rows``, each ended by a linebreak."""
     tokens, boundaries = [], []
     for row in rows:
         tokens.extend(row)
         boundaries.append(len(tokens))
-        tokens.append(Symbol(SymbolKind.LINEBREAK, "n"))
+        tokens.append("n")
     return Derivation.from_tokens(tokens, boundaries)
 
 
@@ -245,7 +244,7 @@ def test_l12_derivation_has_35_tokens_and_5_rows():
     assert len(derivation.tokens) == 35
     rows = symbol_rows(derivation)
     assert len(rows) == 5
-    assert [sym.name for sym in rows[3]] == ["s2", "s4", "br", "s1", "s3", "s5"]
+    assert rows[3] == ["s2", "s4", "br", "s1", "s3", "s5"]
 
 
 def test_triangle_derivation_has_36_tokens_and_6_rows():
@@ -273,7 +272,7 @@ def test_chain10_derivation_is_a_symbol_table_plus_index_rows():
 
 def test_one_state_grammar_derivation():
     derivation = derive(one_state_grammar())
-    assert [sym.name for sym in derivation.tokens] == ["s1", "br", "n"]
+    assert list(derivation.tokens) == ["s1", "br", "n"]
     assert derivation.row_boundaries == (2,)
 
 
@@ -297,42 +296,37 @@ def test_each_row_carries_every_symbol_exactly_once():
         logic, states = random_separating_logic(rng)
         derivation = derive(compile_grammar(logic, states))
         for row in symbol_rows(derivation):
-            names = [sym.name for sym in row]
-            assert names.count("br") == 1
-            assert sorted(n for n in names if n != "br") == sorted(states.labels())
+            assert row.count("br") == 1
+            assert sorted(n for n in row if n != "br") == sorted(states.labels())
 
 
 # --------------------------------------------------------------- validity
 
 
 def test_grammar_rejects_cycles():
-    x = Symbol(SymbolKind.NONTERMINAL, "x")
-    y = Symbol(SymbolKind.NONTERMINAL, "y")
     with pytest.raises(CyclicGrammarError):
-        Grammar.from_symbols((("x", (y,)), ("y", (x,))))
+        Grammar.from_symbols((("x", ("y",)), ("y", ("x",))))
 
 
 def test_grammar_rejects_self_reference():
-    x = Symbol(SymbolKind.NONTERMINAL, "x")
     with pytest.raises(CyclicGrammarError):
-        Grammar.from_symbols((("x", (x,)),))
+        Grammar.from_symbols((("x", ("x",)),))
 
 
 def derive_by_recursion(grammar: Grammar) -> Derivation:
     """The reference expansion: recursive leftmost rewriting, one token at a time."""
-    tokens: list[Symbol] = []
+    tokens: list[str] = []
+    heads = set(grammar.nonterminals)
 
-    def expand(symbol: Symbol) -> None:
-        if symbol.kind is not SymbolKind.NONTERMINAL:
-            tokens.append(symbol)
+    def expand(name: str) -> None:
+        if name not in heads:
+            tokens.append(name)
             return
-        for child in grammar.production_for(symbol.name).body:
+        for child in grammar.production_for(name).body:
             expand(grammar.symbols[child])
 
-    expand(Symbol(SymbolKind.NONTERMINAL, grammar.start))
-    boundaries = tuple(
-        i for i, sym in enumerate(tokens) if sym.kind is SymbolKind.LINEBREAK
-    )
+    expand(grammar.start)
+    boundaries = tuple(i for i, name in enumerate(tokens) if name == "n")
     return Derivation.from_tokens(tokens, boundaries)
 
 
@@ -343,13 +337,7 @@ def acyclic_grammars(draw) -> Grammar:
     names = [f"x{i}" for i in range(count)]
     productions = []
     for i, name in enumerate(names):
-        choices = [
-            Symbol(SymbolKind.STATE, "s1"),
-            Symbol(SymbolKind.STATE, "s2"),
-            Symbol(SymbolKind.SEPARATOR, "br"),
-            Symbol(SymbolKind.LINEBREAK, "n"),
-            *(Symbol(SymbolKind.NONTERMINAL, later) for later in names[i + 1 :]),
-        ]
+        choices = ["s1", "s2", "br", "n", *names[i + 1 :]]
         body = draw(st.lists(st.sampled_from(choices), max_size=8))
         productions.append((name, tuple(body)))
     return Grammar.from_symbols(productions)
@@ -401,34 +389,45 @@ def test_compiled_layout_equals_the_scanned_one(inputs):
     assert grammar.nonterminals == (logic.name, *logic.atoms)
     assert grammar.terminals == states.labels()
     assert grammar.start == logic.name
-    assert supports(logic, states) == states.columns
+    m = len(logic.atoms)
+    assert supports(logic, states) == tuple(states.matrix[j::m] for j in range(m))
 
 
-def test_first_undeclared_symbol_in_production_order_is_named():
-    s1 = Symbol(SymbolKind.STATE, "s1")
-    x, y, z = (Symbol(SymbolKind.NONTERMINAL, name) for name in "xyz")
-    with pytest.raises(ValueError, match="^undeclared nonterminal 'y'$"):
-        Grammar.from_symbols((("g", (s1, x, y)), ("x", (z,))))
+def test_compiled_table_is_br_n_labels_atoms():
+    logic, states = resolve_fixture("l12.json")
+    labels = states.labels()
+    symbols = compile_grammar(logic, states).symbols
+    assert symbols == ("br", "n", *labels, *logic.atoms)
+    assert all(type(name) is str for name in symbols)
+    assert all(map(operator.is_, symbols[2 : 2 + len(labels)], labels))
+    derivation = derive(compile_grammar(logic, states))
+    assert derivation.symbols == ("br", "n", *labels)
+    assert all(type(name) is str for name in derivation.symbols)
+
+
+def test_body_names_without_a_production_derive_as_terminals():
+    grammar = Grammar.from_symbols((("g", ("s1", "x", "y")), ("x", ("z",))))
+    assert grammar.terminals == ("s1", "y", "z")
+    assert grammar.nonterminals == ("g", "x")
+    assert derive(grammar).tokens == ("s1", "z", "y")
+    ghost = derive(Grammar.from_symbols((("g", ("ghost",)),)))
+    assert ghost.tokens == ("ghost",)
+    assert ghost.row_boundaries == ()
 
 
 def nonterminal_chain(depth: int, cyclic: bool) -> Grammar:
     """g -> x0, x_i -> x_(i+1), and x_(depth-1) -> s1 br n, or -> x0 if cyclic."""
     names = [f"x{i}" for i in range(depth)]
-    refs = [Symbol(SymbolKind.NONTERMINAL, name) for name in names]
-    last = (refs[0],) if cyclic else (
-        Symbol(SymbolKind.STATE, "s1"),
-        Symbol(SymbolKind.SEPARATOR, "br"),
-        Symbol(SymbolKind.LINEBREAK, "n"),
-    )
-    bodies = [(ref,) for ref in refs[1:]] + [last]
-    return Grammar.from_symbols((("g", (refs[0],)), *zip(names, bodies)))
+    last = (names[0],) if cyclic else ("s1", "br", "n")
+    bodies = [(name,) for name in names[1:]] + [last]
+    return Grammar.from_symbols((("g", (names[0],)), *zip(names, bodies)))
 
 
 def test_nonterminal_chain_deeper_than_the_recursion_limit_derives():
     depth = 1500
     assert depth > sys.getrecursionlimit()
     derivation = derive(nonterminal_chain(depth, cyclic=False))
-    assert [sym.name for sym in derivation.tokens] == ["s1", "br", "n"]
+    assert list(derivation.tokens) == ["s1", "br", "n"]
     assert derivation.row_boundaries == (2,)
 
 
@@ -443,9 +442,8 @@ def test_long_cycle_is_rejected_naming_a_nonterminal_on_it():
 
 
 def test_cycle_below_an_acyclic_prefix_names_a_nonterminal_on_the_cycle():
-    x, y, z = (Symbol(SymbolKind.NONTERMINAL, name) for name in "xyz")
     with pytest.raises(CyclicGrammarError, match="^nonterminal 'y' derives itself$"):
-        Grammar.from_symbols((("x", (y,)), ("y", (z,)), ("z", (y,))))
+        Grammar.from_symbols((("x", ("y",)), ("y", ("z",)), ("z", ("y",))))
 
 
 BASE = one_state_grammar()  # g -> x; x -> s1 br n
@@ -457,23 +455,19 @@ STRUCTURAL = {  # id: changed fields, start of the message
         dict(productions=(G_RULE, X_RULE, Production("br", X_RULE.body))),
         r"symbols declared in more than one class: \['br'\]",
     ),
-    "state named like a head": (
-        dict(symbols=(X, Symbol(SymbolKind.STATE, "g"), BR, N)),
-        r"symbols declared in more than one class: \['g'\]",
+    "head named n": (
+        dict(productions=(G_RULE, X_RULE, Production("n", X_RULE.body))),
+        r"symbols declared in more than one class: \['n'\]",
     ),
-    "state named br": (
-        dict(symbols=(X, Symbol(SymbolKind.STATE, "br"), BR, N)),
-        r"symbols declared in more than one class: \['br'\]",
-    ),
-    "separator misnamed": (
-        dict(symbols=(X, S1, Symbol(SymbolKind.SEPARATOR, "sep"), N)),
-        "separator symbol must be named 'br'",
-    ),
-    "linebreak misnamed": (
-        dict(symbols=(X, S1, BR, Symbol(SymbolKind.LINEBREAK, "nl"))),
-        "linebreak symbol must be named 'n'",
+    "heads named br and n": (
+        dict(productions=(G_RULE, Production("n", X_RULE.body), Production("br", X_RULE.body))),
+        r"symbols declared in more than one class: \['br', 'n'\]",
     ),
     "repeated symbol": (dict(symbols=(X, S1, BR, N, S1)), "symbol table repeats a symbol"),
+    "body number past the table": (
+        dict(productions=(G_RULE, Production("x", array("I", [1, 4])))),
+        "production 'x' names no symbol of the table",
+    ),
 }
 
 
@@ -488,14 +482,23 @@ def test_grammar_structural_validation(case):
 def test_grammar_requires_one_production_per_nonterminal():
     with pytest.raises(ValueError, match="one production per nonterminal"):
         Grammar((G_RULE, X_RULE, X_RULE), BASE.symbols)
-    with pytest.raises(ValueError, match="^undeclared nonterminal 'x'$"):
-        Grammar((G_RULE,), BASE.symbols)
 
 
-def test_grammar_rejects_undeclared_body_symbols():
-    ghost = Symbol(SymbolKind.NONTERMINAL, "ghost")
-    with pytest.raises(ValueError, match="undeclared nonterminal"):
-        Grammar.from_symbols((("g", (ghost,)),))
+def test_derivation_table_ends_at_the_last_terminal():
+    # Table s1, x: the head x trails and is cut; x, s1, br: the head x leads and stays.
+    trailing = derive(Grammar.from_symbols((("g", ("s1", "x")), ("x", ("s1",)))))
+    assert trailing.symbols == ("s1",)
+    assert trailing.tokens == ("s1", "s1")
+    leading = derive(Grammar.from_symbols((("g", ("x", "s1")), ("x", ("br",)))))
+    assert leading.symbols == ("x", "s1", "br")
+    assert leading.tokens == ("br", "s1")
+
+
+def test_a_table_name_without_its_production_is_a_terminal():
+    # g -> x, with x's rule dropped: x is now a terminal, as are s1, br and n.
+    grammar = Grammar((G_RULE,), BASE.symbols)
+    assert grammar.terminals == ("x", "s1")
+    assert derive(grammar).tokens == ("x",)
 
 
 # ---------------------------------------------------------- incidence
@@ -518,7 +521,7 @@ def test_incidence_detects_swapped_rows():
     report = check_incidence(from_rows(rows), logic, states)
     assert not report.ok
     assert len(report.violations) == 2
-    assert {v.atom for v in report.violations} == {"b", "c"}
+    assert {logic.atoms[v.row_index] for v in report.violations} == {"b", "c"}
     # swapping b and c misplaces their symmetric support difference
     assert set(report.violations[0].labels) == {"s3", "s4", "s5"}
 
@@ -529,7 +532,7 @@ def test_incidence_holds_for_a_one_state_grammar():
     states = StateSet.from_vectors([(1, 0)], StateOrder.PINNED)
     grammar = compile_grammar(logic, states)
     derivation = derive(grammar)
-    assert [sym.name for sym in derivation.tokens] == ["s1", "br", "n", "br", "s1", "n"]
+    assert list(derivation.tokens) == ["s1", "br", "n", "br", "s1", "n"]
     assert check_incidence(derivation, logic, states).ok
 
 
@@ -554,23 +557,20 @@ def test_incidence_rejects_state_vectors_shorter_than_the_atoms():
 def test_incidence_rejects_rows_missing_a_separator():
     logic, states = resolve_fixture("l12.json")
     derivation = derive(compile_grammar(logic, states))
-    tokens = tuple(
-        Symbol(SymbolKind.STATE, "s1") if sym.kind is SymbolKind.SEPARATOR else sym
-        for sym in derivation.tokens
-    )
+    tokens = tuple("s1" if name == "br" else name for name in derivation.tokens)
     broken = Derivation.from_tokens(tokens, derivation.row_boundaries)
     with pytest.raises(ValueError, match="separator"):
         check_incidence(broken, logic, states)
 
 
 def test_incidence_rejects_a_nonterminal_named_like_a_state_symbol():
-    # Row a with s1 moved right of br and a nonterminal named s1 put at its
-    # left once passed: the tokens left of the cut were read by name.
+    # Row a with s1 moved right of br and s1 put at its left again, as a
+    # nonterminal named s1 once was: a row holding s1 on both sides.
     logic, states = resolve_fixture("l12.json")
     rows = symbol_rows(derive(compile_grammar(logic, states)))
     s1 = rows[0].pop(0)
-    assert [sym.name for sym in rows[0]] == ["s2", "br", "s3", "s4", "s5"]
-    rows[0] = [Symbol(SymbolKind.NONTERMINAL, "s1"), *rows[0], s1]
+    assert rows[0] == ["s2", "br", "s3", "s4", "s5"]
+    rows[0] = ["s1", *rows[0], s1]
     message = "^row 0 does not carry each state symbol exactly once$"
     with pytest.raises(ValueError, match=message):
         check_incidence(from_rows(rows), logic, states)
@@ -620,23 +620,19 @@ def incidence_by_token_walk(derivation, logic, states):
     labeled = list(zip(states.labels(), state_vectors(states)))
     violations = []
     for j, row in enumerate(rows):
-        separators = [k for k, sym in enumerate(row) if sym.kind is SymbolKind.SEPARATOR]
+        separators = [k for k, name in enumerate(row) if name == "br"]
         if len(separators) != 1:
             raise ValueError(f"row {j} does not contain exactly one separator")
-        others = [sym for sym in row if sym.kind is not SymbolKind.SEPARATOR]
-        kinds = {sym.kind for sym in others}
-        if kinds - {SymbolKind.STATE} or sorted(sym.name for sym in others) != labels:
+        if sorted(name for name in row if name != "br") != labels:
             raise ValueError(f"row {j} does not carry each state symbol exactly once")
-        cut = separators[0]
-        left = {sym.name for sym in row[:cut]}
-        atom = logic.atoms[j]
+        left = set(row[: separators[0]])
         mismatched = tuple(
             label
             for label, values in labeled
             if (label in left) != (values[j] == 1)
         )
         if mismatched:
-            violations.append(RowViolation(j, atom, mismatched))
+            violations.append(RowViolation(j, mismatched))
     return IncidenceReport(tuple(violations))
 
 
@@ -647,10 +643,10 @@ def _outcome(check, derivation, logic, states):
         return f"ValueError: {exc}"
 
 
-SEPARATOR = Symbol(SymbolKind.SEPARATOR, "br")
+SEPARATOR = "br"
 
 
-def _damage(rows: list[list[Symbol]], how: str, rng: random.Random) -> None:
+def _damage(rows: list[list[str]], how: str, rng: random.Random) -> None:
     """Damage one row (two for a swap) of a compiled derivation in place."""
     if how == "swap rows" and len(rows) > 1:
         i, j = rng.sample(range(len(rows)), 2)
@@ -660,7 +656,7 @@ def _damage(rows: list[list[Symbol]], how: str, rng: random.Random) -> None:
     if SEPARATOR not in row:
         return
     cut = row.index(SEPARATOR)
-    states_at = [k for k, sym in enumerate(row) if sym.kind is SymbolKind.STATE]
+    states_at = [k for k, name in enumerate(row) if name != SEPARATOR]
     if not states_at:
         return
     k = rng.choice(states_at)
@@ -678,8 +674,8 @@ def _damage(rows: list[list[Symbol]], how: str, rng: random.Random) -> None:
         row.insert(rng.randint(0, len(row)), row[k])
     elif how == "label replaced by another":  # one label twice, one missing
         row[k] = row[rng.choice(states_at)]
-    elif how == "nonterminal left of separator":
-        row.insert(rng.randint(0, cut), Symbol(SymbolKind.NONTERMINAL, row[k].name))
+    elif how == "label repeated left of separator":
+        row.insert(rng.randint(0, cut), row[k])
     elif how == "states reordered":
         rng.shuffle(row)
 
@@ -693,7 +689,7 @@ DAMAGES = (
     "label missing",
     "label repeated",
     "label replaced by another",
-    "nonterminal left of separator",
+    "label repeated left of separator",
     "states reordered",
 )
 

@@ -806,7 +806,6 @@ def matrix_view(logic: PartitionLogic, states: StateSet):
         supports(logic, states),
     )
     assert states.rows == tuple(map(bytes, view[1]))
-    assert states.columns == view[3]
     return view
 
 

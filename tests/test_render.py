@@ -21,8 +21,6 @@ from sglg import (
     RenderSpec,
     StateOrder,
     StateSet,
-    Symbol,
-    SymbolKind,
     compile_grammar,
     default_palette,
     derive,
@@ -207,7 +205,7 @@ def test_tiles_cell_count_matches_non_linebreak_tokens():
     logic, states = resolve_fixture("example_a.json")
     derivation = derive(compile_grammar(logic, states))
     spec = RenderSpec(palette=default_palette(states.labels()))
-    non_breaks = sum(1 for sym in derivation.tokens if sym.name != "n")
+    non_breaks = sum(1 for name in derivation.tokens if name != "n")
     assert len(rects(render_tiles(derivation, spec))) == non_breaks
 
 
@@ -445,15 +443,15 @@ def test_events_are_strictly_ordered():
 
 
 def test_events_jsonl_is_json_dumps_per_event():
-    s1 = Symbol(SymbolKind.STATE, "s1")
-    n = Symbol(SymbolKind.LINEBREAK, "n")
-    hostile = Symbol(SymbolKind.SEPARATOR, 'q"\\é\u2028\n😀')
-    # Rows: (s1), an empty row that is skipped, then 12 x s1 and the hostile br.
-    derivation = Derivation.from_tokens((s1, n, n, *[s1] * 12, hostile), (1, 2))
+    hostile = 'q"\\é\u2028\n😀'
+    # Rows: (s1), an empty row that is skipped, then 12 x s1, br and the
+    # hostile state name.
+    derivation = Derivation.from_tokens(("s1", "n", "n", *["s1"] * 12, "br", hostile), (1, 2))
     events = [
         (0, 0, "s1", "state"),
         *((1, p, "s1", "state") for p in range(12)),
-        (1, 12, 'q"\\é\u2028\n😀', "separator"),
+        (1, 12, "br", "separator"),
+        (1, 13, hostile, "state"),
     ]
     expected = "".join(
         json.dumps(
@@ -468,6 +466,15 @@ def test_events_jsonl_is_json_dumps_per_event():
     assert emit_events(Derivation.from_tokens((), ())).to_jsonl() == ""
 
 
+def test_compiled_event_kinds_follow_the_names():
+    *_, derivation = l12_pipeline()
+    events = event_tuples(derivation)
+    assert {(symbol == "br", kind) for _, _, symbol, kind in events} == {
+        (True, "separator"),
+        (False, "state"),
+    }
+
+
 def test_events_jsonl_shape():
     *_, derivation = l12_pipeline()
     lines = emit_events(derivation).to_jsonl().splitlines()
@@ -480,11 +487,11 @@ def test_events_jsonl_shape():
 # ------------------------------------------- properties against references
 #
 # Per-token references: the loops the backends were first written as, over
-# rows of ``Symbol`` objects. Each backend must give the same text, or raise
+# rows of names. Each backend must give the same text, or raise
 # the same error, as these.
 
 
-def token_rows(tokens, boundaries) -> list[list[Symbol]]:
+def token_rows(tokens, boundaries) -> list[list[str]]:
     """Tokens between boundaries, boundary tokens dropped, empty rows skipped."""
     rows, start = [], 0
     for boundary in (*boundaries, len(tokens)):
@@ -493,12 +500,12 @@ def token_rows(tokens, boundaries) -> list[list[Symbol]]:
     return [row for row in rows if row]
 
 
-def reference_color(sym, spec: RenderSpec) -> str:
-    if sym.kind is SymbolKind.STATE:
-        return spec.color(sym.name)
-    if sym.kind is SymbolKind.SEPARATOR:
+def reference_color(name: str, spec: RenderSpec) -> str:
+    if name == "br":
         return spec.separator_color
-    raise ValueError(f"unrenderable token {sym.name!r} of kind {sym.kind.value}")
+    if name != "n":
+        return spec.color(name)
+    raise ValueError("unrenderable token 'n' of kind linebreak")
 
 
 def reference_tiles(rows, spec: RenderSpec) -> str:
@@ -590,15 +597,18 @@ def reference_html(rows, spec: RenderSpec) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+KINDS = {"br": "separator", "n": "linebreak"}
+
+
 def reference_events(rows) -> str:
     return "".join(
         json.dumps(
-            {"row": r, "pos": p, "symbol": sym.name, "kind": sym.kind.value},
+            {"row": r, "pos": p, "symbol": name, "kind": KINDS.get(name, "state")},
             separators=(",", ":"),
         )
         + "\n"
         for r, row in enumerate(rows)
-        for p, sym in enumerate(row)
+        for p, name in enumerate(row)
     )
 
 
@@ -627,21 +637,21 @@ def specs(draw) -> RenderSpec:
     )
 
 
-# Equal symbols as distinct objects, and tokens no backend can color (a
-# nonterminal, a linebreak inside a row).
+# Equal names as distinct objects, and tokens no backend can color (a name
+# in no palette, a linebreak inside a row).
 TOKEN_POOL = [
-    *(Symbol(SymbolKind.STATE, label) for label in LABELS),
-    Symbol(SymbolKind.STATE, "s1"),
-    Symbol(SymbolKind.SEPARATOR, "br"),
-    Symbol(SymbolKind.SEPARATOR, "br"),
-    Symbol(SymbolKind.LINEBREAK, "n"),
-    Symbol(SymbolKind.NONTERMINAL, "x"),
-    Symbol(SymbolKind.STATE, 'q"\\é\u2028\n😀'),
+    *LABELS,
+    "".join(("s", "1")),
+    "br",
+    "".join(("b", "r")),
+    "n",
+    "x",
+    'q"\\é\u2028\n😀',
 ]
 
 
 @st.composite
-def hand_built_tokens(draw) -> tuple[tuple[Symbol, ...], tuple[int, ...]]:
+def hand_built_tokens(draw) -> tuple[tuple[str, ...], tuple[int, ...]]:
     """Any token sequence from ``TOKEN_POOL``, with row boundaries anywhere."""
     tokens = tuple(draw(st.lists(st.sampled_from(TOKEN_POOL), max_size=40)))
     boundaries = sorted(draw(st.sets(st.integers(0, max(len(tokens) - 1, 0)))))
@@ -690,7 +700,7 @@ def test_backends_equal_per_token_references_on_hand_built_derivations(
 ):
     tokens, boundaries = drawn
     derivation = Derivation.from_tokens(tokens, boundaries)
-    # Equal symbols, also as distinct objects, share one table entry; the
+    # Equal names, also as distinct objects, share one table entry; the
     # references run over the original objects.
     assert len(derivation.symbols) == len(set(tokens))
     assert derivation.tokens == tokens
@@ -725,11 +735,9 @@ def test_schema_equals_the_per_cell_reference(rng, spec, data):
 )
 def test_backends_equal_references_on_rows_of_0_1_and_3_tokens(lengths):
     # A row shorter than the longest takes a prefix of the column slots.
-    s1, s2 = Symbol(SymbolKind.STATE, "s1"), Symbol(SymbolKind.STATE, "s2")
-    br, n = Symbol(SymbolKind.SEPARATOR, "br"), Symbol(SymbolKind.LINEBREAK, "n")
-    pool = {0: [], 1: [s2], 3: [s1, br, s2]}
-    tokens = [token for k in lengths for token in (*pool[k], n)]
-    boundaries = [i for i, token in enumerate(tokens) if token is n]
+    pool = {0: [], 1: ["s2"], 3: ["s1", "br", "s2"]}
+    tokens = [token for k in lengths for token in (*pool[k], "n")]
+    boundaries = [i for i, token in enumerate(tokens) if token == "n"]
     derivation = Derivation.from_tokens(tokens, boundaries)
     spec = RenderSpec(palette={"s1": RED, "s2": BLUE}, cell_size=5, cell_gap=1)
     rows = token_rows(tokens, boundaries)
@@ -743,6 +751,21 @@ def test_schema_equals_the_per_cell_reference_for_one_state(vector):
     states = StateSet.from_vectors([vector], StateOrder.PINNED)
     spec = RenderSpec(palette={"s1": RED}, backend=Backend.SVG_SCHEMA)
     assert render_schema(logic, states, spec) == reference_schema(logic, states, spec)
+
+
+@pytest.mark.parametrize("width", [2, 4], ids=["narrower", "wider"])
+def test_schema_rejects_states_whose_width_is_not_the_atom_count(width):
+    # Three atoms; the states value two or four. Both fail on the call, before
+    # any chunk and so before an output file would be opened.
+    logic = PartitionLogic("logic", ("x", "y", "z"), ((0, 1, 2),))
+    vectors = [tuple(int(i == k) for i in range(width)) for k in range(2)]
+    states = StateSet.from_vectors(vectors, StateOrder.PINNED)
+    spec = RenderSpec(palette={"s1": RED, "s2": BLUE}, backend=Backend.SVG_SCHEMA)
+    message = f"^state s1 has a {width}-value vector for 3 atoms$"
+    with pytest.raises(ValueError, match=message):
+        schema_chunks(logic, states, spec)
+    with pytest.raises(ValueError, match=message):
+        render_schema(logic, states, spec)
 
 
 def test_schema_names_the_first_missing_label_among_true_cells():
@@ -808,14 +831,14 @@ def assert_chunks_equal_references(derivation: Derivation, rows, spec: RenderSpe
 
 
 @st.composite
-def short_row_derivations(draw) -> tuple[Derivation, list[list[Symbol]]]:
+def short_row_derivations(draw) -> tuple[Derivation, list[list[str]]]:
     """Rows of 1-3 tokens from ``TOKEN_POOL``, each ended by a linebreak."""
     rows = draw(st.lists(st.lists(st.sampled_from(TOKEN_POOL), min_size=1, max_size=3)))
     tokens, boundaries = [], []
     for row in rows:
         tokens += row
         boundaries.append(len(tokens))
-        tokens.append(Symbol(SymbolKind.LINEBREAK, "n"))
+        tokens.append("n")
     derivation = Derivation.from_tokens(tokens, boundaries)
     return derivation, rows
 
@@ -855,13 +878,15 @@ def test_chunks_equal_per_token_references_on_chains(k, spec, full_palette):
 )
 def test_chunk_builders_raise_on_the_call_at_the_first_bad_token(builder, backend):
     # Row 0 renders; the first bad token in row-major order decides the error.
-    s1, s3 = Symbol(SymbolKind.STATE, "s1"), Symbol(SymbolKind.STATE, "s3")
-    x, n = Symbol(SymbolKind.NONTERMINAL, "x"), Symbol(SymbolKind.LINEBREAK, "n")
     spec = RenderSpec(palette={"s1": RED}, backend=backend)
-    derivation = Derivation.from_tokens([s1, n, s1, x, s3, n], [1, 5])
-    with pytest.raises(ValueError, match="^unrenderable token 'x' of kind nonterminal$"):
+    derivation = Derivation.from_tokens(["s1", "n", "s1", "n", "s3", "n"], [1, 5])
+    with pytest.raises(ValueError, match="^unrenderable token 'n' of kind linebreak$"):
         builder(derivation, spec)
-    derivation = Derivation.from_tokens([s1, n, s3, x, n, x], [1, 4])
+    derivation = Derivation.from_tokens(["s1", "n", "s1", "x", "s3", "n"], [1, 5])
+    with pytest.raises(MissingPaletteEntryError) as excinfo:
+        builder(derivation, spec)  # a name without a color, also one once a nonterminal
+    assert excinfo.value.label == "x"
+    derivation = Derivation.from_tokens(["s1", "n", "s3", "x", "n", "x"], [1, 4])
     with pytest.raises(MissingPaletteEntryError) as excinfo:
         builder(derivation, spec)
     assert excinfo.value.label == "s3"

@@ -32,8 +32,6 @@ from sglg import (
     SeparationResult,
     StateOrder,
     StateSet,
-    Symbol,
-    SymbolKind,
     VectorRealization,
     build_v_realization,
     compile_grammar,
@@ -62,7 +60,6 @@ def _read(names, first, second):
 
 # Per class: its field names in order, then two valid, unequal field tuples.
 CASES = {
-    Symbol: (("kind", "name"), (SymbolKind.STATE, "s1"), (SymbolKind.NONTERMINAL, "a")),
     Production: (
         ("head", "body"),
         ("a", array("I", [2, 0, 1])),
@@ -78,11 +75,11 @@ CASES = {
         L12_DERIVATION,
         TRIANGLE_DERIVATION,
     ),
-    RowViolation: (("row_index", "atom", "labels"), (0, "a", ("s1",)), (1, "b", ())),
+    RowViolation: (("row_index", "labels"), (0, ("s1",)), (1, ())),
     IncidenceReport: (
         ("violations",),
         ((),),
-        ((RowViolation(0, "a", ("s1", "s2")),),),
+        ((RowViolation(0, ("s1", "s2")),),),
     ),
     PartitionLogic: _read(
         ("name", "atoms", "contexts"),
