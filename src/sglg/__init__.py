@@ -7,7 +7,6 @@ verify a Hilbert-space realization of the logic.
 """
 
 from .errors import (
-    CyclicGrammarError,
     EmptyStateSetError,
     LogicFileError,
     MissingPaletteEntryError,

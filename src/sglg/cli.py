@@ -20,7 +20,7 @@ from .grammar import (
     check_incidence,
     compile_grammar,
     derive,
-    production_text,
+    production_chunks,
     productions_json,
 )
 from .logic import (
@@ -238,7 +238,7 @@ def _cmd_grammar(args) -> int:
     if args.format == "json":
         sys.stdout.write(productions_json(grammar))
     else:
-        sys.stdout.write(production_text(grammar))
+        _emit(production_chunks(grammar), None)
     return 0
 
 

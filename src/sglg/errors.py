@@ -43,10 +43,6 @@ class NotAPartitionError(ValidationError):
     """A context's supports fail to partition the state labels."""
 
 
-class CyclicGrammarError(ValidationError):
-    """A grammar's nonterminal reference graph contains a cycle."""
-
-
 class MissingPaletteEntryError(ValidationError):
     """A render palette lacks a color for some state label."""
 

@@ -1,40 +1,34 @@
 """Simple generative logic grammars compiled from partition logics.
 
-The compiler translates a logic plus a separating state set into a flat,
-non-recursive grammar: a start rule expanding into one nonterminal per
-atom, and per atom a row rule listing the supporting state symbols, a
-separator, the complementary symbols, and a line break. The derivation
-engine expands any grammar of this kind (not only compiled ones) by
-deterministic leftmost rewriting.
+The compiler translates a logic plus a separating state set into the flat
+grammar of the paper, the only shape a ``Grammar`` takes: a start rule
+expanding into one nonterminal per atom, and per atom a row rule listing
+the supporting state symbols, a separator, the complementary symbols, and
+a line break. Deriving the start symbol writes the rows end to end.
 
 A symbol is its name, a ``str``, and the name fixes its kind: ``br`` is
 the separator, ``n`` the linebreak, a production head a nonterminal, and
 any other name a state (a terminal). A grammar is its productions, the
 first one the start rule, and its symbol table, which holds each distinct
-name once. A production body, like a derivation's token sequence, is an
-``array('I')`` of symbol numbers (table positions), 4 bytes a token. A
-compiled table is ``br``, ``n``, ``s1..sN``, then the atoms, so row bodies
-come straight from the state columns. ``Grammar.from_symbols`` and
-``Derivation.from_tokens`` intern hand-built name sequences. Only they and
-the ``Grammar`` constructor scan bodies to check and lay out a grammar; a
-compiled grammar comes with its layout, known before any token.
+name once. A body, like a derivation's token sequence, holds symbol
+numbers (table positions), 4 bytes a token. A compiled table is ``br``,
+``n``, ``s1..sN``, then the atoms, so row bodies come straight from the
+state columns. A compiled grammar writes its rows into one ``array('I')``,
+each row body a ``memoryview`` slice of it, and that array is its
+derivation's tokens: none is copied. ``Grammar.from_symbols`` and
+``Derivation.from_tokens`` intern hand-built name sequences.
 """
 
 from __future__ import annotations
 
 import json
 from array import array
-from bisect import bisect_left
+from collections.abc import Iterator
 from functools import cached_property
-from itertools import compress, count, filterfalse
+from itertools import accumulate, chain, compress, count, filterfalse
 from operator import attrgetter
 
-from .errors import (
-    CyclicGrammarError,
-    EmptyStateSetError,
-    NotSeparatingError,
-    ValidationError,
-)
+from .errors import EmptyStateSetError, NotSeparatingError, ValidationError
 from .logic import PartitionLogic, StateSet, _atom_width, _clash, _first_inadmissible
 from .logic import supports
 from .value import Value
@@ -67,7 +61,9 @@ def _find_all(raw: bytes, number: int) -> list[int]:
 
 class Production(Value):
     head: str
-    body: array  # symbol numbers: positions in the grammar's table
+    body: array  # symbol numbers: an array('I'), or a memoryview slice of one
+
+    __hash__ = None  # as an array body is; a view's own hash raises ValueError
 
     def __init__(self, head: str, body: array):  # once per atom
         fields = self.__dict__
@@ -78,12 +74,12 @@ class Grammar(Value):
     """Productions, the first one the start rule, and the symbol table.
 
     ``symbols`` is the table of names the production bodies index, each
-    once. The nonterminals are the production heads, the start symbol the
+    once. The grammar is flat: the start rule names each row head once, in
+    production order, and each row names no head and ends with its one
+    ``n``. The nonterminals are the production heads, the start symbol the
     first head and the terminals the other names but ``br`` and ``n``, in
     table order. Binding symbols to colors or other realizations happens in
-    the render layer. Only the constructor and ``from_symbols`` scan bodies
-    for the layout (where the nonterminals and ``n`` sit); a compiled
-    grammar comes with its layout.
+    the render layer.
     """
 
     productions: tuple[Production, ...]
@@ -118,59 +114,31 @@ class Grammar(Value):
         layout = {SEPARATOR_NAME, LINEBREAK_NAME} & heads
         if layout:
             raise ValueError(f"symbols declared in more than one class: {sorted(layout)}")
-        if len(set(self.symbols)) != len(self.symbols):
+        names = self.symbols
+        if len(set(names)) != len(names):
             raise ValueError("symbol table repeats a symbol")
-        self._check_acyclic()
-
-    @cached_property
-    def _layout(self) -> dict[str, tuple[list[int], list[int]]]:
-        """Per head, the body positions of its nonterminals and of ``n``."""
-        symbols = self.symbols
-        nts = set(compress(count(), map(self._by_head.__contains__, symbols)))
-        breaks = set(compress(count(), map(LINEBREAK_NAME.__eq__, symbols)))
-        numbers, layout = set(range(len(symbols))), {}
         for p in self.productions:
-            present = set(p.body)  # each distinct symbol number once
-            if not present <= numbers:
+            if max(p.body, default=-1) >= len(names):
                 raise ValueError(f"production {p.head!r} names no symbol of the table")
-            refs = [k for k, x in enumerate(p.body) if x in nts] if nts & present else []
-            found = [k for x in breaks & present for k in _find_all(p.body.tobytes(), x)]
-            layout[p.head] = (refs, found)
-        return layout
-
-    def _check_acyclic(self) -> None:
-        refs = {
-            p.head: [self.symbols[p.body[k]] for k in self._layout[p.head][0]]
-            for p in self.productions
-        }
-        # Depth-first with an explicit stack of child iterators: a reference
-        # back into the current path closes a cycle through that nonterminal.
-        done: set[str] = set()
-        for root in refs:
-            if root in done:
-                continue
-            path = {root}
-            stack = [(root, iter(refs[root]))]
-            while stack:
-                head, children = stack[-1]
-                for ref in children:
-                    if ref in path:
-                        raise CyclicGrammarError(f"nonterminal {ref!r} derives itself")
-                    if ref not in done:
-                        path.add(ref)
-                        stack.append((ref, iter(refs[ref])))
-                        break
-                else:
-                    stack.pop()
-                    path.remove(head)
-                    done.add(head)
+        start, *rows = self.productions
+        if tuple(map(names.__getitem__, start.body)) != self.nonterminals[1:]:
+            raise ValueError(
+                f"start rule {start.head!r} does not name each row head once, in order"
+            )
+        nts = set(compress(count(), map(heads.__contains__, names)))
+        linebreak = names.index(LINEBREAK_NAME) if LINEBREAK_NAME in names else None
+        for p in rows:
+            if not nts.isdisjoint(p.body):
+                name = next(names[x] for x in p.body if x in nts)
+                raise ValueError(f"row {p.head!r} names nonterminal {name!r}")
+            ends = [] if linebreak is None else _find_all(p.body.tobytes(), linebreak)
+            if ends != [len(p.body) - 1]:
+                raise ValueError(f"row {p.head!r} does not hold n once, as its last token")
 
     @cached_property
-    def _by_head(self) -> dict[str, Production]:
-        return {p.head: p for p in self.productions}
-
-    def production_for(self, head: str) -> Production:
-        return self._by_head[head]
+    def _indices(self) -> array:
+        """The row bodies end to end; a compiled grammar is built with it."""
+        return array("I", b"".join(p.body for p in self.productions[1:]))
 
 
 class Derivation(Value):
@@ -196,11 +164,13 @@ class Derivation(Value):
         """One name per token, looked up in the table."""
         return tuple(map(self.symbols.__getitem__, self.indices))
 
-    def rows(self) -> tuple[array, ...]:
-        """Symbol numbers between linebreaks; linebreaks themselves excluded."""
+    def rows(self) -> tuple[memoryview, ...]:
+        """Symbol numbers between linebreaks, as views of ``indices``;
+        linebreaks themselves excluded."""
+        view = memoryview(self.indices)
         starts = (0, *(boundary + 1 for boundary in self.row_boundaries))
         ends = (*self.row_boundaries, len(self.indices))
-        return tuple(filter(None, map(self.indices.__getitem__, map(slice, starts, ends))))
+        return tuple(filter(None, map(view.__getitem__, map(slice, starts, ends))))
 
 
 class RowViolation(Value):
@@ -249,51 +219,36 @@ def compile_grammar(logic: PartitionLogic, states: StateSet) -> Grammar:
     # Symbol numbers: br 0, n 1, the state labels 2..N+1, then the atoms.
     n, m = len(labels), len(logic.atoms)
     ids = list(range(2, n + 2))
-    symbols = (SEPARATOR_NAME, LINEBREAK_NAME, *labels, *logic.atoms)
-    productions = [Production(logic.name, array("I", range(n + 2, n + 2 + m)))]
-    for atom, column in zip(logic.atoms, columns):
-        false = column.translate(_FLIP)
-        body = array("I", [*compress(ids, column), 0, *compress(ids, false), 1])
-        productions.append(Production(atom, body))
-    # The checks above cover __post_init__'s, so the grammar comes with its layout:
-    # the start rule names atoms 0..M-1; a row rule, no nonterminal and n at N+1.
-    row = ([], [n + 1])  # one for every atom: derive only reads a layout
+    tokens = array("I")  # every row, n + 2 tokens each
+    for column in columns:
+        tokens.extend(compress(ids, column))
+        tokens.append(0)
+        tokens.extend(compress(ids, column.translate(_FLIP)))
+        tokens.append(1)
+    view = memoryview(tokens)  # only now: an array with views cannot grow
+    rows = [Production(atom, view[k : k + n + 2]) for atom, k in zip(logic.atoms, count(0, n + 2))]
+    start = Production(logic.name, array("I", range(n + 2, n + 2 + m)))
+    # The checks above cover __post_init__'s: the start rule names the atoms in
+    # order, and a row holds only labels, br and its last token n.
     return Grammar._trusted(
-        productions=tuple(productions),
-        symbols=symbols,
-        _layout={logic.name: (list(range(m)), []), **dict.fromkeys(logic.atoms, row)},
+        productions=(start, *rows),
+        symbols=(SEPARATOR_NAME, LINEBREAK_NAME, *labels, *logic.atoms),
+        _indices=tokens,
     )
 
 
 def derive(grammar: Grammar) -> Derivation:
-    """Deterministic leftmost expansion of the start symbol (acyclic, so finite).
+    """The start symbol rewritten: the rows end to end, each ended by its ``n``.
 
-    Each run of terminals is copied into the token array in one piece. The
-    derivation shares the grammar's table up to its last terminal.
+    The tokens are the grammar's own array, not a copy. The derivation
+    shares the grammar's table up to its last terminal.
     """
-    symbols, heads = grammar.symbols, grammar._by_head
+    symbols, heads = grammar.symbols, set(grammar.nonterminals)
     end = len(symbols)
     while end and symbols[end - 1] in heads:  # drop the heads that end the table
         end -= 1
-    indices = array("I")
-    boundaries: list[int] = []  # token indices of the linebreaks
-    # Per open expansion: head and how many of its references are expanded.
-    stack = [(grammar.start, 0)]
-    while stack:
-        head, done = stack.pop()
-        body = grammar.production_for(head).body
-        refs, breaks = grammar._layout[head]
-        pos = refs[done - 1] + 1 if done else 0
-        stop = refs[done] if done < len(refs) else len(body)
-        if stop > pos:
-            offset = len(indices) - pos
-            indices.extend(body[pos:stop])
-            lo, hi = bisect_left(breaks, pos), bisect_left(breaks, stop)
-            boundaries.extend(k + offset for k in breaks[lo:hi])
-        if done < len(refs):
-            stack.append((head, done + 1))
-            stack.append((symbols[body[stop]], 0))
-    return Derivation(symbols[:end], indices, tuple(boundaries))
+    ends = accumulate(len(p.body) for p in grammar.productions[1:])
+    return Derivation(symbols[:end], grammar._indices, tuple(k - 1 for k in ends))
 
 
 def check_incidence(
@@ -345,20 +300,23 @@ def check_incidence(
     return IncidenceReport(tuple(violations))
 
 
-def production_text(grammar: Grammar) -> str:
-    """Plain-text production listing in arrow notation.
+def production_chunks(grammar: Grammar) -> Iterator[tuple[str, ...]]:
+    """The production listing in arrow notation, one chunk per production.
 
     The start rule is set off from the row rules by a blank line, matching
     the layered source layout used by :func:`sglg.render.emit_logic_program`.
     """
-    names = grammar.symbols
-    lines = [
-        f"{p.head} --> {','.join(map(names.__getitem__, p.body))}."
-        for p in grammar.productions
-    ]
-    if len(lines) > 1:
-        lines.insert(1, "")
-    return "\n".join(lines) + "\n"
+    names, (start, *rows) = grammar.symbols, grammar.productions
+
+    def chunk(p: Production, end: str = ".\n") -> tuple[str, ...]:
+        return (p.head, " --> ", ",".join(map(names.__getitem__, p.body)), end)
+
+    return chain((chunk(start, ".\n\n" if rows else ".\n"),), map(chunk, rows))
+
+
+def production_text(grammar: Grammar) -> str:
+    """The production listing in one string."""
+    return "".join(chain.from_iterable(production_chunks(grammar)))
 
 
 def productions_json(grammar: Grammar) -> str:

@@ -6,14 +6,15 @@ layer never changes here — a ``RenderSpec`` only binds symbols to colors
 and geometry.
 
 That binding is per symbol, not per token: a derivation holds each
-distinct symbol once in its table and its rows as arrays of symbol
-numbers, so each backend formats its output fragment once per table entry
-and writes each row by looking the fragments up by number, with the
-per-column and per-row text (x and y coordinates, event positions)
-formatted once too. The SVG and event writers make a row one join over
-three slots per token, filled by slice assignment: the column's text,
-the row's text and the token's fragment. Each SVG line starts with its
-newline and each event line ends with one, so no line is joined twice.
+distinct symbol once in its table and its rows as views of one array of
+symbol numbers, so each backend formats its output fragment once per
+table entry and writes each row by looking the fragments up by number,
+with the per-column and per-row text (x and y coordinates, event
+positions) formatted once too. The SVG and event writers make a row one
+join over three slots per token, filled by slice assignment: the
+column's text, the row's text and the token's fragment. Each SVG line
+starts with its newline and each event line ends with one, so no line is
+joined twice.
 
 The ``*_chunks`` functions give the text as one chunk (a sequence of
 strings) per row: they raise when called and make each row when it is

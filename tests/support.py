@@ -233,7 +233,8 @@ def traced_peak(call, *args) -> int:
 
 
 def body_names(grammar: Grammar, head: str) -> list[str]:
-    return [grammar.symbols[i] for i in grammar.production_for(head).body]
+    body = dict(zip(grammar.nonterminals, grammar.productions))[head].body
+    return [grammar.symbols[i] for i in body]
 
 
 def listing(grammar: Grammar) -> tuple[tuple[str, tuple[str, ...]], ...]:

@@ -31,9 +31,11 @@ from sglg import (
     default_palette,
     derive,
     parse_logic_file,
+    production_text,
     resolve_states,
 )
 from sglg.cli import _emit, format_state_table, main
+from sglg.grammar import production_chunks
 from sglg.render import text_chunks
 from support import FIXTURES, ROOT, chain_spec, random_base_set_spec, traced_peak
 
@@ -1043,6 +1045,18 @@ def test_ansi_output_file_is_written_without_holding_its_text(name, tmp_path):
     out = tmp_path / "out"
     peak = traced_peak(lambda: _emit(text_chunks(derivation, spec), str(out)))
     assert peak < out.stat().st_size
+
+
+@pytest.mark.parametrize("name", sorted(MEMORY_INPUTS))
+def test_grammar_listing_is_written_without_holding_its_text(name, tmp_path):
+    # The listing's lines and their join, held whole, peaked at 3.0 (chain-12)
+    # and 3.4 (base set) times the text; a production at a time, at 0.3 and 0.4.
+    logic, states = resolve_states(parse_logic_file(json.dumps(MEMORY_INPUTS[name]())))
+    grammar = compile_grammar(logic, states)
+    out = tmp_path / "out"
+    peak = traced_peak(lambda: _emit(production_chunks(grammar), str(out)))
+    assert peak < out.stat().st_size
+    assert out.read_text(encoding="utf-8") == production_text(grammar)
 
 
 def test_render_events_builds_no_palette(monkeypatch, capsys):

@@ -5,8 +5,6 @@ from __future__ import annotations
 import json
 import operator
 import random
-import re
-import sys
 from array import array
 
 import pytest
@@ -14,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sglg import (
-    CyclicGrammarError,
     Derivation,
     EmptyStateSetError,
     Grammar,
@@ -47,6 +44,7 @@ from support import (
     random_separating_logic,
     resolve_fixture,
     state_vectors,
+    traced_peak,
     true_labels,
 )
 
@@ -267,7 +265,42 @@ def test_chain10_derivation_is_a_symbol_table_plus_index_rows():
     assert type(derivation.indices) is array and derivation.indices.typecode == "I"
     rows = derivation.rows()
     assert len(rows) == len(atoms)
-    assert all(type(row) is array and row.typecode == "I" for row in rows)
+    assert all(type(row) is memoryview and row.format == "I" for row in rows)
+    assert all(row.obj is derivation.indices for row in rows)
+
+
+def test_compiled_rows_derivation_and_its_rows_share_one_array():
+    logic, states = resolve_fixture("l12.json")
+    grammar = compile_grammar(logic, states)
+    derivation = derive(grammar)
+    assert type(derivation.indices) is array
+    start, *rows = grammar.productions
+    assert type(start.body) is array
+    assert all(type(p.body) is memoryview and p.body.obj is derivation.indices for p in rows)
+    assert derive(grammar).indices is derivation.indices
+
+
+def chain_inputs(k: int) -> tuple[PartitionLogic, StateSet]:
+    return resolve_states(parse_logic_file(json.dumps(chain_spec(k))))
+
+
+@pytest.mark.parametrize("k", [14, 16])
+def test_derive_allocates_no_copy_of_the_tokens(k):
+    grammar = compile_grammar(*chain_inputs(k))
+    token_bytes = len(derive(grammar).indices) * 4
+    assert traced_peak(derive, grammar) < token_bytes / 4
+
+
+def test_compile_derive_and_check_peak_within_four_and_a_half_token_copies():
+    logic, states = chain_inputs(16)  # fresh: the labels are made inside the call
+    token_bytes = len(logic.atoms) * (len(states) + 2) * 4
+    reports = []
+
+    def check() -> None:
+        reports.append(check_incidence(derive(compile_grammar(logic, states)), logic, states))
+
+    assert traced_peak(check) <= 4.5 * token_bytes
+    assert reports[0].ok
 
 
 def test_one_state_grammar_derivation():
@@ -303,26 +336,16 @@ def test_each_row_carries_every_symbol_exactly_once():
 # --------------------------------------------------------------- validity
 
 
-def test_grammar_rejects_cycles():
-    with pytest.raises(CyclicGrammarError):
-        Grammar.from_symbols((("x", ("y",)), ("y", ("x",))))
-
-
-def test_grammar_rejects_self_reference():
-    with pytest.raises(CyclicGrammarError):
-        Grammar.from_symbols((("x", ("x",)),))
-
-
 def derive_by_recursion(grammar: Grammar) -> Derivation:
     """The reference expansion: recursive leftmost rewriting, one token at a time."""
     tokens: list[str] = []
-    heads = set(grammar.nonterminals)
+    rules = dict(zip(grammar.nonterminals, grammar.productions))
 
     def expand(name: str) -> None:
-        if name not in heads:
+        if name not in rules:
             tokens.append(name)
             return
-        for child in grammar.production_for(name).body:
+        for child in rules[name].body:
             expand(grammar.symbols[child])
 
     expand(grammar.start)
@@ -331,20 +354,16 @@ def derive_by_recursion(grammar: Grammar) -> Derivation:
 
 
 @st.composite
-def acyclic_grammars(draw) -> Grammar:
-    """Nonterminals x0..xk; x_i's body may name x_j only for j > i."""
-    count = draw(st.integers(1, 6))
-    names = [f"x{i}" for i in range(count)]
-    productions = []
-    for i, name in enumerate(names):
-        choices = ["s1", "s2", "br", "n", *names[i + 1 :]]
-        body = draw(st.lists(st.sampled_from(choices), max_size=8))
-        productions.append((name, tuple(body)))
-    return Grammar.from_symbols(productions)
+def flat_grammars(draw) -> Grammar:
+    """g -> x0..xk, each row x_i over s1, s2 and br, ended by n."""
+    names = [f"x{i}" for i in range(draw(st.integers(0, 6)))]
+    terminals = st.lists(st.sampled_from(["s1", "s2", "br"]), max_size=8)
+    rows = [(name, (*draw(terminals), "n")) for name in names]
+    return Grammar.from_symbols((("g", tuple(names)), *rows))
 
 
 @settings(max_examples=200, deadline=None)
-@given(acyclic_grammars())
+@given(flat_grammars())
 def test_derive_equals_recursive_expansion(grammar):
     assert derivation_content(derive(grammar)) == derivation_content(
         derive_by_recursion(grammar)
@@ -377,14 +396,14 @@ def compiled_inputs(draw) -> tuple[PartitionLogic, StateSet]:
 
 @settings(max_examples=100, deadline=None)
 @given(compiled_inputs())
-def test_compiled_layout_equals_the_scanned_one(inputs):
+def test_compiled_grammar_equals_the_checked_one(inputs):
     logic, states = inputs
     grammar = compile_grammar(logic, states)
-    stated = grammar.__dict__["_layout"]  # there before any read of it
-    scanned = Grammar(grammar.productions, grammar.symbols)
-    assert scanned == grammar
-    assert scanned._layout == stated
-    assert derive(scanned) == derive(grammar)
+    stated = grammar.__dict__["_indices"]  # there before any read of it
+    checked = Grammar(grammar.productions, grammar.symbols)
+    assert checked == grammar
+    assert checked._indices == stated and checked._indices is not stated
+    assert derive(checked) == derive(grammar)
     # The names a compiled grammar reads off its productions and table.
     assert grammar.nonterminals == (logic.name, *logic.atoms)
     assert grammar.terminals == states.labels()
@@ -405,45 +424,12 @@ def test_compiled_table_is_br_n_labels_atoms():
     assert all(type(name) is str for name in derivation.symbols)
 
 
-def test_body_names_without_a_production_derive_as_terminals():
-    grammar = Grammar.from_symbols((("g", ("s1", "x", "y")), ("x", ("z",))))
-    assert grammar.terminals == ("s1", "y", "z")
+def test_row_names_without_a_production_derive_as_terminals():
+    grammar = Grammar.from_symbols((("g", ("x",)), ("x", ("s1", "ghost", "br", "n"))))
+    assert grammar.terminals == ("s1", "ghost")
     assert grammar.nonterminals == ("g", "x")
-    assert derive(grammar).tokens == ("s1", "z", "y")
-    ghost = derive(Grammar.from_symbols((("g", ("ghost",)),)))
-    assert ghost.tokens == ("ghost",)
-    assert ghost.row_boundaries == ()
-
-
-def nonterminal_chain(depth: int, cyclic: bool) -> Grammar:
-    """g -> x0, x_i -> x_(i+1), and x_(depth-1) -> s1 br n, or -> x0 if cyclic."""
-    names = [f"x{i}" for i in range(depth)]
-    last = (names[0],) if cyclic else ("s1", "br", "n")
-    bodies = [(name,) for name in names[1:]] + [last]
-    return Grammar.from_symbols((("g", (names[0],)), *zip(names, bodies)))
-
-
-def test_nonterminal_chain_deeper_than_the_recursion_limit_derives():
-    depth = 1500
-    assert depth > sys.getrecursionlimit()
-    derivation = derive(nonterminal_chain(depth, cyclic=False))
-    assert list(derivation.tokens) == ["s1", "br", "n"]
-    assert derivation.row_boundaries == (2,)
-
-
-def test_long_cycle_is_rejected_naming_a_nonterminal_on_it():
-    depth = 1500
-    assert depth > sys.getrecursionlimit()
-    with pytest.raises(CyclicGrammarError) as info:
-        nonterminal_chain(depth, cyclic=True)
-    named = re.fullmatch(r"nonterminal '(\w+)' derives itself", str(info.value))
-    assert named is not None
-    assert named.group(1) in {f"x{i}" for i in range(depth)}
-
-
-def test_cycle_below_an_acyclic_prefix_names_a_nonterminal_on_the_cycle():
-    with pytest.raises(CyclicGrammarError, match="^nonterminal 'y' derives itself$"):
-        Grammar.from_symbols((("x", ("y",)), ("y", ("z",)), ("z", ("y",))))
+    assert derive(grammar).tokens == ("s1", "ghost", "br", "n")
+    assert derive(grammar).row_boundaries == (3,)
 
 
 BASE = one_state_grammar()  # g -> x; x -> s1 br n
@@ -485,20 +471,71 @@ def test_grammar_requires_one_production_per_nonterminal():
 
 
 def test_derivation_table_ends_at_the_last_terminal():
-    # Table s1, x: the head x trails and is cut; x, s1, br: the head x leads and stays.
-    trailing = derive(Grammar.from_symbols((("g", ("s1", "x")), ("x", ("s1",)))))
-    assert trailing.symbols == ("s1",)
-    assert trailing.tokens == ("s1", "s1")
-    leading = derive(Grammar.from_symbols((("g", ("x", "s1")), ("x", ("br",)))))
-    assert leading.symbols == ("x", "s1", "br")
-    assert leading.tokens == ("br", "s1")
+    # Table s1, n, x: the head x trails and is cut; x, s1, n: it leads and stays.
+    rules = (Production("g", array("I", [2])), Production("x", array("I", [0, 1])))
+    trailing = derive(Grammar(rules, ("s1", "n", "x")))
+    assert trailing.symbols == ("s1", "n")
+    assert trailing.tokens == ("s1", "n")
+    leading = derive(Grammar.from_symbols((("g", ("x",)), ("x", ("s1", "n")))))
+    assert leading.symbols == ("x", "s1", "n")
+    assert leading.tokens == ("s1", "n")
 
 
-def test_a_table_name_without_its_production_is_a_terminal():
-    # g -> x, with x's rule dropped: x is now a terminal, as are s1, br and n.
-    grammar = Grammar((G_RULE,), BASE.symbols)
-    assert grammar.terminals == ("x", "s1")
-    assert derive(grammar).tokens == ("x",)
+# Each grammar breaks the flat shape once: the start rule names the row
+# heads, once each and in order, and each row names no head and ends with
+# its one n.
+START_SHAPES = {  # id: rules
+    "names a terminal": (("g", ("x", "s1")), ("x", ("s1", "br", "n"))),
+    "names only a terminal": (("g", ("x",)),),  # x has no rule: a terminal
+    "misses a row": (("g", ("x",)), ("x", ("s1", "n")), ("y", ("s1", "n"))),
+    "reorders the rows": (("g", ("y", "x")), ("x", ("s1", "n")), ("y", ("s1", "n"))),
+    "names a row twice": (("g", ("x", "x")), ("x", ("s1", "n"))),
+    "names itself": (("x", ("x",)),),
+}
+
+
+@pytest.mark.parametrize("case", START_SHAPES)
+def test_grammar_rejects_a_start_rule_that_is_not_the_row_heads(case):
+    rules = START_SHAPES[case]
+    message = f"^start rule '{rules[0][0]}' does not name each row head once, in order$"
+    with pytest.raises(ValueError, match=message):
+        Grammar.from_symbols(rules)
+
+
+HEAD_IN_ROW = {  # id: rules, the row and the head it names
+    "two-rule cycle": ((("x", ("y",)), ("y", ("x",))), "y", "x"),
+    "self-reference": ((("g", ("x",)), ("x", ("x", "n"))), "x", "x"),
+    "cycle below a prefix": (
+        (("g", ("x", "y", "z")), ("x", ("y", "n")), ("y", ("z", "n")), ("z", ("y", "n"))),
+        "x",
+        "y",
+    ),
+    "nested row": ((("g", ("x", "y")), ("x", ("s1", "y", "n")), ("y", ("s1", "n"))), "x", "y"),
+    "the start symbol": ((("g", ("x",)), ("x", ("s1", "g", "n"))), "x", "g"),
+}
+
+
+@pytest.mark.parametrize("case", HEAD_IN_ROW)
+def test_grammar_rejects_a_row_that_names_a_head(case):
+    rules, row, head = HEAD_IN_ROW[case]
+    with pytest.raises(ValueError, match=f"^row '{row}' names nonterminal '{head}'$"):
+        Grammar.from_symbols(rules)
+
+
+LINEBREAK_SHAPES = {  # id: the body of row x
+    "missing": ("s1", "br"),
+    "empty row": (),
+    "not last": ("s1", "n", "br"),
+    "first": ("n", "s1"),
+    "twice": ("s1", "n", "n"),
+}
+
+
+@pytest.mark.parametrize("case", LINEBREAK_SHAPES)
+def test_grammar_rejects_a_row_without_n_as_its_one_last_token(case):
+    rules = (("g", ("x",)), ("x", LINEBREAK_SHAPES[case]))
+    with pytest.raises(ValueError, match="^row 'x' does not hold n once, as its last token$"):
+        Grammar.from_symbols(rules)
 
 
 # ---------------------------------------------------------- incidence

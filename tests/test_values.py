@@ -259,7 +259,7 @@ def test_cached_members_live_on_the_instance():
     assert states.labels() is states.labels()
     assert states == StateSet(L12_STATES.matrix, L12_STATES.width, StateOrder.PINNED)
     grammar = Grammar(*CASES[Grammar][1])
-    assert grammar.production_for("a") is grammar.production_for("a")
+    assert grammar._indices is grammar._indices
     assert grammar == L12_GRAMMAR
 
 
