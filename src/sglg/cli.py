@@ -204,8 +204,13 @@ def _render_spec(logic_file: LogicFile, states: StateSet, args, backend) -> Rend
 
 
 def format_state_table(logic: PartitionLogic, states: StateSet) -> str:
-    """The Table-I layout: one column per atom, one labeled row per state, written
-    into a buffer of spaces by a strided copy per label character and per atom."""
+    """The Table-I layout: one column per atom, one labeled row per state."""
+    return _state_table(logic, states).decode()
+
+
+def _state_table(logic: PartitionLogic, states: StateSet) -> bytearray:
+    """Table I as UTF-8, written into a buffer of spaces by a strided copy per
+    label character and per atom."""
     m, n = _atom_width(logic, states), len(states)
     label_width = len(f"s{n}") if n else 0
     head = (" " * label_width + "  " + "  ".join(logic.atoms) + "\n").encode()
@@ -223,12 +228,18 @@ def format_state_table(logic: PartitionLogic, states: StateSet) -> str:
             body[h + (lo - 1) * line + 1 + c : h + hi * line : line] = numbers[c::d]
     for j, end in enumerate(ends[1:]):
         body[h + end - 1 :: line] = states.matrix[j::m].translate(_DIGITS)
-    return body.decode()
+    return body
 
 
 def _cmd_states(args) -> int:
     logic, states = resolve_states(_read_logic_file(args.spec))
-    sys.stdout.write(format_state_table(logic, states))
+    table = _state_table(logic, states)
+    out = getattr(sys.stdout, "buffer", None)  # a text stream such as StringIO has none
+    if out is None:
+        sys.stdout.write(table.decode())
+    else:  # the bytes as they are: no decoded copy, and none encoded again
+        sys.stdout.flush()
+        out.write(table)
     return 0
 
 

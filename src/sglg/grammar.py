@@ -271,14 +271,27 @@ def check_incidence(
     labels = states.labels()
     symbols = derivation.symbols
     separators = list(compress(count(), map(SEPARATOR_NAME.__eq__, symbols)))
-    # Each label's state symbol by number: beside its separator, a row must
-    # hold each of these once and nothing else, which set sizes show.
+    # Each label's state symbol by number, looked up in the table.
     ids = list(map(dict(zip(symbols, count())).get, labels))
-    label_numbers = set(ids) - {None}
     # Atom j's column is every m-th byte: read from the states, not supports().
     matrix = states.matrix
+    # A row as the definition writes it (the symbols of the states valuing its
+    # atom 1, br, the rest) is confirmed by one comparison; only the other rows
+    # are walked below. That needs one br, a symbol per label and 0/1 values
+    # (a trusted state set is not checked).
+    walk = range(len(rows))
+    if len(separators) == 1 and None not in ids and not matrix.translate(None, b"\0\1"):
+        both, walk = [*ids, *separators, *ids], []
+        for j, row in enumerate(rows):
+            column = matrix[j::m]
+            if row != array("I", compress(both, column + b"\1" + column.translate(_FLIP))):
+                walk.append(j)
+    # Beside its separator, a walked row must hold each of these once and
+    # nothing else, which set sizes show.
+    label_numbers = set(ids) - {None} if walk else set()
     violations = []
-    for j, row in enumerate(rows):
+    for j in walk:
+        row, column = rows[j], matrix[j::m]
         raw = row.tobytes()
         cuts = [k for s in separators for k in _find_all(raw, s)]
         if len(cuts) != 1:
@@ -289,7 +302,6 @@ def check_incidence(
             if max(row) >= len(symbols):
                 raise ValueError(f"row {j} names symbol number {max(row)}, past the table")
             raise ValueError(f"row {j} does not carry each state symbol exactly once")
-        column = matrix[j::m]
         if len(left) != column.count(1) or not left.issuperset(compress(ids, column)):
             mismatched = tuple(
                 label

@@ -105,6 +105,14 @@ class BaseSetSpec(Value):
             raise LogicFileError("partition list is empty", "partitions")
         universe = set(self.base_set)
         for pi, partition in enumerate(self.partitions):
+            # Nonempty blocks whose points are the universe, as many in all as
+            # it holds, are disjoint and cover it: only a failure walks the blocks.
+            if (
+                all(partition)
+                and sum(map(len, partition)) == len(universe)
+                and set(chain.from_iterable(partition)) == universe
+            ):
+                continue
             loc = f"partitions[{pi}]"
             seen: set[Point] = set()
             for bi, block in enumerate(partition):
@@ -305,21 +313,27 @@ def _parse_base_set_mode(name: str, raw: dict) -> BaseSetSpec:
     partitions = raw.get("partitions")
     if not isinstance(partitions, list):
         raise LogicFileError("must be a list of partitions", "partitions")
-    parsed = []
-    for pi, partition in enumerate(partitions):
-        if not isinstance(partition, list) or not all(
-            isinstance(b, list) and set(map(type, b)) <= _POINT_TYPES for b in partition
-        ):
-            raise LogicFileError(
-                "must be a list of blocks of ints or strings", f"partitions[{pi}]"
-            )
-        parsed.append(tuple(tuple(block) for block in partition))
+    # The types of the whole file at once; only a failure walks the partitions.
+    blocks = chain.from_iterable
+    if not (
+        set(map(type, partitions)) <= {list}
+        and set(map(type, blocks(partitions))) <= {list}
+        and set(map(type, blocks(blocks(partitions)))) <= _POINT_TYPES
+    ):
+        for pi, partition in enumerate(partitions):
+            if not isinstance(partition, list) or not all(
+                isinstance(b, list) and set(map(type, b)) <= _POINT_TYPES for b in partition
+            ):
+                raise LogicFileError(
+                    "must be a list of blocks of ints or strings", f"partitions[{pi}]"
+                )
+    parsed = tuple(tuple(map(tuple, partition)) for partition in partitions)
     names = raw.get("block_names")
     if names is not None:
         if not isinstance(names, list) or not all(isinstance(n, list) for n in names):
             raise LogicFileError("must be a list of name lists", "block_names")
         names = tuple(tuple(n) for n in names)
-    return BaseSetSpec(name, tuple(base), tuple(parsed), names)
+    return BaseSetSpec(name, tuple(base), parsed, names)
 
 
 def _parse_pinned_states(raw_states, logic: PartitionLogic) -> bytes | None:
@@ -411,7 +425,11 @@ def logic_from_partitions(spec: BaseSetSpec) -> tuple[PartitionLogic, StateSet]:
             )
         contexts.append(tuple(row))
 
-    logic = PartitionLogic(spec.name, tuple(atoms), tuple(contexts))
+    # PartitionLogic's checks hold: the spec checked the name, the block names
+    # and that a partition is given; the taken check keeps atom names distinct;
+    # a partition gives a context of at least 2 distinct atoms, and every atom
+    # lies in one; contexts of one base set nest only if equal, rejected above.
+    logic = PartitionLogic._trusted(spec.name, tuple(atoms), tuple(contexts))
 
     # Mark each atom's points; equal valuations collapse to the first point.
     marks = {point: bytearray(len(atoms)) for point in spec.base_set}

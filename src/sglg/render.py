@@ -120,11 +120,10 @@ def _fragments(derivation: Derivation, spec: RenderSpec, rows, fragment) -> list
         else None
         for name in derivation.symbols
     ]
-    # A compiled derivation's linebreak has no color and stands in no row:
-    # one search of the rows' bytes per such symbol finds that.
-    raw = b"".join(rows)
+    # A compiled derivation's linebreak has no color and stands in no row: a
+    # search of each row's bytes per such symbol finds that, one row held at a time.
     missing = [number for number, text in enumerate(table) if text is None]
-    if any(map(_find_all, repeat(raw), missing)):
+    if any(_find_all(row.tobytes(), number) for row in rows for number in missing):
         number = next(n for row in rows for n in row if table[n] is None)
         name = derivation.symbols[number]
         if name != LINEBREAK_NAME:

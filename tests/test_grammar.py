@@ -624,6 +624,56 @@ def test_incidence_rejects_token_numbers_past_the_symbol_table():
         check_incidence(broken, logic, states)
 
 
+def test_incidence_passes_a_row_whose_sides_are_out_of_order():
+    # Not the row the compiler writes, so it is walked; its sides hold the right sets.
+    logic, states = resolve_fixture("l12.json")
+    rows = symbol_rows(derive(compile_grammar(logic, states)))
+    assert rows[0] == ["s1", "s2", "br", "s3", "s4", "s5"]
+    rows[0] = ["s2", "s1", "br", "s5", "s3", "s4"]
+    assert check_incidence(from_rows(rows), logic, states).ok
+
+
+def test_incidence_with_br_twice_in_the_table_reads_both_as_the_separator():
+    logic, states = resolve_fixture("l12.json")
+    derivation = derive(compile_grammar(logic, states))
+    symbols = (*derivation.symbols, "br")  # a second br, as a hand-built table may hold
+    indices = array("I", derivation.indices)
+    cut = derivation.row_boundaries[0] + 1 + 2  # row 1 is s3, s4, br, ...
+    assert derivation.symbols[indices[cut]] == "br"
+    indices[cut] = len(symbols) - 1
+    twice = Derivation(symbols, indices, derivation.row_boundaries)
+    assert _outcome(check_incidence, twice, logic, states) == IncidenceReport(())
+    assert _outcome(incidence_by_token_walk, twice, logic, states) == IncidenceReport(())
+    # Both numbers in one row are two separators; the walk says so.
+    indices[cut - 1] = 0
+    twice = Derivation(symbols, indices, derivation.row_boundaries)
+    message = "ValueError: row 1 does not contain exactly one separator"
+    assert _outcome(check_incidence, twice, logic, states) == message
+    assert _outcome(incidence_by_token_walk, twice, logic, states) == message
+
+
+def test_incidence_walks_rows_against_states_not_of_0_and_1():
+    # A trusted state set is not checked: a 2 makes every row be walked.
+    logic, states = resolve_fixture("l12.json")
+    derivation = derive(compile_grammar(logic, states))
+    matrix = bytearray(states.matrix)
+    matrix[0] = 2  # s1's value of atom a
+    odd = StateSet._trusted(bytes(matrix), states.width, states.order_source)
+    report = check_incidence(derivation, logic, odd)
+    assert report == IncidenceReport((RowViolation(0, ("s1",)),))
+    assert report == incidence_by_token_walk(derivation, logic, odd)
+
+
+def test_check_incidence_holds_no_copy_of_the_tokens():
+    # Two sets per row and a byte copy of it peaked at 2.15 times the token
+    # bytes on chain-16; rows compared with the one the definition writes,
+    # at 0.53: the table lookup made once per call.
+    logic, states = chain_inputs(16)
+    derivation = derive(compile_grammar(logic, states))
+    token_bytes = len(derivation.indices) * 4
+    assert traced_peak(check_incidence, derivation, logic, states) < token_bytes * 2 / 3
+
+
 def test_incidence_property_on_random_logics():
     rng = random.Random(8128)
     for _ in range(60):
@@ -715,6 +765,9 @@ def _damage(rows: list[list[str]], how: str, rng: random.Random) -> None:
         row.insert(rng.randint(0, cut), row[k])
     elif how == "states reordered":
         rng.shuffle(row)
+    elif how == "one side reversed":  # the sets stay right, the order not
+        side = slice(0, cut) if rng.random() < 0.5 else slice(cut + 1, len(row))
+        row[side] = row[side][::-1]
 
 
 DAMAGES = (
@@ -728,6 +781,7 @@ DAMAGES = (
     "label replaced by another",
     "label repeated left of separator",
     "states reordered",
+    "one side reversed",
 )
 
 

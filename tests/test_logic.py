@@ -664,6 +664,112 @@ def test_degenerate_single_block_partition_is_rejected():
         logic_from_partitions(spec)
 
 
+def base_set_error(base_set, partitions, **extra) -> tuple[str, str | None]:
+    """The message and location with which a base-set file is rejected."""
+    raw = {"base_set": base_set, "partitions": partitions, **extra}
+    with pytest.raises(LogicFileError) as info:
+        parse_logic_file(json.dumps(raw))
+    return str(info.value), info.value.location
+
+
+BLOCKS_OF_POINTS = "must be a list of blocks of ints or strings"
+
+
+@pytest.mark.parametrize(
+    "base_set, partitions, message, location",
+    [
+        ([1, 2], [[[1], [], [2]]], "block is empty", "partitions[0][1]"),
+        ([1, 2], [[[1, 1], [2]]], "block repeats a point", "partitions[0][0]"),
+        (
+            [1, 2], [[[1], [2, 7, "x"]]],
+            "points ['x', 7] are not in the base set", "partitions[0][1]",
+        ),
+        ([1, 2], [[[1, 2], [2]]], "blocks are not pairwise disjoint", "partitions[0]"),
+        ([1, 2, 3], [[[3], [1]]], "partition does not cover points [2]", "partitions[0]"),
+        ([1, 2], [[]], "partition does not cover points [1, 2]", "partitions[0]"),
+        ([1, 2], [[[1], [True]]], BLOCKS_OF_POINTS, "partitions[0]"),
+        ([1, 2], [[[1], [2.0]]], BLOCKS_OF_POINTS, "partitions[0]"),
+        ([1, 2], [[[1], [[2]]]], BLOCKS_OF_POINTS, "partitions[0]"),
+        ([1, 2], [[[1], [2]], {"a": 1}], BLOCKS_OF_POINTS, "partitions[1]"),
+        ([1, 2], [[[1], 2]], BLOCKS_OF_POINTS, "partitions[0]"),
+        ([1, 2], {"a": [1, 2]}, "must be a list of partitions", "partitions"),
+        ([1, None], [[[1], [2]]], "must be a list of ints or strings", "base_set"),
+        ([], [[[1], [2]]], "base set is empty", "base_set"),
+        ([1, 2, 1], [[[1], [2]]], "base set repeats a point", "base_set"),
+        ([1, 2], [], "partition list is empty", "partitions"),
+        # Within a partition the blocks are read in order; the union last.
+        ([1, 2, 3], [[[1, 9], [], [2]]], "points [9] are not in the base set", "partitions[0][0]"),
+        ([1, 2, 3], [[[1, 2], [2], []]], "blocks are not pairwise disjoint", "partitions[0]"),
+        ([1, 2, 3], [[[1], [2], [2, 2]]], "block repeats a point", "partitions[0][2]"),
+    ],
+    ids=[
+        "empty block",
+        "repeated point",
+        "stray point",
+        "overlapping blocks",
+        "uncovered point",
+        "partition of no blocks",
+        "bool point",
+        "float point",
+        "nested-list point",
+        "non-list partition",
+        "non-list block",
+        "non-list partitions",
+        "null base point",
+        "empty base set",
+        "repeated base point",
+        "no partitions",
+        "stray before empty",
+        "overlap before empty",
+        "repeat before overlap",
+    ],
+)
+def test_base_set_file_errors_name_their_place(base_set, partitions, message, location):
+    assert base_set_error(base_set, partitions) == (f"{location}: {message}", location)
+
+
+@pytest.mark.parametrize(
+    "extra, message, location",
+    [
+        ({"name": "2x"}, "not an identifier: '2x'", "name"),
+        ({"block_names": [["a", "b"], "c"]}, "must be a list of name lists", "block_names"),
+        (
+            {"block_names": [["a", "b"], ["c", "d"]]},
+            "block_names must have one entry per partition", "block_names",
+        ),
+        (
+            {"block_names": [["a"]]},
+            "block_names entry does not match the partition's block count", "block_names[0]",
+        ),
+        ({"block_names": [["a", ""]]}, "block names must be nonempty strings", "block_names[0]"),
+        ({"block_names": [["a", 7]]}, "block names must be nonempty strings", "block_names[0]"),
+    ],
+    ids=[
+        "name not an identifier",
+        "non-list name list",
+        "a name list too many",
+        "a name too few",
+        "empty name",
+        "non-string name",
+    ],
+)
+def test_base_set_name_errors_name_their_place(extra, message, location):
+    error = base_set_error([1, 2], [[[1], [2]]], **extra)
+    assert error == (f"{location}: {message}", location)
+
+
+def test_of_two_failing_partitions_the_first_is_named():
+    # Partition 0 leaves 3 uncovered, partition 1 holds an empty block.
+    error = base_set_error([1, 2, 3], [[[1], [2]], [[1, 2, 3], []]])
+    assert error == ("partitions[0]: partition does not cover points [3]", "partitions[0]")
+
+
+def test_a_point_of_the_wrong_type_is_named_before_any_other_fault():
+    # The types of the whole file are read before any partition is checked.
+    error = base_set_error([1, 2], [[[1], []], [[1], [2]], [[1], [2.5]], [[1], [False]]])
+    assert error == (f"partitions[2]: {BLOCKS_OF_POINTS}", "partitions[2]")
+
+
 def partitions_by_loops(spec: BaseSetSpec) -> tuple[PartitionLogic, StateSet]:
     """Reference: the loops logic_from_partitions used to run."""
     atoms: list[str] = []
@@ -760,6 +866,16 @@ def base_set_specs(draw) -> BaseSetSpec:
 @given(base_set_specs())
 def test_logic_from_partitions_equals_the_loops(spec):
     assert _induced(logic_from_partitions, spec) == _induced(partitions_by_loops, spec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(base_set_specs())
+def test_the_logic_of_a_base_set_passes_the_checks_it_skips(spec):
+    try:
+        logic, _ = logic_from_partitions(spec)
+    except LogicFileError:  # ambiguous names or a repeated partition
+        return
+    assert PartitionLogic(*logic._values()) == logic
 
 
 @pytest.mark.parametrize(

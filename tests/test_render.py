@@ -7,6 +7,7 @@ import html
 import json
 import random
 import re
+import tracemalloc
 from operator import itemgetter
 
 import pytest
@@ -35,6 +36,7 @@ from sglg import (
     resolve_states,
 )
 from sglg.render import (
+    _fragments,
     event_chunks,
     join_chunks,
     schema_chunks,
@@ -868,6 +870,25 @@ def test_chunks_equal_per_token_references_on_chains(k, spec, full_palette):
     assert outcome(render_schema, logic, states, spec) == expected
     if isinstance(expected, str):  # a head, one chunk per atom, a tail
         assert len(list(schema_chunks(logic, states, spec))) == len(logic.atoms) + 2
+
+
+def test_fragments_search_the_rows_without_joining_them():
+    # Joining the rows to search them peaked at 1.0 times the token bytes above
+    # the table it returns on chain-16; a row at a time, at 0.03.
+    logic, states = resolve_states(parse_logic_file(json.dumps(chain_spec(16))))
+    derivation = derive(compile_grammar(logic, states))
+    rows = derivation.rows()
+    spec = RenderSpec(default_palette(states.labels()), backend=Backend.SVG_TILES)
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing")
+    tracemalloc.start()
+    try:
+        table = _fragments(derivation, spec, rows, "{}/>".format)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table[0] == f"{spec.separator_color}/>" and table[1] is None
+    assert peak - kept < len(derivation.indices) * 4 / 10
 
 
 @pytest.mark.parametrize(
