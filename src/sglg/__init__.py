@@ -33,8 +33,6 @@ from .logic import (
     BaseSetSpec,
     LogicFile,
     PartitionLogic,
-    SeparationResult,
-    StateOrder,
     StateSet,
     enumerate_states,
     is_admissible,

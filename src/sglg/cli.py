@@ -35,7 +35,7 @@ from .logic import (
 )
 from .orthorep import (
     VectorRealization,
-    build_v_realization,
+    _v_realization_for,
     load_vector_file,
     verify_faithful,
 )
@@ -284,7 +284,7 @@ def _cmd_verify(args) -> int:
     if args.vectors is not None:
         realization = load_vector_file(_read_text(args.vectors))
     else:
-        realization = build_v_realization(args.theta)
+        realization = _v_realization_for(logic, args.theta)
     if args.tol is not None:
         try:
             realization = VectorRealization(
@@ -308,7 +308,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    logic, states = resolve_states(_read_logic_file(args.spec))
+    logic_file = _read_logic_file(args.spec)
+    logic, states = resolve_states(logic_file)
     # compile_grammar rejects empty and non-separating state sets, and checks
     # that each context's T-sets partition the state labels.
     grammar = compile_grammar(logic, states)
@@ -324,7 +325,7 @@ def _cmd_check(args) -> int:
             )
         return 1
     print(
-        f"states: {len(states)} admissible ({states.order_source.value} order)\n"
+        f"states: {len(states)} admissible ({logic_file.state_order} order)\n"
         "separating: yes\n"
         f"partition representation: ok ({len(logic.contexts)} contexts)\n"
         f"grammar: {len(grammar.productions)} productions, "

@@ -16,7 +16,6 @@ import json
 import re
 import sys
 from contextlib import suppress
-from enum import Enum
 from functools import cached_property, reduce
 from itertools import chain, compress, repeat
 from operator import or_
@@ -31,14 +30,6 @@ _NAME_RE = re.compile(r"[A-Za-z_]\w*")
 _LONE_SURROGATE_RE = re.compile("[\ud800-\udfff]")
 _HEX_COLOR_RE = re.compile(r"#[0-9A-Fa-f]{6}")
 DEFAULT_LOGIC_NAME = "logic"
-
-
-class StateOrder(Enum):
-    """How the order of a state set was fixed."""
-
-    CANONICAL = "canonical"
-    PINNED = "pinned-by-spec"
-    POINT_INDUCED = "point-induced"
 
 
 class PartitionLogic(Value):
@@ -164,7 +155,6 @@ class StateSet(Value):
 
     matrix: bytes
     width: int
-    order_source: StateOrder
 
     def __post_init__(self):
         matrix, width = self.matrix, self.width
@@ -175,15 +165,6 @@ class StateSet(Value):
             raise ValueError(f"state s{bad // width + 1}: values must be 0 or 1")
         if len(set(self.rows)) != len(self):
             raise ValueError("state value vectors are not distinct")
-
-    @classmethod
-    def from_vectors(
-        cls, vectors: list[tuple[int, ...]], order_source: StateOrder
-    ) -> "StateSet":
-        if len(set(map(len, vectors))) > 1:
-            raise ValueError("states have differing atom counts")
-        width = len(vectors[0]) if vectors else 1  # any width holds no rows
-        return cls(bytes(chain.from_iterable(vectors)), width, order_source)
 
     @property
     def rows(self) -> tuple[bytes, ...]:
@@ -201,25 +182,19 @@ class StateSet(Value):
         return len(self.matrix) // self.width
 
 
-class SeparationResult(Value):
-    """The least atom pair (i, j) with equal supports, or ``None`` if all differ."""
-
-    witness: tuple[str, str] | None = None
-
-    @property
-    def separating(self) -> bool:
-        return self.witness is None
-
-    def __bool__(self) -> bool:
-        return self.separating
-
-
 class LogicFile(Value):
     """One parsed logic file: the input-mode payload plus optional extras."""
 
     source: PartitionLogic | BaseSetSpec
     pinned_states: bytes | None = None  # a state matrix, rows in the file's order
     palette: dict[str, str] | None = None
+
+    @property
+    def state_order(self) -> str:
+        """How the file fixes its states' order, in the words ``sglg check`` prints."""
+        if isinstance(self.source, BaseSetSpec):
+            return "point-induced"
+        return "canonical" if self.pinned_states is None else "pinned-by-spec"
 
 
 def is_admissible(values: tuple[int, ...], logic: PartitionLogic) -> bool:
@@ -437,7 +412,7 @@ def logic_from_partitions(spec: BaseSetSpec) -> tuple[PartitionLogic, StateSet]:
         for point in block:
             marks[point][j] = 1
     rows = dict.fromkeys(map(bytes, marks.values()))
-    return logic, StateSet._trusted(b"".join(rows), len(atoms), StateOrder.POINT_INDUCED)
+    return logic, StateSet._trusted(b"".join(rows), len(atoms))
 
 
 def _context_masks(logic: PartitionLogic) -> list[int]:
@@ -567,7 +542,7 @@ def enumerate_states(logic: PartitionLogic) -> StateSet:
     masks.sort(reverse=True)  # atom 0 is the top bit: lexicographic order
     m = len(logic.atoms)
     bits = "".join(map(format, masks, repeat(f"0{m}b"))).encode()  # a row per mask
-    return StateSet._trusted(bits.translate(_BIT_VALUES), m, StateOrder.CANONICAL)
+    return StateSet._trusted(bits.translate(_BIT_VALUES), m)
 
 
 def _first_inadmissible(logic: PartitionLogic, states: StateSet, columns) -> int | None:
@@ -591,7 +566,7 @@ def pinned_state_set(logic: PartitionLogic, matrix: bytes) -> StateSet:
     enumeration. Admissible, distinct rows are some of the states, so they are
     all of them iff there are as many rows as states: the states are counted."""
     m = len(logic.atoms)
-    states = StateSet._trusted(bytes(matrix), m, StateOrder.PINNED)
+    states = StateSet._trusted(bytes(matrix), m)
     if len(states.matrix) % m:
         cut = f"has a {len(states.matrix) % m}-value vector for {m} atoms"
         raise PinnedStatesError(f"pinned state s{len(states) + 1} {cut}")
@@ -622,9 +597,9 @@ def resolve_states(logic_file: LogicFile) -> tuple[PartitionLogic, StateSet]:
     return logic, enumerate_states(logic)
 
 
-def is_separating(states: StateSet, logic: PartitionLogic) -> SeparationResult:
-    """Whether all atoms have pairwise distinct supports; witness on failure."""
-    return SeparationResult(_clash(logic.atoms, supports(logic, states)))
+def is_separating(states: StateSet, logic: PartitionLogic) -> bool:
+    """Whether all atoms have distinct supports; ``compile_grammar`` names a clash."""
+    return _clash(logic.atoms, supports(logic, states)) is None
 
 
 def _clash(atoms: tuple[str, ...], columns: tuple[bytes, ...]) -> tuple[str, str] | None:

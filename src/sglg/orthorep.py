@@ -12,7 +12,7 @@ import math
 import sys
 from itertools import combinations
 
-from .errors import LogicFileError, MissingVectorError, ThetaOutOfRangeError
+from .errors import LogicFileError, MissingVectorError, ThetaOutOfRangeError, ValidationError
 from .logic import PartitionLogic, load_json
 from .value import Value
 
@@ -125,6 +125,18 @@ def build_v_realization(theta: float) -> VectorRealization:
             "e": (-sin_t, cos_t, 0.0),
         },
     )
+
+
+def _v_realization_for(logic: PartitionLogic, theta: float) -> VectorRealization:
+    """``build_v_realization(theta)`` on a logic's own atoms: the one atom its two three-atom
+    contexts share is c, the first's others a and b, the second's d and e, in context order."""
+    vectors = build_v_realization(theta).vectors
+    shared = set.intersection(*map(set, logic.contexts))
+    if len(logic.contexts) != 2 or {*map(len, logic.contexts)} != {3} or len(shared) != 1:
+        raise ValidationError("--theta needs two three-atom contexts that share one atom")
+    roles = [j for ctx in logic.contexts for j in ctx if j not in shared]
+    roles[2:2] = shared
+    return VectorRealization(3, {logic.atoms[j]: vectors[r] for j, r in zip(roles, "abcde")})
 
 
 def verify_faithful(

@@ -3,7 +3,7 @@
 Every emitter is a pure function of immutable inputs and produces
 byte-identical output for identical arguments. The grammar/derivation
 layer never changes here — a ``RenderSpec`` only binds symbols to colors
-and geometry.
+and geometry; its palette colors the states and, under ``br``, the separator.
 
 That binding is per symbol, not per token: a derivation holds each
 distinct symbol once in its table and its rows as views of one array of
@@ -80,9 +80,7 @@ def default_palette(labels: tuple[str, ...]) -> dict[str, str]:
 
 
 class RenderSpec(Value):
-    palette: dict[str, str]  # a new empty dict by default
-    separator_color: str = DEFAULT_SEPARATOR_COLOR
-    false_cell_color: str = DEFAULT_FALSE_CELL_COLOR
+    palette: dict[str, str]  # a new empty dict by default; "br" colors the separator
     cell_size: int = 20
     cell_gap: int = 2
     backend: Backend = Backend.SVG_TILES
@@ -94,13 +92,14 @@ class RenderSpec(Value):
         for label, value in self.palette.items():
             if not _HEX_COLOR_RE.fullmatch(value):
                 raise ValueError(f"palette entry {label!r} is not a hex color: {value!r}")
-        for name in ("separator_color", "false_cell_color"):
-            if not _HEX_COLOR_RE.fullmatch(getattr(self, name)):
-                raise ValueError(f"{name} is not a hex color: {getattr(self, name)!r}")
         if not isinstance(self.cell_size, int) or self.cell_size <= 0:
             raise ValueError("cell_size must be a positive integer")
         if not isinstance(self.cell_gap, int) or self.cell_gap < 0:
             raise ValueError("cell_gap must be a non-negative integer")
+
+    @property
+    def separator_color(self) -> str:
+        return self.palette.get(SEPARATOR_NAME, DEFAULT_SEPARATOR_COLOR)
 
     def color(self, label: str) -> str:
         try:
@@ -111,8 +110,8 @@ class RenderSpec(Value):
 
 def _fragments(derivation: Derivation, spec: RenderSpec, rows, fragment) -> list:
     """Per symbol number, ``fragment(color)``, or ``None`` for a symbol without
-    a color: ``br`` has the separator color, ``n`` none and a state its palette
-    entry, if any. The first such token in ``rows``, in row-major order, raises."""
+    a color: ``br`` has ``spec.separator_color``, ``n`` none and a state its
+    palette entry, if any. The first such token in ``rows``, in row-major order, raises."""
     palette = spec.palette
     table = [
         fragment(spec.separator_color) if name == SEPARATOR_NAME
@@ -206,7 +205,7 @@ def schema_chunks(logic: PartitionLogic, states: StateSet, spec: RenderSpec) -> 
                 spec.color(labels[i])  # raises MissingPaletteEntryError
     # Each state's (false, true) fill; a missing label's true fill is never used.
     fills = [
-        (f'{spec.false_cell_color}"/>', f'{spec.palette.get(label)}"/>')
+        (f'{DEFAULT_FALSE_CELL_COLOR}"/>', f'{spec.palette.get(label)}"/>')
         for label in labels
     ]
     slots = [None] * (3 * n)
@@ -272,8 +271,8 @@ def emit_logic_program(grammar: Grammar, spec: RenderSpec) -> str:
     """Three-layer source: structural rules, repertoire bindings, layout.
 
     The repertoire layer binds each state symbol to its palette color and
-    the layout layer binds ``br`` to the separator color and ``n`` to a
-    literal newline escape.
+    the layout layer binds ``br`` to the palette's ``br`` entry (black
+    without one) and ``n`` to a literal newline escape.
     """
     structural = production_text(grammar).rstrip("\n")
     repertoire = [

@@ -185,6 +185,49 @@ def test_palette_from_the_spec_file_is_used(tmp_path, capsys):
     assert "background:#111111" in out and "background:#222222" in out
 
 
+# sha256 of each l12 output without a palette flag, recorded before a palette's
+# "br" entry colored the separator; and per format, how the black separator
+# is written in it.
+L12_SEPARATOR_FORMS = {
+    "svg-tiles": ("5ddd9fb4ff681438bc16f407dedba6d3d1f4057e9557034378364943051b5193",
+                  'fill="#{}"/>'),
+    "ansi": ("019d4a3f27df9c077618d314c8335b029282224d2376140c23fff3eb8bf10987",
+             "\x1b[38;2;{}m"),
+    "html": ("232f60f013fe2cd411c71da5708cecf1bd6ba878445086c5a322b10a193a60bc",
+             "background:#{}"),
+    "logic-program": ("a65459eea7f84a6ee54a50c1e498521c4eb8f04d69c459927bb80f6420bce5c9",
+                      "br --> [ #{} ]."),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(L12_SEPARATOR_FORMS))
+def test_palette_br_colors_every_separator(fmt, tmp_path, monkeypatch):
+    monkeypatch.delenv("NO_COLOR", raising=False)
+    digest, form = L12_SEPARATOR_FORMS[fmt]
+    black, red = (form.format(c) for c in (("0;0;0", "255;0;0") if fmt == "ansi"
+                                            else ("000000", "FF0000")))
+    plain, tinted = tmp_path / "plain", tmp_path / "tinted"
+    argv = ["render", L12, "--format", fmt, "-o"]
+    assert main([*argv, str(plain)]) == 0
+    assert main([*argv, str(tinted), "--palette", "br=#FF0000"]) == 0
+    plain, tinted = plain.read_text(encoding="utf-8"), tinted.read_text(encoding="utf-8")
+    assert hashlib.sha256(plain.encode()).hexdigest() == digest
+    assert plain.count(black) == (1 if fmt == "logic-program" else 5)  # a br per row
+    assert tinted == plain.replace(black, red)
+
+
+def test_a_file_palette_colors_br_and_leaves_n_uncolored(tmp_path, capsys):
+    atoms = {"atoms": ["x", "y"], "contexts": [["x", "y"]]}
+    assert main(["render", write_spec(tmp_path, atoms), "--format", "html"]) == 0
+    plain = capsys.readouterr().out
+    palette = {"br": "#00FF00", "n": "#0000FF"}
+    spec = write_spec(tmp_path, {**atoms, "palette": palette})
+    assert main(["render", spec, "--format", "html"]) == 0
+    assert capsys.readouterr().out == plain.replace("#000000", "#00FF00")
+    assert main(["render", spec, "--format", "logic-program"]) == 0
+    assert capsys.readouterr().out.endswith("br --> [ #00FF00 ].\nn  --> [\\n].\n")
+
+
 def test_cell_geometry_flags(tmp_path):
     out = tmp_path / "big.svg"
     args = ["render", L12, "--format", "svg-tiles", "-o", str(out)]
@@ -232,6 +275,13 @@ CHECK_REPORTS = {
         "incidence: ok\n"
     ),
 }
+
+
+def test_check_names_the_canonical_order_of_an_unpinned_file(tmp_path, capsys):
+    spec = write_spec(tmp_path, {"atoms": ["a", "b", "c", "d", "e"],
+                                 "contexts": [["a", "b", "c"], ["c", "d", "e"]]})
+    assert main(["check", spec]) == 0
+    assert capsys.readouterr().out.startswith("states: 5 admissible (canonical order)\n")
 
 
 @pytest.mark.parametrize("fixture", sorted(CHECK_REPORTS))
@@ -375,6 +425,31 @@ def test_verify_orthorep_with_theta(capsys):
     out = capsys.readouterr().out
     assert "faithfulness" in out
     assert "[FAIL]" not in out
+
+
+@pytest.mark.parametrize(
+    "atoms, contexts",
+    [
+        (["x", "b", "c", "d", "e"], [["x", "b", "c"], ["c", "d", "e"]]),
+        (["e", "d", "c", "b", "x"], [["e", "c", "d"], ["b", "x", "c"]]),
+    ],
+    ids=["renamed", "reordered"],
+)
+def test_verify_orthorep_theta_maps_a_v_logic_by_its_shape(atoms, contexts, tmp_path, capsys):
+    assert main(["verify-orthorep", L12, "--theta", "0.5"]) == 0
+    l12 = capsys.readouterr().out
+    assert l12.count("[PASS]") == 3
+    spec = write_spec(tmp_path, {"atoms": atoms, "contexts": contexts})
+    assert main(["verify-orthorep", spec, "--theta", "0.5"]) == 0
+    assert capsys.readouterr().out == l12
+
+
+@pytest.mark.parametrize("fixture", [TRIANGLE, EXAMPLE_A], ids=["triangle", "example_a"])
+def test_verify_orthorep_theta_names_the_shape_it_needs(fixture, capsys):
+    assert main(["verify-orthorep", fixture, "--theta", "0.5"]) == 1
+    assert capsys.readouterr() == (
+        "", "sglg: error: --theta needs two three-atom contexts that share one atom\n"
+    )
 
 
 def test_verify_orthorep_theta_out_of_range(capsys):

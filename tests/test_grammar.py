@@ -21,7 +21,6 @@ from sglg import (
     PartitionLogic,
     Production,
     RowViolation,
-    StateOrder,
     StateSet,
     ValidationError,
     check_incidence,
@@ -43,6 +42,7 @@ from support import (
     random_base_set_spec,
     random_separating_logic,
     resolve_fixture,
+    state_matrix,
     state_vectors,
     traced_peak,
     true_labels,
@@ -147,7 +147,7 @@ def test_compile_rejects_non_separating_states_with_witness():
 
 def test_compile_rejects_inadmissible_states():
     logic = PartitionLogic("logic", ("x", "y"), ((0, 1),))
-    states = StateSet.from_vectors([(1, 1), (1, 0)], StateOrder.PINNED)
+    states = StateSet(state_matrix([(1, 1), (1, 0)]), 2)
     with pytest.raises(ValueError, match="not admissible"):
         compile_grammar(logic, states)
 
@@ -181,7 +181,7 @@ def unit_vectors(size: int) -> list[tuple[int, ...]]:
     ids=["first", "third", "twelfth"],
 )
 def test_compile_names_the_first_inadmissible_state(logic, vectors, label):
-    states = StateSet.from_vectors(vectors, StateOrder.PINNED)
+    states = StateSet(state_matrix(vectors), len(logic.atoms))
     with pytest.raises(ValidationError, match=rf"^state {label} is not admissible$"):
         compile_grammar(logic, states)
 
@@ -566,7 +566,7 @@ def test_incidence_detects_swapped_rows():
 def test_incidence_holds_for_a_one_state_grammar():
     # a single admissible state still separates x from y (support {s1} vs {})
     logic = PartitionLogic("logic", ("x", "y"), ((0, 1),))
-    states = StateSet.from_vectors([(1, 0)], StateOrder.PINNED)
+    states = StateSet(state_matrix([(1, 0)]), 2)
     grammar = compile_grammar(logic, states)
     derivation = derive(grammar)
     assert list(derivation.tokens) == ["s1", "br", "n", "br", "s1", "n"]
@@ -584,9 +584,9 @@ def test_incidence_row_count_mismatch_is_a_precondition_breach():
 def test_incidence_rejects_state_vectors_shorter_than_the_atoms():
     # Two atoms and two rows, but each state values a single atom.
     logic = PartitionLogic("logic", ("a", "b"), ((0, 1),))
-    states = StateSet.from_vectors([(1, 0), (0, 1)], StateOrder.PINNED)
+    states = StateSet(state_matrix([(1, 0), (0, 1)]), 2)
     derivation = derive(compile_grammar(logic, states))
-    short = StateSet.from_vectors([(1,), (0,)], StateOrder.PINNED)
+    short = StateSet(state_matrix([(1,), (0,)]), 1)
     with pytest.raises(ValueError, match="^state s1 has a 1-value vector for 2 atoms$"):
         check_incidence(derivation, logic, short)
 
@@ -658,7 +658,7 @@ def test_incidence_walks_rows_against_states_not_of_0_and_1():
     derivation = derive(compile_grammar(logic, states))
     matrix = bytearray(states.matrix)
     matrix[0] = 2  # s1's value of atom a
-    odd = StateSet._trusted(bytes(matrix), states.width, states.order_source)
+    odd = StateSet._trusted(bytes(matrix), states.width)
     report = check_incidence(derivation, logic, odd)
     assert report == IncidenceReport((RowViolation(0, ("s1",)),))
     assert report == incidence_by_token_walk(derivation, logic, odd)
@@ -797,7 +797,7 @@ def test_check_incidence_equals_the_token_walk(seed, damages, pinned):
     if pinned:  # compile from a shuffled state order, check against the canonical one
         vectors = list(state_vectors(states))
         rng.shuffle(vectors)
-        compiled = StateSet.from_vectors(vectors, StateOrder.PINNED)
+        compiled = StateSet(state_matrix(vectors), states.width)
     else:
         compiled = states
     derivation = derive(compile_grammar(logic, compiled))

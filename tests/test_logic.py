@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 
 from sglg import (
     BaseSetSpec,
+    EmptyStateSetError,
     LogicFileError,
     NotAPartitionError,
+    NotSeparatingError,
     PartitionLogic,
     PinnedStatesError,
-    StateOrder,
     StateSet,
     enumerate_states,
     is_admissible,
@@ -30,7 +31,7 @@ from sglg import (
 )
 from sglg.cli import format_state_table
 from sglg.grammar import compile_grammar
-from sglg.logic import _parse_pinned_states, _state_masks
+from sglg.logic import _clash, _parse_pinned_states, _state_masks
 from support import (
     L12_TABLE,
     TRIANGLE_TABLE,
@@ -171,7 +172,6 @@ def test_triangle_enumeration_is_table_ii_in_order():
     enumerated = enumerate_states(logic)
     # For the triangle the canonical order coincides with the printed table.
     assert state_vectors(enumerated) == TRIANGLE_TABLE
-    assert enumerated.order_source is StateOrder.CANONICAL
 
 
 def test_single_context_enumeration():
@@ -418,7 +418,7 @@ def test_forced_runs_peak_no_higher_than_the_plain_search():
 
 def test_l12_fixture_pins_a_noncanonical_order():
     logic, states = resolve_fixture("l12.json")
-    assert states.order_source is StateOrder.PINNED
+    assert load_fixture("l12.json").state_order == "pinned-by-spec"
     assert state_vectors(states) == L12_TABLE
     # The fixture's order is *not* the canonical one; the pin matters.
     assert state_vectors(enumerate_states(logic)) != L12_TABLE
@@ -492,6 +492,20 @@ def test_pinned_rows_of_the_wrong_width_are_named_not_resplit(rows, bad):
     assert str(info.value) == f"states[{bad}]: must be a list of 3 values, each 0 or 1"
 
 
+@pytest.mark.parametrize(
+    "text, order",
+    [
+        ('{"atoms": ["x", "y"], "contexts": [["x", "y"]]}', "canonical"),
+        ('{"atoms": ["x", "y"], "contexts": [["x", "y"]], "states": [[0, 1], [1, 0]]}',
+         "pinned-by-spec"),
+        ('{"atoms": ["x", "y"], "contexts": [["x", "y"]], "states": []}', "pinned-by-spec"),
+        ('{"base_set": [1, 2], "partitions": [[[1], [2]]]}', "point-induced"),
+    ],
+)
+def test_state_order_is_read_off_the_logic_file(text, order):
+    assert parse_logic_file(text).state_order == order
+
+
 def test_pinned_states_are_parsed_into_the_matrix():
     logic_file = load_fixture("l12.json")
     assert logic_file.pinned_states == state_matrix(L12_TABLE)
@@ -500,23 +514,18 @@ def test_pinned_states_are_parsed_into_the_matrix():
 def test_state_set_rejects_bad_matrices():
     # Labels follow from position, so what is left to reject is the matrix:
     # a value other than 0 or 1, a length that is no whole number of rows,
-    # and a repeated row; from_vectors rejects the same three.
-    order = StateOrder.CANONICAL
+    # and a repeated row.
     with pytest.raises(ValueError, match=r"^state s2: values must be 0 or 1$"):
-        StateSet(b"\0\1\2\0", 2, order)
+        StateSet(b"\0\1\2\0", 2)
     with pytest.raises(ValueError, match=r"^state s2: values must be 0 or 1$"):
-        StateSet.from_vectors([(0, 1), (2, 0)], order)
+        StateSet(state_matrix([(0, 1), (2, 0)]), 2)
     ragged = r"^state matrix length 3 is not a multiple of 2$"
     with pytest.raises(ValueError, match=ragged):
-        StateSet(b"\1\0\0", 2, order)
-    # (1, 0), (0,), (1,) would join into two whole rows: lengths are checked first.
-    for vectors in ([(1, 0), (0,)], [(1, 0), (0,), (1,)]):
-        with pytest.raises(ValueError, match=r"^states have differing atom counts$"):
-            StateSet.from_vectors(vectors, order)
+        StateSet(b"\1\0\0", 2)
     with pytest.raises(ValueError, match=r"^state value vectors are not distinct$"):
-        StateSet(b"\1\0\0\1\1\0", 2, order)
+        StateSet(b"\1\0\0\1\1\0", 2)
     with pytest.raises(ValueError, match=r"^state value vectors are not distinct$"):
-        StateSet.from_vectors([(1, 0), (0, 1), (1, 0)], order)
+        StateSet(state_matrix([(1, 0), (0, 1), (1, 0)]), 2)
 
 
 def test_builders_prove_their_states_without_the_constructor_checks(monkeypatch):
@@ -527,9 +536,8 @@ def test_builders_prove_their_states_without_the_constructor_checks(monkeypatch)
         resolve_fixture("l12.json")[1],
         resolve_fixture("example_a.json")[1],
     ]
-    assert [s.order_source for s in built] == list(StateOrder)
     for states in built:
-        assert StateSet(states.matrix, states.width, states.order_source) == states
+        assert StateSet(states.matrix, states.width) == states
     monkeypatch.setattr(StateSet, "__post_init__", lambda self: pytest.fail("re-checked"))
     assert [
         enumerate_states(resolve_fixture("triangle.json")[0]),
@@ -552,12 +560,12 @@ def test_state_width_must_be_the_atom_count(entry):
     # A 2-wide state for 3 atoms once gave ((('s1',), (), ()),) as the
     # partition representation, and a grammar.
     logic = small_logic([(0, 1, 2)])
-    narrow = StateSet(b"\1\0", 2, StateOrder.PINNED)
+    narrow = StateSet(b"\1\0", 2)
     with pytest.raises(ValueError, match="^state s1 has a 2-value vector for 3 atoms$"):
         WIDTH_CHECKED[entry](logic, narrow)
     # A set without states has no width to get wrong.
     if entry != "compile_grammar":  # which rejects it for having no states
-        WIDTH_CHECKED[entry](logic, StateSet(b"", 2, StateOrder.PINNED))
+        WIDTH_CHECKED[entry](logic, StateSet(b"", 2))
 
 
 # ------------------------------------------------- base-set / partitions
@@ -567,7 +575,7 @@ def test_example_a_point_induced_states():
     logic, states = resolve_fixture("example_a.json")
     assert logic.atoms == ("p", "not_p", "q", "not_q", "r", "not_r")
     assert logic.contexts == ((0, 1), (2, 3), (4, 5))
-    assert states.order_source is StateOrder.POINT_INDUCED
+    assert load_fixture("example_a.json").state_order == "point-induced"
     assert true_labels(logic, states, "p") == ("s1",)
     assert true_labels(logic, states, "not_p") == ("s2", "s3")
     assert true_labels(logic, states, "q") == ("s2",)
@@ -818,7 +826,7 @@ def partitions_by_loops(spec: BaseSetSpec) -> tuple[PartitionLogic, StateSet]:
         values = tuple(1 if point in block else 0 for block in blocks)
         if values not in vectors:
             vectors.append(values)
-    return logic, StateSet.from_vectors(vectors, StateOrder.POINT_INDUCED)
+    return logic, StateSet(state_matrix(vectors), len(atoms))
 
 
 def _induced(build, spec: BaseSetSpec):
@@ -826,7 +834,7 @@ def _induced(build, spec: BaseSetSpec):
         logic, states = build(spec)
     except LogicFileError as exc:
         return ("error", str(exc), exc.location)
-    return logic.atoms, logic.contexts, state_vectors(states), states.order_source
+    return logic.atoms, logic.contexts, state_vectors(states)
 
 
 @st.composite
@@ -907,20 +915,15 @@ def test_block_name_errors_equal_the_loops(names, message):
 # atom's column gathered state by state).
 
 
-def tuples_view(logic: PartitionLogic, vectors, order: StateOrder):
-    """Labels, value tuples, order source and support columns of ``vectors``."""
+def tuples_view(logic: PartitionLogic, vectors):
+    """Labels, value tuples and support columns of ``vectors``."""
     columns = tuple(bytes(v[j] for v in vectors) for j in range(len(logic.atoms)))
     labels = tuple(f"s{i + 1}" for i in range(len(vectors)))
-    return labels, tuple(map(tuple, vectors)), order, columns
+    return labels, tuple(map(tuple, vectors)), columns
 
 
 def matrix_view(logic: PartitionLogic, states: StateSet):
-    view = (
-        states.labels(),
-        state_vectors(states),
-        states.order_source,
-        supports(logic, states),
-    )
+    view = (states.labels(), state_vectors(states), supports(logic, states))
     assert states.rows == tuple(map(bytes, view[1]))
     return view
 
@@ -942,7 +945,7 @@ def pinned_by_tuples(logic: PartitionLogic, rows):
             "pinned states do not match the full enumeration "
             f"({missing} of {len(enumerated)} valuations missing)"
         )
-    return tuples_view(logic, rows, StateOrder.PINNED)
+    return tuples_view(logic, rows)
 
 
 def pinned_outcome(pin, logic, rows):
@@ -957,7 +960,7 @@ def pinned_outcome(pin, logic, rows):
 def test_enumerated_and_pinned_matrices_equal_the_per_tuple_path(rng, data):
     logic = random_logic(rng)
     canonical = sorted(brute_force_states(logic), reverse=True)
-    expected = tuples_view(logic, canonical, StateOrder.CANONICAL)
+    expected = tuples_view(logic, canonical)
     assert matrix_view(logic, enumerate_states(logic)) == expected
     rows = list(data.draw(st.permutations(canonical)))
     edit = data.draw(st.sampled_from(["none", "drop", "repeat", "flip"]))
@@ -993,7 +996,7 @@ def test_point_induced_matrix_equals_the_per_tuple_path(spec):
         values = tuple(int(point in blocks[j]) for j in range(len(logic.atoms)))
         if values not in vectors:
             vectors.append(values)
-    expected = tuples_view(logic, vectors, StateOrder.POINT_INDUCED)
+    expected = tuples_view(logic, vectors)
     assert matrix_view(logic, states) == expected
 
 
@@ -1002,9 +1005,16 @@ def test_point_induced_matrix_equals_the_per_tuple_path(spec):
 
 def test_l12_states_separate():
     logic, states = resolve_fixture("l12.json")
-    result = is_separating(states, logic)
-    assert result
-    assert result.witness is None
+    assert is_separating(states, logic) is True
+    assert witness(logic, states) is None
+
+
+def test_is_separating_is_a_bool():
+    separating = resolve_fixture("l12.json")
+    logic = small_logic([(0, 1), (0, 2)])
+    for (logic, states), want in ((separating, True), ((logic, enumerate_states(logic)), False)):
+        result = is_separating(states, logic)
+        assert type(result) is bool and result is want
 
 
 def test_single_context_separates():
@@ -1016,9 +1026,8 @@ def test_shared_atom_pair_fails_separation_with_witness():
     logic = small_logic([(0, 1), (0, 2)])
     states = enumerate_states(logic)
     assert set(state_vectors(states)) == {(1, 0, 0), (0, 1, 1)}
-    result = is_separating(states, logic)
-    assert not result
-    assert result.witness == ("y", "z")
+    assert is_separating(states, logic) is False
+    assert witness(logic, states) == ("y", "z")
     assert not separating_by_oracle(states, logic)
 
 
@@ -1027,7 +1036,20 @@ def test_separation_agrees_with_oracle_on_random_logics():
     for _ in range(80):
         logic = random_logic(rng)
         states = enumerate_states(logic)
-        assert bool(is_separating(states, logic)) == separating_by_oracle(states, logic)
+        assert is_separating(states, logic) == separating_by_oracle(states, logic)
+
+
+def witness(logic: PartitionLogic, states: StateSet):
+    """The clashing atom pair ``compile_grammar`` names, or ``None`` if it
+    compiles. A set without states is rejected for that first, so its pair
+    is the clash of its (empty) supports."""
+    try:
+        compile_grammar(logic, states)
+    except EmptyStateSetError:
+        return _clash(logic.atoms, supports(logic, states))
+    except NotSeparatingError as exc:
+        return exc.witness
+    return None
 
 
 def first_clash_by_pairs(states, logic):
@@ -1047,10 +1069,8 @@ def first_clash_by_pairs(states, logic):
 def test_witness_is_the_least_clashing_pair_not_the_first_met():
     # supports: a={s1}, b={s2}, c={s2}, d={s1}; the scan meets (b, c) first
     logic = PartitionLogic("logic", ("a", "b", "c", "d"), ((0, 1), (2, 3)))
-    states = StateSet.from_vectors([(1, 0, 0, 1), (0, 1, 1, 0)], StateOrder.PINNED)
-    result = is_separating(states, logic)
-    assert not result
-    assert result.witness == ("a", "d")
+    states = StateSet(state_matrix([(1, 0, 0, 1), (0, 1, 1, 0)]), 4)
+    assert witness(logic, states) == ("a", "d")
     assert first_clash_by_pairs(states, logic) == ("a", "d")
 
 
@@ -1061,9 +1081,8 @@ def test_witness_agrees_with_pairwise_oracle_on_random_logics():
         logic = random_logic(rng, max_atoms=10)
         states = enumerate_states(logic)
         expected = first_clash_by_pairs(states, logic)
-        result = is_separating(states, logic)
-        assert result.witness == expected
-        assert bool(result) == (expected is None)
+        assert witness(logic, states) == expected
+        assert is_separating(states, logic) is (expected is None)
         clashes += expected is not None
     assert clashes > 0  # the sample exercises the witness path
 
@@ -1120,14 +1139,14 @@ def test_single_context_partition_representation():
 
 def test_partition_representation_keeps_empty_cells():
     logic = small_logic([(0, 1)], atoms=("x", "y"))
-    states = StateSet.from_vectors([(0, 1)], StateOrder.CANONICAL)
+    states = StateSet(state_matrix([(0, 1)]), 2)
     # the single state values x as 0, so T(x) is the empty cell
     assert partition_representation(logic, states) == (((), ("s1",)),)
 
 
 def test_partition_representation_rejects_overlap():
     logic = small_logic([(0, 1)], atoms=("x", "y"))
-    states = StateSet.from_vectors([(1, 1), (1, 0)], StateOrder.CANONICAL)
+    states = StateSet(state_matrix([(1, 1), (1, 0)]), 2)
     with pytest.raises(NotAPartitionError, match="do not partition"):
         partition_representation(logic, states)
 
@@ -1173,7 +1192,7 @@ def tables(draw) -> tuple[PartitionLogic, StateSet]:
     m = len(logic.atoms)
     names = draw(st.lists(ATOM_NAMES, min_size=m, max_size=m, unique=True))
     n = draw(st.integers(0, len(states)))
-    return renamed(logic, names), StateSet(states.matrix[: n * m], m, states.order_source)
+    return renamed(logic, names), StateSet(states.matrix[: n * m], m)
 
 
 TABLE_FAMILIES = st.one_of(
@@ -1193,7 +1212,7 @@ def test_state_table_equals_the_row_at_a_time_table(table):
 def test_state_table_labels_cross_a_digit(n):
     logic = renamed(chain_logic(10), [f"\u00e9{'x' * (j % 4)}{j}" for j in range(21)])
     states = enumerate_states(logic)
-    states = StateSet(states.matrix[: n * 21], 21, StateOrder.CANONICAL)
+    states = StateSet(states.matrix[: n * 21], 21)
     assert format_state_table(logic, states) == reference_state_table(logic, states)
 
 

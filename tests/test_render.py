@@ -20,7 +20,6 @@ from sglg import (
     MissingPaletteEntryError,
     PartitionLogic,
     RenderSpec,
-    StateOrder,
     StateSet,
     compile_grammar,
     default_palette,
@@ -51,6 +50,7 @@ from support import (
     random_logic,
     random_separating_logic,
     resolve_fixture,
+    state_matrix,
     state_vectors,
 )
 
@@ -92,7 +92,7 @@ def l12_pipeline(spec: RenderSpec | None = None):
 def two_row_derivation():
     # compiled from a two-atom logic with a single pinned state
     logic = PartitionLogic("logic", ("x", "y"), ((0, 1),))
-    states = StateSet.from_vectors([(1, 0)], StateOrder.PINNED)
+    states = StateSet(b"\1\0", 2)
     grammar = compile_grammar(logic, states)
     return derive(grammar)
 
@@ -144,8 +144,20 @@ def test_render_spec_validation():
         RenderSpec(cell_size=0)
     with pytest.raises(ValueError, match="cell_gap"):
         RenderSpec(cell_gap=-1)
-    with pytest.raises(ValueError, match="separator_color"):
-        RenderSpec(separator_color="#12345")
+    with pytest.raises(ValueError, match="palette entry 'br' is not a hex color"):
+        RenderSpec(palette={"br": "#12345"})
+
+
+def test_the_separator_color_is_the_palettes_br_entry():
+    # The palette is the one place the separator's color lives: no field
+    # repeats it, and the spec keeps the palette it is given, uncopied.
+    assert RenderSpec().separator_color == BLACK
+    palette = {"s1": GREEN, "br": RED}
+    spec = RenderSpec(palette)
+    assert spec.palette is palette and spec.separator_color == RED
+    for field in ("separator_color", "false_cell_color"):
+        with pytest.raises(TypeError):
+            RenderSpec(palette, **{field: RED})
 
 
 def test_missing_palette_entry_names_the_label():
@@ -504,7 +516,7 @@ def token_rows(tokens, boundaries) -> list[list[str]]:
 
 def reference_color(name: str, spec: RenderSpec) -> str:
     if name == "br":
-        return spec.separator_color
+        return spec.palette.get("br", BLACK)
     if name != "n":
         return spec.color(name)
     raise ValueError("unrenderable token 'n' of kind linebreak")
@@ -558,7 +570,7 @@ def reference_schema(logic, states, spec: RenderSpec) -> str:
             f'font-size="{font}">{html.escape(atom, quote=False)}</text>'
         )
         for i, (label, values) in enumerate(labeled):
-            fill = spec.false_cell_color
+            fill = GRAY
             if values[j] == 1:
                 fill = spec.color(label)
             body.append(
@@ -628,12 +640,11 @@ hex_colors = st.from_regex(r"#[0-9A-Fa-f]{6}", fullmatch=True)
 
 @st.composite
 def specs(draw) -> RenderSpec:
-    """Geometry and colors; the palette may lack any of s1..s4."""
-    palette = draw(st.dictionaries(st.sampled_from(LABELS), hex_colors))
+    """Geometry and colors; the palette may lack any of s1..s4 and may color
+    ``br`` and ``n``, which stays uncolored."""
+    palette = draw(st.dictionaries(st.sampled_from((*LABELS, "br", "n")), hex_colors))
     return RenderSpec(
         palette=palette,
-        separator_color=draw(hex_colors),
-        false_cell_color=draw(hex_colors),
         cell_size=draw(st.integers(1, 40)),
         cell_gap=draw(st.integers(0, 7)),
     )
@@ -668,14 +679,7 @@ def compiled_derivation(rng: random.Random) -> Derivation:
 
 def with_backend(spec: RenderSpec, backend: Backend) -> RenderSpec:
     """``spec`` with every field kept but the backend."""
-    return RenderSpec(
-        spec.palette,
-        spec.separator_color,
-        spec.false_cell_color,
-        spec.cell_size,
-        spec.cell_gap,
-        backend,
-    )
+    return RenderSpec(spec.palette, spec.cell_size, spec.cell_gap, backend)
 
 
 def assert_backends_equal_references(derivation: Derivation, rows, spec: RenderSpec):
@@ -725,7 +729,7 @@ def test_schema_equals_the_per_cell_reference(rng, spec, data):
     vectors = data.draw(
         st.lists(st.tuples(*[st.integers(0, 1)] * m), unique=True, max_size=4)
     )
-    states = StateSet.from_vectors(vectors, StateOrder.PINNED)
+    states = StateSet(state_matrix(vectors), m)
     spec = with_backend(spec, Backend.SVG_SCHEMA)
     first = outcome(render_schema, logic, states, spec)
     assert first == outcome(reference_schema, logic, states, spec)
@@ -750,7 +754,7 @@ def test_backends_equal_references_on_rows_of_0_1_and_3_tokens(lengths):
 @pytest.mark.parametrize("vector", [(1, 0), (0, 1)])
 def test_schema_equals_the_per_cell_reference_for_one_state(vector):
     logic = PartitionLogic("logic", ("x", "y"), ((0, 1),))
-    states = StateSet.from_vectors([vector], StateOrder.PINNED)
+    states = StateSet(state_matrix([vector]), 2)
     spec = RenderSpec(palette={"s1": RED}, backend=Backend.SVG_SCHEMA)
     assert render_schema(logic, states, spec) == reference_schema(logic, states, spec)
 
@@ -761,7 +765,7 @@ def test_schema_rejects_states_whose_width_is_not_the_atom_count(width):
     # any chunk and so before an output file would be opened.
     logic = PartitionLogic("logic", ("x", "y", "z"), ((0, 1, 2),))
     vectors = [tuple(int(i == k) for i in range(width)) for k in range(2)]
-    states = StateSet.from_vectors(vectors, StateOrder.PINNED)
+    states = StateSet(state_matrix(vectors), width)
     spec = RenderSpec(palette={"s1": RED, "s2": BLUE}, backend=Backend.SVG_SCHEMA)
     message = f"^state s1 has a {width}-value vector for 3 atoms$"
     with pytest.raises(ValueError, match=message):
@@ -773,7 +777,7 @@ def test_schema_rejects_states_whose_width_is_not_the_atom_count(width):
 def test_schema_names_the_first_missing_label_among_true_cells():
     # Row-major: atom x is true only in s2, so s2 fails before s1 (true at y).
     logic = PartitionLogic("logic", ("x", "y"), ((0, 1),))
-    states = StateSet.from_vectors([(0, 1), (1, 0)], StateOrder.PINNED)
+    states = StateSet(state_matrix([(0, 1), (1, 0)]), 2)
     spec = RenderSpec(palette={}, backend=Backend.SVG_SCHEMA)
     with pytest.raises(MissingPaletteEntryError) as excinfo:
         render_schema(logic, states, spec)
@@ -859,8 +863,7 @@ def test_chunks_equal_per_token_references_on_chains(k, spec, full_palette):
     logic, states = resolve_states(parse_logic_file(json.dumps(chain_spec(k))))
     if full_palette:  # else the palette has colors for at most s1..s4
         palette = {**default_palette(states.labels()), **spec.palette}
-        spec = RenderSpec(palette, spec.separator_color, spec.false_cell_color,
-                          spec.cell_size, spec.cell_gap)
+        spec = RenderSpec(palette, spec.cell_size, spec.cell_gap)
     derivation = derive(compile_grammar(logic, states))
     rows = token_rows(derivation.tokens, derivation.row_boundaries)
     assert_chunks_equal_references(derivation, rows, spec)

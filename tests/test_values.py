@@ -29,8 +29,6 @@ from sglg import (
     Production,
     RenderSpec,
     RowViolation,
-    SeparationResult,
-    StateOrder,
     StateSet,
     VectorRealization,
     build_v_realization,
@@ -91,24 +89,16 @@ CASES = {
         BASE_SET,
         BaseSetSpec("pairs", (1, "x"), (((1,), ("x",)), ((1, "x"),))),
     ),
-    StateSet: _read(("matrix", "width", "order_source"), L12_STATES, TRIANGLE_STATES),
-    SeparationResult: (("witness",), (None,), (("a", "b"),)),
+    StateSet: _read(("matrix", "width"), L12_STATES, TRIANGLE_STATES),
     LogicFile: (
         ("source", "pinned_states", "palette"),
         (L12_LOGIC, None, None),
         (TRIANGLE_LOGIC, ((1, 0, 0, 1, 0, 0),), {"s1": "#123456"}),
     ),
     RenderSpec: (
-        (
-            "palette",
-            "separator_color",
-            "false_cell_color",
-            "cell_size",
-            "cell_gap",
-            "backend",
-        ),
-        ({"s1": "#112233"}, "#000000", "#BFBFBF", 20, 2, Backend.SVG_TILES),
-        ({}, "#FFFFFF", "#000000", 3, 0, Backend.ANSI),
+        ("palette", "cell_size", "cell_gap", "backend"),
+        ({"s1": "#112233"}, 20, 2, Backend.SVG_TILES),
+        ({"br": "#FFFFFF"}, 3, 0, Backend.ANSI),
     ),
     EventStream: (("derivation",), (L12_DERIVATION,), (TRIANGLE_DERIVATION,)),
     VectorRealization: (
@@ -130,12 +120,9 @@ CASES = {
 
 DEFAULTS = {
     BaseSetSpec: {"block_names": None},
-    SeparationResult: {"witness": None},
     LogicFile: {"pinned_states": None, "palette": None},
     RenderSpec: {
         "palette": {},
-        "separator_color": "#000000",
-        "false_cell_color": "#BFBFBF",
         "cell_size": 20,
         "cell_gap": 2,
         "backend": Backend.SVG_TILES,
@@ -144,6 +131,26 @@ DEFAULTS = {
 }
 
 IDS = [cls.__name__ for cls in CASES]
+
+# Every public name, written out, so that adding or removing one shows in a diff.
+PUBLIC_NAMES = [
+    "Backend", "BaseSetSpec", "CheckResult", "Derivation", "EmptyStateSetError",
+    "EventStream", "FaithfulnessReport", "Grammar", "IncidenceReport", "LogicFile",
+    "LogicFileError", "MissingPaletteEntryError", "MissingVectorError",
+    "NotAPartitionError", "NotSeparatingError", "PartitionLogic", "PinnedStatesError",
+    "Production", "RenderSpec", "RowViolation", "StateSet", "ThetaOutOfRangeError",
+    "ValidationError", "VectorRealization", "build_v_realization", "check_incidence",
+    "compile_grammar", "default_palette", "derive", "emit_events", "emit_logic_program",
+    "enumerate_states", "is_admissible", "is_separating", "load_vector_file",
+    "logic_from_partitions", "parse_logic_file", "partition_representation",
+    "pinned_state_set", "production_text", "productions_json", "render_schema",
+    "render_text", "render_tiles", "resolve_states", "supports", "verify_faithful",
+]
+
+
+def test_the_public_names_are_the_pinned_list():
+    assert PUBLIC_NAMES == sorted(PUBLIC_NAMES)
+    assert sglg.__all__ == PUBLIC_NAMES
 
 
 def _hashable(values) -> bool:
@@ -255,9 +262,9 @@ def test_a_mutable_default_is_made_afresh_per_instance():
 
 def test_cached_members_live_on_the_instance():
     """Cached members are stored per instance and do not enter equality."""
-    states = StateSet(L12_STATES.matrix, L12_STATES.width, StateOrder.PINNED)
+    states = StateSet(L12_STATES.matrix, L12_STATES.width)
     assert states.labels() is states.labels()
-    assert states == StateSet(L12_STATES.matrix, L12_STATES.width, StateOrder.PINNED)
+    assert states == StateSet(L12_STATES.matrix, L12_STATES.width)
     grammar = Grammar(*CASES[Grammar][1])
     assert grammar._indices is grammar._indices
     assert grammar == L12_GRAMMAR
@@ -267,7 +274,6 @@ def test_cached_members_live_on_the_instance():
 # false for the second.
 FLAGS = {
     IncidenceReport: ("ok", "violations"),
-    SeparationResult: ("separating", "witness"),
     CheckResult: ("passed", "failures"),
 }
 
