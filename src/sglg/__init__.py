@@ -6,17 +6,7 @@ schema, ANSI, HTML, logic-program source, or event stream); optionally
 verify a Hilbert-space realization of the logic.
 """
 
-from .errors import (
-    EmptyStateSetError,
-    LogicFileError,
-    MissingPaletteEntryError,
-    MissingVectorError,
-    NotAPartitionError,
-    NotSeparatingError,
-    PinnedStatesError,
-    ThetaOutOfRangeError,
-    ValidationError,
-)
+from .errors import LogicFileError, NotSeparatingError, ValidationError
 from .grammar import (
     Derivation,
     Grammar,

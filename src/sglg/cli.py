@@ -17,6 +17,8 @@ from pathlib import Path
 
 from .errors import LogicFileError, ValidationError
 from .grammar import (
+    LINEBREAK_NAME,
+    SEPARATOR_NAME,
     check_incidence,
     compile_grammar,
     derive,
@@ -192,12 +194,15 @@ def _emit(chunks, output: str | None) -> None:
 
 
 def _render_spec(logic_file: LogicFile, states: StateSet, args, backend) -> RenderSpec:
-    """The spec from the style flags: default colors, then the file's, then --palette."""
+    """The spec from the style flags: default colors, then the file's, then --palette.
+    Each key names a state, the separator br or the linebreak n."""
     palette = default_palette(states.labels())
-    if logic_file.palette:
-        palette.update(logic_file.palette)
-    if args.palette:
-        palette.update(dict(args.palette))
+    known = {*palette, SEPARATOR_NAME, LINEBREAK_NAME}
+    for location, entries in (("palette", logic_file.palette), ("--palette", args.palette)):
+        for label, color in dict(entries or ()).items():
+            if label not in known:
+                raise LogicFileError(f"no state is labeled {label!r}", location)
+            palette[label] = color
     return RenderSpec(
         palette, cell_size=args.cell_size, cell_gap=args.cell_gap, backend=backend
     )

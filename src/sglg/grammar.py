@@ -28,7 +28,7 @@ from functools import cached_property
 from itertools import accumulate, chain, compress, count, filterfalse
 from operator import attrgetter
 
-from .errors import EmptyStateSetError, NotSeparatingError, ValidationError
+from .errors import NotSeparatingError, ValidationError
 from .logic import PartitionLogic, StateSet, _atom_width, _clash, _first_inadmissible
 from .logic import supports
 from .value import Value
@@ -195,7 +195,7 @@ def compile_grammar(logic: PartitionLogic, states: StateSet) -> Grammar:
     rows have uniform shape.
     """
     if len(states) == 0:
-        raise EmptyStateSetError(f"logic {logic.name!r} admits no two-valued states")
+        raise ValidationError(f"logic {logic.name!r} admits no two-valued states")
     columns = supports(logic, states)
     bad = _first_inadmissible(logic, states, columns)
     if bad is not None:

@@ -20,7 +20,7 @@ from functools import cached_property, reduce
 from itertools import chain, compress, repeat
 from operator import or_
 
-from .errors import LogicFileError, NotAPartitionError, PinnedStatesError
+from .errors import LogicFileError, ValidationError
 from .value import Value
 
 Point = int | str
@@ -569,18 +569,18 @@ def pinned_state_set(logic: PartitionLogic, matrix: bytes) -> StateSet:
     states = StateSet._trusted(bytes(matrix), m)
     if len(states.matrix) % m:
         cut = f"has a {len(states.matrix) % m}-value vector for {m} atoms"
-        raise PinnedStatesError(f"pinned state s{len(states) + 1} {cut}")
+        raise ValidationError(f"pinned state s{len(states) + 1} {cut}")
     bad = _first_inadmissible(logic, states, supports(logic, states))
     if bad is not None:
-        raise PinnedStatesError(
+        raise ValidationError(
             f"pinned state s{bad + 1} is not admissible (some context does "
             "not have exactly one true atom)"
         )
     if len(set(states.rows)) != len(states):
-        raise PinnedStatesError("pinned states repeat a valuation")
+        raise ValidationError("pinned states repeat a valuation")
     total = len(_state_masks(logic))
     if len(states) != total:
-        raise PinnedStatesError(
+        raise ValidationError(
             "pinned states do not match the full enumeration "
             f"({total - len(states)} of {total} valuations missing)"
         )
@@ -644,7 +644,7 @@ def partition_representation(
         cells = tuple(true_sets[j] for j in ctx)
         seen = set().union(*cells)
         if sum(map(len, cells)) != len(seen) or seen != set(labels):
-            raise NotAPartitionError(
+            raise ValidationError(
                 f"context {ci}: supports do not partition the state labels"
             )
         result.append(cells)

@@ -12,7 +12,7 @@ import math
 import sys
 from itertools import combinations
 
-from .errors import LogicFileError, MissingVectorError, ThetaOutOfRangeError, ValidationError
+from .errors import LogicFileError, ValidationError
 from .logic import PartitionLogic, load_json
 from .value import Value
 
@@ -39,12 +39,6 @@ class VectorRealization(Value):
                 raise ValueError(f"vector for {atom!r} has a non-finite component")
             if all(abs(component) <= self.tolerance for component in vector):
                 raise ValueError(f"vector for {atom!r} is numerically zero")
-
-    def vector_for(self, atom: str) -> tuple[float, ...]:
-        try:
-            return self.vectors[atom]
-        except KeyError:
-            raise MissingVectorError(atom) from None
 
 
 class CheckResult(Value):
@@ -111,7 +105,7 @@ def build_v_realization(theta: float) -> VectorRealization:
     collapses onto a coordinate axis and faithfulness is lost.
     """
     if not 0.0 < theta < math.pi / 2:
-        raise ThetaOutOfRangeError(
+        raise ValidationError(
             f"theta must lie strictly between 0 and pi/2, got {theta!r}"
         )
     cos_t, sin_t = math.cos(theta), math.sin(theta)
@@ -150,7 +144,8 @@ def verify_faithful(
     """
     tol = realization.tolerance
     for atom in logic.atoms:
-        realization.vector_for(atom)
+        if atom not in realization.vectors:
+            raise ValidationError(f"realization has no vector for atom {atom!r}")
 
     ortho_worst = 0.0
     ortho_failures = []

@@ -29,7 +29,7 @@ from itertools import chain, count, repeat
 from json.encoder import encode_basestring_ascii as _json_string
 from operator import getitem
 
-from .errors import MissingPaletteEntryError
+from .errors import ValidationError
 from .grammar import LINEBREAK_NAME, SEPARATOR_NAME, Derivation, Grammar, _find_all
 from .grammar import production_text
 from .logic import _HEX_COLOR_RE, PartitionLogic, StateSet, supports
@@ -105,7 +105,7 @@ class RenderSpec(Value):
         try:
             return self.palette[label]
         except KeyError:
-            raise MissingPaletteEntryError(label) from None
+            raise ValidationError(f"palette has no color for state label {label!r}") from None
 
 
 def _fragments(derivation: Derivation, spec: RenderSpec, rows, fragment) -> list:
@@ -126,7 +126,7 @@ def _fragments(derivation: Derivation, spec: RenderSpec, rows, fragment) -> list
         number = next(n for row in rows for n in row if table[n] is None)
         name = derivation.symbols[number]
         if name != LINEBREAK_NAME:
-            spec.color(name)  # raises MissingPaletteEntryError
+            spec.color(name)  # raises ValidationError
         raise ValueError(f"unrenderable token {name!r} of kind linebreak")
     return table
 
@@ -202,7 +202,7 @@ def schema_chunks(logic: PartitionLogic, states: StateSet, spec: RenderSpec) -> 
     for column in columns:
         for i in missing:
             if column[i] == 1:
-                spec.color(labels[i])  # raises MissingPaletteEntryError
+                spec.color(labels[i])  # raises ValidationError
     # Each state's (false, true) fill; a missing label's true fill is never used.
     fills = [
         (f'{DEFAULT_FALSE_CELL_COLOR}"/>', f'{spec.palette.get(label)}"/>')

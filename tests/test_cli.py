@@ -228,6 +228,24 @@ def test_a_file_palette_colors_br_and_leaves_n_uncolored(tmp_path, capsys):
     assert capsys.readouterr().out.endswith("br --> [ #00FF00 ].\nn  --> [\\n].\n")
 
 
+def test_a_palette_flag_for_no_state_is_a_usage_error(capsys):
+    args = ["render", L12, "--format", "html", "--palette", "zz=#FF0000"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "sglg: error: --palette: no state is labeled 'zz'\n"
+
+
+def test_a_file_palette_key_for_no_state_is_a_parse_error(tmp_path, capsys):
+    l12 = json.loads(Path(L12).read_text(encoding="utf-8"))
+    spec = write_spec(tmp_path, {**l12, "palette": {"s9": "#112233"}})
+    out = tmp_path / "schema.svg"
+    for args in (["render", spec, "--format", "html"], ["schema", spec, "-o", str(out)]):
+        assert main(args) == 2
+        assert capsys.readouterr().err == "sglg: error: palette: no state is labeled 's9'\n"
+    assert not out.exists()
+
+
 def test_cell_geometry_flags(tmp_path):
     out = tmp_path / "big.svg"
     args = ["render", L12, "--format", "svg-tiles", "-o", str(out)]

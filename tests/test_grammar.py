@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from sglg import (
     Derivation,
-    EmptyStateSetError,
     Grammar,
     IncidenceReport,
     LogicFileError,
@@ -134,7 +133,7 @@ def test_compile_rejects_empty_state_set():
     logic = PartitionLogic("logic", ("x", "y", "z"), ((0, 1), (1, 2), (2, 0)))
     states = enumerate_states(logic)
     assert len(states) == 0
-    with pytest.raises(EmptyStateSetError):
+    with pytest.raises(ValidationError, match=r"^logic 'logic' admits no two-valued states$"):
         compile_grammar(logic, states)
 
 

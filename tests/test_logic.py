@@ -12,13 +12,11 @@ from hypothesis import strategies as st
 
 from sglg import (
     BaseSetSpec,
-    EmptyStateSetError,
     LogicFileError,
-    NotAPartitionError,
     NotSeparatingError,
     PartitionLogic,
-    PinnedStatesError,
     StateSet,
+    ValidationError,
     enumerate_states,
     is_admissible,
     is_separating,
@@ -426,20 +424,20 @@ def test_l12_fixture_pins_a_noncanonical_order():
 
 def test_pinned_states_must_cover_the_enumeration():
     logic, _ = resolve_fixture("l12.json")
-    with pytest.raises(PinnedStatesError, match="do not match the full enumeration"):
+    with pytest.raises(ValidationError, match="do not match the full enumeration"):
         pinned_state_set(logic, state_matrix(L12_TABLE[:4]))  # s5 omitted
 
 
 def test_pinned_states_must_be_admissible():
     logic, _ = resolve_fixture("l12.json")
     rows = ((1, 1, 0, 0, 1),) + L12_TABLE[1:]
-    with pytest.raises(PinnedStatesError, match="not admissible"):
+    with pytest.raises(ValidationError, match="not admissible"):
         pinned_state_set(logic, state_matrix(rows))
 
 
 def test_pinned_mismatch_counts_the_missing_valuations():
     logic, _ = resolve_fixture("l12.json")
-    with pytest.raises(PinnedStatesError) as info:
+    with pytest.raises(ValidationError, match=r"^pinned states do not match") as info:
         pinned_state_set(logic, state_matrix(L12_TABLE[:2]))
     assert str(info.value) == (
         "pinned states do not match the full enumeration "
@@ -450,13 +448,13 @@ def test_pinned_mismatch_counts_the_missing_valuations():
 def test_first_inadmissible_pinned_row_is_named():
     logic, _ = resolve_fixture("l12.json")
     rows = L12_TABLE[:2] + ((1, 1, 0, 0, 1), (0, 0, 0, 0, 0)) + L12_TABLE[2:]
-    with pytest.raises(PinnedStatesError, match=r"^pinned state s3 is not admissible"):
+    with pytest.raises(ValidationError, match=r"^pinned state s3 is not admissible"):
         pinned_state_set(logic, state_matrix(rows))
 
 
 def test_pinned_states_must_be_distinct():
     logic = small_logic([(0, 1)], atoms=("x", "y"))
-    with pytest.raises(PinnedStatesError, match="repeat"):
+    with pytest.raises(ValidationError, match="repeat"):
         pinned_state_set(logic, state_matrix(((1, 0), (1, 0))))
 
 
@@ -471,7 +469,7 @@ def test_pinned_states_must_be_distinct():
 def test_pinned_matrix_of_no_whole_rows_names_the_cut_row(matrix, message):
     # Once an IndexError (too short) or a missing valuation (too long).
     logic = small_logic([(0, 1, 2)])
-    with pytest.raises(PinnedStatesError, match=f"^{message}$"):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
         pinned_state_set(logic, matrix)
 
 
@@ -933,15 +931,15 @@ def pinned_by_tuples(logic: PartitionLogic, rows):
     enumerated = brute_force_states(logic)
     for si, row in enumerate(rows):
         if row not in enumerated and not is_admissible(row, logic):
-            raise PinnedStatesError(
+            raise ValidationError(
                 f"pinned state s{si + 1} is not admissible (some context does "
                 "not have exactly one true atom)"
             )
     if len(set(rows)) != len(rows):
-        raise PinnedStatesError("pinned states repeat a valuation")
+        raise ValidationError("pinned states repeat a valuation")
     if set(rows) != enumerated:
         missing = len(enumerated - set(rows))
-        raise PinnedStatesError(
+        raise ValidationError(
             "pinned states do not match the full enumeration "
             f"({missing} of {len(enumerated)} valuations missing)"
         )
@@ -951,7 +949,7 @@ def pinned_by_tuples(logic: PartitionLogic, rows):
 def pinned_outcome(pin, logic, rows):
     try:
         return pin(logic, rows)
-    except PinnedStatesError as exc:
+    except ValidationError as exc:
         return str(exc)
 
 
@@ -1000,6 +998,20 @@ def test_point_induced_matrix_equals_the_per_tuple_path(spec):
     assert matrix_view(logic, states) == expected
 
 
+@settings(max_examples=200, deadline=None)
+@given(base_set_specs())
+def test_point_induced_states_are_admissible_enumerated_and_separating(spec):
+    """A point lies in one block of each partition, so it induces a two-valued
+    state; two blocks differ in some point, so those states separate the atoms."""
+    try:
+        logic, states = logic_from_partitions(spec)
+    except LogicFileError:
+        reject()  # a rejected spec does not count toward max_examples
+    assert all(is_admissible(row, logic) for row in states.rows)
+    assert set(states.rows) <= set(enumerate_states(logic).rows)
+    assert is_separating(states, logic)
+
+
 # ------------------------------------------------------------ separation
 
 
@@ -1045,10 +1057,12 @@ def witness(logic: PartitionLogic, states: StateSet):
     is the clash of its (empty) supports."""
     try:
         compile_grammar(logic, states)
-    except EmptyStateSetError:
-        return _clash(logic.atoms, supports(logic, states))
     except NotSeparatingError as exc:
         return exc.witness
+    except ValidationError:
+        if len(states):
+            raise
+        return _clash(logic.atoms, supports(logic, states))
     return None
 
 
@@ -1147,7 +1161,7 @@ def test_partition_representation_keeps_empty_cells():
 def test_partition_representation_rejects_overlap():
     logic = small_logic([(0, 1)], atoms=("x", "y"))
     states = StateSet(state_matrix([(1, 1), (1, 0)]), 2)
-    with pytest.raises(NotAPartitionError, match="do not partition"):
+    with pytest.raises(ValidationError, match="do not partition"):
         partition_representation(logic, states)
 
 

@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 from sglg import (
     Backend,
     Derivation,
-    MissingPaletteEntryError,
     PartitionLogic,
     RenderSpec,
     StateSet,
+    ValidationError,
     compile_grammar,
     default_palette,
     derive,
@@ -162,9 +162,8 @@ def test_the_separator_color_is_the_palettes_br_entry():
 
 def test_missing_palette_entry_names_the_label():
     spec = RenderSpec(palette={"s1": GREEN})
-    with pytest.raises(MissingPaletteEntryError) as excinfo:
+    with pytest.raises(ValidationError, match=r"^palette has no color for state label 's2'$"):
         spec.color("s2")
-    assert excinfo.value.label == "s2"
 
 
 # ------------------------------------------------------------------ tiles
@@ -349,7 +348,7 @@ def test_ansi_rendering_without_color_has_no_escapes():
 def test_empty_palette_fails_on_a_nonempty_derivation():
     *_, derivation = l12_pipeline()
     spec = RenderSpec(palette={}, backend=Backend.ANSI)
-    with pytest.raises(MissingPaletteEntryError):
+    with pytest.raises(ValidationError, match=r"^palette has no color for state label 's1'$"):
         render_text(derivation, spec)
 
 
@@ -627,11 +626,11 @@ def reference_events(rows) -> str:
 
 
 def outcome(render, *args):
-    """The rendered text, or the error's type, message and missing label."""
+    """The rendered text, or the error's type and message."""
     try:
         return render(*args)
-    except (MissingPaletteEntryError, ValueError) as exc:
-        return type(exc), str(exc), getattr(exc, "label", None)
+    except ValueError as exc:
+        return type(exc), str(exc)
 
 
 LABELS = ("s1", "s2", "s3", "s4")
@@ -779,12 +778,11 @@ def test_schema_names_the_first_missing_label_among_true_cells():
     logic = PartitionLogic("logic", ("x", "y"), ((0, 1),))
     states = StateSet(state_matrix([(0, 1), (1, 0)]), 2)
     spec = RenderSpec(palette={}, backend=Backend.SVG_SCHEMA)
-    with pytest.raises(MissingPaletteEntryError) as excinfo:
+    message = r"^palette has no color for state label 's2'$"
+    with pytest.raises(ValidationError, match=message):
         render_schema(logic, states, spec)
-    assert excinfo.value.label == "s2"
-    with pytest.raises(MissingPaletteEntryError) as excinfo:
+    with pytest.raises(ValidationError, match=message):
         schema_chunks(logic, states, spec)  # on the call, before any chunk
-    assert excinfo.value.label == "s2"
 
 
 @settings(max_examples=100, deadline=None)
@@ -810,8 +808,8 @@ def chunk_outcome(builder, *args):
     the error that calling it raised; iterating raises nothing."""
     try:
         chunks = builder(*args)
-    except (MissingPaletteEntryError, ValueError) as exc:
-        return type(exc), str(exc), getattr(exc, "label", None)
+    except ValueError as exc:
+        return type(exc), str(exc)
     return join_chunks(chunks)
 
 
@@ -907,10 +905,8 @@ def test_chunk_builders_raise_on_the_call_at_the_first_bad_token(builder, backen
     with pytest.raises(ValueError, match="^unrenderable token 'n' of kind linebreak$"):
         builder(derivation, spec)
     derivation = Derivation.from_tokens(["s1", "n", "s1", "x", "s3", "n"], [1, 5])
-    with pytest.raises(MissingPaletteEntryError) as excinfo:
+    with pytest.raises(ValidationError, match=r"^palette has no color for state label 'x'$"):
         builder(derivation, spec)  # a name without a color, also one once a nonterminal
-    assert excinfo.value.label == "x"
     derivation = Derivation.from_tokens(["s1", "n", "s3", "x", "n", "x"], [1, 4])
-    with pytest.raises(MissingPaletteEntryError) as excinfo:
+    with pytest.raises(ValidationError, match=r"^palette has no color for state label 's3'$"):
         builder(derivation, spec)
-    assert excinfo.value.label == "s3"

@@ -3,12 +3,14 @@
 Each public class that holds data (not an enum, not an error) is built
 from its fields in declaration order, positionally or by keyword, with
 the same defaults; it compares and hashes by type and fields, shows
-``Name(field=value, ...)`` and refuses assignment and deletion.
+``Name(field=value, ...)`` and refuses assignment and deletion. Every
+semantic failure but a non-separating state set is a plain ``ValidationError``.
 """
 
 from __future__ import annotations
 
 import inspect
+import json
 from array import array
 from enum import Enum
 
@@ -30,10 +32,16 @@ from sglg import (
     RenderSpec,
     RowViolation,
     StateSet,
+    ValidationError,
     VectorRealization,
     build_v_realization,
     compile_grammar,
     derive,
+    enumerate_states,
+    load_vector_file,
+    parse_logic_file,
+    partition_representation,
+    resolve_states,
     verify_faithful,
 )
 from support import load_fixture, resolve_fixture
@@ -134,23 +142,67 @@ IDS = [cls.__name__ for cls in CASES]
 
 # Every public name, written out, so that adding or removing one shows in a diff.
 PUBLIC_NAMES = [
-    "Backend", "BaseSetSpec", "CheckResult", "Derivation", "EmptyStateSetError",
-    "EventStream", "FaithfulnessReport", "Grammar", "IncidenceReport", "LogicFile",
-    "LogicFileError", "MissingPaletteEntryError", "MissingVectorError",
-    "NotAPartitionError", "NotSeparatingError", "PartitionLogic", "PinnedStatesError",
-    "Production", "RenderSpec", "RowViolation", "StateSet", "ThetaOutOfRangeError",
-    "ValidationError", "VectorRealization", "build_v_realization", "check_incidence",
-    "compile_grammar", "default_palette", "derive", "emit_events", "emit_logic_program",
-    "enumerate_states", "is_admissible", "is_separating", "load_vector_file",
-    "logic_from_partitions", "parse_logic_file", "partition_representation",
-    "pinned_state_set", "production_text", "productions_json", "render_schema",
-    "render_text", "render_tiles", "resolve_states", "supports", "verify_faithful",
+    "Backend", "BaseSetSpec", "CheckResult", "Derivation", "EventStream",
+    "FaithfulnessReport", "Grammar", "IncidenceReport", "LogicFile", "LogicFileError",
+    "NotSeparatingError", "PartitionLogic", "Production", "RenderSpec", "RowViolation",
+    "StateSet", "ValidationError", "VectorRealization", "build_v_realization",
+    "check_incidence", "compile_grammar", "default_palette", "derive", "emit_events",
+    "emit_logic_program", "enumerate_states", "is_admissible", "is_separating",
+    "load_vector_file", "logic_from_partitions", "parse_logic_file",
+    "partition_representation", "pinned_state_set", "production_text", "productions_json",
+    "render_schema", "render_text", "render_tiles", "resolve_states", "supports",
+    "verify_faithful",
 ]
 
 
 def test_the_public_names_are_the_pinned_list():
     assert PUBLIC_NAMES == sorted(PUBLIC_NAMES)
     assert sglg.__all__ == PUBLIC_NAMES
+
+
+def _pin_one_of_five_states():
+    spec = {"atoms": [*"abcde"], "contexts": [[*"abc"], [*"cde"]], "states": [[1, 0, 0, 0, 1]]}
+    resolve_states(parse_logic_file(json.dumps(spec)))
+
+
+def _compile_a_logic_without_states():
+    logic = PartitionLogic("k", (*"abcd",), ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2)))
+    compile_grammar(logic, enumerate_states(logic))
+
+
+def _verify_a_vector_file_without_e():
+    vectors = {atom: v for atom, v in build_v_realization(0.5).vectors.items() if atom != "e"}
+    verify_faithful(L12_LOGIC, load_vector_file(json.dumps({"dimension": 3, "vectors": vectors})))
+
+
+def _partition_overlapping_states():
+    logic = PartitionLogic("logic", ("x", "y"), ((0, 1),))
+    partition_representation(logic, StateSet(b"\1\1\1\0", 2))
+
+
+# Each failure and the message it raises it with, word for word.
+SEMANTIC_FAILURES = {
+    _pin_one_of_five_states:
+        "pinned states do not match the full enumeration (4 of 5 valuations missing)",
+    _compile_a_logic_without_states: "logic 'k' admits no two-valued states",
+    lambda: build_v_realization(2): "theta must lie strictly between 0 and pi/2, got 2",
+    _verify_a_vector_file_without_e: "realization has no vector for atom 'e'",
+    lambda: RenderSpec(palette={"s1": "#008000"}).color("s2"):
+        "palette has no color for state label 's2'",
+    _partition_overlapping_states: "context 0: supports do not partition the state labels",
+}
+
+
+@pytest.mark.parametrize(
+    "fail, message",
+    SEMANTIC_FAILURES.items(),
+    ids=["pinned", "no-states", "theta", "no-vector", "no-color", "overlap"],
+)
+def test_a_semantic_failure_is_a_plain_validation_error(fail, message):
+    with pytest.raises(ValidationError) as excinfo:
+        fail()
+    assert type(excinfo.value) is ValidationError
+    assert str(excinfo.value) == message
 
 
 def _hashable(values) -> bool:
