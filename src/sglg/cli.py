@@ -23,7 +23,7 @@ from .grammar import (
     compile_grammar,
     derive,
     production_chunks,
-    productions_json,
+    production_json_chunks,
 )
 from .logic import (
     _HEX_COLOR_RE,
@@ -45,8 +45,8 @@ from .render import (
     Backend,
     RenderSpec,
     default_palette,
-    emit_logic_program,
     event_chunks,
+    logic_program_chunks,
     schema_chunks,
     text_chunks,
     tile_chunks,
@@ -196,11 +196,10 @@ def _emit(chunks, output: str | None) -> None:
 def _render_spec(logic_file: LogicFile, states: StateSet, args, backend) -> RenderSpec:
     """The spec from the style flags: default colors, then the file's, then --palette.
     Each key names a state, the separator br or the linebreak n."""
-    palette = default_palette(states.labels())
-    known = {*palette, SEPARATOR_NAME, LINEBREAK_NAME}
+    palette = default_palette(states.labels())  # a key per state label
     for location, entries in (("palette", logic_file.palette), ("--palette", args.palette)):
         for label, color in dict(entries or ()).items():
-            if label not in known:
+            if label not in palette and label not in (SEPARATOR_NAME, LINEBREAK_NAME):
                 raise LogicFileError(f"no state is labeled {label!r}", location)
             palette[label] = color
     return RenderSpec(
@@ -251,10 +250,8 @@ def _cmd_states(args) -> int:
 def _cmd_grammar(args) -> int:
     logic, states = resolve_states(_read_logic_file(args.spec))
     grammar = compile_grammar(logic, states)
-    if args.format == "json":
-        sys.stdout.write(productions_json(grammar))
-    else:
-        _emit(production_chunks(grammar), None)
+    listing = production_json_chunks if args.format == "json" else production_chunks
+    _emit(listing(grammar), None)
     return 0
 
 
@@ -267,7 +264,7 @@ def _cmd_render(args) -> int:
         return 0
     spec = _render_spec(logic_file, states, args, Backend(args.format))
     if args.format == "logic-program":  # the one format reading only the grammar
-        chunks = [[emit_logic_program(grammar, spec)]]
+        chunks = logic_program_chunks(grammar, spec)
     elif args.format == "svg-tiles":
         chunks = tile_chunks(derive(grammar), spec)
     else:  # ansi or html; NO_COLOR keeps the ANSI glyphs and drops their colors

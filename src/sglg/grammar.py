@@ -17,16 +17,22 @@ state columns. A compiled grammar writes its rows into one ``array('I')``,
 each row body a ``memoryview`` slice of it, and that array is its
 derivation's tokens: none is copied. ``Grammar.from_symbols`` and
 ``Derivation.from_tokens`` intern hand-built name sequences.
+
+The listings, in arrow notation and in JSON, are streams of one chunk per
+production: each looks its names up by number in a list that holds each
+name's text once (quoted once, for JSON), so a listing is written a
+production at a time. ``production_text`` and ``productions_json`` join
+the chunks.
 """
 
 from __future__ import annotations
 
-import json
 from array import array
 from collections.abc import Iterator
 from functools import cached_property
 from itertools import accumulate, chain, compress, count, filterfalse
-from operator import attrgetter
+from json.encoder import encode_basestring
+from operator import attrgetter, sub
 
 from .errors import NotSeparatingError, ValidationError
 from .logic import PartitionLogic, StateSet, _atom_width, _clash, _first_inadmissible
@@ -166,11 +172,25 @@ class Derivation(Value):
 
     def rows(self) -> tuple[memoryview, ...]:
         """Symbol numbers between linebreaks, as views of ``indices``;
-        linebreaks themselves excluded."""
+        linebreaks themselves excluded, and so are empty rows."""
+        return tuple(self.iter_rows())
+
+    def iter_rows(self) -> Iterator[memoryview]:
+        """``rows()`` one view at a time, each made as it is read."""
         view = memoryview(self.indices)
-        starts = (0, *(boundary + 1 for boundary in self.row_boundaries))
-        ends = (*self.row_boundaries, len(self.indices))
-        return tuple(filter(None, map(view.__getitem__, map(slice, starts, ends))))
+        return filter(None, map(view.__getitem__, map(slice, *self._row_ends())))
+
+    def row_lengths(self) -> list[int]:
+        """The length of each of ``rows()``, from the boundaries alone: for
+        boundaries in increasing order within the tokens, as ``derive`` and
+        a linebreak's positions give."""
+        starts, ends = self._row_ends()
+        return [n for n in map(sub, ends, starts) if n > 0]
+
+    def _row_ends(self) -> tuple[Iterator[int], Iterator[int]]:
+        """Where each row starts and where it ends, one past its last token."""
+        bounds = self.row_boundaries
+        return chain((0,), map((1).__add__, bounds)), chain(bounds, (len(self.indices),))
 
 
 class RowViolation(Value):
@@ -318,7 +338,8 @@ def production_chunks(grammar: Grammar) -> Iterator[tuple[str, ...]]:
     The start rule is set off from the row rules by a blank line, matching
     the layered source layout used by :func:`sglg.render.emit_logic_program`.
     """
-    names, (start, *rows) = grammar.symbols, grammar.productions
+    # A list, as a tuple's __getitem__ is slower to map over a body.
+    names, (start, *rows) = list(grammar.symbols), grammar.productions
 
     def chunk(p: Production, end: str = ".\n") -> tuple[str, ...]:
         return (p.head, " --> ", ",".join(map(names.__getitem__, p.body)), end)
@@ -331,8 +352,22 @@ def production_text(grammar: Grammar) -> str:
     return "".join(chain.from_iterable(production_chunks(grammar)))
 
 
+def production_json_chunks(grammar: Grammar) -> Iterator[tuple[str, ...]]:
+    """``productions_json`` one chunk per production, in the layout of
+    ``json.dumps(indent=2, ensure_ascii=False)``: each name is quoted once,
+    by the function ``json.dumps`` quotes it with."""
+    quoted = list(map(encode_basestring, grammar.symbols))
+
+    def chunk(p: Production, lead: str = ",\n") -> tuple[str, ...]:
+        if not p.body:
+            return (lead, "  ", encode_basestring(p.head), ": []")
+        names = ",\n    ".join(map(quoted.__getitem__, p.body))
+        return (lead, "  ", encode_basestring(p.head), ": [\n    ", names, "\n  ]")
+
+    start, *rows = grammar.productions
+    return chain((chunk(start, "{\n"),), map(chunk, rows), (("\n}\n",),))
+
+
 def productions_json(grammar: Grammar) -> str:
     """Productions as a JSON object mapping each head to its body symbols."""
-    names = grammar.symbols
-    payload = {p.head: list(map(names.__getitem__, p.body)) for p in grammar.productions}
-    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+    return "".join(chain.from_iterable(production_json_chunks(grammar)))

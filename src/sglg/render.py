@@ -12,26 +12,31 @@ table entry and writes each row by looking the fragments up by number,
 with the per-column and per-row text (x and y coordinates, event
 positions) formatted once too. The SVG and event writers make a row one
 join over three slots per token, filled by slice assignment: the
-column's text, the row's text and the token's fragment. Each SVG line
-starts with its newline and each event line ends with one, so no line is
-joined twice.
+column's text, the row's text and the token's fragment; the event writer
+fills a full row's slots in place, as only their join leaves it. Each SVG
+line starts with its newline and each event line ends with one, so no
+line is joined twice.
 
 The ``*_chunks`` functions give the text as one chunk (a sequence of
-strings) per row: they raise when called and make each row when it is
-reached, so a document can be written a row at a time.
+strings) per row, or for the logic program per production and per state
+binding: they raise when called and make each chunk when it is reached,
+so a document can be written a row at a time. The row writers read a
+derivation's rows one view at a time and take their lengths from its row
+boundaries, so they hold no view per row. A palette is checked once per
+distinct color, all at once; the entries are walked only when that fails.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from enum import Enum
-from itertools import chain, count, repeat
+from itertools import chain, count, filterfalse, repeat
 from json.encoder import encode_basestring_ascii as _json_string
 from operator import getitem
 
 from .errors import ValidationError
 from .grammar import LINEBREAK_NAME, SEPARATOR_NAME, Derivation, Grammar, _find_all
-from .grammar import production_text
+from .grammar import production_chunks
 from .logic import _HEX_COLOR_RE, PartitionLogic, StateSet, supports
 from .value import Value
 
@@ -40,6 +45,7 @@ DEFAULT_SEPARATOR_COLOR = "#000000"
 DEFAULT_FALSE_CELL_COLOR = "#BFBFBF"
 
 BLOCK = "█"
+_HEX_TO_0 = str.maketrans("0123456789ABCDEFabcdef", "0" * 22)
 
 
 class Backend(Enum):
@@ -64,18 +70,22 @@ def default_palette(labels: tuple[str, ...]) -> dict[str, str]:
     For more than five labels the colors are evenly spaced hues
     (hue_i = i·360/N) at full saturation and value 0.9, which keeps every
     entry clearly distinct from the black separator; the float steps are
-    those of ``colorsys.hsv_to_rgb``.
+    those of ``colorsys.hsv_to_rgb``. Neighbouring labels that get the
+    same color share one string: there are at most 6·256 colors.
     """
     if len(labels) <= len(DEFAULT_COLORS):
         return dict(zip(labels, DEFAULT_COLORS))
-    n, colors = len(labels), []
+    n, colors, made_k, made_byte = len(labels), [], None, None
     for i in range(n):
         h6 = i / n * 6.0
         k = int(h6)
         f = h6 - k
         channel = 0.9 * (1.0 - f) if k & 1 else 0.9 * (1.0 - (1.0 - f))
-        before, after = _SEXTANTS[k % 6]
-        colors.append(before + _HEX[round(channel * 255)] + after)
+        byte = round(channel * 255)
+        if byte != made_byte or k != made_k:
+            before, after = _SEXTANTS[k % 6]
+            made_k, made_byte, color = k, byte, before + _HEX[byte] + after
+        colors.append(color)
     return dict(zip(labels, colors))
 
 
@@ -89,9 +99,13 @@ class RenderSpec(Value):
         super().__init__({} if palette is None else palette, *args, **kwargs)
 
     def __post_init__(self):
-        for label, value in self.palette.items():
-            if not _HEX_COLOR_RE.fullmatch(value):
-                raise ValueError(f"palette entry {label!r} is not a hex color: {value!r}")
+        # Each distinct color checked at once, as a line with each hex digit
+        # made 0; the entries are walked only on failure.
+        colors = set(self.palette.values())
+        if "\n".join(colors).translate(_HEX_TO_0) != ("\n#000000" * len(colors))[1:]:
+            for label, value in self.palette.items():
+                if not _HEX_COLOR_RE.fullmatch(value):
+                    raise ValueError(f"palette entry {label!r} is not a hex color: {value!r}")
         if not isinstance(self.cell_size, int) or self.cell_size <= 0:
             raise ValueError("cell_size must be a positive integer")
         if not isinstance(self.cell_gap, int) or self.cell_gap < 0:
@@ -111,23 +125,24 @@ class RenderSpec(Value):
 def _fragments(derivation: Derivation, spec: RenderSpec, rows, fragment) -> list:
     """Per symbol number, ``fragment(color)``, or ``None`` for a symbol without
     a color: ``br`` has ``spec.separator_color``, ``n`` none and a state its
-    palette entry, if any. The first such token in ``rows``, in row-major order, raises."""
-    palette = spec.palette
-    table = [
-        fragment(spec.separator_color) if name == SEPARATOR_NAME
-        else fragment(palette[name]) if name in palette and name != LINEBREAK_NAME
-        else None
-        for name in derivation.symbols
-    ]
+    palette entry, if any. The first such token in ``rows`` (views, read once
+    in row-major order) raises."""
+    palette, names = spec.palette, derivation.symbols
+    table = [fragment(palette[name]) if name in palette else None for name in names]
+    for name, text in ((SEPARATOR_NAME, fragment(spec.separator_color)), (LINEBREAK_NAME, None)):
+        if name in names:  # whatever the palette holds for it
+            table[names.index(name)] = text
     # A compiled derivation's linebreak has no color and stands in no row: a
     # search of each row's bytes per such symbol finds that, one row held at a time.
     missing = [number for number, text in enumerate(table) if text is None]
-    if any(_find_all(row.tobytes(), number) for row in rows for number in missing):
-        number = next(n for row in rows for n in row if table[n] is None)
-        name = derivation.symbols[number]
-        if name != LINEBREAK_NAME:
-            spec.color(name)  # raises ValidationError
-        raise ValueError(f"unrenderable token {name!r} of kind linebreak")
+    for row in rows if missing else ():
+        raw = row.tobytes()
+        for number in missing:
+            if _find_all(raw, number):
+                name = names[next(n for n in row if table[n] is None)]
+                if name != LINEBREAK_NAME:
+                    spec.color(name)  # raises ValidationError
+                raise ValueError(f"unrenderable token {name!r} of kind linebreak")
     return table
 
 
@@ -152,13 +167,14 @@ def tile_chunks(derivation: Derivation, spec: RenderSpec) -> Iterator[list[str]]
     """``render_tiles`` as a head, one chunk per row and a tail."""
     if spec.backend is not Backend.SVG_TILES:
         raise ValueError("render_tiles requires the svg-tiles backend")
-    rows = derivation.rows()
     size = f'" width="{spec.cell_size}" height="{spec.cell_size}" fill="'
-    table = _fragments(derivation, spec, rows, lambda color: f'{size}{color}"/>')
+    table = _fragments(derivation, spec, derivation.iter_rows(),
+                       lambda color: f'{size}{color}"/>')
     step = spec.cell_size + spec.cell_gap
-    cols = max(map(len, rows), default=0)
+    lengths = derivation.row_lengths()
+    cols = max(lengths, default=0)
     width = cols * spec.cell_size + max(cols - 1, 0) * spec.cell_gap
-    height = len(rows) * spec.cell_size + max(len(rows) - 1, 0) * spec.cell_gap
+    height = len(lengths) * spec.cell_size + max(len(lengths) - 1, 0) * spec.cell_gap
     slots = [None] * (3 * cols)
     slots[0::3] = [f'\n  <rect x="{i * step}" y="' for i in range(cols)]
 
@@ -169,7 +185,7 @@ def tile_chunks(derivation: Derivation, spec: RenderSpec) -> Iterator[list[str]]
         return parts
 
     head = [_SVG_HEAD.format(width, height)]
-    return chain((head,), map(row_chunk, count(), rows), (["\n</svg>\n"],))
+    return chain((head,), map(row_chunk, count(), derivation.iter_rows()), (["\n</svg>\n"],))
 
 
 def _escape(text: str) -> str:
@@ -244,21 +260,22 @@ def render_text(derivation: Derivation, spec: RenderSpec, color: bool = True) ->
 
 def text_chunks(derivation: Derivation, spec: RenderSpec, color: bool = True) -> Iterator:
     """``render_text`` as one chunk per row, with html's head and tail."""
-    rows = derivation.rows()
     if spec.backend is Backend.ANSI and not color:
-        return ((BLOCK * len(row), "\n") for row in rows)
+        return ((BLOCK * n, "\n") for n in derivation.row_lengths())
     if spec.backend is Backend.ANSI:
-        table = _fragments(derivation, spec, rows, _ansi_glyph)
-        return (("".join(map(table.__getitem__, row)), "\x1b[0m\n") for row in rows)
+        table = _fragments(derivation, spec, derivation.iter_rows(), _ansi_glyph)
+        return (("".join(map(table.__getitem__, row)), "\x1b[0m\n")
+                for row in derivation.iter_rows())
     if spec.backend is not Backend.HTML:
         raise ValueError("render_text requires the ansi or html backend")
     style = (
         '    <span class="sglg-cell" style="display:inline-block;'
         f"width:{spec.cell_size}px;height:{spec.cell_size}px;background:"
     )
-    table = _fragments(derivation, spec, rows, lambda color: f'{style}{color}"></span>\n')
+    table = _fragments(derivation, spec, derivation.iter_rows(),
+                       lambda color: f'{style}{color}"></span>\n')
     divs = (['  <div class="sglg-row">\n', *map(table.__getitem__, row), "  </div>\n"]
-            for row in rows)
+            for row in derivation.iter_rows())
     return chain((['<div class="sglg-tiles">\n'],), divs, (["</div>\n"],))
 
 
@@ -272,16 +289,23 @@ def emit_logic_program(grammar: Grammar, spec: RenderSpec) -> str:
 
     The repertoire layer binds each state symbol to its palette color and
     the layout layer binds ``br`` to the palette's ``br`` entry (black
-    without one) and ``n`` to a literal newline escape.
+    without one) and ``n`` to a literal newline escape. The layers are
+    separated by blank lines, and an empty repertoire is one blank line.
     """
-    structural = production_text(grammar).rstrip("\n")
-    repertoire = [
-        f"{label} --> [ {spec.color(label)} ]." for label in grammar.terminals
-    ]
-    layout = [f"br --> [ {spec.separator_color} ].", "n  --> [\\n]."]
-    return "\n\n".join(
-        ["\n".join(block) for block in ([structural], repertoire, layout)]
-    ) + "\n"
+    return join_chunks(logic_program_chunks(grammar, spec))
+
+
+def logic_program_chunks(grammar: Grammar, spec: RenderSpec) -> Iterator[tuple[str, ...]]:
+    """``emit_logic_program`` as one chunk per production, then one per
+    state binding, then the layout."""
+    palette, terminals = spec.palette, grammar.terminals
+    for label in filterfalse(palette.__contains__, terminals):
+        spec.color(label)  # raises ValidationError
+    repertoire = zip(terminals, repeat(" --> [ "), map(palette.__getitem__, terminals),
+                     repeat(" ].\n"))
+    layout = ("\n" if terminals else "\n\n", f"br --> [ {spec.separator_color} ].\n",
+              "n  --> [\\n].\n")
+    return chain(production_chunks(grammar), (("\n",),), repertoire, (layout,))
 
 
 _KINDS = {SEPARATOR_NAME: '"separator"', LINEBREAK_NAME: '"linebreak"'}
@@ -307,19 +331,19 @@ def event_chunks(derivation: Derivation) -> Iterator[tuple[str]]:
     # The text of json.dumps(..., separators=(",", ":")) for each event,
     # the strings quoted by the function json.dumps uses for them; per
     # token the row's text, the position and the line-ending symbol tail.
-    rows = derivation.rows()
     table = list(map(_event_tail, derivation.symbols))
-    cols = max((len(row) for row in rows), default=0)
+    cols = max(derivation.row_lengths(), default=0)
     slots = [None] * (3 * cols)
     slots[1::3] = map(str, range(cols))
 
     def row_chunk(r: int, row) -> tuple[str]:
-        parts = slots[: 3 * len(row)]
+        # A full row fills the slots in place: only their join leaves here.
+        parts = slots if 3 * len(row) == len(slots) else slots[: 3 * len(row)]
         parts[0::3] = repeat(f'{{"row":{r},"pos":', len(row))
         parts[2::3] = map(table.__getitem__, row)
         return ("".join(parts),)
 
-    return map(row_chunk, count(), rows)
+    return map(row_chunk, count(), derivation.iter_rows())
 
 
 def emit_events(derivation: Derivation) -> EventStream:

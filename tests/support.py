@@ -16,6 +16,7 @@ from operator import getitem
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from sglg import (
     Grammar,
@@ -235,6 +236,23 @@ def traced_peak(call, *args) -> int:
 def body_names(grammar: Grammar, head: str) -> list[str]:
     body = dict(zip(grammar.nonterminals, grammar.productions))[head].body
     return [grammar.symbols[i] for i in body]
+
+
+# Names a JSON or source writer must quote or pass through unchanged: quotes,
+# backslashes, control characters, a line separator and non-ASCII letters.
+# None of them is br or n.
+hostile_names = st.text(st.sampled_from('a1_"\\\x00\x1f\n\u2028é字'), min_size=1, max_size=3)
+
+
+@st.composite
+def hostile_flat_grammars(draw) -> Grammar:
+    """A flat grammar with up to four rows over hostile names; with no rows,
+    the start rule's body is empty."""
+    names = draw(st.lists(hostile_names, unique=True, max_size=9))
+    rows = draw(st.integers(0, min(4, max(len(names) - 1, 0))))
+    start, heads, states = (names[0] if names else "g"), names[1 : rows + 1], names[rows + 1 :]
+    body = st.lists(st.sampled_from([*states, "br"]), max_size=6)
+    return Grammar.from_symbols(((start, tuple(heads)), *((h, (*draw(body), "n")) for h in heads)))
 
 
 def listing(grammar: Grammar) -> tuple[tuple[str, tuple[str, ...]], ...]:

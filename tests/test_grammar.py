@@ -6,6 +6,7 @@ import json
 import operator
 import random
 from array import array
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -32,9 +33,11 @@ from sglg import (
     resolve_states,
     supports,
 )
+from sglg.grammar import production_json_chunks
 from support import (
     body_names,
     chain_spec,
+    hostile_flat_grammars,
     listing,
     one_state_grammar,
     parse_production_listing,
@@ -367,6 +370,16 @@ def test_derive_equals_recursive_expansion(grammar):
     assert derivation_content(derive(grammar)) == derivation_content(
         derive_by_recursion(grammar)
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(flat_grammars())
+def test_rows_one_at_a_time_and_their_lengths_agree_with_rows(grammar):
+    # A row of "n" alone is empty, and no row, view or length stands for it.
+    derivation = derive(grammar)
+    rows = [row.tolist() for row in derivation.rows()]
+    assert [row.tolist() for row in derivation.iter_rows()] == rows
+    assert derivation.row_lengths() == list(map(len, rows))
 
 
 def test_derive_equals_recursive_expansion_on_random_compiled_grammars():
@@ -834,6 +847,22 @@ def test_productions_json_round_trips():
     assert payload["triangle_logic"] == ["a", "b", "c", "d", "e", "f"]
     assert payload["f"] == ["s2", "s4", "br", "s1", "s3", "n"]
     assert list(payload) == [p.head for p in grammar.productions]
+
+
+@settings(max_examples=300, deadline=None)
+@given(hostile_flat_grammars())
+def test_json_chunks_join_to_the_json_dumps_text(grammar):
+    payload = {head: list(body) for head, body in listing(grammar)}
+    expected = json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+    chunks = list(production_json_chunks(grammar))
+    assert "".join(chain.from_iterable(chunks)) == expected
+    assert productions_json(grammar) == expected
+    assert len(chunks) == len(grammar.productions) + 1  # and the closing brace
+
+
+def test_json_listing_of_a_start_rule_alone():
+    grammar = Grammar.from_symbols((("g", ()),))
+    assert productions_json(grammar) == '{\n  "g": []\n}\n'
 
 
 def test_parse_production_listing_round_trips():

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from sglg import (
     Backend,
     Derivation,
+    Grammar,
     PartitionLogic,
     RenderSpec,
     StateSet,
@@ -38,12 +39,14 @@ from sglg.render import (
     _fragments,
     event_chunks,
     join_chunks,
+    logic_program_chunks,
     schema_chunks,
     text_chunks,
     tile_chunks,
 )
 from support import (
     chain_spec,
+    hostile_flat_grammars,
     listing,
     one_state_grammar,
     parse_production_listing,
@@ -424,6 +427,47 @@ def test_logic_program_structural_layer_round_trips():
     )
     parsed = parse_production_listing(emit_logic_program(grammar, spec))
     assert parsed == listing(grammar)
+
+
+def reference_logic_program(grammar, spec: RenderSpec) -> str:
+    """The three layers as whole blocks joined by blank lines, from the
+    listing: the rules, a binding per terminal in first use, the layout."""
+    rules = [f"{head} --> {','.join(body)}." for head, body in listing(grammar)]
+    structural = "\n\n".join(filter(None, (rules[0], "\n".join(rules[1:]))))
+    heads = {head for head, _ in listing(grammar)}
+    used = (name for _, body in listing(grammar) for name in body)
+    terminals = dict.fromkeys(name for name in used if name not in {*heads, "br", "n"})
+    repertoire = [f"{label} --> [ {reference_color(label, spec)} ]." for label in terminals]
+    layout = [f"br --> [ {spec.separator_color} ].", "n  --> [\\n]."]
+    return "\n\n".join("\n".join(block) for block in ([structural], repertoire, layout)) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(hostile_flat_grammars(), st.data())
+def test_logic_program_chunks_join_to_the_layered_text(grammar, data):
+    # Each terminal and br may lack a color; a terminal without one raises.
+    names = st.sampled_from([*grammar.terminals, "br", "n"])
+    palette = data.draw(st.dictionaries(names, hex_colors))
+    spec = RenderSpec(palette, backend=Backend.LOGIC_PROGRAM)
+    expected = outcome(reference_logic_program, grammar, spec)
+    assert chunk_outcome(logic_program_chunks, grammar, spec) == expected
+    assert outcome(emit_logic_program, grammar, spec) == expected
+
+
+def test_logic_program_without_terminals_keeps_an_empty_repertoire_block():
+    grammar = Grammar.from_symbols((("g", ("x",)), ("x", ("br", "n"))))
+    spec = RenderSpec(backend=Backend.LOGIC_PROGRAM)
+    assert emit_logic_program(grammar, spec) == (
+        "g --> x.\n\nx --> br,n.\n\n\n\nbr --> [ #000000 ].\nn  --> [\\n].\n"
+    )
+
+
+def test_logic_program_chunks_raise_on_the_call_before_any_chunk():
+    _, _, grammar, _ = l12_pipeline()
+    palette = {label: GREEN for label in ("s1", "s3", "s4", "s5")}
+    spec = RenderSpec(palette, backend=Backend.LOGIC_PROGRAM)
+    with pytest.raises(ValidationError, match=r"^palette has no color for state label 's2'$"):
+        logic_program_chunks(grammar, spec)
 
 
 # ------------------------------------------------------------------ events
