@@ -13,7 +13,6 @@ import math
 import os
 import sys
 from itertools import accumulate
-from pathlib import Path
 
 from .errors import LogicFileError, ValidationError
 from .grammar import (
@@ -175,7 +174,8 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except UnicodeDecodeError as exc:  # JSON text is UTF-8
         raise LogicFileError(f"invalid JSON: {exc}") from None
 

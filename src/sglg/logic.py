@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import re
 import sys
+from collections import defaultdict
 from contextlib import suppress
 from functools import cached_property, reduce
 from itertools import chain, compress, repeat
@@ -42,6 +43,40 @@ class PartitionLogic(Value):
     def __post_init__(self):
         if not _NAME_RE.fullmatch(self.name):
             raise LogicFileError(f"not an identifier: {self.name!r}", "name")
+        # The whole logic at once; only a failure walks it to name the fault.
+        if not self._well_formed():
+            self._name_fault()
+        nested = _least_nested_pair(self)
+        if nested is not None:
+            ci, cj = nested
+            raise LogicFileError(
+                f"contexts {ci} and {cj} are nested; no context may be a "
+                "subset of another",
+                f"contexts[{cj}]",
+            )
+
+    def _well_formed(self) -> bool:
+        """Whether ``_name_fault`` would find no fault, tested a table at a time."""
+        atoms, contexts = self.atoms, self.contexts
+        if not (atoms and contexts and set(map(type, atoms)) <= {str} and "" not in atoms):
+            return False
+        if _LONE_SURROGATE_RE.search("".join(atoms)) or len(set(atoms)) != len(atoms):
+            return False
+        if min(map(len, contexts)) < 2:
+            return False
+        indices = list(chain.from_iterable(contexts))
+        if not (
+            set(map(type, indices)) <= {int}
+            and 0 <= min(indices)
+            and max(indices) < len(atoms)
+        ):
+            return False
+        # An atom in no context has no bit; a repeat in a context sets a bit twice.
+        masks = self._atom_contexts
+        return 0 not in masks and sum(map(int.bit_count, masks)) == len(indices)
+
+    def _name_fault(self) -> None:
+        """Walk the atoms and contexts; raise for the first fault, if any."""
         if not self.atoms:
             raise LogicFileError("atom list is empty", "atoms")
         seen: dict[str, int] = {}
@@ -67,14 +102,16 @@ class PartitionLogic(Value):
         for i, atom in enumerate(self.atoms):
             if i not in covered:
                 raise LogicFileError(f"atom {atom!r} appears in no context", f"atoms[{i}]")
-        nested = _least_nested_pair(self)
-        if nested is not None:
-            ci, cj = nested
-            raise LogicFileError(
-                f"contexts {ci} and {cj} are nested; no context may be a "
-                "subset of another",
-                f"contexts[{cj}]",
-            )
+
+    @cached_property
+    def _atom_contexts(self) -> tuple[int, ...]:
+        """Per atom, the contexts it lies in as a mask: bit c stands for context c."""
+        masks = [0] * len(self.atoms)
+        for ci, ctx in enumerate(self.contexts):
+            bit = 1 << ci
+            for j in ctx:
+                masks[j] |= bit
+        return tuple(masks)
 
 
 class BaseSetSpec(Value):
@@ -95,13 +132,16 @@ class BaseSetSpec(Value):
         if not self.partitions:
             raise LogicFileError("partition list is empty", "partitions")
         universe = set(self.base_set)
-        for pi, partition in enumerate(self.partitions):
-            # Nonempty blocks whose points are the universe, as many in all as
-            # it holds, are disjoint and cover it: only a failure walks the blocks.
+        everywhere = int.from_bytes(b"\1" * len(universe), "big")  # a 1 digit per point
+        for pi, (partition, masks) in enumerate(zip(self.partitions, self._block_masks)):
+            # Nonempty blocks, as many points in all as the base set, whose masks
+            # add up to a 1 digit per point, cover it once each: a stray point
+            # adds no digit and a carry takes 255 from the digit sum. Only a
+            # failure walks the blocks.
             if (
                 all(partition)
                 and sum(map(len, partition)) == len(universe)
-                and set(chain.from_iterable(partition)) == universe
+                and sum(masks) == everywhere
             ):
                 continue
             loc = f"partitions[{pi}]"
@@ -144,6 +184,20 @@ class BaseSetSpec(Value):
                         raise LogicFileError(
                             "block name holds a lone surrogate", f"block_names[{pi}]"
                         )
+
+    @cached_property
+    def _block_masks(self) -> tuple[tuple[int, ...], ...]:
+        """Per partition, per block, its points as one integer: a base-256 digit
+        per base-set point, the first point the top digit. Once the spec is
+        checked, ``mask.to_bytes(len(base_set), "big")`` is the block's 0/1 byte
+        per point."""
+        p = len(self.base_set)
+        digit = defaultdict(int)  # a point outside the base set adds nothing
+        digit.update(zip(self.base_set, (1 << 8 * (p - 1 - i) for i in range(p))))
+        return tuple(
+            tuple(sum(map(digit.__getitem__, block)) for block in partition)
+            for partition in self.partitions
+        )
 
 
 class StateSet(Value):
@@ -247,7 +301,9 @@ def parse_logic_file(text: str) -> LogicFile:
         return LogicFile(source=_parse_base_set_mode(name, raw))
 
     logic = _parse_hypergraph_mode(name, raw)
-    pinned = _parse_pinned_states(raw.get("states"), logic)
+    # JSON writes a bool only as a bare true or false.
+    bools = "true" in text or "false" in text
+    pinned = _parse_pinned_states(raw.get("states"), logic, bools)
     palette = _parse_palette(raw.get("palette"))
     return LogicFile(source=logic, pinned_states=pinned, palette=palette)
 
@@ -311,7 +367,9 @@ def _parse_base_set_mode(name: str, raw: dict) -> BaseSetSpec:
     return BaseSetSpec(name, tuple(base), parsed, names)
 
 
-def _parse_pinned_states(raw_states, logic: PartitionLogic) -> bytes | None:
+def _parse_pinned_states(raw_states, logic: PartitionLogic, bools: bool = True) -> bytes | None:
+    """The pinned rows as one state matrix. ``bools=False`` promises that no
+    value is a bool, which ``bytes()`` alone would take for 0 or 1."""
     if raw_states is None:
         return None
     if not isinstance(raw_states, list):
@@ -320,8 +378,9 @@ def _parse_pinned_states(raw_states, logic: PartitionLogic) -> bytes | None:
     # One matrix of 0/1 bytes, checked at once, widths before values so that no
     # row lends values to the next; only a failure walks the rows to name one.
     if set(map(type, raw_states)) <= {list} and set(map(len, raw_states)) <= {m}:
-        if set(map(type, values(raw_states))) <= {int}:  # no bool, float or list
-            with suppress(ValueError):  # a value outside 0..255
+        if not bools or set(map(type, values(raw_states))) <= {int}:
+            # bytes() refuses a float, string, null or list, and a value outside 0..255.
+            with suppress(TypeError, ValueError):
                 matrix = bytes(values(raw_states))
                 if not matrix.translate(None, b"\0\1"):
                     return matrix
@@ -357,25 +416,59 @@ def logic_from_partitions(spec: BaseSetSpec) -> tuple[PartitionLogic, StateSet]:
     ambiguous pasting. Points inducing identical valuations collapse to
     one state.
     """
-    atoms: list[str] = []
+    partitions = spec._block_masks  # equal blocks have equal masks
+    blocks = list(chain.from_iterable(partitions))
+    if spec.block_names is None:  # a block is named where it is first seen
+        names = [
+            f"p{pi}b{bi}"
+            for pi, partition in enumerate(partitions, 1)
+            for bi in range(1, len(partition) + 1)
+        ]
+    else:
+        names = list(chain.from_iterable(spec.block_names))
+    atoms = dict.fromkeys(blocks)  # block mask -> atom name, in order of first sight
+    atoms.update(zip(reversed(blocks), reversed(names)))  # the first name is written last
+    index = dict(zip(atoms, range(len(atoms))))
+    contexts = tuple(tuple(map(index.__getitem__, partition)) for partition in partitions)
+    # Given names must name blocks one to one; a partition gives a context of at
+    # least 2 blocks, and contexts of one base set nest only if equal.
+    if (
+        (
+            spec.block_names is not None
+            and not len(atoms) == len(set(names)) == len(set(zip(blocks, names)))
+        )
+        or min(map(len, contexts)) < 2
+        or len(set(map(frozenset, contexts))) != len(contexts)
+    ):
+        _name_pasting_fault(spec, names)
+    # PartitionLogic's checks hold: the spec checked the name, the block names
+    # and that a partition is given; atom names are distinct; every atom lies
+    # in a context of at least 2 distinct atoms, and no contexts nest.
+    logic = PartitionLogic._trusted(spec.name, tuple(atoms.values()), contexts)
+
+    # An atom's column is its mask's bytes; a point's row is every p-th byte.
+    p = len(spec.base_set)
+    columns = b"".join(map(int.to_bytes, atoms, repeat(p), repeat("big")))
+    rows = dict.fromkeys(map(columns.__getitem__, map(slice, range(p), repeat(None), repeat(p))))
+    return logic, StateSet._trusted(b"".join(rows), len(atoms))
+
+
+def _name_pasting_fault(spec: BaseSetSpec, names: list[str]) -> None:
+    """Walk the partitions in order, ``names`` holding each block's name;
+    raise for the first block named two ways, name of two blocks, partition
+    of one block, or repeated partition."""
+    atoms: dict[int, str] = {}  # block mask -> atom name
     taken: set[str] = set()
-    blocks: list[frozenset[Point]] = []
-    by_block: dict[frozenset[Point], int] = {}
-    contexts: list[tuple[int, ...]] = []
-    first: dict[frozenset[int], int] = {}  # a context's atoms -> its first partition
-    for pi, partition in enumerate(spec.partitions):
-        row = []
+    first: dict[frozenset[int], int] = {}  # a context's blocks -> its first partition
+    names_in_order = iter(names)
+    for pi, partition in enumerate(spec._block_masks):
         for bi, block in enumerate(partition):
-            key = frozenset(block)
-            if spec.block_names is not None:
-                name = spec.block_names[pi][bi]
-            else:
-                name = f"p{pi + 1}b{bi + 1}"
-            if key in by_block:
-                j = by_block[key]
-                if spec.block_names is not None and atoms[j] != name:
+            name = next(names_in_order)
+            if block in atoms:
+                if spec.block_names is not None and atoms[block] != name:
+                    points = sorted(spec.partitions[pi][bi], key=repr)
                     raise LogicFileError(
-                        f"block {sorted(key, key=repr)} is named {atoms[j]!r} and "
+                        f"block {points} is named {atoms[block]!r} and "
                         f"{name!r} in different partitions (ambiguous pasting)",
                         f"block_names[{pi}][{bi}]",
                     )
@@ -385,43 +478,21 @@ def logic_from_partitions(spec: BaseSetSpec) -> tuple[PartitionLogic, StateSet]:
                         f"name {name!r} is used for two different blocks",
                         f"block_names[{pi}][{bi}]",
                     )
-                j = by_block[key] = len(atoms)
-                atoms.append(name)
+                atoms[block] = name
                 taken.add(name)
-                blocks.append(key)
-            row.append(j)
-        if len(row) < 2:
+        if len(partition) < 2:
             raise LogicFileError("partition has fewer than 2 blocks", f"partitions[{pi}]")
-        # Partitions all cover the base set, so contexts nest only if equal.
-        same = first.setdefault(frozenset(row), pi)
+        same = first.setdefault(frozenset(partition), pi)
         if same != pi:
             raise LogicFileError(
                 f"partitions {same} and {pi} have the same blocks", f"partitions[{pi}]"
             )
-        contexts.append(tuple(row))
-
-    # PartitionLogic's checks hold: the spec checked the name, the block names
-    # and that a partition is given; the taken check keeps atom names distinct;
-    # a partition gives a context of at least 2 distinct atoms, and every atom
-    # lies in one; contexts of one base set nest only if equal, rejected above.
-    logic = PartitionLogic._trusted(spec.name, tuple(atoms), tuple(contexts))
-
-    # Mark each atom's points; equal valuations collapse to the first point.
-    marks = {point: bytearray(len(atoms)) for point in spec.base_set}
-    for j, block in enumerate(blocks):
-        for point in block:
-            marks[point][j] = 1
-    rows = dict.fromkeys(map(bytes, marks.values()))
-    return logic, StateSet._trusted(b"".join(rows), len(atoms))
+    raise AssertionError("a rejected pasting holds no fault")
 
 
-def _context_masks(logic: PartitionLogic) -> list[int]:
+def _context_masks(logic: PartitionLogic) -> tuple[int, ...]:
     """Per atom, the contexts it lies in as a mask: bit c stands for context c."""
-    masks = [0] * len(logic.atoms)
-    for ci, ctx in enumerate(logic.contexts):
-        for j in ctx:
-            masks[j] |= 1 << ci
-    return masks
+    return logic._atom_contexts
 
 
 def _least_nested_pair(logic: PartitionLogic) -> tuple[int, int] | None:
@@ -446,7 +517,36 @@ def _least_nested_pair(logic: PartitionLogic) -> tuple[int, int] | None:
 
 
 def _state_masks(logic: PartitionLogic) -> list[int]:
-    """Every two-valued state as an atom mask, atom 0 the top bit; unordered.
+    """Every two-valued state as an atom mask, atom 0 the top bit; unordered."""
+    return _exact_covers(logic, [0], _listed)
+
+
+def _state_count(logic: PartitionLogic) -> int:
+    """The number of two-valued states, found without listing them."""
+    return _exact_covers(logic, 1, _counted)
+
+
+def _listed(forced: int, kids, memo) -> list[int]:
+    """A node's completions: its forced atoms, a kid's atom, a kid's completion."""
+    return [forced | b | s for b, kid in kids for s in memo[kid]]
+
+
+def _counted(forced: int, kids, memo) -> int:
+    """A node's number of completions: the sum of its kids'."""
+    return sum(memo[kid] for _, kid in kids)
+
+
+_DONE = (0, 0)  # no live atom and no open context: one completion, the empty one
+
+
+def _exact_covers(logic: PartitionLogic, done, fold):
+    """Fold the exact covers of the contexts by the atoms.
+
+    The two-valued states are those covers. ``done`` is the value of
+    ``_DONE``; ``fold(forced, kids, memo)`` gives a node's value from its
+    forced atoms (a mask) and ``kids``, a list of (atom bit, kid key) whose
+    values are in ``memo``; the root's value is returned. ``_listed``
+    lists the states as masks and ``_counted`` counts them.
 
     An exact cover of the contexts by the atoms (Knuth's Algorithm X) with
     an explicit stack, so no depth is too deep. Choosing an atom closes its
@@ -471,7 +571,7 @@ def _state_masks(logic: PartitionLogic) -> list[int]:
         for j in ctx:
             clash[j] |= members[ci]
             touch[j] |= reach
-    memo: dict[tuple[int, int], list[int]] = {}  # key -> completion masks
+    memo = {_DONE: done}  # key -> value of its completions
     root = ((1 << m) - 1, (1 << len(logic.contexts)) - 1)
     # (key, hot) to solve, or (key, forced, kids) once the kids are solved;
     # hot holds every open context with at most one live atom, to find those fast.
@@ -480,7 +580,7 @@ def _state_masks(logic: PartitionLogic) -> list[int]:
         top = stack.pop()
         if len(top) == 3:
             key, forced, kids = top
-            memo[key] = [forced | b | s for b, kid in kids for s in memo[kid]]
+            memo[key] = fold(forced, kids, memo)
             continue
         key, hot = top
         if key in memo:  # solved since it was pushed
@@ -515,7 +615,7 @@ def _state_masks(logic: PartitionLogic) -> list[int]:
             open_ &= ~lies_in[j]
             hot = (hot | touch[j]) & open_
         else:
-            memo[key] = [forced]
+            memo[key] = fold(forced, [(0, _DONE)], memo)
             continue
         kids: list[tuple[int, tuple[int, int]]] = []  # (atom bit, key); none if dead
         stack.append((key, forced, kids))
@@ -578,7 +678,7 @@ def pinned_state_set(logic: PartitionLogic, matrix: bytes) -> StateSet:
         )
     if len(set(states.rows)) != len(states):
         raise ValidationError("pinned states repeat a valuation")
-    total = len(_state_masks(logic))
+    total = _state_count(logic)
     if len(states) != total:
         raise ValidationError(
             "pinned states do not match the full enumeration "

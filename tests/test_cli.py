@@ -559,6 +559,19 @@ def test_cli_imports_nothing_beyond_the_standard_library():
     assert extra & {"dataclasses", "inspect", "typing", "html.entities"} == set()
 
 
+def test_cli_import_leaves_pathlib_out_without_site():
+    """Without ``site`` (``python -S``) nothing else imports ``pathlib``, so
+    this shows that ``import sglg.cli`` does not: it would pull in
+    ``urllib.parse`` and ``ipaddress`` too."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = "import sys, sglg.cli\nprint(*sorted({'pathlib', 'urllib.parse'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "\n"
+
+
 # ------------------------------------------------ hostile numbers and types
 
 SCALED_L12_VECTORS = {
@@ -804,6 +817,15 @@ def test_cli_paths_reject_a_list_in_a_context(argv, tmp_path, capsys):
 
 
 # ------------------------------------- undecodable and unencodable text
+
+
+def test_a_missing_file_exits_2_naming_it(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    for argv in (["states", missing], ["verify-orthorep", L12, "--vectors", missing]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"sglg: error: [Errno 2] No such file or directory: {missing!r}\n"
 
 
 def test_files_that_are_not_utf8_exit_2(tmp_path, capsys):

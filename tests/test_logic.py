@@ -29,7 +29,13 @@ from sglg import (
 )
 from sglg.cli import format_state_table
 from sglg.grammar import compile_grammar
-from sglg.logic import _clash, _parse_pinned_states, _state_masks
+from sglg.logic import (
+    _LONE_SURROGATE_RE,
+    _clash,
+    _parse_pinned_states,
+    _state_count,
+    _state_masks,
+)
 from support import (
     L12_TABLE,
     TRIANGLE_TABLE,
@@ -411,6 +417,25 @@ def test_forced_runs_peak_no_higher_than_the_plain_search():
     assert traced_peak(_state_masks, logic) <= 1.2 * plain
 
 
+@settings(max_examples=150, deadline=None)
+@given(logics(max_atoms=12))
+def test_state_count_equals_the_listing_and_the_brute_force(logic):
+    assert _state_count(logic) == len(enumerate_states(logic)) == len(brute_force_states(logic))
+
+
+@settings(max_examples=150, deadline=None)
+@given(SEARCH_FAMILIES)
+def test_state_count_equals_the_plain_search(logic):
+    assert _state_count(logic) == len(reference_state_masks(logic))
+
+
+def test_state_count_meets_the_closed_forms_up_to_k_200():
+    # Far past what a listing could hold: chain-200 has about 10^42 states.
+    for k in range(1, 201):
+        assert _state_count(chain_logic(k)) == fibonacci(k + 3)
+        assert _state_count(glued_logic(0, [2] * k)) == 2**k
+
+
 # ------------------------------------------------------------- pinning
 
 
@@ -442,6 +467,17 @@ def test_pinned_mismatch_counts_the_missing_valuations():
     assert str(info.value) == (
         "pinned states do not match the full enumeration "
         "(3 of 5 valuations missing)"
+    )
+
+
+def test_pinned_mismatch_on_a_counted_chain_names_the_missing_valuations():
+    logic = chain_logic(12)  # F(15) = 610 states
+    states = enumerate_states(logic)
+    with pytest.raises(ValidationError) as info:
+        pinned_state_set(logic, states.matrix[: 300 * states.width])
+    assert str(info.value) == (
+        "pinned states do not match the full enumeration "
+        "(310 of 610 valuations missing)"
     )
 
 
@@ -1275,3 +1311,211 @@ def test_pinned_rows_parse_as_the_row_loop_does(drawn):
             return str(exc)
 
     assert outcome(_parse_pinned_states) == outcome(pinned_rows_by_loop)
+
+
+# --------------------------------- whole-table checks against the loops
+# References: the loops that checked a logic file a value at a time, kept
+# as oracles for the checks that now test a table at once and walk it only
+# to name a fault.
+
+PINNED_NAMES = ["a", "b", "c", "d", "e", "f", "true", "false", "is_true", "falsey"]
+
+
+@st.composite
+def pinned_files(draw):
+    """A one-context logic file with hostile pinned rows; its atom names
+    sometimes hold the text ``true`` or ``false``."""
+    m = draw(st.integers(2, 6))
+    atoms = draw(st.lists(st.sampled_from(PINNED_NAMES), min_size=m, max_size=m, unique=True))
+    rows = draw(st.lists(hostile_rows(m)))
+    return json.dumps({"atoms": atoms, "contexts": [atoms], "states": rows})
+
+
+@settings(max_examples=400, deadline=None)
+@given(pinned_files())
+def test_pinned_rows_of_a_file_parse_as_the_row_loop_does(text):
+    raw = json.loads(text)  # a tuple row is written as a list
+    logic = PartitionLogic("logic", tuple(raw["atoms"]), (tuple(range(len(raw["atoms"]))),))
+
+    def outcome(parse):
+        try:
+            return parse()
+        except LogicFileError as exc:
+            return str(exc), exc.location
+
+    got = outcome(lambda: parse_logic_file(text).pinned_states)
+    assert got == outcome(lambda: pinned_rows_by_loop(raw["states"], logic))
+
+
+def test_a_bool_in_a_pinned_row_is_named_when_no_atom_says_true():
+    spec = {"atoms": ["a", "b"], "contexts": [["a", "b"]], "states": [[1, 0], [False, 1]]}
+    text = json.dumps(spec)
+    with pytest.raises(LogicFileError) as info:
+        parse_logic_file(text)
+    assert (str(info.value), info.value.location) == (
+        "states[1]: must be a list of 2 values, each 0 or 1",
+        "states[1]",
+    )
+
+
+def logic_by_loops(name: str, atoms, contexts) -> None:
+    """Reference: the loops PartitionLogic ran before its whole-table check,
+    then the least nested pair by pairwise comparison."""
+    if not atoms:
+        raise LogicFileError("atom list is empty", "atoms")
+    seen: dict[str, int] = {}
+    for i, atom in enumerate(atoms):
+        if not isinstance(atom, str) or not atom:
+            raise LogicFileError("atom names must be nonempty strings", f"atoms[{i}]")
+        if _LONE_SURROGATE_RE.search(atom):
+            raise LogicFileError("atom name holds a lone surrogate", f"atoms[{i}]")
+        if atom in seen:
+            raise LogicFileError(f"duplicate atom name {atom!r}", f"atoms[{i}]")
+        seen[atom] = i
+    if not contexts:
+        raise LogicFileError("context list is empty", "contexts")
+    for ci, ctx in enumerate(contexts):
+        for j in ctx:
+            if not 0 <= j < len(atoms):
+                raise LogicFileError(f"atom index {j} out of range", f"contexts[{ci}]")
+        if len(set(ctx)) != len(ctx):
+            raise LogicFileError("context repeats an atom", f"contexts[{ci}]")
+        if len(ctx) < 2:
+            raise LogicFileError("context has fewer than 2 atoms", f"contexts[{ci}]")
+    covered = {j for ctx in contexts for j in ctx}
+    for i, atom in enumerate(atoms):
+        if i not in covered:
+            raise LogicFileError(f"atom {atom!r} appears in no context", f"atoms[{i}]")
+    nested = first_nested_by_pairs(contexts)
+    if nested is not None:
+        ci, cj = nested
+        raise LogicFileError(
+            f"contexts {ci} and {cj} are nested; no context may be a subset of another",
+            f"contexts[{cj}]",
+        )
+
+
+HOSTILE_ATOMS = st.sampled_from(["", "\ud800", "b\udfff", "a0", "a1", 0, None])
+
+
+@st.composite
+def hostile_logics(draw):
+    """Atoms a0.. with at times one hostile name (empty, a lone surrogate, a
+    duplicate or no string), and up to five short contexts whose indices
+    now and then leave the range at either end."""
+    m = draw(st.integers(0, 6))
+    atoms = list(atom_names(m))
+    if m and draw(st.booleans()):
+        atoms[draw(st.integers(0, m - 1))] = draw(HOSTILE_ATOMS)
+    index = st.integers(-1, m) if draw(st.integers(0, 3)) == 0 else st.integers(0, max(m - 1, 0))
+    contexts = draw(st.lists(st.lists(index, min_size=1, max_size=4).map(tuple), max_size=5))
+    return tuple(atoms), tuple(contexts)
+
+
+def _rejection(build, atoms, contexts):
+    try:
+        build("logic", atoms, contexts)
+    except LogicFileError as exc:
+        return str(exc), exc.location
+    return None
+
+
+@settings(max_examples=500, deadline=None)
+@given(hostile_logics())
+def test_partition_logic_rejects_as_the_loops_do(drawn):
+    assert _rejection(PartitionLogic, *drawn) == _rejection(logic_by_loops, *drawn)
+
+
+@pytest.mark.parametrize(
+    "atoms, contexts, location",
+    [
+        ((), ((0, 1),), "atoms"),
+        (("a", ""), ((0, 1),), "atoms[1]"),
+        (("a", "a"), ((0, 1),), "atoms[1]"),
+        (("a", "b\ud800"), ((0, 1),), "atoms[1]"),
+        (("a", "b"), (), "contexts"),
+        (("a", "b"), ((0, 1), (0, 2)), "contexts[1]"),
+        (("a", "b"), ((-1, 1),), "contexts[0]"),
+        (("a", "b", "c"), ((0, 1, 1), (1, 2)), "contexts[0]"),
+        (("a", "b"), ((0, 1), (1,)), "contexts[1]"),
+        (("a", "b", "c"), ((0, 1),), "atoms[2]"),
+        (("a", "b", "c"), ((0, 1, 2), (1, 2)), "contexts[1]"),
+    ],
+    ids=[
+        "no atoms", "empty name", "duplicate name", "lone surrogate", "no contexts",
+        "index past the end", "negative index", "repeated atom", "short context",
+        "uncovered atom", "nested contexts",
+    ],
+)
+def test_each_logic_fault_is_named_as_the_loops_name_it(atoms, contexts, location):
+    expected = _rejection(logic_by_loops, atoms, contexts)
+    assert expected is not None and expected[1] == location
+    assert _rejection(PartitionLogic, atoms, contexts) == expected
+
+
+def cover_by_loops(spec: BaseSetSpec) -> None:
+    """Reference: every partition's blocks walked against the base set."""
+    universe = set(spec.base_set)
+    for pi, partition in enumerate(spec.partitions):
+        loc = f"partitions[{pi}]"
+        seen: set = set()
+        for bi, block in enumerate(partition):
+            if not block:
+                raise LogicFileError("block is empty", f"{loc}[{bi}]")
+            block_set = set(block)
+            if len(block_set) != len(block):
+                raise LogicFileError("block repeats a point", f"{loc}[{bi}]")
+            stray = block_set - universe
+            if stray:
+                raise LogicFileError(
+                    f"points {sorted(stray, key=repr)} are not in the base set",
+                    f"{loc}[{bi}]",
+                )
+            if block_set & seen:
+                raise LogicFileError("blocks are not pairwise disjoint", loc)
+            seen |= block_set
+        if seen != universe:
+            missing = sorted(universe - seen, key=repr)
+            raise LogicFileError(f"partition does not cover points {missing}", loc)
+
+
+@st.composite
+def hostile_covers(draw):
+    """Base sets of up to five int or str points and partitions of blocks
+    drawn from them and from two stray points, with repeats."""
+    base = draw(st.lists(st.sampled_from([0, 1, 2, 3, "x"]), min_size=1, max_size=5, unique=True))
+    point = st.sampled_from([*base, 9, "y"]) if draw(st.booleans()) else st.sampled_from(base)
+    block = st.lists(point, max_size=4).map(tuple)
+    partition = st.lists(block, min_size=1, max_size=4).map(tuple)
+    partitions = draw(st.lists(partition, min_size=1, max_size=3))
+    return tuple(base), tuple(partitions)
+
+
+@settings(max_examples=500, deadline=None)
+@given(hostile_covers())
+def test_base_set_cover_check_rejects_as_the_loops_do(drawn):
+    base, partitions = drawn
+
+    def outcome(check):
+        try:
+            check()
+        except LogicFileError as exc:
+            return str(exc), exc.location
+        return None
+
+    expected = outcome(lambda: cover_by_loops(BaseSetSpec._trusted("spec", base, partitions)))
+    assert outcome(lambda: BaseSetSpec("spec", base, partitions)) == expected
+
+
+def test_a_carry_between_point_digits_is_no_cover():
+    # Point 3 written 257 times carries a digit into point 2, so the masks add
+    # up to a 1 digit per point; only the size sum tells the partition apart.
+    partitions = (((1,), (3,) * 257),)
+    masks = BaseSetSpec._trusted("spec", (1, 2, 3), partitions)._block_masks
+    assert sum(masks[0]) == int.from_bytes(b"\1\1\1", "big")
+    with pytest.raises(LogicFileError) as info:
+        BaseSetSpec("spec", (1, 2, 3), partitions)
+    assert (str(info.value), info.value.location) == (
+        "partitions[0][1]: block repeats a point",
+        "partitions[0][1]",
+    )
