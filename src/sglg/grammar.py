@@ -10,12 +10,12 @@ A symbol is its name, a ``str``, and the name fixes its kind: ``br`` is
 the separator, ``n`` the linebreak, a production head a nonterminal, and
 any other name a state (a terminal). A grammar is its productions, the
 first one the start rule, and its symbol table, which holds each distinct
-name once. A body, like a derivation's token sequence, holds symbol
-numbers (table positions), 4 bytes a token. A compiled table is ``br``,
-``n``, ``s1..sN``, then the atoms, so row bodies come straight from the
-state columns. A compiled grammar writes its rows into one ``array('I')``,
-each row body a ``memoryview`` slice of it, and that array is its
-derivation's tokens: none is copied. ``Grammar.from_symbols`` and
+name once and lists the heads last. A body, like a derivation's token
+sequence, holds symbol numbers (table positions), 4 bytes a token. A
+compiled table is ``br``, ``n``, ``s1..sN``, then the atoms, so row bodies
+come straight from the state columns. A compiled grammar writes its rows
+into one ``array('I')``, each row body a ``memoryview`` slice of it, and
+that array is its derivation's tokens: none is copied. ``Grammar.from_symbols`` and
 ``Derivation.from_tokens`` intern hand-built name sequences.
 
 The listings, in arrow notation and in JSON, are streams of one chunk per
@@ -84,7 +84,8 @@ class Grammar(Value):
     production order, and each row names no head and ends with its one
     ``n``. The nonterminals are the production heads, the start symbol the
     first head and the terminals the other names but ``br`` and ``n``, in
-    table order. Binding symbols to colors or other realizations happens in
+    table order. The heads end the table, so a derivation's table is the
+    rest of it. Binding symbols to colors or other realizations happens in
     the render layer.
     """
 
@@ -94,9 +95,11 @@ class Grammar(Value):
     @classmethod
     def from_symbols(cls, rules) -> Grammar:
         """A grammar from ``(head, body names)`` rules, the start rule first;
-        equal names share one table entry, in order of first use."""
-        symbols, bodies = _intern(body for _, body in rules)
-        return cls(tuple(Production(h, body) for (h, _), body in zip(rules, bodies)), symbols)
+        equal names share one table entry, in order of first use in the rows
+        and then in the start rule, so the heads end the table."""
+        heads, bodies = [h for h, _ in rules], [body for _, body in rules]
+        symbols, arrays = _intern(bodies[1:] + bodies[:1])
+        return cls(tuple(map(Production, heads, arrays[-1:] + arrays[:-1])), symbols)
 
     @property
     def nonterminals(self) -> tuple[str, ...]:
@@ -140,6 +143,8 @@ class Grammar(Value):
             ends = [] if linebreak is None else _find_all(p.body.tobytes(), linebreak)
             if ends != [len(p.body) - 1]:
                 raise ValueError(f"row {p.head!r} does not hold n once, as its last token")
+        if not heads.issuperset(names[len(names) - len(heads.intersection(names)) :]):
+            raise ValueError("symbol table lists a head before another symbol")
 
     @cached_property
     def _indices(self) -> array:
@@ -150,20 +155,26 @@ class Grammar(Value):
 class Derivation(Value):
     """Fully expanded token sequence: ``symbols`` holds each distinct name
     once and ``indices`` the tokens as an ``array('I')`` of positions in it.
-    ``row_boundaries`` are the token indices of linebreaks. A derivation
+    Each token named ``n`` ends a row, so no row holds one. A derivation
     holds no nonterminal, so ``br`` is its separator, ``n`` its linebreak
     and any other name a state.
     """
 
     symbols: tuple[str, ...]
     indices: array
-    row_boundaries: tuple[int, ...]
 
     @classmethod
-    def from_tokens(cls, tokens, row_boundaries) -> Derivation:
+    def from_tokens(cls, tokens) -> Derivation:
         """A derivation from one name per token, equal ones interned."""
         symbols, (indices,) = _intern([tokens])
-        return cls(symbols, indices, tuple(row_boundaries))
+        return cls(symbols, indices)
+
+    @cached_property
+    def row_boundaries(self) -> tuple[int, ...]:
+        """The token indices of the linebreaks; ``derive`` states them."""
+        if LINEBREAK_NAME not in self.symbols:
+            return ()
+        return tuple(_find_all(self.indices.tobytes(), self.symbols.index(LINEBREAK_NAME)))
 
     @property
     def tokens(self) -> tuple[str, ...]:
@@ -181,9 +192,7 @@ class Derivation(Value):
         return filter(None, map(view.__getitem__, map(slice, *self._row_ends())))
 
     def row_lengths(self) -> list[int]:
-        """The length of each of ``rows()``, from the boundaries alone: for
-        boundaries in increasing order within the tokens, as ``derive`` and
-        a linebreak's positions give."""
+        """The length of each of ``rows()``, from the boundaries alone."""
         starts, ends = self._row_ends()
         return [n for n in map(sub, ends, starts) if n > 0]
 
@@ -261,14 +270,16 @@ def derive(grammar: Grammar) -> Derivation:
     """The start symbol rewritten: the rows end to end, each ended by its ``n``.
 
     The tokens are the grammar's own array, not a copy. The derivation
-    shares the grammar's table up to its last terminal.
+    shares the grammar's table up to the heads that end it, and its row
+    boundaries are the row ends, so no token is read.
     """
     symbols, heads = grammar.symbols, set(grammar.nonterminals)
     end = len(symbols)
     while end and symbols[end - 1] in heads:  # drop the heads that end the table
         end -= 1
     ends = accumulate(len(p.body) for p in grammar.productions[1:])
-    return Derivation(symbols[:end], grammar._indices, tuple(k - 1 for k in ends))
+    bounds = tuple(k - 1 for k in ends)
+    return Derivation._trusted(symbols[:end], grammar._indices, row_boundaries=bounds)
 
 
 def check_incidence(

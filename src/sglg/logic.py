@@ -490,18 +490,13 @@ def _name_pasting_fault(spec: BaseSetSpec, names: list[str]) -> None:
     raise AssertionError("a rejected pasting holds no fault")
 
 
-def _context_masks(logic: PartitionLogic) -> tuple[int, ...]:
-    """Per atom, the contexts it lies in as a mask: bit c stands for context c."""
-    return logic._atom_contexts
-
-
 def _least_nested_pair(logic: PartitionLogic) -> tuple[int, int] | None:
     """The least (i, j), i < j, with one of contexts i and j inside the other.
 
     The AND of a context's atom masks holds every context containing it;
     any bit left besides its own is a nested pair.
     """
-    masks = _context_masks(logic)
+    masks = logic._atom_contexts
     least = None
     for ci, ctx in enumerate(logic.contexts):
         containers = -1
@@ -561,7 +556,7 @@ def _exact_covers(logic: PartitionLogic, done, fold):
     m = len(logic.atoms)
     bits = [1 << (m - 1 - j) for j in range(m)]
     members = [sum(bits[j] for j in ctx) for ctx in logic.contexts]
-    lies_in = _context_masks(logic)
+    lies_in = logic._atom_contexts
     clash = [0] * m  # atoms sharing a context with atom j, j included
     touch = [0] * m  # contexts whose live count may drop when j is chosen
     for ci, ctx in enumerate(logic.contexts):

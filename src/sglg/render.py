@@ -24,18 +24,21 @@ so a document can be written a row at a time. The row writers read a
 derivation's rows one view at a time and take their lengths from its row
 boundaries, so they hold no view per row. A palette is checked once per
 distinct color, all at once; the entries are walked only when that fails.
+It must color every state in the table a writer renders, which
+``RenderSpec.colors`` looks up when the writer is called: no token is read
+for it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from enum import Enum
-from itertools import chain, count, filterfalse, repeat
+from itertools import chain, count, repeat
 from json.encoder import encode_basestring_ascii as _json_string
 from operator import getitem
 
 from .errors import ValidationError
-from .grammar import LINEBREAK_NAME, SEPARATOR_NAME, Derivation, Grammar, _find_all
+from .grammar import LINEBREAK_NAME, SEPARATOR_NAME, Derivation, Grammar
 from .grammar import production_chunks
 from .logic import _HEX_COLOR_RE, PartitionLogic, StateSet, supports
 from .value import Value
@@ -115,35 +118,15 @@ class RenderSpec(Value):
     def separator_color(self) -> str:
         return self.palette.get(SEPARATOR_NAME, DEFAULT_SEPARATOR_COLOR)
 
-    def color(self, label: str) -> str:
+    def colors(self, names) -> list[str | None]:
+        """Per name, its color: ``br`` the separator's, ``n`` none and a state
+        its palette entry. The first state without one raises."""
+        palette, separator = self.palette, self.separator_color
         try:
-            return self.palette[label]
-        except KeyError:
-            raise ValidationError(f"palette has no color for state label {label!r}") from None
-
-
-def _fragments(derivation: Derivation, spec: RenderSpec, rows, fragment) -> list:
-    """Per symbol number, ``fragment(color)``, or ``None`` for a symbol without
-    a color: ``br`` has ``spec.separator_color``, ``n`` none and a state its
-    palette entry, if any. The first such token in ``rows`` (views, read once
-    in row-major order) raises."""
-    palette, names = spec.palette, derivation.symbols
-    table = [fragment(palette[name]) if name in palette else None for name in names]
-    for name, text in ((SEPARATOR_NAME, fragment(spec.separator_color)), (LINEBREAK_NAME, None)):
-        if name in names:  # whatever the palette holds for it
-            table[names.index(name)] = text
-    # A compiled derivation's linebreak has no color and stands in no row: a
-    # search of each row's bytes per such symbol finds that, one row held at a time.
-    missing = [number for number, text in enumerate(table) if text is None]
-    for row in rows if missing else ():
-        raw = row.tobytes()
-        for number in missing:
-            if _find_all(raw, number):
-                name = names[next(n for n in row if table[n] is None)]
-                if name != LINEBREAK_NAME:
-                    spec.color(name)  # raises ValidationError
-                raise ValueError(f"unrenderable token {name!r} of kind linebreak")
-    return table
+            return [separator if name == SEPARATOR_NAME else None if name == LINEBREAK_NAME
+                    else palette[name] for name in names]
+        except KeyError as exc:
+            raise ValidationError(f"palette has no color for state label {exc.args[0]!r}") from None
 
 
 def join_chunks(chunks: Iterable[Sequence[str]]) -> str:
@@ -168,15 +151,16 @@ def tile_chunks(derivation: Derivation, spec: RenderSpec) -> Iterator[list[str]]
     if spec.backend is not Backend.SVG_TILES:
         raise ValueError("render_tiles requires the svg-tiles backend")
     size = f'" width="{spec.cell_size}" height="{spec.cell_size}" fill="'
-    table = _fragments(derivation, spec, derivation.iter_rows(),
-                       lambda color: f'{size}{color}"/>')
+    table = [value and f'{size}{value}"/>' for value in spec.colors(derivation.symbols)]
     step = spec.cell_size + spec.cell_gap
     lengths = derivation.row_lengths()
     cols = max(lengths, default=0)
     width = cols * spec.cell_size + max(cols - 1, 0) * spec.cell_gap
     height = len(lengths) * spec.cell_size + max(len(lengths) - 1, 0) * spec.cell_gap
-    slots = [None] * (3 * cols)
-    slots[0::3] = [f'\n  <rect x="{i * step}" y="' for i in range(cols)]
+    # Each column's text, then the row's and the token's, zipped: a slice
+    # assignment would copy the slots it replaces into a list as long.
+    xs = [f'\n  <rect x="{i * step}" y="' for i in range(cols)]
+    slots = list(chain.from_iterable(zip(xs, repeat(None), repeat(None))))
 
     def row_chunk(r: int, row) -> list[str]:
         parts = slots[: 3 * len(row)]
@@ -212,18 +196,8 @@ def schema_chunks(logic: PartitionLogic, states: StateSet, spec: RenderSpec) -> 
     font = max(cell // 2, 1)
     labels = states.labels()
     columns = supports(logic, states)  # per atom, the value each state gives it
-    # A label missing from the palette fails at its first true cell in
-    # row-major order, as a lookup per cell would.
-    missing = [i for i, label in enumerate(labels) if label not in spec.palette]
-    for column in columns:
-        for i in missing:
-            if column[i] == 1:
-                spec.color(labels[i])  # raises ValidationError
-    # Each state's (false, true) fill; a missing label's true fill is never used.
-    fills = [
-        (f'{DEFAULT_FALSE_CELL_COLOR}"/>', f'{spec.palette.get(label)}"/>')
-        for label in labels
-    ]
+    # Each state's (false, true) fill.
+    fills = [(f'{DEFAULT_FALSE_CELL_COLOR}"/>', f'{color}"/>') for color in spec.colors(labels)]
     slots = [None] * (3 * n)
     slots[0::3] = [f'\n  <rect x="{left + i * step}" y="' for i in range(n)]
     size = f'" width="{cell}" height="{cell}" fill="'
@@ -263,7 +237,7 @@ def text_chunks(derivation: Derivation, spec: RenderSpec, color: bool = True) ->
     if spec.backend is Backend.ANSI and not color:
         return ((BLOCK * n, "\n") for n in derivation.row_lengths())
     if spec.backend is Backend.ANSI:
-        table = _fragments(derivation, spec, derivation.iter_rows(), _ansi_glyph)
+        table = [value and _ansi_glyph(value) for value in spec.colors(derivation.symbols)]
         return (("".join(map(table.__getitem__, row)), "\x1b[0m\n")
                 for row in derivation.iter_rows())
     if spec.backend is not Backend.HTML:
@@ -272,8 +246,7 @@ def text_chunks(derivation: Derivation, spec: RenderSpec, color: bool = True) ->
         '    <span class="sglg-cell" style="display:inline-block;'
         f"width:{spec.cell_size}px;height:{spec.cell_size}px;background:"
     )
-    table = _fragments(derivation, spec, derivation.iter_rows(),
-                       lambda color: f'{style}{color}"></span>\n')
+    table = [value and f'{style}{value}"></span>\n' for value in spec.colors(derivation.symbols)]
     divs = (['  <div class="sglg-row">\n', *map(table.__getitem__, row), "  </div>\n"]
             for row in derivation.iter_rows())
     return chain((['<div class="sglg-tiles">\n'],), divs, (["</div>\n"],))
@@ -298,11 +271,8 @@ def emit_logic_program(grammar: Grammar, spec: RenderSpec) -> str:
 def logic_program_chunks(grammar: Grammar, spec: RenderSpec) -> Iterator[tuple[str, ...]]:
     """``emit_logic_program`` as one chunk per production, then one per
     state binding, then the layout."""
-    palette, terminals = spec.palette, grammar.terminals
-    for label in filterfalse(palette.__contains__, terminals):
-        spec.color(label)  # raises ValidationError
-    repertoire = zip(terminals, repeat(" --> [ "), map(palette.__getitem__, terminals),
-                     repeat(" ].\n"))
+    terminals = grammar.terminals
+    repertoire = zip(terminals, repeat(" --> [ "), spec.colors(terminals), repeat(" ].\n"))
     layout = ("\n" if terminals else "\n\n", f"br --> [ {spec.separator_color} ].\n",
               "n  --> [\\n].\n")
     return chain(production_chunks(grammar), (("\n",),), repertoire, (layout,))

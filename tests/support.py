@@ -29,7 +29,6 @@ from sglg import (
     resolve_states,
     supports,
 )
-from sglg.logic import _context_masks
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "fixtures"
@@ -105,7 +104,7 @@ def reference_state_masks(logic: PartitionLogic) -> list[int]:
     m = len(logic.atoms)
     bits = [1 << (m - 1 - j) for j in range(m)]
     members = [sum(bits[j] for j in ctx) for ctx in logic.contexts]
-    lies_in = _context_masks(logic)
+    lies_in = logic._atom_contexts
     clash = [0] * m  # atoms sharing a context with atom j, j included
     touch = [0] * m  # contexts whose live count may drop when j is chosen
     for ci, ctx in enumerate(logic.contexts):

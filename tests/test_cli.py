@@ -318,7 +318,7 @@ def test_check_names_each_misplaced_row_by_its_atom(monkeypatch, capsys):
         tokens, ends = derivation.tokens, derivation.row_boundaries
         rows = [tokens[start:end] for start, end in zip((0, *(k + 1 for k in ends)), ends)]
         rows[1], rows[2] = rows[2], rows[1]
-        return Derivation.from_tokens([t for row in rows for t in (*row, "n")], ends)
+        return Derivation.from_tokens([t for row in rows for t in (*row, "n")])
 
     monkeypatch.setattr(cli, "derive", swapped)
     assert main(["check", L12]) == 1

@@ -84,12 +84,7 @@ def symbol_rows(derivation: Derivation) -> list[list[str]]:
 
 def from_rows(rows: list[list[str]]) -> Derivation:
     """A derivation of ``rows``, each ended by a linebreak."""
-    tokens, boundaries = [], []
-    for row in rows:
-        tokens.extend(row)
-        boundaries.append(len(tokens))
-        tokens.append("n")
-    return Derivation.from_tokens(tokens, boundaries)
+    return Derivation.from_tokens([token for row in rows for token in (*row, "n")])
 
 
 def derivation_content(derivation: Derivation):
@@ -351,8 +346,7 @@ def derive_by_recursion(grammar: Grammar) -> Derivation:
             expand(grammar.symbols[child])
 
     expand(grammar.start)
-    boundaries = tuple(i for i, name in enumerate(tokens) if name == "n")
-    return Derivation.from_tokens(tokens, boundaries)
+    return Derivation.from_tokens(tokens)
 
 
 @st.composite
@@ -446,7 +440,7 @@ def test_row_names_without_a_production_derive_as_terminals():
 
 BASE = one_state_grammar()  # g -> x; x -> s1 br n
 G_RULE, X_RULE = BASE.productions
-X, S1, BR, N = BASE.symbols
+S1, BR, N, X = BASE.symbols  # the head last
 STRUCTURAL = {  # id: changed fields, start of the message
     "no productions": (dict(productions=()), "grammar needs at least one production"),
     "head named br": (
@@ -461,7 +455,7 @@ STRUCTURAL = {  # id: changed fields, start of the message
         dict(productions=(G_RULE, Production("n", X_RULE.body), Production("br", X_RULE.body))),
         r"symbols declared in more than one class: \['br', 'n'\]",
     ),
-    "repeated symbol": (dict(symbols=(X, S1, BR, N, S1)), "symbol table repeats a symbol"),
+    "repeated symbol": (dict(symbols=(S1, BR, N, X, S1)), "symbol table repeats a symbol"),
     "body number past the table": (
         dict(productions=(G_RULE, Production("x", array("I", [1, 4])))),
         "production 'x' names no symbol of the table",
@@ -483,14 +477,19 @@ def test_grammar_requires_one_production_per_nonterminal():
 
 
 def test_derivation_table_ends_at_the_last_terminal():
-    # Table s1, n, x: the head x trails and is cut; x, s1, n: it leads and stays.
+    # Table s1, n, x: the head x ends the table and is cut.
     rules = (Production("g", array("I", [2])), Production("x", array("I", [0, 1])))
     trailing = derive(Grammar(rules, ("s1", "n", "x")))
     assert trailing.symbols == ("s1", "n")
     assert trailing.tokens == ("s1", "n")
-    leading = derive(Grammar.from_symbols((("g", ("x",)), ("x", ("s1", "n")))))
-    assert leading.symbols == ("x", "s1", "n")
-    assert leading.tokens == ("s1", "n")
+    # from_symbols lists the heads last; a table with a head before a terminal
+    # is refused.
+    built = Grammar.from_symbols((("g", ("x",)), ("x", ("s1", "n"))))
+    assert built.symbols == ("s1", "n", "x")
+    assert derive(built) == trailing
+    leading = (Production("g", array("I", [0])), Production("x", array("I", [1, 2])))
+    with pytest.raises(ValueError, match="^symbol table lists a head before another symbol$"):
+        Grammar(leading, ("x", "s1", "n"))
 
 
 # Each grammar breaks the flat shape once: the start rule names the row
@@ -607,7 +606,7 @@ def test_incidence_rejects_rows_missing_a_separator():
     logic, states = resolve_fixture("l12.json")
     derivation = derive(compile_grammar(logic, states))
     tokens = tuple("s1" if name == "br" else name for name in derivation.tokens)
-    broken = Derivation.from_tokens(tokens, derivation.row_boundaries)
+    broken = Derivation.from_tokens(tokens)
     with pytest.raises(ValueError, match="separator"):
         check_incidence(broken, logic, states)
 
@@ -631,7 +630,7 @@ def test_incidence_rejects_token_numbers_past_the_symbol_table():
     indices = array("I", derivation.indices)
     past = len(derivation.symbols) + 3
     indices[derivation.row_boundaries[1] + 1] = past  # row 2 opens with s5
-    broken = Derivation(derivation.symbols, indices, derivation.row_boundaries)
+    broken = Derivation(derivation.symbols, indices)
     with pytest.raises(ValueError, match=f"^row 2 names symbol number {past}, "):
         check_incidence(broken, logic, states)
 
@@ -653,12 +652,12 @@ def test_incidence_with_br_twice_in_the_table_reads_both_as_the_separator():
     cut = derivation.row_boundaries[0] + 1 + 2  # row 1 is s3, s4, br, ...
     assert derivation.symbols[indices[cut]] == "br"
     indices[cut] = len(symbols) - 1
-    twice = Derivation(symbols, indices, derivation.row_boundaries)
+    twice = Derivation(symbols, indices)
     assert _outcome(check_incidence, twice, logic, states) == IncidenceReport(())
     assert _outcome(incidence_by_token_walk, twice, logic, states) == IncidenceReport(())
     # Both numbers in one row are two separators; the walk says so.
     indices[cut - 1] = 0
-    twice = Derivation(symbols, indices, derivation.row_boundaries)
+    twice = Derivation(symbols, indices)
     message = "ValueError: row 1 does not contain exactly one separator"
     assert _outcome(check_incidence, twice, logic, states) == message
     assert _outcome(incidence_by_token_walk, twice, logic, states) == message

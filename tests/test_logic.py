@@ -1299,10 +1299,11 @@ def hostile_rows(draw, m: int):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 6).flatmap(lambda m: st.tuples(st.just(m), st.lists(hostile_rows(m)))))
+@given(st.integers(2, 6).flatmap(lambda m: st.tuples(st.just(m), st.lists(hostile_rows(m)))))
 def test_pinned_rows_parse_as_the_row_loop_does(drawn):
+    # One context over the m atoms, so a row drawn m wide has the logic's width.
     m, raw_states = drawn
-    logic = PartitionLogic("logic", atom_names(m + 1), ((*range(m), m),))
+    logic = PartitionLogic("logic", atom_names(m), (tuple(range(m)),))
 
     def outcome(parse):
         try:

@@ -36,7 +36,6 @@ from sglg import (
     resolve_states,
 )
 from sglg.render import (
-    _fragments,
     event_chunks,
     join_chunks,
     logic_program_chunks,
@@ -166,7 +165,14 @@ def test_the_separator_color_is_the_palettes_br_entry():
 def test_missing_palette_entry_names_the_label():
     spec = RenderSpec(palette={"s1": GREEN})
     with pytest.raises(ValidationError, match=r"^palette has no color for state label 's2'$"):
-        spec.color("s2")
+        spec.colors(("br", "n", "s1", "s2", "s3"))
+
+
+def test_colors_map_br_to_the_separator_and_n_to_none():
+    # Whatever the palette holds for n; br takes its entry, black without one.
+    names = ("s2", "br", "n", "s1")
+    assert RenderSpec({"s1": GREEN, "s2": BLUE, "n": RED}).colors(names) == [BLUE, BLACK, None, GREEN]
+    assert RenderSpec({"s1": GREEN, "s2": BLUE, "br": RED}).colors(names) == [BLUE, RED, None, GREEN]
 
 
 # ------------------------------------------------------------------ tiles
@@ -437,7 +443,8 @@ def reference_logic_program(grammar, spec: RenderSpec) -> str:
     heads = {head for head, _ in listing(grammar)}
     used = (name for _, body in listing(grammar) for name in body)
     terminals = dict.fromkeys(name for name in used if name not in {*heads, "br", "n"})
-    repertoire = [f"{label} --> [ {reference_color(label, spec)} ]." for label in terminals]
+    colors = reference_colors(terminals, spec)
+    repertoire = [f"{label} --> [ {colors[label]} ]." for label in terminals]
     layout = [f"br --> [ {spec.separator_color} ].", "n  --> [\\n]."]
     return "\n\n".join("\n".join(block) for block in ([structural], repertoire, layout)) + "\n"
 
@@ -503,7 +510,7 @@ def test_events_jsonl_is_json_dumps_per_event():
     hostile = 'q"\\é\u2028\n😀'
     # Rows: (s1), an empty row that is skipped, then 12 x s1, br and the
     # hostile state name.
-    derivation = Derivation.from_tokens(("s1", "n", "n", *["s1"] * 12, "br", hostile), (1, 2))
+    derivation = Derivation.from_tokens(("s1", "n", "n", *["s1"] * 12, "br", hostile))
     events = [
         (0, 0, "s1", "state"),
         *((1, p, "s1", "state") for p in range(12)),
@@ -520,7 +527,7 @@ def test_events_jsonl_is_json_dumps_per_event():
     )
     assert emit_events(derivation).to_jsonl() == expected
     assert event_tuples(derivation) == events
-    assert emit_events(Derivation.from_tokens((), ())).to_jsonl() == ""
+    assert emit_events(Derivation.from_tokens(())).to_jsonl() == ""
 
 
 def test_compiled_event_kinds_follow_the_names():
@@ -545,7 +552,8 @@ def test_events_jsonl_shape():
 #
 # Per-token references: the loops the backends were first written as, over
 # rows of names. Each backend must give the same text, or raise
-# the same error, as these.
+# the same error, as these. A palette must color every state of the table
+# rendered: the first without a color, in table order, raises.
 
 
 def token_rows(tokens, boundaries) -> list[list[str]]:
@@ -557,15 +565,20 @@ def token_rows(tokens, boundaries) -> list[list[str]]:
     return [row for row in rows if row]
 
 
-def reference_color(name: str, spec: RenderSpec) -> str:
-    if name == "br":
-        return spec.palette.get("br", BLACK)
-    if name != "n":
-        return spec.color(name)
-    raise ValueError("unrenderable token 'n' of kind linebreak")
+def reference_colors(table, spec: RenderSpec) -> dict[str, str]:
+    """Each row name's color, after a walk of the table that raises at the
+    first state without one."""
+    colors = {"br": spec.palette.get("br", BLACK)}
+    for name in table:
+        if name not in ("br", "n"):
+            if name not in spec.palette:
+                raise ValidationError(f"palette has no color for state label {name!r}")
+            colors[name] = spec.palette[name]
+    return colors
 
 
-def reference_tiles(rows, spec: RenderSpec) -> str:
+def reference_tiles(rows, table, spec: RenderSpec) -> str:
+    colors = reference_colors(table, spec)
     step = spec.cell_size + spec.cell_gap
     cols = max((len(row) for row in rows), default=0)
     width = cols * spec.cell_size + max(cols - 1, 0) * spec.cell_gap
@@ -576,7 +589,7 @@ def reference_tiles(rows, spec: RenderSpec) -> str:
             body.append(
                 f'  <rect x="{i * step}" y="{r * step}" '
                 f'width="{spec.cell_size}" height="{spec.cell_size}" '
-                f'fill="{reference_color(sym, spec)}"/>'
+                f'fill="{colors[sym]}"/>'
             )
     return reference_document(width, height, body)
 
@@ -599,6 +612,7 @@ def reference_schema(logic, states, spec: RenderSpec) -> str:
     height = top + m * cell + max(m - 1, 0) * gap
     font = max(cell // 2, 1)
     labeled = list(zip(states.labels(), state_vectors(states)))
+    colors = reference_colors(states.labels(), spec)
     body = []
     for i, label in enumerate(states.labels()):
         body.append(
@@ -615,7 +629,7 @@ def reference_schema(logic, states, spec: RenderSpec) -> str:
         for i, (label, values) in enumerate(labeled):
             fill = GRAY
             if values[j] == 1:
-                fill = spec.color(label)
+                fill = colors[label]
             body.append(
                 f'  <rect x="{left + i * step}" y="{top + j * step}" '
                 f'width="{cell}" height="{cell}" fill="{fill}"/>'
@@ -623,13 +637,14 @@ def reference_schema(logic, states, spec: RenderSpec) -> str:
     return reference_document(width, height, body)
 
 
-def reference_ansi(rows, spec: RenderSpec, color: bool) -> str:
+def reference_ansi(rows, table, spec: RenderSpec, color: bool) -> str:
+    colors = reference_colors(table, spec) if color else {}
     lines = []
     for row in rows:
         if color:
             glyphs = []
             for sym in row:
-                value = reference_color(sym, spec)
+                value = colors[sym]
                 r, g, b = (int(value[k : k + 2], 16) for k in (1, 3, 5))
                 glyphs.append(f"\x1b[38;2;{r};{g};{b}m█")
             lines.append("".join(glyphs) + "\x1b[0m")
@@ -638,7 +653,8 @@ def reference_ansi(rows, spec: RenderSpec, color: bool) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def reference_html(rows, spec: RenderSpec) -> str:
+def reference_html(rows, table, spec: RenderSpec) -> str:
+    colors = reference_colors(table, spec)
     cell = spec.cell_size
     lines = ['<div class="sglg-tiles">']
     for row in rows:
@@ -647,7 +663,7 @@ def reference_html(rows, spec: RenderSpec) -> str:
             lines.append(
                 '    <span class="sglg-cell" style="display:inline-block;'
                 f"width:{cell}px;height:{cell}px;"
-                f'background:{reference_color(sym, spec)}"></span>'
+                f'background:{colors[sym]}"></span>'
             )
         lines.append("  </div>")
     lines.append("</div>")
@@ -657,7 +673,8 @@ def reference_html(rows, spec: RenderSpec) -> str:
 KINDS = {"br": "separator", "n": "linebreak"}
 
 
-def reference_events(rows) -> str:
+def reference_events(rows, table) -> str:
+    """The events of ``rows``; no color is looked up in ``table``."""
     return "".join(
         json.dumps(
             {"row": r, "pos": p, "symbol": name, "kind": KINDS.get(name, "state")},
@@ -693,8 +710,8 @@ def specs(draw) -> RenderSpec:
     )
 
 
-# Equal names as distinct objects, and tokens no backend can color (a name
-# in no palette, a linebreak inside a row).
+# Equal names as distinct objects, a name in no palette, and the linebreak,
+# which ends a row.
 TOKEN_POOL = [
     *LABELS,
     "".join(("s", "1")),
@@ -708,11 +725,10 @@ TOKEN_POOL = [
 
 @st.composite
 def hand_built_tokens(draw) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    """Any token sequence from ``TOKEN_POOL``, with row boundaries anywhere."""
+    """Any token sequence from ``TOKEN_POOL``, and the positions of its
+    linebreaks: the row boundaries."""
     tokens = tuple(draw(st.lists(st.sampled_from(TOKEN_POOL), max_size=40)))
-    boundaries = sorted(draw(st.sets(st.integers(0, max(len(tokens) - 1, 0)))))
-    boundaries = tuple(b for b in boundaries if b < len(tokens))
-    return tokens, boundaries
+    return tokens, tuple(i for i, token in enumerate(tokens) if token == "n")
 
 
 def compiled_derivation(rng: random.Random) -> Derivation:
@@ -726,7 +742,8 @@ def with_backend(spec: RenderSpec, backend: Backend) -> RenderSpec:
 
 
 def assert_backends_equal_references(derivation: Derivation, rows, spec: RenderSpec):
-    """Each backend on ``derivation`` against its reference on ``rows``."""
+    """Each backend on ``derivation`` against its reference on ``rows`` and
+    the derivation's table."""
     ansi = with_backend(spec, Backend.ANSI)
     html_spec = with_backend(spec, Backend.HTML)
     cases = [
@@ -738,7 +755,7 @@ def assert_backends_equal_references(derivation: Derivation, rows, spec: RenderS
     ]
     for render, reference, args in cases:
         first = outcome(render, derivation, *args)
-        assert first == outcome(reference, rows, *args)
+        assert first == outcome(reference, rows, derivation.symbols, *args)
         assert outcome(render, derivation, *args) == first  # byte-deterministic
 
 
@@ -748,7 +765,8 @@ def test_backends_equal_per_token_references_on_hand_built_derivations(
     drawn, spec
 ):
     tokens, boundaries = drawn
-    derivation = Derivation.from_tokens(tokens, boundaries)
+    derivation = Derivation.from_tokens(tokens)
+    assert derivation.row_boundaries == boundaries
     # Equal names, also as distinct objects, share one table entry; the
     # references run over the original objects.
     assert len(derivation.symbols) == len(set(tokens))
@@ -786,10 +804,9 @@ def test_backends_equal_references_on_rows_of_0_1_and_3_tokens(lengths):
     # A row shorter than the longest takes a prefix of the column slots.
     pool = {0: [], 1: ["s2"], 3: ["s1", "br", "s2"]}
     tokens = [token for k in lengths for token in (*pool[k], "n")]
-    boundaries = [i for i, token in enumerate(tokens) if token == "n"]
-    derivation = Derivation.from_tokens(tokens, boundaries)
+    derivation = Derivation.from_tokens(tokens)
     spec = RenderSpec(palette={"s1": RED, "s2": BLUE}, cell_size=5, cell_gap=1)
-    rows = token_rows(tokens, boundaries)
+    rows = token_rows(tokens, derivation.row_boundaries)
     assert list(map(len, rows)) == [k for k in lengths if k]
     assert_backends_equal_references(derivation, rows, spec)
 
@@ -818,11 +835,12 @@ def test_schema_rejects_states_whose_width_is_not_the_atom_count(width):
 
 
 def test_schema_names_the_first_missing_label_among_true_cells():
-    # Row-major: atom x is true only in s2, so s2 fails before s1 (true at y).
+    # In table order: s1 fails first, though atom x, the first row, is true
+    # only in s2.
     logic = PartitionLogic("logic", ("x", "y"), ((0, 1),))
     states = StateSet(state_matrix([(0, 1), (1, 0)]), 2)
     spec = RenderSpec(palette={}, backend=Backend.SVG_SCHEMA)
-    message = r"^palette has no color for state label 's2'$"
+    message = r"^palette has no color for state label 's1'$"
     with pytest.raises(ValidationError, match=message):
         render_schema(logic, states, spec)
     with pytest.raises(ValidationError, match=message):
@@ -871,7 +889,7 @@ def assert_chunks_equal_references(derivation: Derivation, rows, spec: RenderSpe
         (event_chunks, events, reference_events, (), 0),
     ]
     for builder, render, reference, args, ends in cases:
-        expected = outcome(reference, rows, *args)
+        expected = outcome(reference, rows, derivation.symbols, *args)
         assert chunk_outcome(builder, derivation, *args) == expected
         assert outcome(render, derivation, *args) == expected
         if isinstance(expected, str):
@@ -880,14 +898,10 @@ def assert_chunks_equal_references(derivation: Derivation, rows, spec: RenderSpe
 
 @st.composite
 def short_row_derivations(draw) -> tuple[Derivation, list[list[str]]]:
-    """Rows of 1-3 tokens from ``TOKEN_POOL``, each ended by a linebreak."""
-    rows = draw(st.lists(st.lists(st.sampled_from(TOKEN_POOL), min_size=1, max_size=3)))
-    tokens, boundaries = [], []
-    for row in rows:
-        tokens += row
-        boundaries.append(len(tokens))
-        tokens.append("n")
-    derivation = Derivation.from_tokens(tokens, boundaries)
+    """Rows of 1-3 tokens from ``TOKEN_POOL`` but ``n``, each ended by a linebreak."""
+    pool = [token for token in TOKEN_POOL if token != "n"]
+    rows = draw(st.lists(st.lists(st.sampled_from(pool), min_size=1, max_size=3)))
+    derivation = Derivation.from_tokens([token for row in rows for token in (*row, "n")])
     return derivation, rows
 
 
@@ -917,23 +931,29 @@ def test_chunks_equal_per_token_references_on_chains(k, spec, full_palette):
         assert len(list(schema_chunks(logic, states, spec))) == len(logic.atoms) + 2
 
 
-def test_fragments_search_the_rows_without_joining_them():
-    # Joining the rows to search them peaked at 1.0 times the token bytes above
-    # the table it returns on chain-16; a row at a time, at 0.03.
+@pytest.mark.parametrize(
+    "builder, backend",
+    [(tile_chunks, Backend.SVG_TILES), (text_chunks, Backend.ANSI),
+     (text_chunks, Backend.HTML)],
+    ids=["tiles", "ansi", "html"],
+)
+def test_writers_check_the_palette_against_the_table_alone(builder, backend):
+    # On chain-16 (552 KB of tokens) a call keeps its per-symbol and per-column
+    # tables and allocates below 10% of the token bytes beside them: no writer
+    # joins, copies or searches the tokens before its first chunk.
     logic, states = resolve_states(parse_logic_file(json.dumps(chain_spec(16))))
     derivation = derive(compile_grammar(logic, states))
-    rows = derivation.rows()
-    spec = RenderSpec(default_palette(states.labels()), backend=Backend.SVG_TILES)
+    spec = RenderSpec(default_palette(states.labels()), backend=backend)
     if tracemalloc.is_tracing():
         pytest.skip("tracemalloc is already tracing")
     tracemalloc.start()
     try:
-        table = _fragments(derivation, spec, rows, "{}/>".format)
+        chunks = builder(derivation, spec)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert table[0] == f"{spec.separator_color}/>" and table[1] is None
     assert peak - kept < len(derivation.indices) * 4 / 10
+    assert len(list(chunks)) == len(logic.atoms) + 2 * (backend is not Backend.ANSI)
 
 
 @pytest.mark.parametrize(
@@ -943,14 +963,12 @@ def test_fragments_search_the_rows_without_joining_them():
     ids=["tiles", "ansi", "html"],
 )
 def test_chunk_builders_raise_on_the_call_at_the_first_bad_token(builder, backend):
-    # Row 0 renders; the first bad token in row-major order decides the error.
+    # Row 0 renders; the first state without a color in table order, here the
+    # order of first use, decides the error.
     spec = RenderSpec(palette={"s1": RED}, backend=backend)
-    derivation = Derivation.from_tokens(["s1", "n", "s1", "n", "s3", "n"], [1, 5])
-    with pytest.raises(ValueError, match="^unrenderable token 'n' of kind linebreak$"):
-        builder(derivation, spec)
-    derivation = Derivation.from_tokens(["s1", "n", "s1", "x", "s3", "n"], [1, 5])
+    derivation = Derivation.from_tokens(["s1", "n", "s1", "x", "s3", "n"])
     with pytest.raises(ValidationError, match=r"^palette has no color for state label 'x'$"):
         builder(derivation, spec)  # a name without a color, also one once a nonterminal
-    derivation = Derivation.from_tokens(["s1", "n", "s3", "x", "n", "x"], [1, 4])
+    derivation = Derivation.from_tokens(["s1", "n", "s3", "x", "n", "x"])
     with pytest.raises(ValidationError, match=r"^palette has no color for state label 's3'$"):
         builder(derivation, spec)

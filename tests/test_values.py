@@ -77,7 +77,7 @@ CASES = {
         TRIANGLE_GRAMMAR,
     ),
     Derivation: _read(
-        ("symbols", "indices", "row_boundaries"),
+        ("symbols", "indices"),
         L12_DERIVATION,
         TRIANGLE_DERIVATION,
     ),
@@ -187,7 +187,7 @@ SEMANTIC_FAILURES = {
     _compile_a_logic_without_states: "logic 'k' admits no two-valued states",
     lambda: build_v_realization(2): "theta must lie strictly between 0 and pi/2, got 2",
     _verify_a_vector_file_without_e: "realization has no vector for atom 'e'",
-    lambda: RenderSpec(palette={"s1": "#008000"}).color("s2"):
+    lambda: RenderSpec(palette={"s1": "#008000"}).colors(("s1", "s2")):
         "palette has no color for state label 's2'",
     _partition_overlapping_states: "context 0: supports do not partition the state labels",
 }
