@@ -150,8 +150,10 @@ def main(argv: list[str] | None = None) -> int:
         _validate_usage(args, parser)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    try:
-        return _dispatch(args)
+    try:  # every command reads its logic file and resolves its states first
+        logic_file = parse_logic_file(_read_text(args.spec))
+        logic, states = resolve_states(logic_file)
+        return _COMMANDS[args.command](args, logic_file, logic, states)
     except (LogicFileError, OSError) as exc:
         print(f"sglg: error: {exc}", file=sys.stderr)
         return 2
@@ -160,28 +162,12 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
-def _dispatch(args: argparse.Namespace) -> int:
-    handler = {
-        "states": _cmd_states,
-        "grammar": _cmd_grammar,
-        "render": _cmd_render,
-        "schema": _cmd_schema,
-        "verify-orthorep": _cmd_verify,
-        "check": _cmd_check,
-    }[args.command]
-    return handler(args)
-
-
 def _read_text(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:  # JSON text is UTF-8
         raise LogicFileError(f"invalid JSON: {exc}") from None
-
-
-def _read_logic_file(path: str) -> LogicFile:
-    return parse_logic_file(_read_text(path))
 
 
 def _emit(chunks, output: str | None) -> None:
@@ -235,8 +221,7 @@ def _state_table(logic: PartitionLogic, states: StateSet) -> bytearray:
     return body
 
 
-def _cmd_states(args) -> int:
-    logic, states = resolve_states(_read_logic_file(args.spec))
+def _cmd_states(args, logic_file, logic, states) -> int:
     table = _state_table(logic, states)
     out = getattr(sys.stdout, "buffer", None)  # a text stream such as StringIO has none
     if out is None:
@@ -247,17 +232,14 @@ def _cmd_states(args) -> int:
     return 0
 
 
-def _cmd_grammar(args) -> int:
-    logic, states = resolve_states(_read_logic_file(args.spec))
+def _cmd_grammar(args, logic_file, logic, states) -> int:
     grammar = compile_grammar(logic, states)
     listing = production_json_chunks if args.format == "json" else production_chunks
     _emit(listing(grammar), None)
     return 0
 
 
-def _cmd_render(args) -> int:
-    logic_file = _read_logic_file(args.spec)
-    logic, states = resolve_states(logic_file)
+def _cmd_render(args, logic_file, logic, states) -> int:
     grammar = compile_grammar(logic, states)
     if args.format == "events":  # the one format without colors
         _emit(event_chunks(derive(grammar)), args.output)
@@ -273,16 +255,13 @@ def _cmd_render(args) -> int:
     return 0
 
 
-def _cmd_schema(args) -> int:
-    logic_file = _read_logic_file(args.spec)
-    logic, states = resolve_states(logic_file)
+def _cmd_schema(args, logic_file, logic, states) -> int:
     spec = _render_spec(logic_file, states, args, Backend.SVG_SCHEMA)
     _emit(schema_chunks(logic, states, spec), args.output)
     return 0
 
 
-def _cmd_verify(args) -> int:
-    logic, _states = resolve_states(_read_logic_file(args.spec))
+def _cmd_verify(args, logic_file, logic, states) -> int:
     if args.vectors is not None:
         realization = load_vector_file(_read_text(args.vectors))
     else:
@@ -309,9 +288,7 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_check(args) -> int:
-    logic_file = _read_logic_file(args.spec)
-    logic, states = resolve_states(logic_file)
+def _cmd_check(args, logic_file, logic, states) -> int:
     # compile_grammar rejects empty and non-separating state sets, and checks
     # that each context's T-sets partition the state labels.
     grammar = compile_grammar(logic, states)
@@ -335,3 +312,13 @@ def _cmd_check(args) -> int:
         "incidence: ok"
     )
     return 0
+
+
+_COMMANDS = {
+    "states": _cmd_states,
+    "grammar": _cmd_grammar,
+    "render": _cmd_render,
+    "schema": _cmd_schema,
+    "verify-orthorep": _cmd_verify,
+    "check": _cmd_check,
+}

@@ -181,13 +181,9 @@ class Derivation(Value):
         """One name per token, looked up in the table."""
         return tuple(map(self.symbols.__getitem__, self.indices))
 
-    def rows(self) -> tuple[memoryview, ...]:
-        """Symbol numbers between linebreaks, as views of ``indices``;
-        linebreaks themselves excluded, and so are empty rows."""
-        return tuple(self.iter_rows())
-
-    def iter_rows(self) -> Iterator[memoryview]:
-        """``rows()`` one view at a time, each made as it is read."""
+    def rows(self) -> Iterator[memoryview]:
+        """Symbol numbers between linebreaks, as views of ``indices`` made as
+        they are read; linebreaks themselves excluded, and so are empty rows."""
         view = memoryview(self.indices)
         return filter(None, map(view.__getitem__, map(slice, *self._row_ends())))
 
@@ -295,7 +291,7 @@ def check_incidence(
     precondition breach and raises ``ValueError``; side mismatches are
     reported.
     """
-    rows = derivation.rows()
+    rows = list(derivation.rows())
     if len(rows) != len(logic.atoms):
         raise ValueError(f"derivation has {len(rows)} rows for {len(logic.atoms)} atoms")
     m = _atom_width(logic, states)

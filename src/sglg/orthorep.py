@@ -174,13 +174,11 @@ def verify_faithful(
                 f"{realization.dimension}"
             )
 
-    co_contextual = set()
-    for ctx in logic.contexts:
-        co_contextual.update(frozenset(pair) for pair in combinations(ctx, 2))
+    lies_in = logic._atom_contexts  # two atoms share a context iff their masks meet
     faith_worst = math.inf
     faith_failures = []
     for j, k in combinations(range(len(logic.atoms)), 2):
-        if frozenset((j, k)) in co_contextual:
+        if lies_in[j] & lies_in[k]:
             continue
         u, v = logic.atoms[j], logic.atoms[k]
         margin = abs(_dot(realization.vectors[u], realization.vectors[v]))

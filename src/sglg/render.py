@@ -11,9 +11,10 @@ symbol numbers, so each backend formats its output fragment once per
 table entry and writes each row by looking the fragments up by number,
 with the per-column and per-row text (x and y coordinates, event
 positions) formatted once too. The SVG and event writers make a row one
-join over three slots per token, filled by slice assignment: the
-column's text, the row's text and the token's fragment; the event writer
-fills a full row's slots in place, as only their join leaves it. Each SVG
+join over three slots per token: the column's text, zipped in once, then
+the row's text and the token's fragment, filled by slice assignment; the
+event writer fills a full row's slots in place, as only their join
+leaves it. Each SVG
 line starts with its newline and each event line ends with one, so no
 line is joined twice.
 
@@ -169,7 +170,7 @@ def tile_chunks(derivation: Derivation, spec: RenderSpec) -> Iterator[list[str]]
         return parts
 
     head = [_SVG_HEAD.format(width, height)]
-    return chain((head,), map(row_chunk, count(), derivation.iter_rows()), (["\n</svg>\n"],))
+    return chain((head,), map(row_chunk, count(), derivation.rows()), (["\n</svg>\n"],))
 
 
 def _escape(text: str) -> str:
@@ -239,7 +240,7 @@ def text_chunks(derivation: Derivation, spec: RenderSpec, color: bool = True) ->
     if spec.backend is Backend.ANSI:
         table = [value and _ansi_glyph(value) for value in spec.colors(derivation.symbols)]
         return (("".join(map(table.__getitem__, row)), "\x1b[0m\n")
-                for row in derivation.iter_rows())
+                for row in derivation.rows())
     if spec.backend is not Backend.HTML:
         raise ValueError("render_text requires the ansi or html backend")
     style = (
@@ -248,7 +249,7 @@ def text_chunks(derivation: Derivation, spec: RenderSpec, color: bool = True) ->
     )
     table = [value and f'{style}{value}"></span>\n' for value in spec.colors(derivation.symbols)]
     divs = (['  <div class="sglg-row">\n', *map(table.__getitem__, row), "  </div>\n"]
-            for row in derivation.iter_rows())
+            for row in derivation.rows())
     return chain((['<div class="sglg-tiles">\n'],), divs, (["</div>\n"],))
 
 
@@ -303,8 +304,7 @@ def event_chunks(derivation: Derivation) -> Iterator[tuple[str]]:
     # token the row's text, the position and the line-ending symbol tail.
     table = list(map(_event_tail, derivation.symbols))
     cols = max(derivation.row_lengths(), default=0)
-    slots = [None] * (3 * cols)
-    slots[1::3] = map(str, range(cols))
+    slots = list(chain.from_iterable(zip(repeat(None), map(str, range(cols)), repeat(None))))
 
     def row_chunk(r: int, row) -> tuple[str]:
         # A full row fills the slots in place: only their join leaves here.
@@ -313,7 +313,7 @@ def event_chunks(derivation: Derivation) -> Iterator[tuple[str]]:
         parts[2::3] = map(table.__getitem__, row)
         return ("".join(parts),)
 
-    return map(row_chunk, count(), derivation.iter_rows())
+    return map(row_chunk, count(), derivation.rows())
 
 
 def emit_events(derivation: Derivation) -> EventStream:

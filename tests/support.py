@@ -7,6 +7,8 @@ so enumeration bugs cannot hide behind a shared implementation.
 
 from __future__ import annotations
 
+import copy
+import json
 import random
 import re
 import string
@@ -333,3 +335,113 @@ def chain_spec(k: int) -> dict:
         "atoms": [f"x{i}" for i in range(k + 1)] + [f"y{i}" for i in range(k)],
         "contexts": [[f"x{i}", f"y{i}", f"x{i + 1}"] for i in range(k)],
     }
+
+
+# ------------------------------------------------ hostile logic files
+
+FIXTURE_DOCS = tuple(
+    json.loads((FIXTURES / name).read_text(encoding="utf-8"))
+    for name in ("l12.json", "triangle.json", "example_a.json")
+)
+_HUGE = "\0huge"  # stands for an integer of more digits than int() reads
+_JUNK = st.sampled_from(
+    (None, True, False, 0, -1, 1.5, 1e308, "", "x", [], [[]], {}, {"a": 1}, _HUGE, 2**64)
+).map(copy.deepcopy)
+
+
+def _places(doc):
+    """Every (container, key) of the document, the document's own keys first."""
+    stack, places = [doc], []
+    while stack:
+        node = stack.pop()
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        for key in keys:
+            places.append((node, key))
+            if isinstance(node[key], (dict, list)):
+                stack.append(node[key])
+    return places
+
+
+def _containers(doc, kind):
+    """The document and every value in it of this type, that type only."""
+    return [node for node in (doc, *(c[k] for c, k in _places(doc))) if isinstance(node, kind)]
+
+
+def _pick(draw, options):
+    """One of the options, or None when there are none."""
+    return draw(st.sampled_from(options)) if options else None
+
+
+def _replace(values, test):
+    """The mutation that puts a drawn value in place of one that passes the test."""
+
+    def mutate(draw, doc):
+        place = _pick(draw, [(c, k) for c, k in _places(doc) if test(c[k])])
+        if place:
+            node, key = place
+            node[key] = draw(values)
+
+    return mutate
+
+
+def _drop_key(draw, doc):
+    place = _pick(draw, [(c, k) for c, k in _places(doc) if isinstance(c, dict)])
+    if place:
+        node, key = place
+        del node[key]
+
+
+def _extra_key(draw, doc):
+    key = draw(st.sampled_from(["extra", "states", "palette", "block_names", "base_set", "atoms"]))
+    draw(st.sampled_from(_containers(doc, dict)))[key] = draw(_JUNK)
+
+
+def _duplicate(draw, doc):
+    node = _pick(draw, [c for c in _containers(doc, list) if c])
+    if node:
+        node.insert(draw(st.integers(0, len(node))), copy.deepcopy(draw(st.sampled_from(node))))
+
+
+def _empty(draw, doc):
+    node = _pick(draw, _containers(doc, list))
+    if node:
+        node.clear()
+
+
+def _reshape_rows(draw, doc):
+    rows = doc.get("states")
+    if not isinstance(rows, list) or not rows:
+        rows = doc["states"] = [[1, 0, 0, 0, 1]]
+    j = draw(st.integers(0, len(rows) - 1))
+    row = rows[j] if isinstance(rows[j], list) else []
+    rows[j] = draw(st.sampled_from([row[:-1], [*row, 0], [row], 1, "10001", [*row[:-1], [0]]]))
+
+
+_MUTATIONS = (
+    _replace(_JUNK, lambda value: True),
+    _replace(  # not an int where an int goes
+        st.sampled_from([_HUGE, 10**30, -(2**63), 1.0, 0.5, -0.0, True, False]),
+        lambda value: type(value) is int,
+    ),
+    _replace(  # a name taken by a layout symbol, a state label or a logic
+        st.sampled_from(["br", "n", "s1", "s2", "s5", "v_logic", "triangle_logic", "horizontal_sum"]),
+        lambda value: isinstance(value, str),
+    ),
+    _drop_key,
+    _extra_key,
+    _duplicate,
+    _empty,
+    _reshape_rows,
+)
+
+
+@st.composite
+def hostile_logic_files(draw) -> str:
+    """The text of a fixture whose JSON took one to three mutations: wrong
+    types, missing or extra keys, duplicates, empty lists, huge integers,
+    floats or bools where integers go, names colliding with ``br``, ``n``,
+    ``s<i>`` or the logic name, and pinned rows of the wrong shape."""
+    doc = copy.deepcopy(draw(st.sampled_from(FIXTURE_DOCS)))
+    for _ in range(draw(st.integers(1, 3))):
+        draw(st.sampled_from(_MUTATIONS))(draw, doc)
+    return json.dumps(doc).replace(json.dumps(_HUGE), "9" * 5000)

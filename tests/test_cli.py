@@ -37,7 +37,14 @@ from sglg import (
 from sglg.cli import _emit, format_state_table, main
 from sglg.grammar import production_chunks, production_json_chunks
 from sglg.render import event_chunks, logic_program_chunks, text_chunks, tile_chunks
-from support import FIXTURES, ROOT, chain_spec, random_base_set_spec, traced_peak
+from support import (
+    FIXTURES,
+    ROOT,
+    chain_spec,
+    hostile_logic_files,
+    random_base_set_spec,
+    traced_peak,
+)
 
 L12 = str(FIXTURES / "l12.json")
 TRIANGLE = str(FIXTURES / "triangle.json")
@@ -603,6 +610,36 @@ def test_tol_that_zeroes_a_vector_is_a_clean_usage_error(capsys):
     assert "--tol: vector for 'a' is numerically zero" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["render", "--format", "svg-tiles"], "-o FILE is required"),
+        (["schema"], "-o FILE is required"),
+        (["render", "--format", "html", "--cell-size", "0"], "--cell-size must be a positive"),
+        (["schema", "-o", "OUT", "--cell-gap", "-1"], "--cell-gap must be a non-negative"),
+        (["verify-orthorep", "--theta", "0.5", "--tol", "0"], "--tol must be a positive"),
+        (["render", "--format", "ansi", "--palette", "zz"], "expected LABEL=#RRGGBB"),
+    ],
+    ids=["tiles-output", "schema-output", "cell-size", "cell-gap", "tol", "palette"],
+)
+@pytest.mark.parametrize("spec", ["missing", "not-admissible"])
+def test_a_flag_error_exits_2_before_the_spec_is_read(spec, flags, message, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    if spec == "not-admissible":  # read, it would exit 1
+        path.write_text(json.dumps({**json.loads(Path(L12).read_text()), "states": [[1, 1, 0, 0, 0]]}))
+        assert main(["check", str(path)]) == 1
+        capsys.readouterr()
+    out = tmp_path / "out.svg"
+    command, *rest = flags
+    assert main([command, str(path), *(str(out) if f == "OUT" else f for f in rest)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    usage, *_, error = captured.err.splitlines()
+    assert usage.startswith("usage: sglg ")
+    assert re.match(rf"sglg( {command})?: error: .*{re.escape(message)}", error)
+    assert "spec.json" not in captured.err
+
+
 def test_nan_vector_component_is_rejected(tmp_path, capsys):
     payload = dict(SCALED_L12_VECTORS, a=[math.nan, 0.0, 0.0])
     vectors = write_vectors(tmp_path, {"dimension": 3, "vectors": payload})
@@ -933,6 +970,44 @@ def test_lone_surrogates_in_names_exit_2(tmp_path, capsys, payload, message, com
     assert captured.out == ""
     assert captured.err == f"sglg: error: {message}\n"
     assert not (tmp_path / "out.svg").exists()
+
+
+# ------------------------------------------------------ hostile logic files
+
+# Per command, the flags a run draws from; OUT stands for the -o output file.
+HOSTILE_FLAGS = {
+    "states": [[]],
+    "grammar": [[], ["--format", "json"]],
+    "render": [["--format", "svg-tiles", "-o", "OUT"],
+               *(["--format", f] for f in ("ansi", "html", "logic-program", "events"))],
+    "schema": [["-o", "OUT"]],
+    "verify-orthorep": [["--vectors", L12_VECTORS], ["--theta", "0.5"]],
+    "check": [[]],
+}
+
+
+@pytest.mark.parametrize("command", list(HOSTILE_FLAGS))
+def test_a_hostile_logic_file_exits_0_1_or_2_with_error_lines(command, tmp_path_factory):
+    # Every input gives a result or a clean error: no traceback, and each
+    # stderr line of a failure is an error line, a single one on exit 2.
+    work = tmp_path_factory.mktemp(command)
+    spec, out = work / "spec.json", str(work / "out")
+
+    @settings(max_examples=200, deadline=None)
+    @given(hostile_logic_files(), st.sampled_from(HOSTILE_FLAGS[command]))
+    def run(text, flags):
+        spec.write_text(text, encoding="utf-8")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = main([command, str(spec), *(out if f == "OUT" else f for f in flags)])
+        lines = stderr.getvalue().splitlines()
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert len(lines) == 1
+        if code:
+            assert all(line.startswith("sglg: error: ") for line in lines)
+
+    run()
 
 
 # ------------------------------------------------------ README commands

@@ -246,7 +246,7 @@ def test_triangle_derivation_has_36_tokens_and_6_rows():
     logic, states = resolve_fixture("triangle.json")
     derivation = derive(compile_grammar(logic, states))
     assert len(derivation.tokens) == 36
-    assert len(derivation.rows()) == 6
+    assert len(list(derivation.rows())) == 6
 
 
 def test_chain10_derivation_is_a_symbol_table_plus_index_rows():
@@ -260,7 +260,7 @@ def test_chain10_derivation_is_a_symbol_table_plus_index_rows():
     assert len(derivation.symbols) == len(set(derivation.symbols)) == len(states) + 2
     assert set(derivation.symbols) == set(derivation.tokens)
     assert type(derivation.indices) is array and derivation.indices.typecode == "I"
-    rows = derivation.rows()
+    rows = list(derivation.rows())
     assert len(rows) == len(atoms)
     assert all(type(row) is memoryview and row.format == "I" for row in rows)
     assert all(row.obj is derivation.indices for row in rows)
@@ -371,8 +371,10 @@ def test_derive_equals_recursive_expansion(grammar):
 def test_rows_one_at_a_time_and_their_lengths_agree_with_rows(grammar):
     # A row of "n" alone is empty, and no row, view or length stands for it.
     derivation = derive(grammar)
-    rows = [row.tolist() for row in derivation.rows()]
-    assert [row.tolist() for row in derivation.iter_rows()] == rows
+    rows = derivation.rows()
+    assert iter(rows) is rows  # each view made as it is read
+    rows = [row.tolist() for row in rows]
+    assert [row.tolist() for row in derivation.rows()] == rows
     assert derivation.row_lengths() == list(map(len, rows))
 
 

@@ -956,6 +956,25 @@ def test_writers_check_the_palette_against_the_table_alone(builder, backend):
     assert len(list(chunks)) == len(logic.atoms) + 2 * (backend is not Backend.ANSI)
 
 
+def test_event_writer_allocates_nothing_beside_its_tables():
+    # On chain-16 the call keeps its per-symbol and per-column tables and
+    # allocates below 1% of the token bytes beside them: the column texts are
+    # zipped into the slots, where a slice assignment copies the slots it
+    # replaces into a column-long list (about 70 KB here).
+    logic, states = resolve_states(parse_logic_file(json.dumps(chain_spec(16))))
+    derivation = derive(compile_grammar(logic, states))
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing")
+    tracemalloc.start()
+    try:
+        chunks = event_chunks(derivation)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - kept < len(derivation.indices) * 4 / 100
+    assert len(list(chunks)) == len(logic.atoms)
+
+
 @pytest.mark.parametrize(
     "builder, backend",
     [(tile_chunks, Backend.SVG_TILES), (text_chunks, Backend.ANSI),
