@@ -12,7 +12,7 @@ import argparse
 import math
 import os
 import sys
-from itertools import accumulate
+from itertools import accumulate, chain
 
 from .errors import LogicFileError, ValidationError
 from .grammar import (
@@ -57,6 +57,7 @@ _WORST_LABELS = {
     "faithfulness": "min |dot|",
 }
 _DIGITS = bytes.maketrans(b"\0\1", b"01")  # state values as table digits
+_BLOCK = 1024  # states per chunk of Table I
 
 
 def _palette_override(text: str) -> tuple[str, str]:
@@ -150,9 +151,10 @@ def main(argv: list[str] | None = None) -> int:
         _validate_usage(args, parser)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    try:  # every command reads its logic file and resolves its states first
+    try:  # every command reads its logic file; all but verify-orthorep resolve its states
         logic_file = parse_logic_file(_read_text(args.spec))
-        logic, states = resolve_states(logic_file)
+        verify = args.command == "verify-orthorep" and isinstance(logic_file.source, PartitionLogic)
+        logic, states = (logic_file.source, None) if verify else resolve_states(logic_file)
         return _COMMANDS[args.command](args, logic_file, logic, states)
     except (LogicFileError, OSError) as exc:
         print(f"sglg: error: {exc}", file=sys.stderr)
@@ -195,40 +197,37 @@ def _render_spec(logic_file: LogicFile, states: StateSet, args, backend) -> Rend
 
 def format_state_table(logic: PartitionLogic, states: StateSet) -> str:
     """The Table-I layout: one column per atom, one labeled row per state."""
-    return _state_table(logic, states).decode()
+    return "".join(chain.from_iterable(_table_chunks(logic, states)))
 
 
-def _state_table(logic: PartitionLogic, states: StateSet) -> bytearray:
-    """Table I as UTF-8, written into a buffer of spaces by a strided copy per
-    label character and per atom."""
+def _table_chunks(logic: PartitionLogic, states: StateSet):
+    """Table I as the head line, then a chunk per block of ``_BLOCK`` states,
+    written into a buffer of spaces by a strided copy per label character
+    and per atom."""
     m, n = _atom_width(logic, states), len(states)
     label_width = len(f"s{n}") if n else 0
-    head = (" " * label_width + "  " + "  ".join(logic.atoms) + "\n").encode()
+    yield (" " * label_width + "  " + "  ".join(logic.atoms) + "\n",)
     # Where each atom's cell ends: its value is right-aligned under its name.
     ends = list(accumulate((len(atom) + 2 for atom in logic.atoms), initial=label_width))
-    h, line = len(head), ends[-1] + 1
-    body = bytearray(b" ") * (h + n * line)
-    body[:h] = head
-    body[h::line] = b"s" * n
-    body[h + line - 1 :: line] = b"\n" * n
-    for d in range(1, label_width):  # labels of d digits: s<lo>..s<hi>
-        lo, hi = 10 ** (d - 1), min(n, 10**d - 1)
-        numbers = "".join(map(str, range(lo, hi + 1))).encode()
-        for c in range(d):
-            body[h + (lo - 1) * line + 1 + c : h + hi * line : line] = numbers[c::d]
-    for j, end in enumerate(ends[1:]):
-        body[h + end - 1 :: line] = states.matrix[j::m].translate(_DIGITS)
-    return body
+    line = ends[-1] + 1
+    for first in range(0, n, _BLOCK):  # states first+1..first+k
+        k = min(_BLOCK, n - first)
+        body = bytearray(b" ") * (k * line)
+        body[::line] = b"s" * k
+        body[line - 1 :: line] = b"\n" * k
+        for d in range(1, label_width):  # labels of d digits: rows lo..hi of the block
+            lo, hi = max(10 ** (d - 1) - first, 1), min(10**d - 1 - first, k)
+            numbers = "".join(map(str, range(first + lo, first + hi + 1))).encode()
+            for c in range(d):  # a stop below 0 would count from the end
+                body[(lo - 1) * line + 1 + c : max(hi, 0) * line : line] = numbers[c::d]
+        rows = states.matrix[first * m : (first + k) * m]
+        for j, end in enumerate(ends[1:]):
+            body[end - 1 :: line] = rows[j::m].translate(_DIGITS)
+        yield (body.decode(),)
 
 
 def _cmd_states(args, logic_file, logic, states) -> int:
-    table = _state_table(logic, states)
-    out = getattr(sys.stdout, "buffer", None)  # a text stream such as StringIO has none
-    if out is None:
-        sys.stdout.write(table.decode())
-    else:  # the bytes as they are: no decoded copy, and none encoded again
-        sys.stdout.flush()
-        out.write(table)
+    _emit(_table_chunks(logic, states), None)
     return 0
 
 

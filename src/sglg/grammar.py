@@ -110,10 +110,6 @@ class Grammar(Value):
         other = {SEPARATOR_NAME, LINEBREAK_NAME, *self.nonterminals}
         return tuple(filterfalse(other.__contains__, self.symbols))
 
-    @property
-    def start(self) -> str:
-        return self.productions[0].head
-
     def __post_init__(self):
         if not self.productions:
             raise ValueError("grammar needs at least one production")

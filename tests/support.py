@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import random
 import re
 import string
@@ -444,4 +445,25 @@ def hostile_logic_files(draw) -> str:
     doc = copy.deepcopy(draw(st.sampled_from(FIXTURE_DOCS)))
     for _ in range(draw(st.integers(1, 3))):
         draw(st.sampled_from(_MUTATIONS))(draw, doc)
+    return json.dumps(doc).replace(json.dumps(_HUGE), "9" * 5000)
+
+
+VECTOR_DOC = json.loads((FIXTURES / "l12_vectors.json").read_text(encoding="utf-8"))
+_VECTOR_MUTATIONS = (
+    *_MUTATIONS,
+    _replace(  # a real no float holds, or none at all
+        st.sampled_from([1e308, -1e308, 10**400, math.nan, math.inf, -math.inf]),
+        lambda value: type(value) is float,
+    ),
+)
+
+
+@st.composite
+def hostile_vector_files(draw) -> str:
+    """The text of ``l12_vectors.json`` after one to three of the mutations
+    of :func:`hostile_logic_files`, or of a component replaced by 1e308,
+    10**400, NaN or Infinity."""
+    doc = copy.deepcopy(VECTOR_DOC)
+    for _ in range(draw(st.integers(1, 3))):
+        draw(st.sampled_from(_VECTOR_MUTATIONS))(draw, doc)
     return json.dumps(doc).replace(json.dumps(_HUGE), "9" * 5000)

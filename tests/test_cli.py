@@ -42,6 +42,7 @@ from support import (
     ROOT,
     chain_spec,
     hostile_logic_files,
+    hostile_vector_files,
     random_base_set_spec,
     traced_peak,
 )
@@ -502,6 +503,28 @@ def test_verify_orthorep_requires_exactly_one_source(capsys):
 def test_verify_orthorep_missing_atom_fails(capsys):
     assert main(["verify-orthorep", TRIANGLE, "--vectors", L12_VECTORS]) == 1
     assert "'f'" in capsys.readouterr().err
+
+
+def test_verify_orthorep_reads_no_pinned_states(tmp_path, capsys):
+    # The realization check reads atoms and contexts only, so pinned states
+    # that miss s5 once failed it with "pinned states do not match".
+    assert main(["verify-orthorep", L12, "--vectors", L12_VECTORS]) == 0
+    intact = capsys.readouterr().out
+    doc = json.loads(Path(L12).read_text(encoding="utf-8"))
+    spec = write_spec(tmp_path, {**doc, "states": doc["states"][:4]})
+    assert main(["verify-orthorep", spec, "--vectors", L12_VECTORS]) == 0
+    assert capsys.readouterr() == (intact, "")
+
+
+def test_verify_orthorep_searches_no_states(tmp_path, monkeypatch, capsys):
+    def search(*args):
+        raise AssertionError("searched for states")
+
+    monkeypatch.setattr("sglg.logic._exact_covers", search)
+    assert main(["verify-orthorep", write_spec(tmp_path, chain_spec(10)), "--theta", "0.5"]) == 1
+    assert capsys.readouterr() == (
+        "", "sglg: error: --theta needs two three-atom contexts that share one atom\n"
+    )
 
 
 def test_verify_orthorep_tolerance_flag(tmp_path, capsys):
@@ -986,10 +1009,22 @@ HOSTILE_FLAGS = {
 }
 
 
+def exits_0_1_or_2_with_error_lines(argv: list[str]) -> None:
+    """Every input gives a result or a clean error: no traceback, and each
+    stderr line of a failure is an error line, a single one on exit 2."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = main(argv)
+    lines = stderr.getvalue().splitlines()
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert len(lines) == 1
+    if code:
+        assert all(line.startswith("sglg: error: ") for line in lines)
+
+
 @pytest.mark.parametrize("command", list(HOSTILE_FLAGS))
 def test_a_hostile_logic_file_exits_0_1_or_2_with_error_lines(command, tmp_path_factory):
-    # Every input gives a result or a clean error: no traceback, and each
-    # stderr line of a failure is an error line, a single one on exit 2.
     work = tmp_path_factory.mktemp(command)
     spec, out = work / "spec.json", str(work / "out")
 
@@ -997,15 +1032,21 @@ def test_a_hostile_logic_file_exits_0_1_or_2_with_error_lines(command, tmp_path_
     @given(hostile_logic_files(), st.sampled_from(HOSTILE_FLAGS[command]))
     def run(text, flags):
         spec.write_text(text, encoding="utf-8")
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with redirect_stdout(stdout), redirect_stderr(stderr):
-            code = main([command, str(spec), *(out if f == "OUT" else f for f in flags)])
-        lines = stderr.getvalue().splitlines()
-        assert code in (0, 1, 2)
-        if code == 2:
-            assert len(lines) == 1
-        if code:
-            assert all(line.startswith("sglg: error: ") for line in lines)
+        exits_0_1_or_2_with_error_lines(
+            [command, str(spec), *(out if f == "OUT" else f for f in flags)]
+        )
+
+    run()
+
+
+def test_a_hostile_vector_file_exits_0_1_or_2_with_error_lines(tmp_path_factory):
+    vectors = tmp_path_factory.mktemp("vectors") / "vectors.json"
+
+    @settings(max_examples=200, deadline=None)
+    @given(hostile_vector_files())
+    def run(text):
+        vectors.write_text(text, encoding="utf-8")
+        exits_0_1_or_2_with_error_lines(["verify-orthorep", L12, "--vectors", str(vectors)])
 
     run()
 
@@ -1214,15 +1255,34 @@ def test_state_table_peaks_near_its_text(name):
 
 
 def test_states_writes_the_table_bytes_without_a_text_copy(tmp_path, monkeypatch):
-    # Decoded to a str that stdout encodes again, chain-16's table peaked at
-    # 2.3 times its size; written as bytes, at 1.6 (the rest is the parse and
-    # the state matrix).
+    # Decoded whole to a str that stdout encodes again, chain-16's table
+    # peaked at 2.3 times its size; written whole as bytes, at 1.6; a block
+    # of 1,024 states at a time, at 1.2 (the rest is the parse and the state
+    # matrix).
     spec = write_spec(tmp_path, chain_spec(16))
     logic, states = resolve_states(parse_logic_file(json.dumps(chain_spec(16))))
     size = len(format_state_table(logic, states).encode())
     with io.TextIOWrapper(io.FileIO(os.devnull, "w"), encoding="utf-8") as sink:
         monkeypatch.setattr(sys, "stdout", sink)
         assert traced_peak(main, ["states", spec]) < 2 * size
+
+
+def test_states_writes_a_block_of_states_at_a_time(tmp_path, monkeypatch):
+    # The head, then at most 1,024 rows a write: all 4,182 lines of chain-16's
+    # table were once written at once.
+    writes = []
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    assert main(["states", write_spec(tmp_path, chain_spec(16))]) == 0
+    logic, states = resolve_states(parse_logic_file(json.dumps(chain_spec(16))))
+    assert max(text.count("\n") for text in writes) <= 1025
+    assert "".join(writes) == format_state_table(logic, states)
+    assert len(writes) == 1 + math.ceil(len(states) / 1024)
 
 
 def test_states_bytes_follow_the_text_written_before(monkeypatch):

@@ -98,7 +98,7 @@ def derivation_content(derivation: Derivation):
 def test_l12_grammar_matches_the_golden_rows():
     logic, states = resolve_fixture("l12.json")
     grammar = compile_grammar(logic, states)
-    assert grammar.start == "v_logic"
+    assert grammar.productions[0].head == "v_logic"
     assert body_names(grammar, "v_logic") == ["a", "b", "c", "d", "e"]
     for atom, row in VGRAMMAR_ROWS.items():
         assert body_names(grammar, atom) == row
@@ -345,7 +345,7 @@ def derive_by_recursion(grammar: Grammar) -> Derivation:
         for child in rules[name].body:
             expand(grammar.symbols[child])
 
-    expand(grammar.start)
+    expand(grammar.productions[0].head)
     return Derivation.from_tokens(tokens)
 
 
@@ -415,7 +415,7 @@ def test_compiled_grammar_equals_the_checked_one(inputs):
     # The names a compiled grammar reads off its productions and table.
     assert grammar.nonterminals == (logic.name, *logic.atoms)
     assert grammar.terminals == states.labels()
-    assert grammar.start == logic.name
+    assert grammar.productions[0].head == logic.name
     m = len(logic.atoms)
     assert supports(logic, states) == tuple(states.matrix[j::m] for j in range(m))
 

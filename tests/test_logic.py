@@ -1258,11 +1258,20 @@ def test_state_table_equals_the_row_at_a_time_table(table):
     assert format_state_table(*table) == reference_state_table(*table)
 
 
-@pytest.mark.parametrize("n", [0, 1, 9, 10, 11, 99, 100, 101, 233])
-def test_state_table_labels_cross_a_digit(n):
-    logic = renamed(chain_logic(10), [f"\u00e9{'x' * (j % 4)}{j}" for j in range(21)])
+# The chain-10 cases cross a digit of the label width; chain-15 (2,584 states)
+# ends at and past the edges of blocks of 1,024 states, and on chain-18 the
+# labels grow from 4 to 5 digits inside the block of s9217..s10240.
+@pytest.mark.parametrize(
+    "k, n",
+    [pytest.param(10, n, id=str(n)) for n in (0, 1, 9, 10, 11, 99, 100, 101, 233)]
+    + [pytest.param(15, n, id=f"chain15-{n}") for n in (1023, 1024, 1025, 2048, 2049)]
+    + [pytest.param(18, 10001, id="chain18-10001")],
+)
+def test_state_table_labels_cross_a_digit(k, n):
+    m = 2 * k + 1
+    logic = renamed(chain_logic(k), [f"\u00e9{'x' * (j % 4)}{j}" for j in range(m)])
     states = enumerate_states(logic)
-    states = StateSet(states.matrix[: n * 21], 21)
+    states = StateSet(states.matrix[: n * m], m)
     assert format_state_table(logic, states) == reference_state_table(logic, states)
 
 
