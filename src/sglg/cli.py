@@ -275,12 +275,8 @@ def _cmd_verify(args, logic_file, logic, states) -> int:
     report = verify_faithful(logic, realization)
     for check in report.checks():
         verdict = "PASS" if check.passed else "FAIL"
-        if check.name == "basis completeness":
-            worst = f"{int(check.worst)}"
-        elif math.isinf(check.worst):
-            worst = "inf"
-        else:
-            worst = f"{check.worst:.3e}"
+        # .3e prints inf for a faithfulness check with no two atoms apart.
+        worst = int(check.worst) if check.name == "basis completeness" else f"{check.worst:.3e}"
         print(f"[{verdict}] {check.name}: {_WORST_LABELS[check.name]} {worst}")
         for failure in check.failures:
             print(f"    - {failure}")

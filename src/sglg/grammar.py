@@ -16,7 +16,8 @@ compiled table is ``br``, ``n``, ``s1..sN``, then the atoms, so row bodies
 come straight from the state columns. A compiled grammar writes its rows
 into one ``array('I')``, each row body a ``memoryview`` slice of it, and
 that array is its derivation's tokens: none is copied. ``Grammar.from_symbols`` and
-``Derivation.from_tokens`` intern hand-built name sequences.
+``Derivation.from_tokens`` intern hand-built name sequences. ``check_incidence``
+reads each of ``Derivation.rows()`` once, in one pass, as its view is made.
 
 The listings, in arrow notation and in JSON, are streams of one chunk per
 production: each looks its names up by number in a list that holds each
@@ -52,17 +53,6 @@ def _intern(sequences) -> tuple[tuple[str, ...], list[array]]:
     ids: dict[str, int] = {}
     arrays = [array("I", [ids.setdefault(s, len(ids)) for s in q]) for q in sequences]
     return tuple(ids), arrays
-
-
-def _find_all(raw: bytes, number: int) -> list[int]:
-    """Positions of ``number`` in the ``array('I')`` whose bytes are ``raw``."""
-    key = array("I", [number]).tobytes()
-    found, at = [], raw.find(key)
-    while at >= 0:
-        if at % len(key) == 0:  # else the match straddles two items
-            found.append(at // len(key))
-        at = raw.find(key, at + 1)
-    return found
 
 
 class Production(Value):
@@ -131,12 +121,12 @@ class Grammar(Value):
                 f"start rule {start.head!r} does not name each row head once, in order"
             )
         nts = set(compress(count(), map(heads.__contains__, names)))
-        linebreak = names.index(LINEBREAK_NAME) if LINEBREAK_NAME in names else None
+        linebreak = names.index(LINEBREAK_NAME) if LINEBREAK_NAME in names else -1
         for p in rows:
             if not nts.isdisjoint(p.body):
                 name = next(names[x] for x in p.body if x in nts)
                 raise ValueError(f"row {p.head!r} names nonterminal {name!r}")
-            ends = [] if linebreak is None else _find_all(p.body.tobytes(), linebreak)
+            ends = list(compress(count(), map(linebreak.__eq__, p.body)))
             if ends != [len(p.body) - 1]:
                 raise ValueError(f"row {p.head!r} does not hold n once, as its last token")
         if not heads.issuperset(names[len(names) - len(heads.intersection(names)) :]):
@@ -168,9 +158,9 @@ class Derivation(Value):
     @cached_property
     def row_boundaries(self) -> tuple[int, ...]:
         """The token indices of the linebreaks; ``derive`` states them."""
-        if LINEBREAK_NAME not in self.symbols:
-            return ()
-        return tuple(_find_all(self.indices.tobytes(), self.symbols.index(LINEBREAK_NAME)))
+        names = self.symbols
+        linebreak = names.index(LINEBREAK_NAME) if LINEBREAK_NAME in names else -1
+        return tuple(compress(count(), map(linebreak.__eq__, self.indices)))
 
     @property
     def tokens(self) -> tuple[str, ...]:
@@ -285,11 +275,11 @@ def check_incidence(
     one separator, token numbers past the symbol table, a row holding
     anything beside its separator but each label's state symbol once) is a
     precondition breach and raises ``ValueError``; side mismatches are
-    reported.
+    reported. The rows are read once, in order, each as it is made.
     """
-    rows = list(derivation.rows())
-    if len(rows) != len(logic.atoms):
-        raise ValueError(f"derivation has {len(rows)} rows for {len(logic.atoms)} atoms")
+    rows = len(derivation.row_lengths())
+    if rows != len(logic.atoms):
+        raise ValueError(f"derivation has {rows} rows for {len(logic.atoms)} atoms")
     m = _atom_width(logic, states)
     labels = states.labels()
     symbols = derivation.symbols
@@ -300,23 +290,18 @@ def check_incidence(
     matrix = states.matrix
     # A row as the definition writes it (the symbols of the states valuing its
     # atom 1, br, the rest) is confirmed by one comparison; only the other rows
-    # are walked below. That needs one br, a symbol per label and 0/1 values
-    # (a trusted state set is not checked).
-    walk = range(len(rows))
-    if len(separators) == 1 and None not in ids and not matrix.translate(None, b"\0\1"):
-        both, walk = [*ids, *separators, *ids], []
-        for j, row in enumerate(rows):
-            column = matrix[j::m]
-            if row != array("I", compress(both, column + b"\1" + column.translate(_FLIP))):
-                walk.append(j)
-    # Beside its separator, a walked row must hold each of these once and
-    # nothing else, which set sizes show.
-    label_numbers = set(ids) - {None} if walk else set()
-    violations = []
-    for j in walk:
-        row, column = rows[j], matrix[j::m]
-        raw = row.tobytes()
-        cuts = [k for s in separators for k in _find_all(raw, s)]
+    # are walked. That needs one br, a symbol per label and 0/1 values (a
+    # trusted state set is not checked).
+    fast = len(separators) == 1 and None not in ids and not matrix.translate(None, b"\0\1")
+    both, label_numbers, violations = [*ids, *separators, *ids], set(), []
+    for j, row in enumerate(derivation.rows()):
+        column = matrix[j::m]
+        if fast and row == array("I", compress(both, column + b"\1" + column.translate(_FLIP))):
+            continue
+        # Beside its separator, a walked row must hold each of these once and
+        # nothing else, which set sizes show; built once, for the first walk.
+        label_numbers = label_numbers or set(ids) - {None}
+        cuts = list(compress(count(), map(separators.__contains__, row)))
         if len(cuts) != 1:
             raise ValueError(f"row {j} does not contain exactly one separator")
         left, right = set(row[: cuts[0]]), set(row[cuts[0] + 1 :])

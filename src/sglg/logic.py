@@ -27,10 +27,16 @@ from .value import Value
 Point = int | str
 
 _NAME_RE = re.compile(r"[A-Za-z_]\w*")
-# JSON may escape half a surrogate pair ("\ud800"); UTF-8 cannot write one.
-_LONE_SURROGATE_RE = re.compile("[\ud800-\udfff]")
+# What no output can write in a name, though JSON may escape it: half a surrogate
+# pair ("\ud800") is not UTF-8, and XML holds no C0 control, U+FFFE or U+FFFF.
+_UNWRITABLE_RE = re.compile("[\x00-\x1f\ud800-\udfff\ufffe\uffff]")
 _HEX_COLOR_RE = re.compile(r"#[0-9A-Fa-f]{6}")
 DEFAULT_LOGIC_NAME = "logic"
+
+
+def _unwritable(c: str) -> str:
+    """How an error names a character that no output can write."""
+    return "a lone surrogate" if "\ud800" <= c <= "\udfff" else f"the character U+{ord(c):04X}"
 
 
 class PartitionLogic(Value):
@@ -60,7 +66,7 @@ class PartitionLogic(Value):
         atoms, contexts = self.atoms, self.contexts
         if not (atoms and contexts and set(map(type, atoms)) <= {str} and "" not in atoms):
             return False
-        if _LONE_SURROGATE_RE.search("".join(atoms)) or len(set(atoms)) != len(atoms):
+        if _UNWRITABLE_RE.search("".join(atoms)) or len(set(atoms)) != len(atoms):
             return False
         if min(map(len, contexts)) < 2:
             return False
@@ -83,8 +89,8 @@ class PartitionLogic(Value):
         for i, atom in enumerate(self.atoms):
             if not isinstance(atom, str) or not atom:
                 raise LogicFileError("atom names must be nonempty strings", f"atoms[{i}]")
-            if _LONE_SURROGATE_RE.search(atom):
-                raise LogicFileError("atom name holds a lone surrogate", f"atoms[{i}]")
+            if found := _UNWRITABLE_RE.search(atom):
+                raise LogicFileError(f"atom name holds {_unwritable(found[0])}", f"atoms[{i}]")
             if atom in seen:
                 raise LogicFileError(f"duplicate atom name {atom!r}", f"atoms[{i}]")
             seen[atom] = i
@@ -180,10 +186,9 @@ class BaseSetSpec(Value):
                         raise LogicFileError(
                             "block names must be nonempty strings", f"block_names[{pi}]"
                         )
-                    if _LONE_SURROGATE_RE.search(name):
-                        raise LogicFileError(
-                            "block name holds a lone surrogate", f"block_names[{pi}]"
-                        )
+                    if found := _UNWRITABLE_RE.search(name):
+                        what = f"block name holds {_unwritable(found[0])}"
+                        raise LogicFileError(what, f"block_names[{pi}]")
 
     @cached_property
     def _block_masks(self) -> tuple[tuple[int, ...], ...]:
@@ -716,7 +721,9 @@ def _atom_width(logic: PartitionLogic, states: StateSet) -> int:
 def supports(logic: PartitionLogic, states: StateSet) -> tuple[bytes, ...]:
     """Per atom, its column of state values: a byte per state, in state order.
 
-    The only code that turns valuations into supports; all readers share it.
+    Every column at once, for the readers that need them all. Two writers
+    slice the matrix themselves to hold less: ``check_incidence`` one column
+    at a time, and ``cli._table_chunks`` one block of states at a time.
     """
     m = _atom_width(logic, states)  # atom j's column is every m-th byte of the matrix
     return tuple(states.matrix[j::m] for j in range(m))

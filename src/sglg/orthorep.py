@@ -149,8 +149,10 @@ def verify_faithful(
 
     ortho_worst = 0.0
     ortho_failures = []
+    normed: set[int] = set()  # an atom's norm is checked in its first context only
     for ctx in logic.contexts:
-        for j in ctx:
+        for j in [j for j in ctx if j not in normed]:
+            normed.add(j)
             atom = logic.atoms[j]
             deviation = abs(_norm(realization.vectors[atom]) - 1.0)
             ortho_worst = max(ortho_worst, deviation)

@@ -385,6 +385,21 @@ def _replace(values, test):
     return mutate
 
 
+def _rename(names):
+    """The mutation that puts a drawn name in place of a string, and of every
+    equal one: an atom is renamed in the contexts too, so the file stays whole."""
+
+    def mutate(draw, doc):
+        place = _pick(draw, [(c, k) for c, k in _places(doc) if isinstance(c[k], str)])
+        if place:
+            old, new = place[0][place[1]], draw(names)
+            for node, key in _places(doc):
+                if node[key] == old:
+                    node[key] = new
+
+    return mutate
+
+
 def _drop_key(draw, doc):
     place = _pick(draw, [(c, k) for c, k in _places(doc) if isinstance(c, dict)])
     if place:
@@ -424,10 +439,11 @@ _MUTATIONS = (
         st.sampled_from([_HUGE, 10**30, -(2**63), 1.0, 0.5, -0.0, True, False]),
         lambda value: type(value) is int,
     ),
-    _replace(  # a name taken by a layout symbol, a state label or a logic
-        st.sampled_from(["br", "n", "s1", "s2", "s5", "v_logic", "triangle_logic", "horizontal_sum"]),
-        lambda value: isinstance(value, str),
+    _rename(  # a name taken by a layout symbol, a state label or a logic
+        st.sampled_from(["br", "n", "s1", "s2", "s5", "v_logic", "triangle_logic", "horizontal_sum"])
     ),
+    # a name holding a control, a surrogate, U+FFFE or the characters XML escapes
+    _rename(st.sampled_from(["a\u0001", "a\nb", "\ud800", "\ufffe", "a&<b>\"'"])),
     _drop_key,
     _extra_key,
     _duplicate,
@@ -441,7 +457,9 @@ def hostile_logic_files(draw) -> str:
     """The text of a fixture whose JSON took one to three mutations: wrong
     types, missing or extra keys, duplicates, empty lists, huge integers,
     floats or bools where integers go, names colliding with ``br``, ``n``,
-    ``s<i>`` or the logic name, and pinned rows of the wrong shape."""
+    ``s<i>`` or the logic name, names holding a control character, a lone
+    surrogate, U+FFFE or XML's special characters, and pinned rows of the
+    wrong shape."""
     doc = copy.deepcopy(draw(st.sampled_from(FIXTURE_DOCS)))
     for _ in range(draw(st.integers(1, 3))):
         draw(st.sampled_from(_MUTATIONS))(draw, doc)

@@ -18,6 +18,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
 from pathlib import Path
 from unittest import mock
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import given, settings
@@ -706,6 +707,33 @@ def test_overflowing_dot_products_fail_cleanly(tmp_path, capsys, vectors, failur
         assert f"    - {failure}" in captured.out
 
 
+@pytest.mark.parametrize(
+    "c, failures",
+    [
+        ([0.0, 0.0, 2.0], ["|c| deviates from 1 by 1.000e+00"]),
+        (
+            [0.0, 0.5, 2.0],
+            ["|c| deviates from 1 by 1.062e+00", "b·c = 5.000e-01", "c·d = 3.536e-01",
+             "c·e = 3.536e-01"],
+        ),
+    ],
+    ids=["norm", "norm and dots"],
+)
+def test_a_shared_atoms_norm_is_reported_once(tmp_path, capsys, c, failures):
+    # c lies in both contexts of L12; its norm was once checked, and reported, in each.
+    payload = json.loads((FIXTURES / "l12_vectors.json").read_text(encoding="utf-8"))
+    payload["vectors"]["c"] = c
+    assert main(["verify-orthorep", L12, "--vectors", write_vectors(tmp_path, payload)]) == 1
+    worst = failures[0].rsplit(" ", 1)[1]
+    assert capsys.readouterr() == (
+        f"[FAIL] context orthonormality: max deviation {worst}\n"
+        + "".join(f"    - {failure}\n" for failure in failures)
+        + "[PASS] basis completeness: max size gap 0\n"
+        "[PASS] faithfulness: min |dot| 7.071e-01\n",
+        "",
+    )
+
+
 @pytest.mark.parametrize("value", [1.0, True, [1]])
 def test_pinned_state_values_must_be_integers(tmp_path, capsys, value):
     spec = write_spec(
@@ -951,7 +979,7 @@ def test_digit_limit_message_names_the_interpreters_limit(tmp_path, capsys):
     )
 
 
-SURROGATE_NAMES = [
+UNWRITABLE_NAMES = [
     (
         {"atoms": ["a", "b\ud800", "c"], "contexts": [["a", "b\ud800", "c"]]},
         "atoms[1]: atom name holds a lone surrogate",
@@ -964,10 +992,34 @@ SURROGATE_NAMES = [
         },
         "block_names[1]: block name holds a lone surrogate",
     ),
+    (
+        {"atoms": ["a\u0001", "b", "c"], "contexts": [["a\u0001", "b", "c"]]},
+        "atoms[0]: atom name holds the character U+0001",
+    ),
+    (
+        {"atoms": ["a", "b", "c\nd"], "contexts": [["a", "b", "c\nd"]]},
+        "atoms[2]: atom name holds the character U+000A",
+    ),
+    (
+        {"atoms": ["a", "\ufffe", "c"], "contexts": [["a", "\ufffe", "c"]]},
+        "atoms[1]: atom name holds the character U+FFFE",
+    ),
+    (
+        {
+            "base_set": [1, 2, 3],
+            "partitions": [[[1], [2, 3]], [[2], [1, 3]]],
+            "block_names": [["p", "not_p\uffff"], ["q", "not_q"]],
+        },
+        "block_names[0]: block name holds the character U+FFFF",
+    ),
 ]
 
 
-@pytest.mark.parametrize("payload, message", SURROGATE_NAMES, ids=["atoms", "block_names"])
+@pytest.mark.parametrize(
+    "payload, message",
+    UNWRITABLE_NAMES,
+    ids=["atoms", "block_names", "control", "newline", "U+FFFE", "U+FFFF in block_names"],
+)
 @pytest.mark.parametrize(
     "command",
     [
@@ -983,9 +1035,11 @@ SURROGATE_NAMES = [
 )
 def test_lone_surrogates_in_names_exit_2(tmp_path, capsys, payload, message, command):
     """A name JSON spells as half a surrogate pair cannot be written as
-    UTF-8, so it is rejected where the file is parsed."""
+    UTF-8, and one holding a control character, U+FFFE or U+FFFF cannot be
+    written in XML or on one text line, so it is rejected where the file is
+    parsed."""
     spec = write_spec(tmp_path, payload)
-    assert "\\ud" in Path(spec).read_text(encoding="utf-8")  # escaped in the file
+    assert Path(spec).read_text(encoding="utf-8").isascii()  # escaped in the file
     argv = [command[0], spec, *command[1:]]
     argv = [str(tmp_path / "out.svg") if arg == "OUT" else arg for arg in argv]
     assert main(argv) == 2
@@ -1009,7 +1063,7 @@ HOSTILE_FLAGS = {
 }
 
 
-def exits_0_1_or_2_with_error_lines(argv: list[str]) -> None:
+def exits_0_1_or_2_with_error_lines(argv: list[str]) -> int:
     """Every input gives a result or a clean error: no traceback, and each
     stderr line of a failure is an error line, a single one on exit 2."""
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -1021,6 +1075,7 @@ def exits_0_1_or_2_with_error_lines(argv: list[str]) -> None:
         assert len(lines) == 1
     if code:
         assert all(line.startswith("sglg: error: ") for line in lines)
+    return code
 
 
 @pytest.mark.parametrize("command", list(HOSTILE_FLAGS))
@@ -1032,9 +1087,11 @@ def test_a_hostile_logic_file_exits_0_1_or_2_with_error_lines(command, tmp_path_
     @given(hostile_logic_files(), st.sampled_from(HOSTILE_FLAGS[command]))
     def run(text, flags):
         spec.write_text(text, encoding="utf-8")
-        exits_0_1_or_2_with_error_lines(
+        code = exits_0_1_or_2_with_error_lines(
             [command, str(spec), *(out if f == "OUT" else f for f in flags)]
         )
+        if code == 0 and "OUT" in flags:  # each -o output is an SVG document
+            ElementTree.parse(out)
 
     run()
 

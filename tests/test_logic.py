@@ -30,7 +30,6 @@ from sglg import (
 from sglg.cli import format_state_table
 from sglg.grammar import compile_grammar
 from sglg.logic import (
-    _LONE_SURROGATE_RE,
     _clash,
     _parse_pinned_states,
     _state_count,
@@ -1377,8 +1376,12 @@ def logic_by_loops(name: str, atoms, contexts) -> None:
     for i, atom in enumerate(atoms):
         if not isinstance(atom, str) or not atom:
             raise LogicFileError("atom names must be nonempty strings", f"atoms[{i}]")
-        if _LONE_SURROGATE_RE.search(atom):
+        # A C0 control, half a surrogate pair, U+FFFE or U+FFFF: the first is named.
+        bad = [c for c in atom if ord(c) < 0x20 or 0xD800 <= ord(c) < 0xE000 or c in "\ufffe\uffff"]
+        if bad and 0xD800 <= ord(bad[0]) < 0xE000:
             raise LogicFileError("atom name holds a lone surrogate", f"atoms[{i}]")
+        if bad:
+            raise LogicFileError(f"atom name holds the character U+{ord(bad[0]):04X}", f"atoms[{i}]")
         if atom in seen:
             raise LogicFileError(f"duplicate atom name {atom!r}", f"atoms[{i}]")
         seen[atom] = i
@@ -1405,13 +1408,16 @@ def logic_by_loops(name: str, atoms, contexts) -> None:
         )
 
 
-HOSTILE_ATOMS = st.sampled_from(["", "\ud800", "b\udfff", "a0", "a1", 0, None])
+HOSTILE_ATOMS = st.sampled_from(
+    ["", "\ud800", "b\udfff", "a\x01", "\n", "a\tb", "\x1f\ud800", "\ufffe", "b\uffff",
+     "a0", "a1", 0, None]
+)
 
 
 @st.composite
 def hostile_logics(draw):
     """Atoms a0.. with at times one hostile name (empty, a lone surrogate, a
-    duplicate or no string), and up to five short contexts whose indices
+    control character, U+FFFE or U+FFFF, a duplicate or no string), and up to five short contexts whose indices
     now and then leave the range at either end."""
     m = draw(st.integers(0, 6))
     atoms = list(atom_names(m))
@@ -1443,6 +1449,8 @@ def test_partition_logic_rejects_as_the_loops_do(drawn):
         (("a", ""), ((0, 1),), "atoms[1]"),
         (("a", "a"), ((0, 1),), "atoms[1]"),
         (("a", "b\ud800"), ((0, 1),), "atoms[1]"),
+        (("a", "b\x01"), ((0, 1),), "atoms[1]"),
+        (("a\ufffe", "b"), ((0, 1),), "atoms[0]"),
         (("a", "b"), (), "contexts"),
         (("a", "b"), ((0, 1), (0, 2)), "contexts[1]"),
         (("a", "b"), ((-1, 1),), "contexts[0]"),
@@ -1452,7 +1460,8 @@ def test_partition_logic_rejects_as_the_loops_do(drawn):
         (("a", "b", "c"), ((0, 1, 2), (1, 2)), "contexts[1]"),
     ],
     ids=[
-        "no atoms", "empty name", "duplicate name", "lone surrogate", "no contexts",
+        "no atoms", "empty name", "duplicate name", "lone surrogate", "control character",
+        "noncharacter", "no contexts",
         "index past the end", "negative index", "repeated atom", "short context",
         "uncovered atom", "nested contexts",
     ],
