@@ -248,8 +248,8 @@ def _cmd_render(args, logic_file, logic, states) -> int:
         chunks = logic_program_chunks(grammar, spec)
     elif args.format == "svg-tiles":
         chunks = tile_chunks(derive(grammar), spec)
-    else:  # ansi or html; NO_COLOR keeps the ANSI glyphs and drops their colors
-        chunks = text_chunks(derive(grammar), spec, color="NO_COLOR" not in os.environ)
+    else:  # ansi or html; a non-empty NO_COLOR keeps the ANSI glyphs, drops their colors
+        chunks = text_chunks(derive(grammar), spec, color=not os.environ.get("NO_COLOR"))
     _emit(chunks, args.output)
     return 0
 

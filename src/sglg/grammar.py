@@ -17,7 +17,7 @@ come straight from the state columns. A compiled grammar writes its rows
 into one ``array('I')``, each row body a ``memoryview`` slice of it, and
 that array is its derivation's tokens: none is copied. ``Grammar.from_symbols`` and
 ``Derivation.from_tokens`` intern hand-built name sequences. ``check_incidence``
-reads each of ``Derivation.rows()`` once, in one pass, as its view is made.
+counts ``Derivation.rows()``, then checks each in one pass as its view is made.
 
 The listings, in arrow notation and in JSON, are streams of one chunk per
 production: each looks its names up by number in a list that holds each
@@ -33,7 +33,7 @@ from collections.abc import Iterator
 from functools import cached_property
 from itertools import accumulate, chain, compress, count, filterfalse
 from json.encoder import encode_basestring
-from operator import attrgetter, sub
+from operator import attrgetter
 
 from .errors import NotSeparatingError, ValidationError
 from .logic import PartitionLogic, StateSet, _atom_width, _clash, _first_inadmissible
@@ -169,19 +169,11 @@ class Derivation(Value):
 
     def rows(self) -> Iterator[memoryview]:
         """Symbol numbers between linebreaks, as views of ``indices`` made as
-        they are read; linebreaks themselves excluded, and so are empty rows."""
-        view = memoryview(self.indices)
-        return filter(None, map(view.__getitem__, map(slice, *self._row_ends())))
-
-    def row_lengths(self) -> list[int]:
-        """The length of each of ``rows()``, from the boundaries alone."""
-        starts, ends = self._row_ends()
-        return [n for n in map(sub, ends, starts) if n > 0]
-
-    def _row_ends(self) -> tuple[Iterator[int], Iterator[int]]:
-        """Where each row starts and where it ends, one past its last token."""
-        bounds = self.row_boundaries
-        return chain((0,), map((1).__add__, bounds)), chain(bounds, (len(self.indices),))
+        they are read; linebreaks themselves excluded, and so are empty rows.
+        The one row reader: callers take counts and lengths from the views."""
+        bounds, view = self.row_boundaries, memoryview(self.indices)
+        starts, ends = chain((0,), map((1).__add__, bounds)), chain(bounds, (len(self.indices),))
+        return filter(None, map(view.__getitem__, map(slice, starts, ends)))
 
 
 class RowViolation(Value):
@@ -255,10 +247,8 @@ def derive(grammar: Grammar) -> Derivation:
     shares the grammar's table up to the heads that end it, and its row
     boundaries are the row ends, so no token is read.
     """
-    symbols, heads = grammar.symbols, set(grammar.nonterminals)
-    end = len(symbols)
-    while end and symbols[end - 1] in heads:  # drop the heads that end the table
-        end -= 1
+    symbols = grammar.symbols  # the heads end it: drop them
+    end = len(symbols) - len(set(grammar.nonterminals).intersection(symbols))
     ends = accumulate(len(p.body) for p in grammar.productions[1:])
     bounds = tuple(k - 1 for k in ends)
     return Derivation._trusted(symbols[:end], grammar._indices, row_boundaries=bounds)
@@ -275,9 +265,9 @@ def check_incidence(
     one separator, token numbers past the symbol table, a row holding
     anything beside its separator but each label's state symbol once) is a
     precondition breach and raises ``ValueError``; side mismatches are
-    reported. The rows are read once, in order, each as it is made.
+    reported. The rows are counted, then checked in order, each as it is made.
     """
-    rows = len(derivation.row_lengths())
+    rows = sum(1 for _ in derivation.rows())
     if rows != len(logic.atoms):
         raise ValueError(f"derivation has {rows} rows for {len(logic.atoms)} atoms")
     m = _atom_width(logic, states)

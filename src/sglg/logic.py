@@ -721,9 +721,9 @@ def _atom_width(logic: PartitionLogic, states: StateSet) -> int:
 def supports(logic: PartitionLogic, states: StateSet) -> tuple[bytes, ...]:
     """Per atom, its column of state values: a byte per state, in state order.
 
-    Every column at once, for the readers that need them all. Two writers
-    slice the matrix themselves to hold less: ``check_incidence`` one column
-    at a time, and ``cli._table_chunks`` one block of states at a time.
+    Every column at once, for the readers that need them all. Three readers
+    slice the matrix to hold less: ``check_incidence`` and ``schema_chunks``
+    a column at a time, ``cli._table_chunks`` a block of states at a time.
     """
     m = _atom_width(logic, states)  # atom j's column is every m-th byte of the matrix
     return tuple(states.matrix[j::m] for j in range(m))

@@ -11,28 +11,25 @@ symbol numbers, so each backend formats its output fragment once per
 table entry and writes each row by looking the fragments up by number,
 with the per-column and per-row text (x and y coordinates, event
 positions) formatted once too. The SVG and event writers make a row one
-join over three slots per token: the column's text, zipped in once, then
-the row's text and the token's fragment, filled by slice assignment; the
-event writer fills a full row's slots in place, as only their join
-leaves it. Each SVG
-line starts with its newline and each event line ends with one, so no
+join over three slots per token, laid out for both SVGs by ``_grid``; each
+SVG line starts with its newline and each event line ends with one, so no
 line is joined twice.
 
 The ``*_chunks`` functions give the text as one chunk (a sequence of
 strings) per row, or for the logic program per production and per state
 binding: they raise when called and make each chunk when it is reached,
 so a document can be written a row at a time. The row writers read a
-derivation's rows one view at a time and take their lengths from its row
-boundaries, so they hold no view per row. A palette is checked once per
-distinct color, all at once; the entries are walked only when that fails.
-It must color every state in the table a writer renders, which
-``RenderSpec.colors`` looks up when the writer is called: no token is read
-for it.
+derivation's ``rows()`` one view at a time and take the rows' lengths
+from the views as they are made, so they hold no view per row. A palette
+is checked once per distinct color, all at once; the entries are walked
+only when that fails. It must color every state in the table a writer
+renders, which ``RenderSpec.colors`` looks up when the writer is called:
+no token is read for it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from enum import Enum
 from itertools import chain, count, repeat
 from json.encoder import encode_basestring_ascii as _json_string
@@ -41,7 +38,7 @@ from operator import getitem
 from .errors import ValidationError
 from .grammar import LINEBREAK_NAME, SEPARATOR_NAME, Derivation, Grammar
 from .grammar import production_chunks
-from .logic import _HEX_COLOR_RE, PartitionLogic, StateSet, supports
+from .logic import _HEX_COLOR_RE, PartitionLogic, StateSet, _atom_width
 from .value import Value
 
 DEFAULT_COLORS = ("#008000", "#0000FF", "#FF0000", "#FFA500", "#8F00FF")
@@ -142,6 +139,29 @@ _SVG_HEAD = (
 )
 
 
+def _grid(spec: RenderSpec, left: int, top: int, cols: int, rows: int) -> tuple[str, Callable]:
+    """The SVG head line for ``rows`` × ``cols`` cells from (left, top), and
+    ``rects(r, fills, n)``, grid row r's first n cells as ``<rect>`` slots:
+    per cell its column's text, zipped in once (a slice assignment would copy
+    the slots it replaces into a list as long), the row's y and size, and its
+    fill ``'#RRGGBB"/>'``. A full row is filled in place: copy it before the next.
+    """
+    cell, gap = spec.cell_size, spec.cell_gap
+    step = cell + gap
+    width, height = (o + n * cell + max(n - 1, 0) * gap for o, n in ((left, cols), (top, rows)))
+    size = f'" width="{cell}" height="{cell}" fill="'
+    xs = [f'\n  <rect x="{left + i * step}" y="' for i in range(cols)]
+    slots = list(chain.from_iterable(zip(xs, repeat(None), repeat(None))))
+
+    def rects(r: int, fills: Iterable[str], n: int) -> list[str]:
+        parts = slots if 3 * n == len(slots) else slots[: 3 * n]
+        parts[1::3] = repeat(f"{top + r * step}{size}", n)
+        parts[2::3] = fills
+        return parts
+
+    return _SVG_HEAD.format(width, height), rects
+
+
 def render_tiles(derivation: Derivation, spec: RenderSpec) -> str:
     """SVG document with one row of squares per derivation row."""
     return join_chunks(tile_chunks(derivation, spec))
@@ -151,26 +171,14 @@ def tile_chunks(derivation: Derivation, spec: RenderSpec) -> Iterator[list[str]]
     """``render_tiles`` as a head, one chunk per row and a tail."""
     if spec.backend is not Backend.SVG_TILES:
         raise ValueError("render_tiles requires the svg-tiles backend")
-    size = f'" width="{spec.cell_size}" height="{spec.cell_size}" fill="'
-    table = [value and f'{size}{value}"/>' for value in spec.colors(derivation.symbols)]
-    step = spec.cell_size + spec.cell_gap
-    lengths = derivation.row_lengths()
-    cols = max(lengths, default=0)
-    width = cols * spec.cell_size + max(cols - 1, 0) * spec.cell_gap
-    height = len(lengths) * spec.cell_size + max(len(lengths) - 1, 0) * spec.cell_gap
-    # Each column's text, then the row's and the token's, zipped: a slice
-    # assignment would copy the slots it replaces into a list as long.
-    xs = [f'\n  <rect x="{i * step}" y="' for i in range(cols)]
-    slots = list(chain.from_iterable(zip(xs, repeat(None), repeat(None))))
+    table = [value and f'{value}"/>' for value in spec.colors(derivation.symbols)]
+    lengths = list(map(len, derivation.rows()))
+    head, rects = _grid(spec, 0, 0, max(lengths, default=0), len(lengths))
 
     def row_chunk(r: int, row) -> list[str]:
-        parts = slots[: 3 * len(row)]
-        parts[1::3] = repeat(str(r * step), len(row))
-        parts[2::3] = map(table.__getitem__, row)
-        return parts
+        return [*rects(r, map(table.__getitem__, row), len(row))]
 
-    head = [_SVG_HEAD.format(width, height)]
-    return chain((head,), map(row_chunk, count(), derivation.rows()), (["\n</svg>\n"],))
+    return chain(([head],), map(row_chunk, count(), derivation.rows()), (["\n</svg>\n"],))
 
 
 def _escape(text: str) -> str:
@@ -188,21 +196,15 @@ def schema_chunks(logic: PartitionLogic, states: StateSet, spec: RenderSpec) -> 
     and a tail."""
     if spec.backend is not Backend.SVG_SCHEMA:
         raise ValueError("render_schema requires the svg-schema backend")
-    cell, gap = spec.cell_size, spec.cell_gap
-    step = cell + gap
+    cell, step = spec.cell_size, spec.cell_size + spec.cell_gap
     left, top = 2 * cell, cell
-    n, m = len(states), len(logic.atoms)
-    width = left + n * cell + max(n - 1, 0) * gap
-    height = top + m * cell + max(m - 1, 0) * gap
+    n, m = len(states), _atom_width(logic, states)  # atom j's column: matrix[j::m]
     font = max(cell // 2, 1)
     labels = states.labels()
-    columns = supports(logic, states)  # per atom, the value each state gives it
     # Each state's (false, true) fill.
     fills = [(f'{DEFAULT_FALSE_CELL_COLOR}"/>', f'{color}"/>') for color in spec.colors(labels)]
-    slots = [None] * (3 * n)
-    slots[0::3] = [f'\n  <rect x="{left + i * step}" y="' for i in range(n)]
-    size = f'" width="{cell}" height="{cell}" fill="'
-    head = [_SVG_HEAD.format(width, height)]
+    line, rects = _grid(spec, left, top, n, m)
+    head = [line]
     head += (
         f'\n  <text x="{left + i * step + cell // 2}" y="{top - font // 2}" '
         f'text-anchor="middle" font-family="monospace" '
@@ -211,14 +213,11 @@ def schema_chunks(logic: PartitionLogic, states: StateSet, spec: RenderSpec) -> 
     )
 
     def row_chunk(j: int, atom: str) -> list[str]:
-        if n:
-            slots[1::3] = repeat(f"{top + j * step}{size}", n)
-            slots[2::3] = map(getitem, fills, columns[j])
         return [
             f'\n  <text x="{left - font}" y="{top + j * step + (cell + font) // 2}" '
             f'text-anchor="end" font-family="monospace" '
             f'font-size="{font}">{_escape(atom)}</text>',
-            *slots,
+            *rects(j, map(getitem, fills, states.matrix[j::m]), n),
         ]
 
     return chain((head,), map(row_chunk, count(), logic.atoms), (["\n</svg>\n"],))
@@ -236,7 +235,7 @@ def render_text(derivation: Derivation, spec: RenderSpec, color: bool = True) ->
 def text_chunks(derivation: Derivation, spec: RenderSpec, color: bool = True) -> Iterator:
     """``render_text`` as one chunk per row, with html's head and tail."""
     if spec.backend is Backend.ANSI and not color:
-        return ((BLOCK * n, "\n") for n in derivation.row_lengths())
+        return ((BLOCK * len(row), "\n") for row in derivation.rows())
     if spec.backend is Backend.ANSI:
         table = [value and _ansi_glyph(value) for value in spec.colors(derivation.symbols)]
         return (("".join(map(table.__getitem__, row)), "\x1b[0m\n")
@@ -303,7 +302,7 @@ def event_chunks(derivation: Derivation) -> Iterator[tuple[str]]:
     # the strings quoted by the function json.dumps uses for them; per
     # token the row's text, the position and the line-ending symbol tail.
     table = list(map(_event_tail, derivation.symbols))
-    cols = max(derivation.row_lengths(), default=0)
+    cols = max(map(len, derivation.rows()), default=0)
     slots = list(chain.from_iterable(zip(repeat(None), map(str, range(cols)), repeat(None))))
 
     def row_chunk(r: int, row) -> tuple[str]:

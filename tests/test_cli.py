@@ -125,6 +125,10 @@ def test_render_ansi_honors_no_color(capsys, monkeypatch):
     assert "\x1b" not in plain
     assert plain.splitlines() == ["█" * 6] * 5
 
+    monkeypatch.setenv("NO_COLOR", "")  # an empty NO_COLOR keeps the colors
+    assert main(["render", L12, "--format", "ansi"]) == 0
+    assert capsys.readouterr().out == colored
+
 
 def test_render_html_fragment(capsys):
     assert main(["render", EXAMPLE_A, "--format", "html"]) == 0

@@ -368,14 +368,13 @@ def test_derive_equals_recursive_expansion(grammar):
 
 @settings(max_examples=200, deadline=None)
 @given(flat_grammars())
-def test_rows_one_at_a_time_and_their_lengths_agree_with_rows(grammar):
-    # A row of "n" alone is empty, and no row, view or length stands for it.
+def test_rows_are_read_one_at_a_time_and_again_alike(grammar):
+    # A row of "n" alone is empty, and no view stands for it.
     derivation = derive(grammar)
     rows = derivation.rows()
     assert iter(rows) is rows  # each view made as it is read
     rows = [row.tolist() for row in rows]
     assert [row.tolist() for row in derivation.rows()] == rows
-    assert derivation.row_lengths() == list(map(len, rows))
 
 
 def test_derive_equals_recursive_expansion_on_random_compiled_grammars():

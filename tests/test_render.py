@@ -8,7 +8,9 @@ import json
 import random
 import re
 import tracemalloc
+from functools import cache
 from operator import itemgetter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +37,8 @@ from sglg import (
     render_tiles,
     resolve_states,
 )
+from sglg.cli import _table_chunks
+from sglg.grammar import production_chunks, production_json_chunks
 from sglg.render import (
     event_chunks,
     join_chunks,
@@ -991,3 +995,39 @@ def test_chunk_builders_raise_on_the_call_at_the_first_bad_token(builder, backen
     derivation = Derivation.from_tokens(["s1", "n", "s3", "x", "n", "x"])
     with pytest.raises(ValidationError, match=r"^palette has no color for state label 's3'$"):
         builder(derivation, spec)
+
+
+@cache
+def chain_inputs(k: int) -> SimpleNamespace:
+    """Chain-k's logic, states, grammar and default palette, built once."""
+    logic, states = resolve_states(parse_logic_file(json.dumps(chain_spec(k))))
+    grammar, palette = compile_grammar(logic, states), default_palette(states.labels())
+    return SimpleNamespace(logic=logic, states=states, grammar=grammar, palette=palette)
+
+
+CHUNK_BUILDERS = {
+    "tiles": lambda c: tile_chunks(derive(c.grammar), RenderSpec(c.palette)),
+    "schema": lambda c: schema_chunks(
+        c.logic, c.states, RenderSpec(c.palette, backend=Backend.SVG_SCHEMA)),
+    "ansi": lambda c: text_chunks(derive(c.grammar), RenderSpec(c.palette, backend=Backend.ANSI)),
+    "ansi-no-color": lambda c: text_chunks(
+        derive(c.grammar), RenderSpec(c.palette, backend=Backend.ANSI), False),
+    "html": lambda c: text_chunks(derive(c.grammar), RenderSpec(c.palette, backend=Backend.HTML)),
+    "events": lambda c: event_chunks(derive(c.grammar)),
+    "logic-program": lambda c: logic_program_chunks(
+        c.grammar, RenderSpec(c.palette, backend=Backend.LOGIC_PROGRAM)),
+    "listing": lambda c: production_chunks(c.grammar),
+    "json-listing": lambda c: production_json_chunks(c.grammar),
+    "table-i": lambda c: _table_chunks(c.logic, c.states),
+}
+
+
+@pytest.mark.parametrize("build", CHUNK_BUILDERS.values(), ids=CHUNK_BUILDERS)
+def test_chunks_held_before_joining_give_the_same_text(build):
+    # A writer may fill one row's slots in place, so each chunk must be its
+    # own copy: joining the chunks as they come, as a document is written,
+    # would not show a chunk refilled for the next row. Chain-14 has full
+    # rows of 1,598 tokens and 1,597 states, two blocks of Table I.
+    held = list(build(chain_inputs(14)))
+    fresh = list(map("".join, build(chain_inputs(14))))
+    assert list(map("".join, held)) == fresh  # a list: a diff of the one text takes minutes
