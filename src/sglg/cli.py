@@ -41,13 +41,13 @@ from .orthorep import (
     verify_faithful,
 )
 from .render import (
-    Backend,
     RenderSpec,
+    ansi_chunks,
     default_palette,
     event_chunks,
+    html_chunks,
     logic_program_chunks,
     schema_chunks,
-    text_chunks,
     tile_chunks,
 )
 
@@ -155,13 +155,15 @@ def main(argv: list[str] | None = None) -> int:
         logic_file = parse_logic_file(_read_text(args.spec))
         verify = args.command == "verify-orthorep" and isinstance(logic_file.source, PartitionLogic)
         logic, states = (logic_file.source, None) if verify else resolve_states(logic_file)
-        return _COMMANDS[args.command](args, logic_file, logic, states)
-    except (LogicFileError, OSError) as exc:
-        print(f"sglg: error: {exc}", file=sys.stderr)
+        code = _COMMANDS[args.command](args, logic_file, logic, states)
+        sys.stdout.flush()  # a closed stdout fails here, not in the interpreter's last flush
+        return code
+    except BrokenPipeError:  # stdout closed: what it still holds goes to devnull at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
-    except ValidationError as exc:
-        print(f"sglg: error: {exc}", file=sys.stderr)
-        return 1
+    except (LogicFileError, OSError, UnicodeEncodeError, ValidationError) as exc:
+        print(f"sglg: error: {exc}", file=sys.stderr)  # an unencodable stdout is an I/O failure
+        return 1 if isinstance(exc, ValidationError) else 2
 
 
 def _read_text(path: str) -> str:
@@ -181,7 +183,7 @@ def _emit(chunks, output: str | None) -> None:
         sys.stdout.writelines(map("".join, chunks))
 
 
-def _render_spec(logic_file: LogicFile, states: StateSet, args, backend) -> RenderSpec:
+def _render_spec(logic_file: LogicFile, states: StateSet, args) -> RenderSpec:
     """The spec from the style flags: default colors, then the file's, then --palette.
     Each key names a state, the separator br or the linebreak n."""
     palette = default_palette(states.labels())  # a key per state label
@@ -190,9 +192,7 @@ def _render_spec(logic_file: LogicFile, states: StateSet, args, backend) -> Rend
             if label not in palette and label not in (SEPARATOR_NAME, LINEBREAK_NAME):
                 raise LogicFileError(f"no state is labeled {label!r}", location)
             palette[label] = color
-    return RenderSpec(
-        palette, cell_size=args.cell_size, cell_gap=args.cell_gap, backend=backend
-    )
+    return RenderSpec(palette, cell_size=args.cell_size, cell_gap=args.cell_gap)
 
 
 def format_state_table(logic: PartitionLogic, states: StateSet) -> str:
@@ -243,19 +243,21 @@ def _cmd_render(args, logic_file, logic, states) -> int:
     if args.format == "events":  # the one format without colors
         _emit(event_chunks(derive(grammar)), args.output)
         return 0
-    spec = _render_spec(logic_file, states, args, Backend(args.format))
+    spec = _render_spec(logic_file, states, args)
     if args.format == "logic-program":  # the one format reading only the grammar
         chunks = logic_program_chunks(grammar, spec)
     elif args.format == "svg-tiles":
         chunks = tile_chunks(derive(grammar), spec)
-    else:  # ansi or html; a non-empty NO_COLOR keeps the ANSI glyphs, drops their colors
-        chunks = text_chunks(derive(grammar), spec, color=not os.environ.get("NO_COLOR"))
+    elif args.format == "html":
+        chunks = html_chunks(derive(grammar), spec)
+    else:  # ansi; a non-empty NO_COLOR keeps the glyphs, drops their colors
+        chunks = ansi_chunks(derive(grammar), spec, color=not os.environ.get("NO_COLOR"))
     _emit(chunks, args.output)
     return 0
 
 
 def _cmd_schema(args, logic_file, logic, states) -> int:
-    spec = _render_spec(logic_file, states, args, Backend.SVG_SCHEMA)
+    spec = _render_spec(logic_file, states, args)
     _emit(schema_chunks(logic, states, spec), args.output)
     return 0
 

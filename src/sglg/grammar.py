@@ -221,12 +221,10 @@ def compile_grammar(logic: PartitionLogic, states: StateSet) -> Grammar:
 
     # Symbol numbers: br 0, n 1, the state labels 2..N+1, then the atoms.
     n, m = len(labels), len(logic.atoms)
-    ids = list(range(2, n + 2))
-    tokens = array("I")  # every row, n + 2 tokens each
+    both = [*(ids := list(range(2, n + 2))), 0, *ids]  # the labels, br, the labels again
+    tokens = array("I")  # every row, n + 2 tokens each: check_incidence's layout, then n
     for column in columns:
-        tokens.extend(compress(ids, column))
-        tokens.append(0)
-        tokens.extend(compress(ids, column.translate(_FLIP)))
+        tokens.extend(compress(both, column + b"\1" + column.translate(_FLIP)))
         tokens.append(1)
     view = memoryview(tokens)  # only now: an array with views cannot grow
     rows = [Production(atom, view[k : k + n + 2]) for atom, k in zip(logic.atoms, count(0, n + 2))]

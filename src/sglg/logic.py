@@ -320,10 +320,7 @@ def _parse_hypergraph_mode(name: str, raw: dict) -> PartitionLogic:
     contexts = raw.get("contexts")
     if not isinstance(contexts, list):
         raise LogicFileError("must be a list of atom-name lists", "contexts")
-    index = {a: i for i, a in enumerate(atoms)}
-    if len(index) != len(atoms):
-        dup = next(a for i, a in enumerate(atoms) if a in atoms[:i])
-        raise LogicFileError(f"duplicate atom name {dup!r}", "atoms")
+    index = {a: i for i, a in enumerate(atoms)}  # PartitionLogic rejects a repeated name
     resolved = []
     for ci, ctx in enumerate(contexts):
         if not isinstance(ctx, list):

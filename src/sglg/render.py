@@ -4,6 +4,7 @@ Every emitter is a pure function of immutable inputs and produces
 byte-identical output for identical arguments. The grammar/derivation
 layer never changes here — a ``RenderSpec`` only binds symbols to colors
 and geometry; its palette colors the states and, under ``br``, the separator.
+The caller picks each format's writer; only ``render_text`` reads ``spec.backend``.
 
 That binding is per symbol, not per token: a derivation holds each
 distinct symbol once in its table and its rows as views of one array of
@@ -169,8 +170,6 @@ def render_tiles(derivation: Derivation, spec: RenderSpec) -> str:
 
 def tile_chunks(derivation: Derivation, spec: RenderSpec) -> Iterator[list[str]]:
     """``render_tiles`` as a head, one chunk per row and a tail."""
-    if spec.backend is not Backend.SVG_TILES:
-        raise ValueError("render_tiles requires the svg-tiles backend")
     table = [value and f'{value}"/>' for value in spec.colors(derivation.symbols)]
     lengths = list(map(len, derivation.rows()))
     head, rects = _grid(spec, 0, 0, max(lengths, default=0), len(lengths))
@@ -194,8 +193,6 @@ def render_schema(logic: PartitionLogic, states: StateSet, spec: RenderSpec) -> 
 def schema_chunks(logic: PartitionLogic, states: StateSet, spec: RenderSpec) -> Iterator[list]:
     """``render_schema`` as a head with the state labels, one chunk per atom
     and a tail."""
-    if spec.backend is not Backend.SVG_SCHEMA:
-        raise ValueError("render_schema requires the svg-schema backend")
     cell, step = spec.cell_size, spec.cell_size + spec.cell_gap
     left, top = 2 * cell, cell
     n, m = len(states), _atom_width(logic, states)  # atom j's column: matrix[j::m]
@@ -229,19 +226,23 @@ def render_text(derivation: Derivation, spec: RenderSpec, color: bool = True) ->
     ``color=False`` drops the ANSI escape sequences (the glyphs remain);
     it has no effect on the html backend, whose colors live in markup.
     """
-    return join_chunks(text_chunks(derivation, spec, color))
-
-
-def text_chunks(derivation: Derivation, spec: RenderSpec, color: bool = True) -> Iterator:
-    """``render_text`` as one chunk per row, with html's head and tail."""
-    if spec.backend is Backend.ANSI and not color:
-        return ((BLOCK * len(row), "\n") for row in derivation.rows())
     if spec.backend is Backend.ANSI:
-        table = [value and _ansi_glyph(value) for value in spec.colors(derivation.symbols)]
-        return (("".join(map(table.__getitem__, row)), "\x1b[0m\n")
-                for row in derivation.rows())
+        return join_chunks(ansi_chunks(derivation, spec, color))
     if spec.backend is not Backend.HTML:
         raise ValueError("render_text requires the ansi or html backend")
+    return join_chunks(html_chunks(derivation, spec))
+
+
+def ansi_chunks(derivation: Derivation, spec: RenderSpec, color: bool = True) -> Iterator:
+    """``render_text`` on the ansi backend, one chunk per row."""
+    if not color:
+        return ((BLOCK * len(row), "\n") for row in derivation.rows())
+    table = [value and _ansi_glyph(value) for value in spec.colors(derivation.symbols)]
+    return (("".join(map(table.__getitem__, row)), "\x1b[0m\n") for row in derivation.rows())
+
+
+def html_chunks(derivation: Derivation, spec: RenderSpec) -> Iterator[list[str]]:
+    """``render_text`` on the html backend, as a head, one chunk per row and a tail."""
     style = (
         '    <span class="sglg-cell" style="display:inline-block;'
         f"width:{spec.cell_size}px;height:{spec.cell_size}px;background:"

@@ -37,7 +37,7 @@ from sglg import (
 )
 from sglg.cli import _emit, format_state_table, main
 from sglg.grammar import production_chunks, production_json_chunks
-from sglg.render import event_chunks, logic_program_chunks, text_chunks, tile_chunks
+from sglg.render import ansi_chunks, event_chunks, html_chunks, logic_program_chunks, tile_chunks
 from support import (
     FIXTURES,
     ROOT,
@@ -555,13 +555,17 @@ def test_verify_orthorep_tolerance_flag(tmp_path, capsys):
     assert capsys.readouterr().out.count("[PASS]") == 3
 
 
+def module_env(**extra) -> dict:
+    """The environment for ``python -m sglg`` run from the checkout."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), *sys.path]), **extra)
+
+
 def test_module_entry_point_runs():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), *sys.path]))
     result = subprocess.run(
         [sys.executable, "-m", "sglg", "states", L12],
         capture_output=True,
         text=True,
-        env=env,
+        env=module_env(),
     )
     assert result.returncode == 0
     assert result.stdout == L12_TABLE_TEXT
@@ -571,7 +575,7 @@ def test_cli_imports_nothing_beyond_the_standard_library():
     """``import sglg.cli`` in a fresh interpreter loads only modules of the
     standard library or of sglg beyond those a bare interpreter loads, and
     none of the slow-to-import ones sglg does without."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), *sys.path]))
+    env = module_env()
 
     def loaded(statement: str) -> set[str]:
         code = f"{statement}\nimport sys\nprint(*sys.modules)"
@@ -937,6 +941,39 @@ def test_files_that_are_not_utf8_exit_2(tmp_path, capsys):
         )
 
 
+@pytest.mark.parametrize("command, read", [("states", 1), ("check", 0)])
+def test_a_closed_stdout_exits_2_quietly(command, read, tmp_path):
+    # Chain-14's Table I is over 64 KB, more than a pipe holds, so `states` is
+    # still writing when the reader goes, and the interpreter's last flush of
+    # what stdout holds must neither fail nor print. `check`'s report is short:
+    # with stdout buffered, as it is by default, it is written only by a flush.
+    env = module_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    argv = [sys.executable, "-m", "sglg", command, write_spec(tmp_path, chain_spec(14))]
+    pipes = dict(stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    with subprocess.Popen(argv, env=env, **pipes) as child:
+        assert len(child.stdout.read(read)) == read
+        child.stdout.close()
+        stderr = child.stderr.read()
+    assert child.returncode == 2
+    assert stderr == b""
+
+
+def test_an_unencodable_stdout_exits_2_with_one_error_line():
+    env = module_env(PYTHONIOENCODING="ascii")
+    argv = [sys.executable, "-m", "sglg", "render", L12, "--format", "ansi"]
+    ansi = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert ansi.returncode == 2
+    assert ansi.stdout == ""
+    assert re.fullmatch(
+        r"sglg: error: 'ascii' codec can't encode character '\\u2588' in position \d+: "
+        r"ordinal not in range\(128\)\n",
+        ansi.stderr,
+    )
+    states = subprocess.run(argv[:3] + ["states", L12], env=env, capture_output=True, text=True)
+    assert (states.returncode, states.stdout, states.stderr) == (0, L12_TABLE_TEXT, "")
+
+
 @pytest.mark.skipif(
     not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
     reason="this interpreter converts integers of any length",
@@ -1067,9 +1104,10 @@ HOSTILE_FLAGS = {
 }
 
 
-def exits_0_1_or_2_with_error_lines(argv: list[str]) -> int:
+def exits_0_1_or_2_with_error_lines(argv: list[str]) -> tuple[int, str]:
     """Every input gives a result or a clean error: no traceback, and each
-    stderr line of a failure is an error line, a single one on exit 2."""
+    stderr line of a failure is an error line, a single one on exit 2.
+    Returns the exit code and stdout."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with redirect_stdout(stdout), redirect_stderr(stderr):
         code = main(argv)
@@ -1079,7 +1117,25 @@ def exits_0_1_or_2_with_error_lines(argv: list[str]) -> int:
         assert len(lines) == 1
     if code:
         assert all(line.startswith("sglg: error: ") for line in lines)
-    return code
+    return code, stdout.getvalue()
+
+
+def admissible_count(doc: dict) -> int:
+    """How many of the 2^M valuations of a hypergraph-mode file's atoms make
+    exactly one atom of each context true, counted one valuation at a time."""
+    bit = {atom: 1 << j for j, atom in enumerate(doc["atoms"])}
+    masks = [[bit[atom] for atom in context] for context in doc["contexts"]]
+    return sum(
+        all(sum(1 for b in mask if v & b) == 1 for mask in masks)
+        for v in range(2 ** len(doc["atoms"]))
+    )
+
+
+def printed_state_count(command: str, stdout: str) -> int:
+    """The states of Table I's rows, or of check's ``states: N admissible`` line."""
+    if command == "states":
+        return len(stdout.splitlines()) - 1  # below the head line
+    return int(re.match(r"states: (\d+) admissible", stdout)[1])
 
 
 @pytest.mark.parametrize("command", list(HOSTILE_FLAGS))
@@ -1091,11 +1147,16 @@ def test_a_hostile_logic_file_exits_0_1_or_2_with_error_lines(command, tmp_path_
     @given(hostile_logic_files(), st.sampled_from(HOSTILE_FLAGS[command]))
     def run(text, flags):
         spec.write_text(text, encoding="utf-8")
-        code = exits_0_1_or_2_with_error_lines(
+        code, stdout = exits_0_1_or_2_with_error_lines(
             [command, str(spec), *(out if f == "OUT" else f for f in flags)]
         )
         if code == 0 and "OUT" in flags:  # each -o output is an SVG document
             ElementTree.parse(out)
+        # A base set induces only some states, so only an atoms file is counted.
+        if code == 0 and command in ("states", "check"):
+            doc = json.loads(text)
+            if "atoms" in doc and len(doc["atoms"]) <= 12:
+                assert printed_state_count(command, stdout) == admissible_count(doc)
 
     run()
 
@@ -1381,9 +1442,9 @@ def test_ansi_output_file_is_written_without_holding_its_text(name, tmp_path):
     text = json.dumps(MEMORY_INPUTS[name]())
     logic, states = resolve_states(parse_logic_file(text))
     derivation = derive(compile_grammar(logic, states))
-    spec = RenderSpec(default_palette(states.labels()), backend=Backend.ANSI)
+    spec = RenderSpec(default_palette(states.labels()))
     out = tmp_path / "out"
-    peak = traced_peak(lambda: _emit(text_chunks(derivation, spec), str(out)))
+    peak = traced_peak(lambda: _emit(ansi_chunks(derivation, spec), str(out)))
     assert peak < out.stat().st_size
 
 
@@ -1435,8 +1496,8 @@ def test_rows_are_written_a_view_at_a_time(fmt):
     palette = default_palette(states.labels())
     chunks = {
         "svg-tiles": lambda: tile_chunks(derivation, RenderSpec(palette)),
-        "ansi": lambda: text_chunks(derivation, RenderSpec(palette, backend=Backend.ANSI)),
-        "html": lambda: text_chunks(derivation, RenderSpec(palette, backend=Backend.HTML)),
+        "ansi": lambda: ansi_chunks(derivation, RenderSpec(palette)),
+        "html": lambda: html_chunks(derivation, RenderSpec(palette)),
         "events": lambda: event_chunks(derivation),
     }[fmt]
     with open(os.devnull, "w", encoding="utf-8") as sink:

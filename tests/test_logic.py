@@ -108,7 +108,10 @@ def test_parse_base_set_mode():
             "mixes both",
         ),
         ('{"atoms": ["a", "b"], "contexts": [["a", "b"]], "bogus": 1}', "unknown keys"),
-        ('{"atoms": ["a", "a"], "contexts": [["a"]]}', "duplicate atom"),
+        pytest.param(  # the id names the case, not the whole message
+            '{"atoms": ["a", "a"], "contexts": [["a"]]}', "atoms[1]: duplicate atom name 'a'",
+            id='{"atoms": ["a", "a"], "contexts": [["a"]]}-duplicate atom',
+        ),
         ('{"atoms": ["a", "b"], "contexts": [["a"]]}', "fewer than 2"),
         ('{"atoms": ["a", "b"], "contexts": [["a", "q"]]}', "unknown atom 'q'"),
         ('{"atoms": ["a", "b", "c"], "contexts": [["a", "b"]]}', "no context"),

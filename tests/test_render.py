@@ -40,11 +40,12 @@ from sglg import (
 from sglg.cli import _table_chunks
 from sglg.grammar import production_chunks, production_json_chunks
 from sglg.render import (
+    ansi_chunks,
     event_chunks,
+    html_chunks,
     join_chunks,
     logic_program_chunks,
     schema_chunks,
-    text_chunks,
     tile_chunks,
 )
 from support import (
@@ -253,16 +254,6 @@ def test_palette_change_touches_only_fill_attributes():
     assert a != b
     strip = lambda doc: re.sub(r'fill="[^"]*"', 'fill="*"', doc)
     assert strip(a) == strip(b)
-
-
-def test_tiles_requires_matching_backend():
-    *_, derivation = l12_pipeline()
-    spec = RenderSpec(
-        palette=default_palette(("s1", "s2", "s3", "s4", "s5")),
-        backend=Backend.ANSI,
-    )
-    with pytest.raises(ValueError, match="svg-tiles"):
-        render_tiles(derivation, spec)
 
 
 # ----------------------------------------------------------------- schema
@@ -887,9 +878,9 @@ def assert_chunks_equal_references(derivation: Derivation, rows, spec: RenderSpe
     events = lambda d: emit_events(d).to_jsonl()  # noqa: E731
     cases = [  # builder, str function, reference, arguments, head and tail chunks
         (tile_chunks, render_tiles, reference_tiles, (spec,), 2),
-        (text_chunks, render_text, reference_ansi, (ansi, True), 0),
-        (text_chunks, render_text, reference_ansi, (ansi, False), 0),
-        (text_chunks, render_text, reference_html, (html_spec,), 2),
+        (ansi_chunks, render_text, reference_ansi, (ansi, True), 0),
+        (ansi_chunks, render_text, reference_ansi, (ansi, False), 0),
+        (html_chunks, render_text, reference_html, (html_spec,), 2),
         (event_chunks, events, reference_events, (), 0),
     ]
     for builder, render, reference, args, ends in cases:
@@ -936,18 +927,16 @@ def test_chunks_equal_per_token_references_on_chains(k, spec, full_palette):
 
 
 @pytest.mark.parametrize(
-    "builder, backend",
-    [(tile_chunks, Backend.SVG_TILES), (text_chunks, Backend.ANSI),
-     (text_chunks, Backend.HTML)],
+    "builder, ends", [(tile_chunks, 2), (ansi_chunks, 0), (html_chunks, 2)],
     ids=["tiles", "ansi", "html"],
 )
-def test_writers_check_the_palette_against_the_table_alone(builder, backend):
+def test_writers_check_the_palette_against_the_table_alone(builder, ends):
     # On chain-16 (552 KB of tokens) a call keeps its per-symbol and per-column
     # tables and allocates below 10% of the token bytes beside them: no writer
     # joins, copies or searches the tokens before its first chunk.
     logic, states = resolve_states(parse_logic_file(json.dumps(chain_spec(16))))
     derivation = derive(compile_grammar(logic, states))
-    spec = RenderSpec(default_palette(states.labels()), backend=backend)
+    spec = RenderSpec(default_palette(states.labels()))
     if tracemalloc.is_tracing():
         pytest.skip("tracemalloc is already tracing")
     tracemalloc.start()
@@ -957,7 +946,7 @@ def test_writers_check_the_palette_against_the_table_alone(builder, backend):
     finally:
         tracemalloc.stop()
     assert peak - kept < len(derivation.indices) * 4 / 10
-    assert len(list(chunks)) == len(logic.atoms) + 2 * (backend is not Backend.ANSI)
+    assert len(list(chunks)) == len(logic.atoms) + ends
 
 
 def test_event_writer_allocates_nothing_beside_its_tables():
@@ -980,15 +969,12 @@ def test_event_writer_allocates_nothing_beside_its_tables():
 
 
 @pytest.mark.parametrize(
-    "builder, backend",
-    [(tile_chunks, Backend.SVG_TILES), (text_chunks, Backend.ANSI),
-     (text_chunks, Backend.HTML)],
-    ids=["tiles", "ansi", "html"],
+    "builder", [tile_chunks, ansi_chunks, html_chunks], ids=["tiles", "ansi", "html"]
 )
-def test_chunk_builders_raise_on_the_call_at_the_first_bad_token(builder, backend):
+def test_chunk_builders_raise_on_the_call_at_the_first_bad_token(builder):
     # Row 0 renders; the first state without a color in table order, here the
     # order of first use, decides the error.
-    spec = RenderSpec(palette={"s1": RED}, backend=backend)
+    spec = RenderSpec(palette={"s1": RED})
     derivation = Derivation.from_tokens(["s1", "n", "s1", "x", "s3", "n"])
     with pytest.raises(ValidationError, match=r"^palette has no color for state label 'x'$"):
         builder(derivation, spec)  # a name without a color, also one once a nonterminal
@@ -1009,10 +995,9 @@ CHUNK_BUILDERS = {
     "tiles": lambda c: tile_chunks(derive(c.grammar), RenderSpec(c.palette)),
     "schema": lambda c: schema_chunks(
         c.logic, c.states, RenderSpec(c.palette, backend=Backend.SVG_SCHEMA)),
-    "ansi": lambda c: text_chunks(derive(c.grammar), RenderSpec(c.palette, backend=Backend.ANSI)),
-    "ansi-no-color": lambda c: text_chunks(
-        derive(c.grammar), RenderSpec(c.palette, backend=Backend.ANSI), False),
-    "html": lambda c: text_chunks(derive(c.grammar), RenderSpec(c.palette, backend=Backend.HTML)),
+    "ansi": lambda c: ansi_chunks(derive(c.grammar), RenderSpec(c.palette)),
+    "ansi-no-color": lambda c: ansi_chunks(derive(c.grammar), RenderSpec(c.palette), False),
+    "html": lambda c: html_chunks(derive(c.grammar), RenderSpec(c.palette)),
     "events": lambda c: event_chunks(derive(c.grammar)),
     "logic-program": lambda c: logic_program_chunks(
         c.grammar, RenderSpec(c.palette, backend=Backend.LOGIC_PROGRAM)),
