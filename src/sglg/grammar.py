@@ -227,7 +227,8 @@ def compile_grammar(logic: PartitionLogic, states: StateSet) -> Grammar:
         tokens.extend(compress(both, column + b"\1" + column.translate(_FLIP)))
         tokens.append(1)
     view = memoryview(tokens)  # only now: an array with views cannot grow
-    rows = [Production(atom, view[k : k + n + 2]) for atom, k in zip(logic.atoms, count(0, n + 2))]
+    bodies = map(view.__getitem__, map(slice, count(0, n + 2), count(n + 2, n + 2)))
+    rows = list(map(Production, logic.atoms, bodies))
     start = Production(logic.name, array("I", range(n + 2, n + 2 + m)))
     # The checks above cover __post_init__'s: the start rule names the atoms in
     # order, and a row holds only labels, br and its last token n.
@@ -272,8 +273,12 @@ def check_incidence(
     labels = states.labels()
     symbols = derivation.symbols
     separators = list(compress(count(), map(SEPARATOR_NAME.__eq__, symbols)))
-    # Each label's state symbol by number, looked up in the table.
-    ids = list(map(dict(zip(symbols, count())).get, labels))
+    # Each label's state symbol by number, as a map of the table gives it: label
+    # i is symbol i + 2 when the table ends in the labels, as a compiled one does.
+    if symbols[2:] == labels:
+        ids = list(range(2, len(labels) + 2))
+    else:
+        ids = list(map(dict(zip(symbols, count())).get, labels))
     # Atom j's column is every m-th byte: read from the states, not supports().
     matrix = states.matrix
     # A row as the definition writes it (the symbols of the states valuing its

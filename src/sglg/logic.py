@@ -7,18 +7,21 @@ that exactly one atom per context is true. This module parses the two
 input file modes (hypergraph and base-set partitions), enumerates states,
 and computes supports and partition representations. A state set is the
 state/atom incidence table as one ``bytes`` matrix, a row of 0/1 bytes
-per state: it is written in one join and read as C-level slices.
+per state, read as C-level slices. States and blocks are found as bit masks
+(atom 0, or point 0, the top bit), and ``_bit_rows`` writes masks as such
+rows a block at a time, in byte passes: no Python loop runs per mask or bit.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import re
 import sys
 from collections import defaultdict
 from contextlib import suppress
 from functools import cached_property, reduce
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, repeat
 from operator import or_
 
 from .errors import LogicFileError, ValidationError
@@ -138,12 +141,12 @@ class BaseSetSpec(Value):
         if not self.partitions:
             raise LogicFileError("partition list is empty", "partitions")
         universe = set(self.base_set)
-        everywhere = int.from_bytes(b"\1" * len(universe), "big")  # a 1 digit per point
+        everywhere = (1 << len(universe)) - 1  # a 1 bit per point
         for pi, (partition, masks) in enumerate(zip(self.partitions, self._block_masks)):
             # Nonempty blocks, as many points in all as the base set, whose masks
-            # add up to a 1 digit per point, cover it once each: a stray point
-            # adds no digit and a carry takes 255 from the digit sum. Only a
-            # failure walks the blocks.
+            # add up to a 1 bit per point, cover it once each: a sum of p powers
+            # of two with p one bits repeats none, and a stray point adds no bit.
+            # Only a failure walks the blocks.
             if (
                 all(partition)
                 and sum(map(len, partition)) == len(universe)
@@ -192,17 +195,16 @@ class BaseSetSpec(Value):
 
     @cached_property
     def _block_masks(self) -> tuple[tuple[int, ...], ...]:
-        """Per partition, per block, its points as one integer: a base-256 digit
-        per base-set point, the first point the top digit. Once the spec is
-        checked, ``mask.to_bytes(len(base_set), "big")`` is the block's 0/1 byte
-        per point."""
+        """Per partition, per block, its points as one integer: a bit per
+        base-set point, the first point the top bit, so up to 62 points the
+        masks and their sums fit in a machine word. Once the spec is checked,
+        ``_bit_rows`` writes the masks as the blocks' rows of a 0/1 byte per
+        point."""
         p = len(self.base_set)
-        digit = defaultdict(int)  # a point outside the base set adds nothing
-        digit.update(zip(self.base_set, (1 << 8 * (p - 1 - i) for i in range(p))))
-        return tuple(
-            tuple(sum(map(digit.__getitem__, block)) for block in partition)
-            for partition in self.partitions
-        )
+        bit = defaultdict(int)  # a point outside the base set adds nothing
+        bit.update(zip(self.base_set, (1 << (p - 1 - i) for i in range(p))))
+        points = repeat(bit.__getitem__)
+        return tuple(tuple(map(sum, map(map, points, partition))) for partition in self.partitions)
 
 
 class StateSet(Value):
@@ -448,9 +450,9 @@ def logic_from_partitions(spec: BaseSetSpec) -> tuple[PartitionLogic, StateSet]:
     # in a context of at least 2 distinct atoms, and no contexts nest.
     logic = PartitionLogic._trusted(spec.name, tuple(atoms.values()), contexts)
 
-    # An atom's column is its mask's bytes; a point's row is every p-th byte.
+    # An atom's column is its mask's bits as bytes; a point's row is every p-th byte.
     p = len(spec.base_set)
-    columns = b"".join(map(int.to_bytes, atoms, repeat(p), repeat("big")))
+    columns = _bit_rows(atoms, p)
     rows = dict.fromkeys(map(columns.__getitem__, map(slice, range(p), repeat(None), repeat(p))))
     return logic, StateSet._trusted(b"".join(rows), len(atoms))
 
@@ -625,7 +627,32 @@ def _exact_covers(logic: PartitionLogic, done, fold):
     return memo[root]
 
 
-_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+_BLOCK = 1024  # masks per block of _bit_rows
+# Per bit of a byte, the top one first, the table mapping a byte to that bit.
+_BITS = [(b"\0" * s + b"\1" * s) * (128 // s) for s in (128, 64, 32, 16, 8, 4, 2, 1)]
+_PAD = b"\2"  # marks the columns that round a row up to whole bytes
+
+
+def _bit_rows(masks, width: int) -> bytes:
+    """Each mask, in order, as a row of ``width`` 0/1 bytes, its top bit first.
+
+    A block of masks at a time: the masks as big-endian ints of w whole bytes,
+    in one join; each bit of those bytes copied to every 8th byte of the block
+    through its ``_BITS`` table; the 8w - width leading columns of each row
+    marked ``_PAD`` and dropped in one ``translate``. No Python loop runs per
+    mask or per bit of the width. The blocks go to one buffer, which is
+    returned as it is: the rows are held once, beside one block."""
+    w = (width + 7) // 8
+    pad, masks, out = 8 * w - width, iter(masks), io.BytesIO()
+    while block := list(islice(masks, _BLOCK)):
+        whole = b"".join(map(int.to_bytes, block, repeat(w), repeat("big")))
+        rows = bytearray(8 * len(whole))
+        for k, bit in enumerate(_BITS):
+            rows[k::8] = whole.translate(bit)
+        for k in range(pad):
+            rows[k :: 8 * w] = _PAD * len(block)
+        out.write(rows.translate(None, _PAD) if pad else rows)
+    return out.getvalue()
 
 
 def enumerate_states(logic: PartitionLogic) -> StateSet:
@@ -638,8 +665,7 @@ def enumerate_states(logic: PartitionLogic) -> StateSet:
     masks = _state_masks(logic)
     masks.sort(reverse=True)  # atom 0 is the top bit: lexicographic order
     m = len(logic.atoms)
-    bits = "".join(map(format, masks, repeat(f"0{m}b"))).encode()  # a row per mask
-    return StateSet._trusted(bits.translate(_BIT_VALUES), m)
+    return StateSet._trusted(_bit_rows(masks, m), m)
 
 
 def _first_inadmissible(logic: PartitionLogic, states: StateSet, columns) -> int | None:
@@ -647,12 +673,15 @@ def _first_inadmissible(logic: PartitionLogic, states: StateSet, columns) -> int
 
     A context has one true atom in every state iff its ``columns`` hold a one
     per state and, or-ed as integers, cover all (a value past 1 sets a bit no
-    state has); only a failure looks at the states."""
+    state has). Each column's ones are counted once; only one context's
+    columns are held as integers at a time, and only a failure looks at the
+    states."""
     everyone = int.from_bytes(b"\1" * len(states), "big")
+    ones = list(map(bytes.count, columns, repeat(1)))
     for ctx in logic.contexts:
-        cells = [columns[j] for j in ctx]
-        covered = reduce(or_, (int.from_bytes(c, "big") for c in cells), 0)
-        if sum(c.count(1) for c in cells) != len(states) or covered != everyone:
+        if sum(map(ones.__getitem__, ctx)) != len(states) or everyone != reduce(
+            or_, map(int.from_bytes, map(columns.__getitem__, ctx), repeat("big"))
+        ):
             rows = enumerate(states.rows)
             return next(i for i, row in rows if not is_admissible(row, logic))
     return None

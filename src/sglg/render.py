@@ -142,10 +142,11 @@ _SVG_HEAD = (
 
 def _grid(spec: RenderSpec, left: int, top: int, cols: int, rows: int) -> tuple[str, Callable]:
     """The SVG head line for ``rows`` × ``cols`` cells from (left, top), and
-    ``rects(r, fills, n)``, grid row r's first n cells as ``<rect>`` slots:
-    per cell its column's text, zipped in once (a slice assignment would copy
-    the slots it replaces into a list as long), the row's y and size, and its
-    fill ``'#RRGGBB"/>'``. A full row is filled in place: copy it before the next.
+    ``rects(r, fills, n)``, grid row r's first n cells as ``<rect>`` lines in
+    one string. Its slots hold per cell its column's text, zipped in once (a
+    slice assignment would copy the slots it replaces into a list as long),
+    the row's y and size, and its fill ``'#RRGGBB"/>'``. A full row is filled
+    in place: join it.
     """
     cell, gap = spec.cell_size, spec.cell_gap
     step = cell + gap
@@ -154,11 +155,11 @@ def _grid(spec: RenderSpec, left: int, top: int, cols: int, rows: int) -> tuple[
     xs = [f'\n  <rect x="{left + i * step}" y="' for i in range(cols)]
     slots = list(chain.from_iterable(zip(xs, repeat(None), repeat(None))))
 
-    def rects(r: int, fills: Iterable[str], n: int) -> list[str]:
+    def rects(r: int, fills: Iterable[str], n: int) -> str:
         parts = slots if 3 * n == len(slots) else slots[: 3 * n]
         parts[1::3] = repeat(f"{top + r * step}{size}", n)
         parts[2::3] = fills
-        return parts
+        return "".join(parts)
 
     return _SVG_HEAD.format(width, height), rects
 
@@ -168,14 +169,14 @@ def render_tiles(derivation: Derivation, spec: RenderSpec) -> str:
     return join_chunks(tile_chunks(derivation, spec))
 
 
-def tile_chunks(derivation: Derivation, spec: RenderSpec) -> Iterator[list[str]]:
+def tile_chunks(derivation: Derivation, spec: RenderSpec) -> Iterator[Sequence[str]]:
     """``render_tiles`` as a head, one chunk per row and a tail."""
     table = [value and f'{value}"/>' for value in spec.colors(derivation.symbols)]
     lengths = list(map(len, derivation.rows()))
     head, rects = _grid(spec, 0, 0, max(lengths, default=0), len(lengths))
 
-    def row_chunk(r: int, row) -> list[str]:
-        return [*rects(r, map(table.__getitem__, row), len(row))]
+    def row_chunk(r: int, row) -> tuple[str]:
+        return (rects(r, map(table.__getitem__, row), len(row)),)
 
     return chain(([head],), map(row_chunk, count(), derivation.rows()), (["\n</svg>\n"],))
 
@@ -190,7 +191,9 @@ def render_schema(logic: PartitionLogic, states: StateSet, spec: RenderSpec) -> 
     return join_chunks(schema_chunks(logic, states, spec))
 
 
-def schema_chunks(logic: PartitionLogic, states: StateSet, spec: RenderSpec) -> Iterator[list]:
+def schema_chunks(
+    logic: PartitionLogic, states: StateSet, spec: RenderSpec
+) -> Iterator[Sequence[str]]:
     """``render_schema`` as a head with the state labels, one chunk per atom
     and a tail."""
     cell, step = spec.cell_size, spec.cell_size + spec.cell_gap
@@ -209,13 +212,13 @@ def schema_chunks(logic: PartitionLogic, states: StateSet, spec: RenderSpec) -> 
         for i, label in enumerate(labels)
     )
 
-    def row_chunk(j: int, atom: str) -> list[str]:
-        return [
+    def row_chunk(j: int, atom: str) -> tuple[str, str]:
+        return (
             f'\n  <text x="{left - font}" y="{top + j * step + (cell + font) // 2}" '
             f'text-anchor="end" font-family="monospace" '
             f'font-size="{font}">{_escape(atom)}</text>',
-            *rects(j, map(getitem, fills, states.matrix[j::m]), n),
-        ]
+            rects(j, map(getitem, fills, states.matrix[j::m]), n),
+        )
 
     return chain((head,), map(row_chunk, count(), logic.atoms), (["\n</svg>\n"],))
 

@@ -452,6 +452,11 @@ _MUTATIONS = (
 )
 
 
+# Names no fixture holds that an atom may take: plain, non-ASCII, with XML's
+# special characters, and a state label past every fixture's states.
+_FRESH_NAMES = ("x", "xé", "a&<b>\"'", "s9")
+
+
 @st.composite
 def hostile_logic_files(draw) -> str:
     """The text of a fixture whose JSON took one to three mutations: wrong
@@ -459,10 +464,17 @@ def hostile_logic_files(draw) -> str:
     floats or bools where integers go, names colliding with ``br``, ``n``,
     ``s<i>`` or the logic name, names holding a control character, a lone
     surrogate, U+FFFE or XML's special characters, and pinned rows of the
-    wrong shape."""
+    wrong shape. About half the files take one to three renames instead, each
+    to a fresh name an atom may take, so that most of them stay whole and
+    their outputs are checked."""
     doc = copy.deepcopy(draw(st.sampled_from(FIXTURE_DOCS)))
-    for _ in range(draw(st.integers(1, 3))):
-        draw(st.sampled_from(_MUTATIONS))(draw, doc)
+    if draw(st.booleans()):
+        fresh = st.lists(st.sampled_from(_FRESH_NAMES), min_size=1, max_size=3, unique=True)
+        for name in draw(fresh):
+            _rename(st.just(name))(draw, doc)
+    else:
+        for _ in range(draw(st.integers(1, 3))):
+            draw(st.sampled_from(_MUTATIONS))(draw, doc)
     return json.dumps(doc).replace(json.dumps(_HUGE), "9" * 5000)
 
 

@@ -33,6 +33,7 @@ from sglg import (
     resolve_states,
     supports,
 )
+import sglg.grammar
 from sglg.grammar import production_json_chunks
 from support import (
     body_names,
@@ -696,6 +697,25 @@ def test_check_incidence_holds_no_copy_of_the_tokens(inputs):
     derivation = derive(compile_grammar(logic, states))
     token_bytes = len(derivation.indices) * 4
     assert traced_peak(check_incidence, derivation, logic, states) < token_bytes * 2 / 3
+
+
+def test_check_incidence_numbers_a_compiled_tables_labels_without_a_map(monkeypatch):
+    # A compiled table is br, n, s1..sN, so label i is symbol i + 2: what a map
+    # of the table's names to their numbers would give. Only a table in
+    # another order, here the order of first use, is looked up in one.
+    logic, states = chain_inputs(16)
+    derivation = derive(compile_grammar(logic, states))
+    maps = []
+
+    def counted_dict(*args):
+        maps.append(args)
+        return dict(*args)
+
+    monkeypatch.setattr(sglg.grammar, "dict", counted_dict, raising=False)
+    assert check_incidence(derivation, logic, states).ok
+    assert maps == []
+    assert check_incidence(Derivation.from_tokens(derivation.tokens), logic, states).ok
+    assert len(maps) == 1
 
 
 def test_incidence_property_on_random_logics():

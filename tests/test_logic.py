@@ -30,6 +30,8 @@ from sglg import (
 from sglg.cli import format_state_table
 from sglg.grammar import compile_grammar
 from sglg.logic import (
+    _BLOCK,
+    _bit_rows,
     _clash,
     _parse_pinned_states,
     _state_count,
@@ -41,6 +43,7 @@ from support import (
     brute_force_states,
     false_labels,
     load_fixture,
+    random_base_set_spec,
     random_logic,
     reference_state_masks,
     reference_state_table,
@@ -912,6 +915,17 @@ def test_logic_from_partitions_equals_the_loops(spec):
     assert _induced(logic_from_partitions, spec) == _induced(partitions_by_loops, spec)
 
 
+@pytest.mark.parametrize("points", [63, 64, 65, 200])
+def test_wide_base_set_files_give_the_logic_of_their_point_sets(points):
+    # Past 62 points a block mask is no machine word; a block's row of 63 or 65
+    # points is padded to whole bytes, one of 64 or 200 fills them.
+    text = json.dumps(random_base_set_spec(random.Random(points), points, 12))
+    logic, states = resolve_states(parse_logic_file(text))
+    reference = partitions_by_loops(parse_logic_file(text).source)
+    assert (logic.atoms, logic.contexts) == (reference[0].atoms, reference[0].contexts)
+    assert format_state_table(logic, states) == reference_state_table(*reference)
+
+
 @settings(max_examples=200, deadline=None)
 @given(base_set_specs())
 def test_the_logic_of_a_base_set_passes_the_checks_it_skips(spec):
@@ -1530,14 +1544,36 @@ def test_base_set_cover_check_rejects_as_the_loops_do(drawn):
 
 
 def test_a_carry_between_point_digits_is_no_cover():
-    # Point 3 written 257 times carries a digit into point 2, so the masks add
-    # up to a 1 digit per point; only the size sum tells the partition apart.
-    partitions = (((1,), (3,) * 257),)
+    # Point 3 written three times carries a bit into point 2, so the masks add
+    # up to a 1 bit per point; only the size sum tells the partition apart.
+    partitions = (((1,), (3,) * 3),)
     masks = BaseSetSpec._trusted("spec", (1, 2, 3), partitions)._block_masks
-    assert sum(masks[0]) == int.from_bytes(b"\1\1\1", "big")
+    assert sum(masks[0]) == 0b111
     with pytest.raises(LogicFileError) as info:
         BaseSetSpec("spec", (1, 2, 3), partitions)
     assert (str(info.value), info.value.location) == (
         "partitions[0][1]: block repeats a point",
         "partitions[0][1]",
     )
+
+
+@st.composite
+def masks_of_a_width(draw) -> tuple[list[int], int]:
+    """A width of 1 to 130 bits and masks below 2**width: none, one, or
+    counts around ``_bit_rows``'s block size, the all-zero and all-one masks
+    among them."""
+    width = draw(st.integers(1, 130))
+    n = draw(st.sampled_from([0, 1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    masks = [rng.getrandbits(width) for _ in range(n)]
+    for k, mask in enumerate(draw(st.lists(st.sampled_from([0, 2**width - 1]), max_size=n))):
+        masks[k * 7 % n] = mask
+    return masks, width
+
+
+@settings(max_examples=150, deadline=None)
+@given(masks_of_a_width())
+def test_bit_rows_write_each_mask_as_its_binary_digits(drawn):
+    masks, width = drawn
+    digits = "".join(format(mask, f"0{width}b") for mask in masks)
+    assert _bit_rows(masks, width) == digits.encode().translate(bytes.maketrans(b"01", b"\0\1"))
