@@ -37,7 +37,7 @@ from operator import attrgetter
 
 from .errors import NotSeparatingError, ValidationError
 from .logic import PartitionLogic, StateSet, _atom_width, _clash, _first_inadmissible
-from .logic import supports
+from .logic import _zero_one, supports
 from .value import Value
 
 SEPARATOR_NAME = "br"
@@ -285,7 +285,7 @@ def check_incidence(
     # atom 1, br, the rest) is confirmed by one comparison; only the other rows
     # are walked. That needs one br, a symbol per label and 0/1 values (a
     # trusted state set is not checked).
-    fast = len(separators) == 1 and None not in ids and not matrix.translate(None, b"\0\1")
+    fast = len(separators) == 1 and None not in ids and _zero_one(matrix)
     both, label_numbers, violations = [*ids, *separators, *ids], set(), []
     for j, row in enumerate(derivation.rows()):
         column = matrix[j::m]

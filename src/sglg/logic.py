@@ -10,6 +10,9 @@ state/atom incidence table as one ``bytes`` matrix, a row of 0/1 bytes
 per state, read as C-level slices. States and blocks are found as bit masks
 (atom 0, or point 0, the top bit), and ``_bit_rows`` writes masks as such
 rows a block at a time, in byte passes: no Python loop runs per mask or bit.
+A pinned ``states`` table is read the other way round: ``_read_table`` checks
+its text and copies its digits into the matrix a block of rows at a time, in
+byte passes, and ``json`` never builds its rows.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import json
 import re
 import sys
 from collections import defaultdict
-from contextlib import suppress
 from functools import cached_property, reduce
 from itertools import chain, compress, islice, repeat
 from operator import or_
@@ -221,7 +223,7 @@ class StateSet(Value):
         matrix, width = self.matrix, self.width
         if width < 1 or len(matrix) % width:
             raise ValueError(f"state matrix length {len(matrix)} is not a multiple of {width}")
-        if matrix.translate(None, b"\0\1"):
+        if not _zero_one(matrix):
             bad = next(k for k, value in enumerate(matrix) if value > 1)
             raise ValueError(f"state s{bad // width + 1}: values must be 0 or 1")
         if len(set(self.rows)) != len(self):
@@ -282,8 +284,12 @@ def parse_logic_file(text: str) -> LogicFile:
 
     Mode 1 gives atoms and contexts directly (optionally with a pinned
     state order and a palette); mode 2 gives a base set and partitions.
+    A text holding a ``states`` key is first read by ``_read_object``; every
+    text it does not accept goes to ``json.loads``, which names the fault.
     """
-    raw = load_json(text, "invalid JSON")
+    raw = _read_object(text) if '"states"' in text else None
+    if raw is None:
+        raw = load_json(text, "invalid JSON")
     if not isinstance(raw, dict):
         raise LogicFileError("top level must be a JSON object")
 
@@ -308,9 +314,7 @@ def parse_logic_file(text: str) -> LogicFile:
         return LogicFile(source=_parse_base_set_mode(name, raw))
 
     logic = _parse_hypergraph_mode(name, raw)
-    # JSON writes a bool only as a bare true or false.
-    bools = "true" in text or "false" in text
-    pinned = _parse_pinned_states(raw.get("states"), logic, bools)
+    pinned = _parse_pinned_states(raw.get("states"), logic)
     palette = _parse_palette(raw.get("palette"))
     return LogicFile(source=logic, pinned_states=pinned, palette=palette)
 
@@ -371,23 +375,16 @@ def _parse_base_set_mode(name: str, raw: dict) -> BaseSetSpec:
     return BaseSetSpec(name, tuple(base), parsed, names)
 
 
-def _parse_pinned_states(raw_states, logic: PartitionLogic, bools: bool = True) -> bytes | None:
-    """The pinned rows as one state matrix. ``bools=False`` promises that no
-    value is a bool, which ``bytes()`` alone would take for 0 or 1."""
-    if raw_states is None:
-        return None
+def _parse_pinned_states(raw_states, logic: PartitionLogic) -> bytes | None:
+    """The pinned rows as one state matrix. A table ``_read_table`` took from
+    the text is its matrix already; a list reaching here is faulty, or its
+    values are spelled as that reader does not take them (``-0``, say), so its
+    rows are walked to name the first bad one."""
+    if raw_states is None or isinstance(raw_states, bytes):
+        return raw_states
     if not isinstance(raw_states, list):
         raise LogicFileError("must be a list of 0/1 rows", "states")
-    m, values = len(logic.atoms), chain.from_iterable
-    # One matrix of 0/1 bytes, checked at once, widths before values so that no
-    # row lends values to the next; only a failure walks the rows to name one.
-    if set(map(type, raw_states)) <= {list} and set(map(len, raw_states)) <= {m}:
-        if not bools or set(map(type, values(raw_states))) <= {int}:
-            # bytes() refuses a float, string, null or list, and a value outside 0..255.
-            with suppress(TypeError, ValueError):
-                matrix = bytes(values(raw_states))
-                if not matrix.translate(None, b"\0\1"):
-                    return matrix
+    m = len(logic.atoms)
     for si, row in enumerate(raw_states):
         if (
             not isinstance(row, list)
@@ -396,7 +393,117 @@ def _parse_pinned_states(raw_states, logic: PartitionLogic, bools: bool = True) 
             or not set(row) <= {0, 1}
         ):
             raise LogicFileError(f"must be a list of {m} values, each 0 or 1", f"states[{si}]")
-    raise AssertionError("a rejected state table holds no bad row")
+    return bytes(chain.from_iterable(raw_states))
+
+
+_WINDOW = 1 << 16  # bytes of a matrix, or characters of a table's text, per pass
+_JSON_SPACE = b" \t\n\r"
+_SKIP = re.compile("[ \t\n\r]*").match
+_TABLE_END = re.compile(r"\][ \t\n\r]*\]")  # in a 0/1 table, only its last row's end
+_ONES_AS_ZEROS = bytes.maketrans(b"1", b"0")
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+_scan_value = json.JSONDecoder().scan_once  # the C scanner json.loads reads values with
+
+
+def _zero_one(matrix: bytes) -> bool:
+    """Whether every byte is 0 or 1, tested a window at a time, so that no
+    test copies the whole matrix."""
+    return not any(
+        matrix[a : a + _WINDOW].translate(None, b"\0\1") for a in range(0, len(matrix), _WINDOW)
+    )
+
+
+def _read_object(text: str) -> dict | None:
+    """The top-level object of ``text`` as ``json.loads`` reads it, except that
+    a ``states`` table ``_read_table`` accepts, as wide as the ``atoms`` list,
+    is its matrix; None for any other text, which ``json.loads`` then reads.
+
+    Each key goes through ``json``'s ``scanstring`` and each other value
+    through its ``scan_once``; a repeated key keeps its last value."""
+    raw: dict = {}
+    pos = _SKIP(text).end()
+    if not text.startswith("{", pos):
+        return None
+    pos = _SKIP(text, pos + 1).end()
+    while text.startswith('"', pos):
+        try:
+            key, pos = json.decoder.scanstring(text, pos + 1)
+            pos = _SKIP(text, pos).end()
+            if not text.startswith(":", pos):
+                return None
+            pos = _SKIP(text, pos + 1).end()
+            if key == "states" and text.startswith("[", pos):
+                read = _read_table(text, pos)
+                if read is None:
+                    return None
+                value, pos = read
+            else:
+                value, pos = _scan_value(text, pos)
+        except (StopIteration, ValueError, RecursionError):
+            return None
+        raw[key] = value
+        pos = _SKIP(text, pos).end()
+        if text.startswith("}", pos):
+            break
+        if not text.startswith(",", pos):
+            return None
+        pos = _SKIP(text, pos + 1).end()
+    else:
+        return None
+    if _SKIP(text, pos + 1).end() != len(text):
+        return None
+    table, atoms = raw.get("states"), raw.get("atoms")
+    if isinstance(table, tuple):
+        if not (isinstance(atoms, list) and len(atoms) == table[1]):
+            return None
+        raw["states"] = table[0]
+    return raw
+
+
+def _read_table(text: str, start: int) -> tuple[tuple[bytes, int], int] | None:
+    """The table at ``text[start]``, a ``[``, if it is rows of one width of
+    the digits 0 and 1, with JSON whitespace anywhere between its tokens: its
+    matrix and width, and the index past it. None for any other table.
+
+    ``_bit_rows`` in reverse. The text up to the first ``]`` followed by a
+    ``]`` (the end of a 0/1 table) is read a window at a time: each window
+    must be ASCII, and its whitespace is dropped in one ``translate``. A block
+    of ``_BLOCK`` rows is accepted if, its ones written as zeros, it is the
+    same number of rows ``[0,...,0],`` as wide as the first row, and its
+    digits, its brackets and commas dropped, are its rows of the matrix: a
+    ``translate`` each. No Python loop runs per row or per value."""
+    end = _TABLE_END.search(text, start)
+    if end is None:
+        return None
+    stop, width, rest, out = end.end(), 0, bytearray(), io.BytesIO()
+    for a in range(start, stop, _WINDOW):
+        try:
+            rest += text[a : min(a + _WINDOW, stop)].encode("ascii").translate(None, _JSON_SPACE)
+        except UnicodeEncodeError:
+            return None
+        if not width:
+            first = rest.find(b"]")  # rest is "[[d,...,d]": at 2 * width + 1
+            if first < 0:
+                continue
+            width = (first - 1) // 2
+            if width < 1:
+                return None
+            row = b"[" + b"0," * (width - 1) + b"0],"
+            block = row * _BLOCK
+            del rest[:1]
+        while len(rest) > len(block):  # so the table's last row is in none
+            rows = rest[: len(block)]
+            del rest[: len(block)]
+            if rows.translate(_ONES_AS_ZEROS) != block:
+                return None
+            out.write(rows.translate(_DIGIT_VALUES, b"[],"))
+    if not width or len(rest) % len(row):
+        return None
+    # The last row ends in the table's "]" where every other row has a ",".
+    if rest.translate(_ONES_AS_ZEROS) != (row * (len(rest) // len(row)))[:-1] + b"]":
+        return None
+    out.write(rest.translate(_DIGIT_VALUES, b"[],"))
+    return (out.getvalue(), width), stop
 
 
 def _parse_palette(raw_palette):

@@ -455,6 +455,8 @@ _MUTATIONS = (
 # Names no fixture holds that an atom may take: plain, non-ASCII, with XML's
 # special characters, and a state label past every fixture's states.
 _FRESH_NAMES = ("x", "xé", "a&<b>\"'", "s9")
+# How a hostile file is written: json.dumps's default separators, compact, indented.
+_LAYOUTS = ({}, {"separators": (",", ":")}, {"indent": 2})
 
 
 @st.composite
@@ -466,7 +468,8 @@ def hostile_logic_files(draw) -> str:
     surrogate, U+FFFE or XML's special characters, and pinned rows of the
     wrong shape. About half the files take one to three renames instead, each
     to a fresh name an atom may take, so that most of them stay whole and
-    their outputs are checked."""
+    their outputs are checked. The text is written compact, indented or with
+    ``json.dumps``'s default separators."""
     doc = copy.deepcopy(draw(st.sampled_from(FIXTURE_DOCS)))
     if draw(st.booleans()):
         fresh = st.lists(st.sampled_from(_FRESH_NAMES), min_size=1, max_size=3, unique=True)
@@ -475,7 +478,8 @@ def hostile_logic_files(draw) -> str:
     else:
         for _ in range(draw(st.integers(1, 3))):
             draw(st.sampled_from(_MUTATIONS))(draw, doc)
-    return json.dumps(doc).replace(json.dumps(_HUGE), "9" * 5000)
+    layout = draw(st.sampled_from(_LAYOUTS))
+    return json.dumps(doc, **layout).replace(json.dumps(_HUGE), "9" * 5000)
 
 
 VECTOR_DOC = json.loads((FIXTURES / "l12_vectors.json").read_text(encoding="utf-8"))

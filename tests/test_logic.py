@@ -27,6 +27,7 @@ from sglg import (
     resolve_states,
     supports,
 )
+from sglg import logic as logic_module
 from sglg.cli import format_state_table
 from sglg.grammar import compile_grammar
 from sglg.logic import (
@@ -34,13 +35,16 @@ from sglg.logic import (
     _bit_rows,
     _clash,
     _parse_pinned_states,
+    _read_object,
     _state_count,
     _state_masks,
 )
 from support import (
+    FIXTURES,
     L12_TABLE,
     TRIANGLE_TABLE,
     brute_force_states,
+    chain_spec,
     false_labels,
     load_fixture,
     random_base_set_spec,
@@ -1347,14 +1351,26 @@ def test_pinned_rows_parse_as_the_row_loop_does(drawn):
 PINNED_NAMES = ["a", "b", "c", "d", "e", "f", "true", "false", "is_true", "falsey"]
 
 
+# The layouts a pinned file is written in: json.dumps's default, compact,
+# indented, and a tab, CR or LF between tokens.
+PINNED_LAYOUTS = (
+    {},
+    {"separators": (",", ":")},
+    {"indent": 2},
+    *({"separators": (f"{ws},{ws}", f"{ws}:{ws}"), "indent": ws} for ws in "\t\r\n"),
+)
+
+
 @st.composite
 def pinned_files(draw):
-    """A one-context logic file with hostile pinned rows; its atom names
-    sometimes hold the text ``true`` or ``false``."""
+    """A one-context logic file with hostile pinned rows, in one of
+    ``PINNED_LAYOUTS``; its atom names sometimes hold the text ``true`` or
+    ``false``."""
     m = draw(st.integers(2, 6))
     atoms = draw(st.lists(st.sampled_from(PINNED_NAMES), min_size=m, max_size=m, unique=True))
     rows = draw(st.lists(hostile_rows(m)))
-    return json.dumps({"atoms": atoms, "contexts": [atoms], "states": rows})
+    layout = draw(st.sampled_from(PINNED_LAYOUTS))
+    return json.dumps({"atoms": atoms, "contexts": [atoms], "states": rows}, **layout)
 
 
 @settings(max_examples=400, deadline=None)
@@ -1382,6 +1398,136 @@ def test_a_bool_in_a_pinned_row_is_named_when_no_atom_says_true():
         "states[1]: must be a list of 2 values, each 0 or 1",
         "states[1]",
     )
+
+
+# ------------------------------------------- reading a pinned table
+# Every text the reader does not take goes to json.loads, so each case must
+# parse as it does with the reader switched off.
+
+PAIR = '"atoms": ["a", "b"], "contexts": [["a", "b"]]'
+
+
+def parse_outcome(text: str):
+    """The pinned matrix and palette of a parse, or its error and location."""
+    try:
+        logic_file = parse_logic_file(text)
+    except LogicFileError as exc:
+        return str(exc), exc.location
+    return logic_file.pinned_states, logic_file.palette
+
+
+@pytest.mark.parametrize(
+    "text, accepted",
+    [
+        pytest.param(f'{{{PAIR}, "states": [[1, 0], [0, 1]]}}', True, id="plain"),
+        pytest.param(f'{{{PAIR}, "states": [[1, 0], [0, 1]], "states": [[0, 1]]}}', True,
+                     id="two-accepted-tables"),
+        pytest.param(f'{{{PAIR}, "states": [[1, 0], [0, 1]], "states": [[1, 0], [0]]}}', False,
+                     id="accepted-then-rejected-table"),
+        pytest.param(f'{{{PAIR}, "states": [[1, 0], [0]], "states": [[0, 1], [1, 0]]}}', False,
+                     id="rejected-then-accepted-table"),
+        pytest.param(f'{{{PAIR}, "states": null, "states": [[0, 1], [1, 0]]}}', True,
+                     id="null-then-accepted-table"),
+        pytest.param(f'{{{PAIR}, "states": [[0, 1], [1, 0]], "states": null}}', False,
+                     id="accepted-table-then-null"),
+        pytest.param(f'{{{PAIR}, "palette": {{"states": "#000000"}}}}', False,
+                     id="states-inside-palette"),
+        pytest.param(f'{{{PAIR}, "palette": {{"states": [[1, 0]]}}}}', False,
+                     id="table-inside-palette"),
+        pytest.param(f'{{{PAIR}, "states": [[1, 0], [0, 1]], "palette": {{"s1]]": "#000000"}}}}',
+                     True, id="later-string-holds-brackets"),
+        pytest.param(f'{{{PAIR}, "states": [], "palette": {{"s1]]": "#000000"}}}}', False,
+                     id="empty-table-before-brackets-in-a-string"),
+        pytest.param(f'{{{PAIR}, "states": [["]]"]]}}', False, id="row-of-a-string"),
+        pytest.param(f'{{"states": [[1, 0], [0, 1]], {PAIR}}}', True, id="states-before-atoms"),
+        pytest.param(f'{{{PAIR}, "states": [[1, -0], [0, 1]]}}', False, id="minus-zero"),
+        pytest.param(f'{{{PAIR}, "states": [[1, 0], [0, 1.0]]}}', False, id="one-point-zero"),
+        pytest.param(f'{{{PAIR}, "states": [[true, 0], [0, 1]]}}', False, id="true"),
+        pytest.param(f'{{{PAIR}, "states": [[1, 0], [0, 1], [1, 1]]}}', True, id="two-ones"),
+        pytest.param(f'\ufeff{{{PAIR}, "states": [[1, 0], [0, 1]]}}', False, id="bom"),
+        pytest.param(f'{{{PAIR}, "states": [[1, 0], [0, 1]]}} x', False, id="trailing-data"),
+        pytest.param(f'{{{PAIR}, "states": [[1, 0], [0, 1]]}}{{}}', False, id="second-object"),
+        pytest.param(f' {{{PAIR}, "states": [[1, 0], [0, 1]]}}\r\n', True, id="outer-space"),
+        pytest.param(f'{{{PAIR}, "states": [[1, 0], [0]]}}', False, id="row-one-value-short"),
+        pytest.param(f'{{{PAIR}, "states": [[1, 0], [0, 1, 0]]}}', False, id="row-one-value-long"),
+        pytest.param(f'{{{PAIR}, "states": [[1, 0, 0], [0, 1, 0]]}}', False, id="table-too-wide"),
+        pytest.param(f'{{{PAIR}, "states": [[1], [0]]}}', False, id="table-too-narrow"),
+        pytest.param(f'{{{PAIR}, "states": []}}', False, id="empty-table"),
+        pytest.param(f'{{{PAIR}, "states": [[]]}}', False, id="empty-row"),
+        pytest.param(f'{{{PAIR}, "states": [[1 0], [0, 1]]}}', False, id="missing-comma"),
+        pytest.param(f'{{{PAIR}, "states": [[1, 0], [0, 1]]]}}', False, id="extra-bracket"),
+        pytest.param(f'{{{PAIR}, "states": [[1, 0], [0, 1]],}}', False, id="trailing-comma"),
+        pytest.param(f'{{{PAIR}, "states": [[1, 0], ["\u00e9", 1]]}}', False, id="non-ascii"),
+        pytest.param('{"atoms": ["\u00e9", "b"], "contexts": [["\u00e9", "b"]], '
+                     '"states": [[1, 0], [0, 1]]}', True, id="non-ascii-elsewhere"),
+        pytest.param('{"atoms": "ab", "contexts": [["a", "b"]], "states": [[1, 0]]}', False,
+                     id="atoms-not-a-list"),
+        pytest.param('{"atoms": [], "contexts": [], "states": [[1, 0]]}', False, id="no-atoms"),
+        pytest.param('{"base_set": [1, 2], "partitions": [[[1], [2]]], "states": [[1, 0]]}',
+                     False, id="base-set"),
+    ],
+)
+def test_a_pinned_table_parses_as_json_loads_reads_it(text, accepted, monkeypatch):
+    read = _read_object(text)
+    assert (read is not None and isinstance(read.get("states"), bytes)) == accepted
+    got = parse_outcome(text)
+    monkeypatch.setattr(logic_module, "_read_object", lambda text: None)
+    assert got == parse_outcome(text)
+    if accepted:
+        assert got[0] == state_matrix(json.loads(text)["states"])
+
+
+@pytest.mark.parametrize("layout", PINNED_LAYOUTS)
+def test_the_reader_takes_a_fixture_in_every_layout(layout):
+    doc = json.loads((FIXTURES / "l12.json").read_text(encoding="utf-8"))
+    assert _read_object(json.dumps(doc, **layout))["states"] == state_matrix(L12_TABLE)
+
+
+def test_the_reader_takes_rows_of_one_value():
+    text = '{"atoms": ["a"], "states": [[1], [0], [0]]}'
+    assert _read_object(text) == {"atoms": ["a"], "states": b"\1\0\0"}
+
+
+@pytest.mark.parametrize(
+    "m, n, layout",
+    [
+        (m, n, layout)
+        for m in (2, 3)
+        for n in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 2 * _BLOCK + 1)
+        for layout in ({}, {"indent": 2})
+    ]
+    + [(12_000, 2, {"indent": 2})],  # the first row is longer than a window
+)
+@pytest.mark.parametrize("bad", [None, 0, -1])
+def test_tables_across_blocks_and_windows_parse_as_json_loads_reads_them(
+    m, n, layout, bad, monkeypatch
+):
+    # Blocks of _BLOCK rows; a table's last row ends a block, or is one alone.
+    rng = random.Random(f"{m}:{n}")
+    rows = [[rng.randint(0, 1) for _ in range(m)] for _ in range(n)]
+    if bad is not None:
+        rows[bad][-1] = 2
+    atoms = atom_names(m)
+    text = json.dumps({"atoms": atoms, "contexts": [atoms], "states": rows}, **layout)
+    got = parse_outcome(text)
+    if bad is None:
+        assert got == (state_matrix(rows), None)
+    else:
+        where = f"states[{bad % n}]"
+        assert got == (f"{where}: must be a list of {m} values, each 0 or 1", where)
+    monkeypatch.setattr(logic_module, "_read_object", lambda text: None)
+    assert got == parse_outcome(text)
+
+
+@pytest.mark.parametrize("layout", [{}, {"indent": 2}])
+def test_a_pinned_table_is_read_in_windows(layout):
+    # json.loads builds a list per row and holds the text's rows as objects;
+    # the reader holds the matrix and a window of the text.
+    spec = chain_spec(16)
+    states = enumerate_states(parse_logic_file(json.dumps(spec)).source)
+    spec["states"] = [list(row) for row in reversed(states.rows)]
+    text = json.dumps(spec, **layout)
+    assert traced_peak(parse_logic_file, text) <= traced_peak(json.loads, text) / 2
 
 
 def logic_by_loops(name: str, atoms, contexts) -> None:
