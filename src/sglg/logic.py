@@ -468,10 +468,13 @@ def _read_table(text: str, start: int) -> tuple[tuple[bytes, int], int] | None:
     ``_bit_rows`` in reverse. The text up to the first ``]`` followed by a
     ``]`` (the end of a 0/1 table) is read a window at a time: each window
     must be ASCII, and its whitespace is dropped in one ``translate``. A block
-    of ``_BLOCK`` rows is accepted if, its ones written as zeros, it is the
-    same number of rows ``[0,...,0],`` as wide as the first row, and its
-    digits, its brackets and commas dropped, are its rows of the matrix: a
-    ``translate`` each. No Python loop runs per row or per value."""
+    of rows is accepted if, its ones written as zeros, it is the same number
+    of rows ``[0,...,0],`` as wide as the first row, and its digits, its
+    brackets and commas dropped, are its rows of the matrix: a ``translate``
+    each. A block is ``_BLOCK`` rows, or fewer where that many would pass a
+    window, so the template block is about a window, or one row, whatever
+    width the first row claims. A Python loop runs per window and per block,
+    never per value, nor per row of less than a window."""
     end = _TABLE_END.search(text, start)
     if end is None:
         return None
@@ -489,7 +492,7 @@ def _read_table(text: str, start: int) -> tuple[tuple[bytes, int], int] | None:
             if width < 1:
                 return None
             row = b"[" + b"0," * (width - 1) + b"0],"
-            block = row * _BLOCK
+            block = row * max(1, min(_BLOCK, _WINDOW // len(row)))
             del rest[:1]
         while len(rest) > len(block):  # so the table's last row is in none
             rows = rest[: len(block)]

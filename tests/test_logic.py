@@ -34,8 +34,10 @@ from sglg.logic import (
     _BLOCK,
     _bit_rows,
     _clash,
+    _WINDOW,
     _parse_pinned_states,
     _read_object,
+    _read_table,
     _state_count,
     _state_masks,
 )
@@ -1496,7 +1498,9 @@ def test_the_reader_takes_rows_of_one_value():
         for n in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 2 * _BLOCK + 1)
         for layout in ({}, {"indent": 2})
     ]
-    + [(12_000, 2, {"indent": 2})],  # the first row is longer than a window
+    + [(500, n, {}) for n in (65, 66, 131)]  # 65 rows fill a window
+    + [(12_000, 2, {"indent": 2})]  # the first row is longer than a window
+    + [(40_000, 3, {})],  # so is a row without whitespace: a row per block
 )
 @pytest.mark.parametrize("bad", [None, 0, -1])
 def test_tables_across_blocks_and_windows_parse_as_json_loads_reads_them(
@@ -1515,6 +1519,29 @@ def test_tables_across_blocks_and_windows_parse_as_json_loads_reads_them(
     else:
         where = f"states[{bad % n}]"
         assert got == (f"{where}: must be a list of {m} values, each 0 or 1", where)
+    monkeypatch.setattr(logic_module, "_read_object", lambda text: None)
+    assert got == parse_outcome(text)
+
+
+@pytest.mark.parametrize(
+    "m, atoms",
+    [
+        pytest.param(40_000, 2, id="first-row-wider-than-atoms"),
+        pytest.param(12_000, 12_000, id="wide"),
+    ],
+)
+def test_a_wide_row_costs_the_reader_its_own_size(m, atoms, monkeypatch):
+    # A block is at most a window or one row: 1,024 rows of the width the
+    # first row claims, before atoms are counted, would be 1,024 times that.
+    n = 2
+    names = atom_names(atoms)
+    text = json.dumps({"atoms": names, "contexts": [names], "states": [[0] * m] * n})
+    row = 2 * m + 2  # "[0,...,0]," without whitespace
+    start = text.index("[", text.index('"states"'))
+    assert traced_peak(_read_table, text, start) <= 8 * row + n * m + 4 * _WINDOW
+    got = parse_outcome(text)
+    if m != atoms:
+        assert got == (f"states[0]: must be a list of {atoms} values, each 0 or 1", "states[0]")
     monkeypatch.setattr(logic_module, "_read_object", lambda text: None)
     assert got == parse_outcome(text)
 
