@@ -12,7 +12,8 @@ import argparse
 import math
 import os
 import sys
-from itertools import accumulate, chain
+from collections.abc import Iterable, Iterator
+from itertools import accumulate
 
 from .errors import LogicFileError, ValidationError
 from .grammar import (
@@ -25,6 +26,7 @@ from .grammar import (
     production_json_chunks,
 )
 from .logic import (
+    _BLOCK,
     _HEX_COLOR_RE,
     _NAME_RE,
     LogicFile,
@@ -57,7 +59,6 @@ _WORST_LABELS = {
     "faithfulness": "min |dot|",
 }
 _DIGITS = bytes.maketrans(b"\0\1", b"01")  # state values as table digits
-_BLOCK = 1024  # states per chunk of Table I
 
 
 def _palette_override(text: str) -> tuple[str, str]:
@@ -174,13 +175,13 @@ def _read_text(path: str) -> str:
         raise LogicFileError(f"invalid JSON: {exc}") from None
 
 
-def _emit(chunks, output: str | None) -> None:
-    """Write the text a chunk at a time, so it is never held whole."""
+def _emit(chunks: Iterable[str], output: str | None) -> None:
+    """Write each chunk, a ``str``, as it comes, so the text is never held whole."""
     if output:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.writelines(map("".join, chunks))
+            fh.writelines(chunks)
     else:
-        sys.stdout.writelines(map("".join, chunks))
+        sys.stdout.writelines(chunks)
 
 
 def _render_spec(logic_file: LogicFile, states: StateSet, args) -> RenderSpec:
@@ -197,16 +198,16 @@ def _render_spec(logic_file: LogicFile, states: StateSet, args) -> RenderSpec:
 
 def format_state_table(logic: PartitionLogic, states: StateSet) -> str:
     """The Table-I layout: one column per atom, one labeled row per state."""
-    return "".join(chain.from_iterable(_table_chunks(logic, states)))
+    return "".join(_table_chunks(logic, states))
 
 
-def _table_chunks(logic: PartitionLogic, states: StateSet):
+def _table_chunks(logic: PartitionLogic, states: StateSet) -> Iterator[str]:
     """Table I as the head line, then a chunk per block of ``_BLOCK`` states,
     written into a buffer of spaces by a strided copy per label character
     and per atom."""
     m, n = _atom_width(logic, states), len(states)
     label_width = len(f"s{n}") if n else 0
-    yield (" " * label_width + "  " + "  ".join(logic.atoms) + "\n",)
+    yield " " * label_width + "  " + "  ".join(logic.atoms) + "\n"
     # Where each atom's cell ends: its value is right-aligned under its name.
     ends = list(accumulate((len(atom) + 2 for atom in logic.atoms), initial=label_width))
     line = ends[-1] + 1
@@ -223,7 +224,7 @@ def _table_chunks(logic: PartitionLogic, states: StateSet):
         rows = states.matrix[first * m : (first + k) * m]
         for j, end in enumerate(ends[1:]):
             body[end - 1 :: line] = rows[j::m].translate(_DIGITS)
-        yield (body.decode(),)
+        yield body.decode()
 
 
 def _cmd_states(args, logic_file, logic, states) -> int:

@@ -19,11 +19,11 @@ that array is its derivation's tokens: none is copied. ``Grammar.from_symbols`` 
 ``Derivation.from_tokens`` intern hand-built name sequences. ``check_incidence``
 counts ``Derivation.rows()``, then checks each in one pass as its view is made.
 
-The listings, in arrow notation and in JSON, are streams of one chunk per
-production: each looks its names up by number in a list that holds each
-name's text once (quoted once, for JSON), so a listing is written a
-production at a time. ``production_text`` and ``productions_json`` join
-the chunks.
+The listings, in arrow notation and in JSON, are streams of one finished
+``str`` per production: each looks its names up by number in a list that
+holds each name's text once (quoted once, for JSON), so a listing is
+written a production at a time. ``production_text`` and
+``productions_json`` are the chunks' ``"".join``.
 """
 
 from __future__ import annotations
@@ -313,7 +313,7 @@ def check_incidence(
     return IncidenceReport(tuple(violations))
 
 
-def production_chunks(grammar: Grammar) -> Iterator[tuple[str, ...]]:
+def production_chunks(grammar: Grammar) -> Iterator[str]:
     """The production listing in arrow notation, one chunk per production.
 
     The start rule is set off from the row rules by a blank line, matching
@@ -322,33 +322,33 @@ def production_chunks(grammar: Grammar) -> Iterator[tuple[str, ...]]:
     # A list, as a tuple's __getitem__ is slower to map over a body.
     names, (start, *rows) = list(grammar.symbols), grammar.productions
 
-    def chunk(p: Production, end: str = ".\n") -> tuple[str, ...]:
-        return (p.head, " --> ", ",".join(map(names.__getitem__, p.body)), end)
+    def chunk(p: Production, end: str = ".\n") -> str:
+        return f"{p.head} --> {','.join(map(names.__getitem__, p.body))}{end}"
 
     return chain((chunk(start, ".\n\n" if rows else ".\n"),), map(chunk, rows))
 
 
 def production_text(grammar: Grammar) -> str:
     """The production listing in one string."""
-    return "".join(chain.from_iterable(production_chunks(grammar)))
+    return "".join(production_chunks(grammar))
 
 
-def production_json_chunks(grammar: Grammar) -> Iterator[tuple[str, ...]]:
+def production_json_chunks(grammar: Grammar) -> Iterator[str]:
     """``productions_json`` one chunk per production, in the layout of
     ``json.dumps(indent=2, ensure_ascii=False)``: each name is quoted once,
     by the function ``json.dumps`` quotes it with."""
     quoted = list(map(encode_basestring, grammar.symbols))
 
-    def chunk(p: Production, lead: str = ",\n") -> tuple[str, ...]:
+    def chunk(p: Production, lead: str = ",\n") -> str:
         if not p.body:
-            return (lead, "  ", encode_basestring(p.head), ": []")
+            return f"{lead}  {encode_basestring(p.head)}: []"
         names = ",\n    ".join(map(quoted.__getitem__, p.body))
-        return (lead, "  ", encode_basestring(p.head), ": [\n    ", names, "\n  ]")
+        return f"{lead}  {encode_basestring(p.head)}: [\n    {names}\n  ]"
 
     start, *rows = grammar.productions
-    return chain((chunk(start, "{\n"),), map(chunk, rows), (("\n}\n",),))
+    return chain((chunk(start, "{\n"),), map(chunk, rows), ("\n}\n",))
 
 
 def productions_json(grammar: Grammar) -> str:
     """Productions as a JSON object mapping each head to its body symbols."""
-    return "".join(chain.from_iterable(production_json_chunks(grammar)))
+    return "".join(production_json_chunks(grammar))

@@ -16,21 +16,21 @@ join over three slots per token, laid out for both SVGs by ``_grid``; each
 SVG line starts with its newline and each event line ends with one, so no
 line is joined twice.
 
-The ``*_chunks`` functions give the text as one chunk (a sequence of
-strings) per row, or for the logic program per production and per state
-binding: they raise when called and make each chunk when it is reached,
-so a document can be written a row at a time. The row writers read a
-derivation's ``rows()`` one view at a time and take the rows' lengths
-from the views as they are made, so they hold no view per row. A palette
-is checked once per distinct color, all at once; the entries are walked
-only when that fails. It must color every state in the table a writer
-renders, which ``RenderSpec.colors`` looks up when the writer is called:
-no token is read for it.
+The ``*_chunks`` functions give the text as one finished ``str`` per
+row, or for the logic program per production and per state binding, and
+each joined twin is their ``"".join``. They raise when called and make
+each chunk when it is reached, so a document can be written a row at a
+time. The row writers read a derivation's ``rows()`` one view at a time
+and take the rows' lengths from the views as they are made, so they hold
+no view per row. A palette is checked once per distinct color, all at
+once; the entries are walked only when that fails. It must color every
+state in the table a writer renders, which ``RenderSpec.colors`` looks up
+when the writer is called: no token is read for it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator
 from enum import Enum
 from itertools import chain, count, repeat
 from json.encoder import encode_basestring_ascii as _json_string
@@ -128,11 +128,6 @@ class RenderSpec(Value):
             raise ValidationError(f"palette has no color for state label {exc.args[0]!r}") from None
 
 
-def join_chunks(chunks: Iterable[Sequence[str]]) -> str:
-    """The text of a document given as chunks, in one string."""
-    return "".join(chain.from_iterable(chunks))
-
-
 _SVG_HEAD = (
     '<?xml version="1.0" encoding="UTF-8"?>\n'
     '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -166,19 +161,17 @@ def _grid(spec: RenderSpec, left: int, top: int, cols: int, rows: int) -> tuple[
 
 def render_tiles(derivation: Derivation, spec: RenderSpec) -> str:
     """SVG document with one row of squares per derivation row."""
-    return join_chunks(tile_chunks(derivation, spec))
+    return "".join(tile_chunks(derivation, spec))
 
 
-def tile_chunks(derivation: Derivation, spec: RenderSpec) -> Iterator[Sequence[str]]:
+def tile_chunks(derivation: Derivation, spec: RenderSpec) -> Iterator[str]:
     """``render_tiles`` as a head, one chunk per row and a tail."""
     table = [value and f'{value}"/>' for value in spec.colors(derivation.symbols)]
     lengths = list(map(len, derivation.rows()))
     head, rects = _grid(spec, 0, 0, max(lengths, default=0), len(lengths))
-
-    def row_chunk(r: int, row) -> tuple[str]:
-        return (rects(r, map(table.__getitem__, row), len(row)),)
-
-    return chain(([head],), map(row_chunk, count(), derivation.rows()), (["\n</svg>\n"],))
+    rows = (rects(r, map(table.__getitem__, row), len(row))
+            for r, row in enumerate(derivation.rows()))
+    return chain((head,), rows, ("\n</svg>\n",))
 
 
 def _escape(text: str) -> str:
@@ -188,12 +181,10 @@ def _escape(text: str) -> str:
 
 def render_schema(logic: PartitionLogic, states: StateSet, spec: RenderSpec) -> str:
     """SVG incidence schema: atom rows × state columns, gray where false."""
-    return join_chunks(schema_chunks(logic, states, spec))
+    return "".join(schema_chunks(logic, states, spec))
 
 
-def schema_chunks(
-    logic: PartitionLogic, states: StateSet, spec: RenderSpec
-) -> Iterator[Sequence[str]]:
+def schema_chunks(logic: PartitionLogic, states: StateSet, spec: RenderSpec) -> Iterator[str]:
     """``render_schema`` as a head with the state labels, one chunk per atom
     and a tail."""
     cell, step = spec.cell_size, spec.cell_size + spec.cell_gap
@@ -204,23 +195,20 @@ def schema_chunks(
     # Each state's (false, true) fill.
     fills = [(f'{DEFAULT_FALSE_CELL_COLOR}"/>', f'{color}"/>') for color in spec.colors(labels)]
     line, rects = _grid(spec, left, top, n, m)
-    head = [line]
-    head += (
+    head = "".join([line, *(
         f'\n  <text x="{left + i * step + cell // 2}" y="{top - font // 2}" '
         f'text-anchor="middle" font-family="monospace" '
         f'font-size="{font}">{_escape(label)}</text>'
         for i, label in enumerate(labels)
+    )])
+    rows = (
+        f'\n  <text x="{left - font}" y="{top + j * step + (cell + font) // 2}" '
+        f'text-anchor="end" font-family="monospace" '
+        f'font-size="{font}">{_escape(atom)}</text>'
+        + rects(j, map(getitem, fills, states.matrix[j::m]), n)
+        for j, atom in enumerate(logic.atoms)
     )
-
-    def row_chunk(j: int, atom: str) -> tuple[str, str]:
-        return (
-            f'\n  <text x="{left - font}" y="{top + j * step + (cell + font) // 2}" '
-            f'text-anchor="end" font-family="monospace" '
-            f'font-size="{font}">{_escape(atom)}</text>',
-            rects(j, map(getitem, fills, states.matrix[j::m]), n),
-        )
-
-    return chain((head,), map(row_chunk, count(), logic.atoms), (["\n</svg>\n"],))
+    return chain((head,), rows, ("\n</svg>\n",))
 
 
 def render_text(derivation: Derivation, spec: RenderSpec, color: bool = True) -> str:
@@ -230,30 +218,30 @@ def render_text(derivation: Derivation, spec: RenderSpec, color: bool = True) ->
     it has no effect on the html backend, whose colors live in markup.
     """
     if spec.backend is Backend.ANSI:
-        return join_chunks(ansi_chunks(derivation, spec, color))
+        return "".join(ansi_chunks(derivation, spec, color))
     if spec.backend is not Backend.HTML:
         raise ValueError("render_text requires the ansi or html backend")
-    return join_chunks(html_chunks(derivation, spec))
+    return "".join(html_chunks(derivation, spec))
 
 
-def ansi_chunks(derivation: Derivation, spec: RenderSpec, color: bool = True) -> Iterator:
+def ansi_chunks(derivation: Derivation, spec: RenderSpec, color: bool = True) -> Iterator[str]:
     """``render_text`` on the ansi backend, one chunk per row."""
     if not color:
-        return ((BLOCK * len(row), "\n") for row in derivation.rows())
+        return (BLOCK * len(row) + "\n" for row in derivation.rows())
     table = [value and _ansi_glyph(value) for value in spec.colors(derivation.symbols)]
-    return (("".join(map(table.__getitem__, row)), "\x1b[0m\n") for row in derivation.rows())
+    return ("".join([*map(table.__getitem__, row), "\x1b[0m\n"]) for row in derivation.rows())
 
 
-def html_chunks(derivation: Derivation, spec: RenderSpec) -> Iterator[list[str]]:
+def html_chunks(derivation: Derivation, spec: RenderSpec) -> Iterator[str]:
     """``render_text`` on the html backend, as a head, one chunk per row and a tail."""
     style = (
         '    <span class="sglg-cell" style="display:inline-block;'
         f"width:{spec.cell_size}px;height:{spec.cell_size}px;background:"
     )
     table = [value and f'{style}{value}"></span>\n' for value in spec.colors(derivation.symbols)]
-    divs = (['  <div class="sglg-row">\n', *map(table.__getitem__, row), "  </div>\n"]
+    divs = ("".join(['  <div class="sglg-row">\n', *map(table.__getitem__, row), "  </div>\n"])
             for row in derivation.rows())
-    return chain((['<div class="sglg-tiles">\n'],), divs, (["</div>\n"],))
+    return chain(('<div class="sglg-tiles">\n',), divs, ("</div>\n",))
 
 
 def _ansi_glyph(value: str) -> str:
@@ -269,17 +257,17 @@ def emit_logic_program(grammar: Grammar, spec: RenderSpec) -> str:
     without one) and ``n`` to a literal newline escape. The layers are
     separated by blank lines, and an empty repertoire is one blank line.
     """
-    return join_chunks(logic_program_chunks(grammar, spec))
+    return "".join(logic_program_chunks(grammar, spec))
 
 
-def logic_program_chunks(grammar: Grammar, spec: RenderSpec) -> Iterator[tuple[str, ...]]:
+def logic_program_chunks(grammar: Grammar, spec: RenderSpec) -> Iterator[str]:
     """``emit_logic_program`` as one chunk per production, then one per
     state binding, then the layout."""
     terminals = grammar.terminals
     repertoire = zip(terminals, repeat(" --> [ "), spec.colors(terminals), repeat(" ].\n"))
-    layout = ("\n" if terminals else "\n\n", f"br --> [ {spec.separator_color} ].\n",
-              "n  --> [\\n].\n")
-    return chain(production_chunks(grammar), (("\n",),), repertoire, (layout,))
+    layout = f"br --> [ {spec.separator_color} ].\nn  --> [\\n].\n"
+    return chain(production_chunks(grammar), ("\n",), map("".join, repertoire),
+                 (("\n" if terminals else "\n\n") + layout,))
 
 
 _KINDS = {SEPARATOR_NAME: '"separator"', LINEBREAK_NAME: '"linebreak"'}
@@ -297,10 +285,10 @@ class EventStream(Value):
     derivation: Derivation
 
     def to_jsonl(self) -> str:
-        return join_chunks(event_chunks(self.derivation))
+        return "".join(event_chunks(self.derivation))
 
 
-def event_chunks(derivation: Derivation) -> Iterator[tuple[str]]:
+def event_chunks(derivation: Derivation) -> Iterator[str]:
     """``emit_events(derivation).to_jsonl()``, one chunk per row."""
     # The text of json.dumps(..., separators=(",", ":")) for each event,
     # the strings quoted by the function json.dumps uses for them; per
@@ -309,12 +297,12 @@ def event_chunks(derivation: Derivation) -> Iterator[tuple[str]]:
     cols = max(map(len, derivation.rows()), default=0)
     slots = list(chain.from_iterable(zip(repeat(None), map(str, range(cols)), repeat(None))))
 
-    def row_chunk(r: int, row) -> tuple[str]:
+    def row_chunk(r: int, row) -> str:
         # A full row fills the slots in place: only their join leaves here.
         parts = slots if 3 * len(row) == len(slots) else slots[: 3 * len(row)]
         parts[0::3] = repeat(f'{{"row":{r},"pos":', len(row))
         parts[2::3] = map(table.__getitem__, row)
-        return ("".join(parts),)
+        return "".join(parts)
 
     return map(row_chunk, count(), derivation.rows())
 

@@ -433,6 +433,27 @@ def _reshape_rows(draw, doc):
     rows[j] = draw(st.sampled_from([row[:-1], [*row, 0], [row], 1, "10001", [*row[:-1], [0]]]))
 
 
+# A valid color, and near misses: a digit short or over, not hex, fullwidth
+# digits, a trailing newline, no "#".
+_COLORS = ("#00ff7F", "#00000", "#0000000", "#GGGGGG", "#" + "\uff10" * 6, "#000000\n", "000000")
+
+
+def _palette(draw, doc):
+    """A palette of one entry: a state label, a layout symbol, an atom, a label
+    no state has or "", given a valid color or a near miss."""
+    atom = _pick(draw, [c[k] for c, k in _places(doc) if c is not doc and isinstance(c[k], str)])
+    label = draw(st.sampled_from(["s1", "s4", "br", "n", atom or "a", "s99", ""]))
+    doc["palette"] = {label: draw(st.sampled_from(_COLORS))}
+
+
+def _nest(draw, doc):
+    """A drawn ``contexts`` or ``states`` entry wrapped in one more list."""
+    rows = _pick(draw, [doc[k] for k in ("contexts", "states") if isinstance(doc.get(k), list)])
+    if rows:
+        j = draw(st.integers(0, len(rows) - 1))
+        rows[j] = [rows[j]]
+
+
 _MUTATIONS = (
     _replace(_JUNK, lambda value: True),
     _replace(  # not an int where an int goes
@@ -449,6 +470,8 @@ _MUTATIONS = (
     _duplicate,
     _empty,
     _reshape_rows,
+    _palette,
+    _nest,
 )
 
 
@@ -465,11 +488,13 @@ def hostile_logic_files(draw) -> str:
     types, missing or extra keys, duplicates, empty lists, huge integers,
     floats or bools where integers go, names colliding with ``br``, ``n``,
     ``s<i>`` or the logic name, names holding a control character, a lone
-    surrogate, U+FFFE or XML's special characters, and pinned rows of the
-    wrong shape. About half the files take one to three renames instead, each
-    to a fresh name an atom may take, so that most of them stay whole and
-    their outputs are checked. The text is written compact, indented or with
-    ``json.dumps``'s default separators."""
+    surrogate, U+FFFE or XML's special characters, pinned rows of the wrong
+    shape, a context or pinned row nested in one more list, and a palette of
+    one entry for any label, its color valid or a near miss. About half the
+    files take one to three renames instead, each to a fresh name an atom may
+    take, so that most of them stay whole and their outputs are checked. The
+    text is written compact, indented or with ``json.dumps``'s default
+    separators."""
     doc = copy.deepcopy(draw(st.sampled_from(FIXTURE_DOCS)))
     if draw(st.booleans()):
         fresh = st.lists(st.sampled_from(_FRESH_NAMES), min_size=1, max_size=3, unique=True)

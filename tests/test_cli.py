@@ -1283,8 +1283,8 @@ def test_chain10_state_table_is_pinned_byte_for_byte(case, tmp_path, capsys):
 @pytest.mark.parametrize("chars", [1, 7, 1 << 16])
 @pytest.mark.parametrize("text", ["", "<svg>\n", "s\u00e9\u2192\U0001f3b5\n" * 40])
 def test_output_file_written_by_chunks_holds_the_whole_text(text, chars, tmp_path):
-    # Chunks of `chars` characters, each split into its characters.
-    chunks = (list(text[i : i + chars]) for i in range(0, len(text), chars))
+    # Chunks of `chars` characters, each one str.
+    chunks = (text[i : i + chars] for i in range(0, len(text), chars))
     out = tmp_path / "out.svg"
     _emit(chunks, str(out))
     assert out.read_bytes() == text.encode("utf-8")
@@ -1501,7 +1501,7 @@ def test_rows_are_written_a_view_at_a_time(fmt):
         "events": lambda: event_chunks(derivation),
     }[fmt]
     with open(os.devnull, "w", encoding="utf-8") as sink:
-        peak = traced_peak(lambda: sink.writelines(map("".join, chunks())))
+        peak = traced_peak(lambda: sink.writelines(chunks()))
     token_bytes = 4 * len(derivation.indices)
     assert peak < token_bytes / 4
 

@@ -6,7 +6,6 @@ import json
 import operator
 import random
 from array import array
-from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -887,7 +886,7 @@ def test_json_chunks_join_to_the_json_dumps_text(grammar):
     payload = {head: list(body) for head, body in listing(grammar)}
     expected = json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
     chunks = list(production_json_chunks(grammar))
-    assert "".join(chain.from_iterable(chunks)) == expected
+    assert "".join(chunks) == expected
     assert productions_json(grammar) == expected
     assert len(chunks) == len(grammar.productions) + 1  # and the closing brace
 

@@ -43,7 +43,6 @@ from sglg.render import (
     ansi_chunks,
     event_chunks,
     html_chunks,
-    join_chunks,
     logic_program_chunks,
     schema_chunks,
     tile_chunks,
@@ -867,7 +866,7 @@ def chunk_outcome(builder, *args):
         chunks = builder(*args)
     except ValueError as exc:
         return type(exc), str(exc)
-    return join_chunks(chunks)
+    return "".join(chunks)
 
 
 def assert_chunks_equal_references(derivation: Derivation, rows, spec: RenderSpec):
@@ -1010,9 +1009,10 @@ CHUNK_BUILDERS = {
 @pytest.mark.parametrize("build", CHUNK_BUILDERS.values(), ids=CHUNK_BUILDERS)
 def test_chunks_held_before_joining_give_the_same_text(build):
     # A writer may fill one row's slots in place, so each chunk must be its
-    # own copy: joining the chunks as they come, as a document is written,
-    # would not show a chunk refilled for the next row. Chain-14 has full
-    # rows of 1,598 tokens and 1,597 states, two blocks of Table I.
+    # own finished str: writing the chunks as they come, as a document is
+    # written, would not show a chunk refilled for the next row. Chain-14 has
+    # full rows of 1,598 tokens and 1,597 states, two blocks of Table I.
     held = list(build(chain_inputs(14)))
-    fresh = list(map("".join, build(chain_inputs(14))))
-    assert list(map("".join, held)) == fresh  # a list: a diff of the one text takes minutes
+    assert all(type(chunk) is str for chunk in held)
+    fresh = list(build(chain_inputs(14)))
+    assert held == fresh  # a list: a diff of the one text takes minutes
