@@ -6,7 +6,7 @@ schema, ANSI, HTML, logic-program source, or event stream); optionally
 verify a Hilbert-space realization of the logic.
 """
 
-from .errors import LogicFileError, NotSeparatingError, ValidationError
+from .errors import LogicFileError, NotSeparatingError, SglgError, ValidationError
 from .grammar import (
     Derivation,
     Grammar,

@@ -15,7 +15,7 @@ import sys
 from collections.abc import Iterable, Iterator
 from itertools import accumulate
 
-from .errors import LogicFileError, ValidationError
+from .errors import LogicFileError, SglgError, ValidationError
 from .grammar import (
     LINEBREAK_NAME,
     SEPARATOR_NAME,
@@ -162,7 +162,7 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:  # stdout closed: what it still holds goes to devnull at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
-    except (LogicFileError, OSError, UnicodeEncodeError, ValidationError) as exc:
+    except (OSError, SglgError, UnicodeEncodeError) as exc:
         print(f"sglg: error: {exc}", file=sys.stderr)  # an unencodable stdout is an I/O failure
         return 1 if isinstance(exc, ValidationError) else 2
 

@@ -198,26 +198,24 @@ def compile_grammar(logic: PartitionLogic, states: StateSet) -> Grammar:
     rows have uniform shape.
     """
     if len(states) == 0:
-        raise ValidationError(f"logic {logic.name!r} admits no two-valued states")
+        raise ValidationError(f"logic {logic.name!r} admits no two-valued states", "contexts")
     columns = supports(logic, states)
     bad = _first_inadmissible(logic, states, columns)
     if bad is not None:
-        raise ValidationError(f"state s{bad + 1} is not admissible")
-    witness = _clash(logic.atoms, columns)
-    if witness is not None:
-        raise NotSeparatingError(*witness)
+        raise ValidationError("not admissible", f"states[{bad}]")
+    clash = _clash(columns)
+    if clash is not None:  # named where the later atom is declared
+        i, j = clash
+        raise NotSeparatingError(logic.atoms[i], logic.atoms[j], f"atoms[{j}]")
 
     labels = states.labels()
     taken = {SEPARATOR_NAME, LINEBREAK_NAME, *{logic.name, *logic.atoms}.intersection(labels)}
-    if logic.name in taken or logic.name in logic.atoms:
-        raise ValidationError(
-            f"logic name {logic.name!r} collides with another grammar symbol"
-        )
-    for atom in logic.atoms:
-        if atom in taken:
-            raise ValidationError(
-                f"atom {atom!r} collides with a state label or layout symbol"
-            )
+    if logic.name in taken:
+        raise ValidationError(f"{logic.name!r} collides with another grammar symbol", "name")
+    for i, atom in enumerate(logic.atoms):  # an atom is at fault even beside a default name
+        if atom in taken or atom == logic.name:
+            what = "the logic's name" if atom == logic.name else "a state label or layout symbol"
+            raise ValidationError(f"{atom!r} collides with {what}", f"atoms[{i}]")
 
     # Symbol numbers: br 0, n 1, the state labels 2..N+1, then the atoms.
     n, m = len(labels), len(logic.atoms)

@@ -805,20 +805,22 @@ def pinned_state_set(logic: PartitionLogic, matrix: bytes) -> StateSet:
     states = StateSet._trusted(bytes(matrix), m)
     if len(states.matrix) % m:
         cut = f"has a {len(states.matrix) % m}-value vector for {m} atoms"
-        raise ValidationError(f"pinned state s{len(states) + 1} {cut}")
+        raise ValidationError(cut, f"states[{len(states)}]")
     bad = _first_inadmissible(logic, states, supports(logic, states))
     if bad is not None:
         raise ValidationError(
-            f"pinned state s{bad + 1} is not admissible (some context does "
-            "not have exactly one true atom)"
+            "not admissible (some context does not have exactly one true atom)",
+            f"states[{bad}]",
         )
-    if len(set(states.rows)) != len(states):
-        raise ValidationError("pinned states repeat a valuation")
+    if len(set(states.rows)) != len(states):  # only a failure looks for the pair
+        i, j = _clash(states.rows)
+        raise ValidationError(f"repeats the valuation of states[{i}]", f"states[{j}]")
     total = _state_count(logic)
     if len(states) != total:
         raise ValidationError(
-            "pinned states do not match the full enumeration "
-            f"({total - len(states)} of {total} valuations missing)"
+            "do not match the full enumeration "
+            f"({total - len(states)} of {total} valuations missing)",
+            "states",
         )
     return states
 
@@ -835,15 +837,14 @@ def resolve_states(logic_file: LogicFile) -> tuple[PartitionLogic, StateSet]:
 
 def is_separating(states: StateSet, logic: PartitionLogic) -> bool:
     """Whether all atoms have distinct supports; ``compile_grammar`` names a clash."""
-    return _clash(logic.atoms, supports(logic, states)) is None
+    return _clash(supports(logic, states)) is None
 
 
-def _clash(atoms: tuple[str, ...], columns: tuple[bytes, ...]) -> tuple[str, str] | None:
-    """The least atom pair (i, j) whose columns are equal, or ``None``."""
-    first: dict[bytes, int] = {}  # column -> first atom index holding it
+def _clash(columns: tuple[bytes, ...]) -> tuple[int, int] | None:
+    """The least index pair (i, j), i < j, of equal columns (or rows), or ``None``."""
+    first: dict[bytes, int] = {}  # column -> first index holding it
     clashes = [(first.setdefault(c, j), j) for j, c in enumerate(columns)]
-    pair = min((pair for pair in clashes if pair[0] != pair[1]), default=None)
-    return None if pair is None else (atoms[pair[0]], atoms[pair[1]])
+    return min((pair for pair in clashes if pair[0] != pair[1]), default=None)
 
 
 def _atom_width(logic: PartitionLogic, states: StateSet) -> int:
@@ -883,7 +884,7 @@ def partition_representation(
         seen = set().union(*cells)
         if sum(map(len, cells)) != len(seen) or seen != set(labels):
             raise ValidationError(
-                f"context {ci}: supports do not partition the state labels"
+                "supports do not partition the state labels", f"contexts[{ci}]"
             )
         result.append(cells)
     return tuple(result)

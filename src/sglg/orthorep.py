@@ -106,7 +106,7 @@ def build_v_realization(theta: float) -> VectorRealization:
     """
     if not 0.0 < theta < math.pi / 2:
         raise ValidationError(
-            f"theta must lie strictly between 0 and pi/2, got {theta!r}"
+            f"must lie strictly between 0 and pi/2, got {theta!r}", "--theta"
         )
     cos_t, sin_t = math.cos(theta), math.sin(theta)
     return VectorRealization(
@@ -127,7 +127,7 @@ def _v_realization_for(logic: PartitionLogic, theta: float) -> VectorRealization
     vectors = build_v_realization(theta).vectors
     shared = set.intersection(*map(set, logic.contexts))
     if len(logic.contexts) != 2 or {*map(len, logic.contexts)} != {3} or len(shared) != 1:
-        raise ValidationError("--theta needs two three-atom contexts that share one atom")
+        raise ValidationError("needs two three-atom contexts that share one atom", "--theta")
     roles = [j for ctx in logic.contexts for j in ctx if j not in shared]
     roles[2:2] = shared
     return VectorRealization(3, {logic.atoms[j]: vectors[r] for j, r in zip(roles, "abcde")})
@@ -145,7 +145,7 @@ def verify_faithful(
     tol = realization.tolerance
     for atom in logic.atoms:
         if atom not in realization.vectors:
-            raise ValidationError(f"realization has no vector for atom {atom!r}")
+            raise ValidationError(f"no vector for atom {atom!r}", "vectors")
 
     ortho_worst = 0.0
     ortho_failures = []

@@ -5,12 +5,15 @@ handler makes, to time them one by one. If one of those calls is renamed
 or removed, the replay breaks. This test loads that file without
 changing it, replays every command form on the three fixtures, and
 compares the exit code with ``cli.main``'s, and the output too where the
-replay produces one (not for ``check`` and ``verify-orthorep``).
+replay produces one (not for ``check`` and ``verify-orthorep``). It also
+replays one failing input of each error family, which the replay catches
+by class name, and compares the exit codes.
 """
 
 from __future__ import annotations
 
 import io
+import json
 import types
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -67,3 +70,22 @@ def test_replay_agrees_with_the_cli(spans, fixture, form, tmp_path, monkeypatch)
     assert replayed == code
     if form not in SILENT:
         assert text == written
+
+
+# Failing inputs, each with the exit code both paths give: a non-separating
+# logic fails a semantic check, and a pinned row of one value is malformed.
+FAILURES = {
+    "not-separating": ({"atoms": ["a", "b", "c"], "contexts": [["a", "b"], ["a", "c"]]}, 1),
+    "short-row": ({"atoms": ["a", "b"], "contexts": [["a", "b"]], "states": [[1]]}, 2),
+}
+
+
+@pytest.mark.parametrize("case", FAILURES)
+def test_replay_maps_each_error_family_to_the_cli_exit_code(spans, case, tmp_path):
+    payload, code = FAILURES[case]
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(payload), encoding="utf-8")
+    argv = ["grammar", str(spec)]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert cli.main(argv) == code
+    assert spans.replay(argv, spans.Tracer(), f"{case}:grammar") == (code, "")

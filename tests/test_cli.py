@@ -383,6 +383,82 @@ def test_check_rejects_logics_without_states(tmp_path, capsys):
     assert "no two-valued states" in capsys.readouterr().err
 
 
+# The one stderr line of an sglg error that names where it is: a key path
+# into the input file, or a flag.
+LOCATED_ERROR = re.compile(r"sglg: error: (?P<location>--[a-z]+|[a-z_]+(?:\[\d+\])*): \S.*")
+L12_DOC = json.loads(Path(L12).read_text(encoding="utf-8"))
+L12_ROWS = L12_DOC["states"]
+
+# Each exit-1 failure the CLI reaches: the spec (a document to write, or a
+# fixture's path), the command, and the location and message of its error.
+EXIT_1_ERRORS = {
+    "inadmissible-row": (
+        {**L12_DOC, "states": [*L12_ROWS[:2], [1, 1, 0, 0, 1], *L12_ROWS[3:]]}, ["check"],
+        "states[2]", "not admissible (some context does not have exactly one true atom)",
+    ),
+    "repeated-row": (
+        {**L12_DOC, "states": [*L12_ROWS[:3], L12_ROWS[1], *L12_ROWS[4:]]}, ["states"],
+        "states[3]", "repeats the valuation of states[1]",
+    ),
+    "missing-row": (
+        {**L12_DOC, "states": L12_ROWS[:4]}, ["grammar"],
+        "states", "do not match the full enumeration (1 of 5 valuations missing)",
+    ),
+    "no-states": (
+        {"name": "odd", "atoms": [*"xyz"], "contexts": [["x", "y"], ["y", "z"], ["z", "x"]]},
+        ["check"], "contexts", "logic 'odd' admits no two-valued states",
+    ),
+    "not-separating": (
+        {"atoms": [*"abc"], "contexts": [["a", "b"], ["a", "c"]]}, ["render", "--format", "html"],
+        "atoms[2]", "not separating: atoms 'b' and 'c' have identical supports",
+    ),
+    "name-collision": (
+        {"name": "s1", "atoms": ["x", "y"], "contexts": [["x", "y"]]}, ["check"],
+        "name", "'s1' collides with another grammar symbol",
+    ),
+    "default-name-collision": (  # the file gives no name, so the logic is named 'logic'
+        {"atoms": ["logic", "y"], "contexts": [["logic", "y"]]}, ["check"],
+        "atoms[0]", "'logic' collides with the logic's name",
+    ),
+    "atom-collision": (
+        {"atoms": ["x", "br"], "contexts": [["x", "br"]]}, ["grammar", "--format", "json"],
+        "atoms[1]", "'br' collides with a state label or layout symbol",
+    ),
+    "block-collision": (  # the fourth distinct block, the fifth block written
+        {"base_set": [1, 2, 3], "partitions": [[[1], [2, 3]], [[1], [2], [3]]],
+         "block_names": [["a", "b"], ["a", "c", "s2"]]}, ["check"],
+        "atoms[3]", "'s2' collides with a state label or layout symbol",
+    ),
+    "theta-range": (
+        L12, ["verify-orthorep", "--theta", "0"],
+        "--theta", "must lie strictly between 0 and pi/2, got 0.0",
+    ),
+    "theta-shape": (
+        TRIANGLE, ["verify-orthorep", "--theta", "0.5"],
+        "--theta", "needs two three-atom contexts that share one atom",
+    ),
+    "missing-vector": (
+        TRIANGLE, ["verify-orthorep", "--vectors", L12_VECTORS],
+        "vectors", "no vector for atom 'f'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", EXIT_1_ERRORS)
+def test_each_exit_1_error_is_one_line_naming_its_location(case, tmp_path, capsys):
+    spec, command, location, message = EXIT_1_ERRORS[case]
+    if not isinstance(spec, str):
+        spec = write_spec(tmp_path, spec)
+    assert main([command[0], spec, *command[1:]]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"sglg: error: {location}: {message}\n")
+    assert LOCATED_ERROR.fullmatch(err[:-1])["location"] == location
+    if location.startswith("atoms["):  # column i of Table I, in either input mode
+        assert main(["states", spec]) == 0
+        head = capsys.readouterr().out.splitlines()[0].split()
+        assert head[int(location[6:-1])] == re.findall(r"'(.*?)'", message)[-1]
+
+
 def pair_chain_spec(n: int, rng: random.Random | None = None) -> dict:
     """Contexts {a_i, a_(i+1)} for i < n; shuffled in order and inside if rng."""
     atoms = [f"a{i}" for i in range(n + 1)]
@@ -421,7 +497,7 @@ def test_odd_parity_logic_has_an_empty_table_and_fails_check(tmp_path, capsys):
     assert capsys.readouterr().out == "".join(f"  {a}" for a in atoms) + "\n"
     assert main(["check", spec]) == 1
     assert capsys.readouterr().err == (
-        "sglg: error: logic 'parity5' admits no two-valued states\n"
+        "sglg: error: contexts: logic 'parity5' admits no two-valued states\n"
     )
 
 
@@ -479,7 +555,7 @@ def test_verify_orthorep_theta_maps_a_v_logic_by_its_shape(atoms, contexts, tmp_
 def test_verify_orthorep_theta_names_the_shape_it_needs(fixture, capsys):
     assert main(["verify-orthorep", fixture, "--theta", "0.5"]) == 1
     assert capsys.readouterr() == (
-        "", "sglg: error: --theta needs two three-atom contexts that share one atom\n"
+        "", "sglg: error: --theta: needs two three-atom contexts that share one atom\n"
     )
 
 
@@ -528,7 +604,7 @@ def test_verify_orthorep_searches_no_states(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("sglg.logic._exact_covers", search)
     assert main(["verify-orthorep", write_spec(tmp_path, chain_spec(10)), "--theta", "0.5"]) == 1
     assert capsys.readouterr() == (
-        "", "sglg: error: --theta needs two three-atom contexts that share one atom\n"
+        "", "sglg: error: --theta: needs two three-atom contexts that share one atom\n"
     )
 
 
@@ -1106,8 +1182,8 @@ HOSTILE_FLAGS = {
 
 def exits_0_1_or_2_with_error_lines(argv: list[str]) -> tuple[int, str]:
     """Every input gives a result or a clean error: no traceback, and each
-    stderr line of a failure is an error line, a single one on exit 2.
-    Returns the exit code and stdout."""
+    stderr line of a failure is an error line, a single one on exit 2, and
+    one naming its location on exit 1. Returns the exit code and stdout."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with redirect_stdout(stdout), redirect_stderr(stderr):
         code = main(argv)
@@ -1117,6 +1193,8 @@ def exits_0_1_or_2_with_error_lines(argv: list[str]) -> tuple[int, str]:
         assert len(lines) == 1
     if code:
         assert all(line.startswith("sglg: error: ") for line in lines)
+    if code == 1:  # a failed realization check reports on stdout alone
+        assert all(LOCATED_ERROR.fullmatch(line) for line in lines), lines
     return code, stdout.getvalue()
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from itertools import chain, combinations, product
 
 import pytest
@@ -473,10 +474,10 @@ def test_pinned_states_must_be_admissible():
 
 def test_pinned_mismatch_counts_the_missing_valuations():
     logic, _ = resolve_fixture("l12.json")
-    with pytest.raises(ValidationError, match=r"^pinned states do not match") as info:
+    with pytest.raises(ValidationError, match=r"^states: do not match") as info:
         pinned_state_set(logic, state_matrix(L12_TABLE[:2]))
     assert str(info.value) == (
-        "pinned states do not match the full enumeration "
+        "states: do not match the full enumeration "
         "(3 of 5 valuations missing)"
     )
 
@@ -487,7 +488,7 @@ def test_pinned_mismatch_on_a_counted_chain_names_the_missing_valuations():
     with pytest.raises(ValidationError) as info:
         pinned_state_set(logic, states.matrix[: 300 * states.width])
     assert str(info.value) == (
-        "pinned states do not match the full enumeration "
+        "states: do not match the full enumeration "
         "(310 of 610 valuations missing)"
     )
 
@@ -495,28 +496,28 @@ def test_pinned_mismatch_on_a_counted_chain_names_the_missing_valuations():
 def test_first_inadmissible_pinned_row_is_named():
     logic, _ = resolve_fixture("l12.json")
     rows = L12_TABLE[:2] + ((1, 1, 0, 0, 1), (0, 0, 0, 0, 0)) + L12_TABLE[2:]
-    with pytest.raises(ValidationError, match=r"^pinned state s3 is not admissible"):
+    with pytest.raises(ValidationError, match=r"^states\[2\]: not admissible"):
         pinned_state_set(logic, state_matrix(rows))
 
 
 def test_pinned_states_must_be_distinct():
     logic = small_logic([(0, 1)], atoms=("x", "y"))
-    with pytest.raises(ValidationError, match="repeat"):
+    with pytest.raises(ValidationError, match=r"^states\[1\]: repeats the valuation of states\[0\]$"):
         pinned_state_set(logic, state_matrix(((1, 0), (1, 0))))
 
 
 @pytest.mark.parametrize(
     "matrix, message",
     [
-        (b"\1\0", "pinned state s1 has a 2-value vector for 3 atoms"),
-        (b"\1\0\0\0", "pinned state s2 has a 1-value vector for 3 atoms"),
-        (b"\1\0\0\0\1\0\0\0", "pinned state s3 has a 2-value vector for 3 atoms"),
+        (b"\1\0", "states[0]: has a 2-value vector for 3 atoms"),
+        (b"\1\0\0\0", "states[1]: has a 1-value vector for 3 atoms"),
+        (b"\1\0\0\0\1\0\0\0", "states[2]: has a 2-value vector for 3 atoms"),
     ],
 )
 def test_pinned_matrix_of_no_whole_rows_names_the_cut_row(matrix, message):
     # Once an IndexError (too short) or a missing valuation (too long).
     logic = small_logic([(0, 1, 2)])
-    with pytest.raises(ValidationError, match=f"^{message}$"):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         pinned_state_set(logic, matrix)
 
 
@@ -990,16 +991,19 @@ def pinned_by_tuples(logic: PartitionLogic, rows):
     for si, row in enumerate(rows):
         if row not in enumerated and not is_admissible(row, logic):
             raise ValidationError(
-                f"pinned state s{si + 1} is not admissible (some context does "
-                "not have exactly one true atom)"
+                "not admissible (some context does not have exactly one true atom)",
+                f"states[{si}]",
             )
-    if len(set(rows)) != len(rows):
-        raise ValidationError("pinned states repeat a valuation")
+    repeats = [(i, j) for j in range(len(rows)) for i in range(j) if rows[i] == rows[j]]
+    if repeats:
+        i, j = min(repeats)
+        raise ValidationError(f"repeats the valuation of states[{i}]", f"states[{j}]")
     if set(rows) != enumerated:
         missing = len(enumerated - set(rows))
         raise ValidationError(
-            "pinned states do not match the full enumeration "
-            f"({missing} of {len(enumerated)} valuations missing)"
+            "do not match the full enumeration "
+            f"({missing} of {len(enumerated)} valuations missing)",
+            "states",
         )
     return tuples_view(logic, rows)
 
@@ -1022,8 +1026,9 @@ def test_enumerated_and_pinned_matrices_equal_the_per_tuple_path(rng, data):
     edit = data.draw(st.sampled_from(["none", "drop", "repeat", "flip"]))
     if rows and edit == "drop":
         rows.pop()
-    elif rows and edit == "repeat":
-        rows.append(rows[0])
+    elif rows and edit == "repeat":  # a copy of any row, put anywhere
+        copy = rows[data.draw(st.integers(0, len(rows) - 1))]
+        rows.insert(data.draw(st.integers(0, len(rows))), copy)
     elif edit == "flip":  # may make a row inadmissible, or another state
         si = data.draw(st.integers(0, len(rows)))
         j = data.draw(st.integers(0, len(logic.atoms) - 1))
@@ -1120,7 +1125,8 @@ def witness(logic: PartitionLogic, states: StateSet):
     except ValidationError:
         if len(states):
             raise
-        return _clash(logic.atoms, supports(logic, states))
+        pair = _clash(supports(logic, states))
+        return pair and tuple(map(logic.atoms.__getitem__, pair))
     return None
 
 

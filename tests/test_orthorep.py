@@ -43,7 +43,7 @@ def test_theta_quarter_pi_gives_the_diagonal_d():
 
 @pytest.mark.parametrize("theta", [0.0, math.pi / 2, -0.3, math.pi])
 def test_theta_outside_the_open_interval_is_rejected(theta):
-    message = f"theta must lie strictly between 0 and pi/2, got {theta!r}"
+    message = f"--theta: must lie strictly between 0 and pi/2, got {theta!r}"
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         build_v_realization(theta)
 
@@ -98,7 +98,7 @@ def test_collapsed_theta_fails_faithfulness_only():
 
 def test_missing_vector_names_the_atom():
     triangle, _ = resolve_fixture("triangle.json")
-    with pytest.raises(ValidationError, match=r"^realization has no vector for atom 'f'$"):
+    with pytest.raises(ValidationError, match=r"^vectors: no vector for atom 'f'$"):
         verify_faithful(triangle, build_v_realization(math.pi / 4))
 
 

@@ -145,7 +145,7 @@ PUBLIC_NAMES = [
     "Backend", "BaseSetSpec", "CheckResult", "Derivation", "EventStream",
     "FaithfulnessReport", "Grammar", "IncidenceReport", "LogicFile", "LogicFileError",
     "NotSeparatingError", "PartitionLogic", "Production", "RenderSpec", "RowViolation",
-    "StateSet", "ValidationError", "VectorRealization", "build_v_realization",
+    "SglgError", "StateSet", "ValidationError", "VectorRealization", "build_v_realization",
     "check_incidence", "compile_grammar", "default_palette", "derive", "emit_events",
     "emit_logic_program", "enumerate_states", "is_admissible", "is_separating",
     "load_vector_file", "logic_from_partitions", "parse_logic_file",
@@ -183,13 +183,13 @@ def _partition_overlapping_states():
 # Each failure and the message it raises it with, word for word.
 SEMANTIC_FAILURES = {
     _pin_one_of_five_states:
-        "pinned states do not match the full enumeration (4 of 5 valuations missing)",
-    _compile_a_logic_without_states: "logic 'k' admits no two-valued states",
-    lambda: build_v_realization(2): "theta must lie strictly between 0 and pi/2, got 2",
-    _verify_a_vector_file_without_e: "realization has no vector for atom 'e'",
+        "states: do not match the full enumeration (4 of 5 valuations missing)",
+    _compile_a_logic_without_states: "contexts: logic 'k' admits no two-valued states",
+    lambda: build_v_realization(2): "--theta: must lie strictly between 0 and pi/2, got 2",
+    _verify_a_vector_file_without_e: "vectors: no vector for atom 'e'",
     lambda: RenderSpec(palette={"s1": "#008000"}).colors(("s1", "s2")):
         "palette has no color for state label 's2'",
-    _partition_overlapping_states: "context 0: supports do not partition the state labels",
+    _partition_overlapping_states: "contexts[0]: supports do not partition the state labels",
 }
 
 
