@@ -273,8 +273,8 @@ def _cmd_verify(args, logic_file, logic, states) -> int:
             realization = VectorRealization(
                 realization.dimension, realization.vectors, args.tol
             )
-        except ValueError as exc:  # e.g. a vector within --tol of zero
-            raise LogicFileError(str(exc), "--tol") from None
+        except LogicFileError as exc:  # a vector within --tol of zero: the flag is at fault
+            raise LogicFileError(exc.message, "--tol") from None
     report = verify_faithful(logic, realization)
     for check in report.checks():
         verdict = "PASS" if check.passed else "FAIL"

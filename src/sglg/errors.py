@@ -20,7 +20,7 @@ class SglgError(ValueError):
     """An input sglg cannot use, and the place in it that is at fault."""
 
     def __init__(self, message: str, location: str | None = None):
-        self.location = location
+        self.location, self.message = location, message
         super().__init__(f"{location}: {message}" if location else message)
 
 

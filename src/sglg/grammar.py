@@ -11,19 +11,17 @@ the separator, ``n`` the linebreak, a production head a nonterminal, and
 any other name a state (a terminal). A grammar is its productions, the
 first one the start rule, and its symbol table, which holds each distinct
 name once and lists the heads last. A body, like a derivation's token
-sequence, holds symbol numbers (table positions), 4 bytes a token. A
-compiled table is ``br``, ``n``, ``s1..sN``, then the atoms, so row bodies
-come straight from the state columns. A compiled grammar writes its rows
-into one ``array('I')``, each row body a ``memoryview`` slice of it, and
-that array is its derivation's tokens: none is copied. ``Grammar.from_symbols`` and
-``Derivation.from_tokens`` intern hand-built name sequences. ``check_incidence``
-counts ``Derivation.rows()``, then checks each in one pass as its view is made.
+sequence, holds symbol numbers (table positions): a hand-built one
+(``Grammar.from_symbols``, ``Derivation.from_tokens``) in an ``array('I')``.
 
-The listings, in arrow notation and in JSON, are streams of one finished
-``str`` per production: each looks its names up by number in a list that
-holds each name's text once (quoted once, for JSON), so a listing is
-written a production at a time. ``production_text`` and
-``productions_json`` are the chunks' ``"".join``.
+A compiled grammar writes no token: with the table ``br``, ``n``, ``s1..sN``,
+then the atoms, atom j's row is its T-set, the layout ``[s1..sN, br, s1..sN,
+n]`` through the selector ``column_j + 1 + flipped column_j + 1``, so its
+bodies and tokens are a ``_Selected`` of the state columns. The row reader
+(``Derivation.rows``, ``Grammar.bodies``) takes a list with an entry per
+symbol number (a name, a fill, a glyph) and yields each row's entries as a
+list: a ``compress`` of the table's layout for a compiled row, a lookup per
+token otherwise. Every listing, writer and ``check_incidence`` reads rows so.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Iterator
 from functools import cached_property
-from itertools import accumulate, chain, compress, count, filterfalse
+from itertools import accumulate, chain, compress, count, filterfalse, islice, repeat
 from json.encoder import encode_basestring
 from operator import attrgetter
 
@@ -55,11 +53,35 @@ def _intern(sequences) -> tuple[tuple[str, ...], list[array]]:
     return tuple(ids), arrays
 
 
+class _Selected(Value):
+    """Compiled rows' symbol numbers, made when read: per column (0/1 bytes,
+    one per state), the labels 2..N+1 of the states valuing its atom 1,
+    ``br`` (0), the other labels and ``n`` (1). It has at least one column."""
+
+    columns: tuple[bytes, ...]
+
+    def __init__(self, columns: tuple[bytes, ...]):  # once per atom
+        self.__dict__["columns"] = columns
+
+    def rows(self, table, linebreak: bool = True) -> Iterator[list]:
+        """Per column, its row's entries in ``table``, and ``n``'s if ``linebreak``."""
+        labels = table[2 : 2 + len(self.columns[0])]
+        layout = [*labels, table[0], *labels, *table[1 : 1 + linebreak]]
+        for c in self.columns:
+            yield list(compress(layout, c + b"\1" + c.translate(_FLIP) + b"\1"))
+
+    def __len__(self) -> int:
+        return len(self.columns) * (len(self.columns[0]) + 2)
+
+    def __iter__(self) -> Iterator[int]:
+        return chain.from_iterable(self.rows(range(len(self.columns[0]) + 2)))
+
+
 class Production(Value):
     head: str
-    body: array  # symbol numbers: an array('I'), or a memoryview slice of one
+    body: array  # symbol numbers: an array('I'), or a compiled row's _Selected
 
-    __hash__ = None  # as an array body is; a view's own hash raises ValueError
+    __hash__ = None  # as an array body is
 
     def __init__(self, head: str, body: array):  # once per atom
         fields = self.__dict__
@@ -120,34 +142,41 @@ class Grammar(Value):
             raise ValueError(
                 f"start rule {start.head!r} does not name each row head once, in order"
             )
-        nts = set(compress(count(), map(heads.__contains__, names)))
-        linebreak = names.index(LINEBREAK_NAME) if LINEBREAK_NAME in names else -1
         for p in rows:
-            if not nts.isdisjoint(p.body):
-                name = next(names[x] for x in p.body if x in nts)
+            body = list(map(names.__getitem__, p.body))
+            name = next(filter(heads.__contains__, body), None)
+            if name is not None:
                 raise ValueError(f"row {p.head!r} names nonterminal {name!r}")
-            ends = list(compress(count(), map(linebreak.__eq__, p.body)))
-            if ends != [len(p.body) - 1]:
+            if body.count(LINEBREAK_NAME) != 1 or body[-1] != LINEBREAK_NAME:
                 raise ValueError(f"row {p.head!r} does not hold n once, as its last token")
         if not heads.issuperset(names[len(names) - len(heads.intersection(names)) :]):
             raise ValueError("symbol table lists a head before another symbol")
 
     @cached_property
-    def _indices(self) -> array:
+    def _indices(self) -> array | _Selected:
         """The row bodies end to end; a compiled grammar is built with it."""
-        return array("I", b"".join(p.body for p in self.productions[1:]))
+        bodies = [p.body for p in self.productions[1:]]
+        if bodies and all(type(body) is _Selected for body in bodies):
+            return _Selected(tuple(chain.from_iterable(body.columns for body in bodies)))
+        return array("I", chain.from_iterable(bodies))
+
+    def bodies(self, table) -> Iterator[list]:
+        """Per production, its body's entries in ``table``, each made as it is read."""
+        if type(self._indices) is not _Selected:
+            return (list(map(table.__getitem__, p.body)) for p in self.productions)
+        return chain((list(map(table.__getitem__, self.productions[0].body)),),
+                     self._indices.rows(table))
 
 
 class Derivation(Value):
     """Fully expanded token sequence: ``symbols`` holds each distinct name
-    once and ``indices`` the tokens as an ``array('I')`` of positions in it.
-    Each token named ``n`` ends a row, so no row holds one. A derivation
-    holds no nonterminal, so ``br`` is its separator, ``n`` its linebreak
-    and any other name a state.
+    once and ``indices`` the tokens as positions in it, an ``array('I')`` or
+    a compiled grammar's ``_Selected``. Each token named ``n`` ends a row, so
+    no row holds one; ``br`` is the separator and any other name a state.
     """
 
     symbols: tuple[str, ...]
-    indices: array
+    indices: array | _Selected
 
     @classmethod
     def from_tokens(cls, tokens) -> Derivation:
@@ -167,13 +196,23 @@ class Derivation(Value):
         """One name per token, looked up in the table."""
         return tuple(map(self.symbols.__getitem__, self.indices))
 
-    def rows(self) -> Iterator[memoryview]:
-        """Symbol numbers between linebreaks, as views of ``indices`` made as
-        they are read; linebreaks themselves excluded, and so are empty rows.
-        The one row reader: callers take counts and lengths from the views."""
-        bounds, view = self.row_boundaries, memoryview(self.indices)
-        starts, ends = chain((0,), map((1).__add__, bounds)), chain(bounds, (len(self.indices),))
-        return filter(None, map(view.__getitem__, map(slice, starts, ends)))
+    def _spans(self) -> Iterator[tuple[int, int]]:
+        """Each row's first token index and its end, empty rows excluded."""
+        bounds = self.row_boundaries
+        spans = zip(chain((0,), map((1).__add__, bounds)), chain(bounds, (len(self.indices),)))
+        return ((start, end) for start, end in spans if end > start)
+
+    def row_lengths(self) -> list[int]:
+        """The tokens in each row, read off the linebreaks: no row is made."""
+        return [end - start for start, end in self._spans()]
+
+    def rows(self, table) -> Iterator[list]:
+        """Per row, its entries in ``table`` (a list by symbol number), each row
+        made as it is read; linebreaks excluded, and so are empty rows."""
+        if type(self.indices) is _Selected:
+            return self.indices.rows(table, linebreak=False)
+        view = memoryview(self.indices)
+        return (list(map(table.__getitem__, view[start:end])) for start, end in self._spans())
 
 
 class RowViolation(Value):
@@ -217,32 +256,21 @@ def compile_grammar(logic: PartitionLogic, states: StateSet) -> Grammar:
             what = "the logic's name" if atom == logic.name else "a state label or layout symbol"
             raise ValidationError(f"{atom!r} collides with {what}", f"atoms[{i}]")
 
-    # Symbol numbers: br 0, n 1, the state labels 2..N+1, then the atoms.
+    # Symbol numbers: br 0, n 1, labels 2..N+1, then the atoms; a row is its column's _Selected.
     n, m = len(labels), len(logic.atoms)
-    both = [*(ids := list(range(2, n + 2))), 0, *ids]  # the labels, br, the labels again
-    tokens = array("I")  # every row, n + 2 tokens each: check_incidence's layout, then n
-    for column in columns:
-        tokens.extend(compress(both, column + b"\1" + column.translate(_FLIP)))
-        tokens.append(1)
-    view = memoryview(tokens)  # only now: an array with views cannot grow
-    bodies = map(view.__getitem__, map(slice, count(0, n + 2), count(n + 2, n + 2)))
-    rows = list(map(Production, logic.atoms, bodies))
+    rows = list(map(Production, logic.atoms, map(_Selected, zip(columns))))
     start = Production(logic.name, array("I", range(n + 2, n + 2 + m)))
     # The checks above cover __post_init__'s: the start rule names the atoms in
     # order, and a row holds only labels, br and its last token n.
-    return Grammar._trusted(
-        productions=(start, *rows),
-        symbols=(SEPARATOR_NAME, LINEBREAK_NAME, *labels, *logic.atoms),
-        _indices=tokens,
-    )
+    symbols = (SEPARATOR_NAME, LINEBREAK_NAME, *labels, *logic.atoms)
+    return Grammar._trusted((start, *rows), symbols, _indices=_Selected(columns))
 
 
 def derive(grammar: Grammar) -> Derivation:
     """The start symbol rewritten: the rows end to end, each ended by its ``n``.
 
-    The tokens are the grammar's own array, not a copy. The derivation
-    shares the grammar's table up to the heads that end it, and its row
-    boundaries are the row ends, so no token is read.
+    It shares the grammar's tokens (no copy) and its table up to the heads that
+    end it, and its row boundaries are the row ends, so no token is read.
     """
     symbols = grammar.symbols  # the heads end it: drop them
     end = len(symbols) - len(set(grammar.nonterminals).intersection(symbols))
@@ -262,51 +290,38 @@ def check_incidence(
     one separator, token numbers past the symbol table, a row holding
     anything beside its separator but each label's state symbol once) is a
     precondition breach and raises ``ValueError``; side mismatches are
-    reported. The rows are counted, then checked in order, each as it is made.
+    reported. The rows are counted, then read by name, each as it is made.
     """
-    rows = sum(1 for _ in derivation.rows())
+    rows = len(derivation.row_lengths())
     if rows != len(logic.atoms):
         raise ValueError(f"derivation has {rows} rows for {len(logic.atoms)} atoms")
     m = _atom_width(logic, states)
-    labels = states.labels()
-    symbols = derivation.symbols
-    separators = list(compress(count(), map(SEPARATOR_NAME.__eq__, symbols)))
-    # Each label's state symbol by number, as a map of the table gives it: label
-    # i is symbol i + 2 when the table ends in the labels, as a compiled one does.
-    if symbols[2:] == labels:
-        ids = list(range(2, len(labels) + 2))
-    else:
-        ids = list(map(dict(zip(symbols, count())).get, labels))
-    # Atom j's column is every m-th byte: read from the states, not supports().
-    matrix = states.matrix
-    # A row as the definition writes it (the symbols of the states valuing its
+    labels, matrix = states.labels(), states.matrix  # atom j's column: matrix[j::m]
+    # A row as the definition writes it (the labels of the states valuing its
     # atom 1, br, the rest) is confirmed by one comparison; only the other rows
-    # are walked. That needs one br, a symbol per label and 0/1 values (a
-    # trusted state set is not checked).
-    fast = len(separators) == 1 and None not in ids and _zero_one(matrix)
-    both, label_numbers, violations = [*ids, *separators, *ids], set(), []
-    for j, row in enumerate(derivation.rows()):
+    # are walked. That needs 0/1 values (a trusted state set is not checked).
+    fast = _zero_one(matrix)
+    both, in_order, violations = [*labels, SEPARATOR_NAME, *labels], [], []
+    read = derivation.rows(list(derivation.symbols))
+    for j in range(rows):
+        try:
+            row = next(read)
+        except IndexError:  # a number past the table: the row's numbers name it
+            past = max(next(islice(derivation.rows(range(max(derivation.indices) + 1)), j, None)))
+            raise ValueError(f"row {j} names symbol number {past}, past the table") from None
         column = matrix[j::m]
-        if fast and row == array("I", compress(both, column + b"\1" + column.translate(_FLIP))):
+        if fast and row == list(compress(both, column + b"\1" + column.translate(_FLIP))):
             continue
-        # Beside its separator, a walked row must hold each of these once and
-        # nothing else, which set sizes show; built once, for the first walk.
-        label_numbers = label_numbers or set(ids) - {None}
-        cuts = list(compress(count(), map(separators.__contains__, row)))
-        if len(cuts) != 1:
+        # Beside its separator, a walked row holds each label once and nothing else.
+        if row.count(SEPARATOR_NAME) != 1:
             raise ValueError(f"row {j} does not contain exactly one separator")
-        left, right = set(row[: cuts[0]]), set(row[cuts[0] + 1 :])
-        only = left <= label_numbers and right <= label_numbers and left.isdisjoint(right)
-        if not (only and len(left) + len(right) == len(row) - 1 == len(labels)):
-            if max(row) >= len(symbols):
-                raise ValueError(f"row {j} names symbol number {max(row)}, past the table")
+        cut = row.index(SEPARATOR_NAME)
+        in_order = in_order or sorted(labels)  # sorted once, for the first walk
+        if sorted(row[:cut] + row[cut + 1 :]) != in_order:
             raise ValueError(f"row {j} does not carry each state symbol exactly once")
-        if len(left) != column.count(1) or not left.issuperset(compress(ids, column)):
-            mismatched = tuple(
-                label
-                for label, i, value in zip(labels, ids, column)
-                if (i in left) != (value == 1)
-            )
+        left = set(row[:cut])
+        mismatched = tuple(label for label, v in zip(labels, column) if (label in left) != (v == 1))
+        if mismatched:
             violations.append(RowViolation(j, mismatched))
     return IncidenceReport(tuple(violations))
 
@@ -317,13 +332,10 @@ def production_chunks(grammar: Grammar) -> Iterator[str]:
     The start rule is set off from the row rules by a blank line, matching
     the layered source layout used by :func:`sglg.render.emit_logic_program`.
     """
-    # A list, as a tuple's __getitem__ is slower to map over a body.
-    names, (start, *rows) = list(grammar.symbols), grammar.productions
-
-    def chunk(p: Production, end: str = ".\n") -> str:
-        return f"{p.head} --> {','.join(map(names.__getitem__, p.body))}{end}"
-
-    return chain((chunk(start, ".\n\n" if rows else ".\n"),), map(chunk, rows))
+    heads = grammar.nonterminals
+    ends = chain((".\n\n" if len(heads) > 1 else ".\n",), repeat(".\n"))
+    bodies = map(",".join, grammar.bodies(list(grammar.symbols)))
+    return map("{} --> {}{}".format, heads, bodies, ends)
 
 
 def production_text(grammar: Grammar) -> str:
@@ -335,16 +347,14 @@ def production_json_chunks(grammar: Grammar) -> Iterator[str]:
     """``productions_json`` one chunk per production, in the layout of
     ``json.dumps(indent=2, ensure_ascii=False)``: each name is quoted once,
     by the function ``json.dumps`` quotes it with."""
+
+    def chunk(lead: str, head: str, body: list[str]) -> str:
+        listed = "[\n    " + ",\n    ".join(body) + "\n  ]" if body else "[]"
+        return f"{lead}  {encode_basestring(head)}: {listed}"
+
+    leads = chain(("{\n",), repeat(",\n"))
     quoted = list(map(encode_basestring, grammar.symbols))
-
-    def chunk(p: Production, lead: str = ",\n") -> str:
-        if not p.body:
-            return f"{lead}  {encode_basestring(p.head)}: []"
-        names = ",\n    ".join(map(quoted.__getitem__, p.body))
-        return f"{lead}  {encode_basestring(p.head)}: [\n    {names}\n  ]"
-
-    start, *rows = grammar.productions
-    return chain((chunk(start, "{\n"),), map(chunk, rows), ("\n}\n",))
+    return chain(map(chunk, leads, grammar.nonterminals, grammar.bodies(quoted)), ("\n}\n",))
 
 
 def productions_json(grammar: Grammar) -> str:

@@ -24,21 +24,20 @@ class VectorRealization(Value):
     vectors: dict[str, tuple[float, ...]]
     tolerance: float = DEFAULT_TOLERANCE
 
-    def __post_init__(self):
+    def __post_init__(self):  # each fault named at its key in a vector file
         if not isinstance(self.dimension, int) or self.dimension <= 0:
-            raise ValueError("dimension must be a positive integer")
+            raise LogicFileError("dimension must be a positive integer", "dimension")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ValueError("tolerance must be a positive finite number")
+            raise LogicFileError("tolerance must be a positive finite number", "tolerance")
         for atom, vector in self.vectors.items():
+            at = f"vectors.{atom}"
             if len(vector) != self.dimension:
-                raise ValueError(
-                    f"vector for {atom!r} has length {len(vector)}, "
-                    f"expected {self.dimension}"
-                )
+                length = f"has length {len(vector)}, expected {self.dimension}"
+                raise LogicFileError(f"vector for {atom!r} {length}", at)
             if not all(math.isfinite(component) for component in vector):
-                raise ValueError(f"vector for {atom!r} has a non-finite component")
+                raise LogicFileError(f"vector for {atom!r} has a non-finite component", at)
             if all(abs(component) <= self.tolerance for component in vector):
-                raise ValueError(f"vector for {atom!r} is numerically zero")
+                raise LogicFileError(f"vector for {atom!r} is numerically zero", at)
 
 
 class CheckResult(Value):
@@ -217,7 +216,4 @@ def load_vector_file(text: str) -> VectorRealization:
     tolerance = payload.get("tolerance", DEFAULT_TOLERANCE)
     if not _is_finite_number(tolerance) or tolerance <= 0:
         raise LogicFileError("'tolerance' must be a positive finite number", "tolerance")
-    try:
-        return VectorRealization(dimension, vectors, float(tolerance))
-    except ValueError as exc:
-        raise LogicFileError(str(exc)) from exc
+    return VectorRealization(dimension, vectors, float(tolerance))

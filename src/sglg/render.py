@@ -6,26 +6,21 @@ layer never changes here — a ``RenderSpec`` only binds symbols to colors
 and geometry; its palette colors the states and, under ``br``, the separator.
 The caller picks each format's writer; only ``render_text`` reads ``spec.backend``.
 
-That binding is per symbol, not per token: a derivation holds each
-distinct symbol once in its table and its rows as views of one array of
-symbol numbers, so each backend formats its output fragment once per
-table entry and writes each row by looking the fragments up by number,
-with the per-column and per-row text (x and y coordinates, event
-positions) formatted once too. The SVG and event writers make a row one
-join over three slots per token, laid out for both SVGs by ``_grid``; each
-SVG line starts with its newline and each event line ends with one, so no
-line is joined twice.
+That binding is per symbol, not per token: each writer formats its output
+fragment once per table entry and reads each row's fragments through the
+derivation's row reader, ``rows(table)``, and the per-column and per-row
+text (x and y coordinates, event positions) once too. The SVG and event
+writers make a row one join over three slots per token, laid out for both
+SVGs by ``_grid``; each SVG line starts with its newline and each event line
+ends with one, so no line is joined twice.
 
-The ``*_chunks`` functions give the text as one finished ``str`` per
-row, or for the logic program per production and per state binding, and
-each joined twin is their ``"".join``. They raise when called and make
-each chunk when it is reached, so a document can be written a row at a
-time. The row writers read a derivation's ``rows()`` one view at a time
-and take the rows' lengths from the views as they are made, so they hold
-no view per row. A palette is checked once per distinct color, all at
-once; the entries are walked only when that fails. It must color every
-state in the table a writer renders, which ``RenderSpec.colors`` looks up
-when the writer is called: no token is read for it.
+The ``*_chunks`` functions give the text as one finished ``str`` per row,
+or for the logic program per production and per state binding; each joined
+twin is their ``"".join``. They raise when called and make each chunk when
+it is reached, so a document is written a row at a time. A palette is
+checked once per distinct color; the entries are walked only when that
+fails. It must color every state in the writer's table, which
+``RenderSpec.colors`` looks up when the writer is called.
 """
 
 from __future__ import annotations
@@ -167,10 +162,9 @@ def render_tiles(derivation: Derivation, spec: RenderSpec) -> str:
 def tile_chunks(derivation: Derivation, spec: RenderSpec) -> Iterator[str]:
     """``render_tiles`` as a head, one chunk per row and a tail."""
     table = [value and f'{value}"/>' for value in spec.colors(derivation.symbols)]
-    lengths = list(map(len, derivation.rows()))
+    lengths = derivation.row_lengths()
     head, rects = _grid(spec, 0, 0, max(lengths, default=0), len(lengths))
-    rows = (rects(r, map(table.__getitem__, row), len(row))
-            for r, row in enumerate(derivation.rows()))
+    rows = (rects(r, fills, len(fills)) for r, fills in enumerate(derivation.rows(table)))
     return chain((head,), rows, ("\n</svg>\n",))
 
 
@@ -227,9 +221,9 @@ def render_text(derivation: Derivation, spec: RenderSpec, color: bool = True) ->
 def ansi_chunks(derivation: Derivation, spec: RenderSpec, color: bool = True) -> Iterator[str]:
     """``render_text`` on the ansi backend, one chunk per row."""
     if not color:
-        return (BLOCK * len(row) + "\n" for row in derivation.rows())
+        return (BLOCK * length + "\n" for length in derivation.row_lengths())
     table = [value and _ansi_glyph(value) for value in spec.colors(derivation.symbols)]
-    return ("".join([*map(table.__getitem__, row), "\x1b[0m\n"]) for row in derivation.rows())
+    return ("".join([*glyphs, "\x1b[0m\n"]) for glyphs in derivation.rows(table))
 
 
 def html_chunks(derivation: Derivation, spec: RenderSpec) -> Iterator[str]:
@@ -239,8 +233,8 @@ def html_chunks(derivation: Derivation, spec: RenderSpec) -> Iterator[str]:
         f"width:{spec.cell_size}px;height:{spec.cell_size}px;background:"
     )
     table = [value and f'{style}{value}"></span>\n' for value in spec.colors(derivation.symbols)]
-    divs = ("".join(['  <div class="sglg-row">\n', *map(table.__getitem__, row), "  </div>\n"])
-            for row in derivation.rows())
+    divs = ("".join(['  <div class="sglg-row">\n', *cells, "  </div>\n"])
+            for cells in derivation.rows(table))
     return chain(('<div class="sglg-tiles">\n',), divs, ("</div>\n",))
 
 
@@ -294,17 +288,17 @@ def event_chunks(derivation: Derivation) -> Iterator[str]:
     # the strings quoted by the function json.dumps uses for them; per
     # token the row's text, the position and the line-ending symbol tail.
     table = list(map(_event_tail, derivation.symbols))
-    cols = max(map(len, derivation.rows()), default=0)
+    cols = max(derivation.row_lengths(), default=0)
     slots = list(chain.from_iterable(zip(repeat(None), map(str, range(cols)), repeat(None))))
 
-    def row_chunk(r: int, row) -> str:
+    def row_chunk(r: int, tails: list[str]) -> str:
         # A full row fills the slots in place: only their join leaves here.
-        parts = slots if 3 * len(row) == len(slots) else slots[: 3 * len(row)]
-        parts[0::3] = repeat(f'{{"row":{r},"pos":', len(row))
-        parts[2::3] = map(table.__getitem__, row)
+        parts = slots if 3 * len(tails) == len(slots) else slots[: 3 * len(tails)]
+        parts[0::3] = repeat(f'{{"row":{r},"pos":', len(tails))
+        parts[2::3] = tails
         return "".join(parts)
 
-    return map(row_chunk, count(), derivation.rows())
+    return map(row_chunk, count(), derivation.rows(table))
 
 
 def emit_events(derivation: Derivation) -> EventStream:

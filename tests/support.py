@@ -338,6 +338,20 @@ def chain_spec(k: int) -> dict:
     }
 
 
+@st.composite
+def compiled_inputs(draw) -> tuple[PartitionLogic, StateSet]:
+    """A random separating logic, a chain-1..8, or a small random base set."""
+    kind = draw(st.sampled_from(["random", "chain", "base set"]))
+    if kind == "random":
+        return random_separating_logic(random.Random(draw(st.integers(0, 10**6))))
+    if kind == "chain":
+        spec = chain_spec(draw(st.integers(1, 8)))
+    else:
+        rng = random.Random(draw(st.integers(0, 10**6)))
+        spec = random_base_set_spec(rng, draw(st.integers(6, 12)), draw(st.integers(2, 20)))
+    return resolve_states(parse_logic_file(json.dumps(spec)))
+
+
 # ------------------------------------------------ hostile logic files
 
 FIXTURE_DOCS = tuple(

@@ -757,6 +757,31 @@ def test_nan_vector_component_is_rejected(tmp_path, capsys):
     assert "vectors.a" in captured.err
 
 
+# A vector file the realization rejects, and the one stderr line naming the key at fault.
+VECTOR_FILE_FAULTS = {
+    "short-vector": (
+        {"dimension": 3, "vectors": dict(SCALED_L12_VECTORS, a=[1, 0])},
+        "vectors.a: vector for 'a' has length 2, expected 3",
+    ),
+    "zero-dimension": (
+        {"dimension": 0, "vectors": SCALED_L12_VECTORS},
+        "dimension: dimension must be a positive integer",
+    ),
+    "zero-vector": (
+        {"dimension": 3, "vectors": dict(SCALED_L12_VECTORS, c=[0, 0.0, 0])},
+        "vectors.c: vector for 'c' is numerically zero",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", VECTOR_FILE_FAULTS)
+def test_a_vector_file_fault_names_its_key(case, tmp_path, capsys):
+    payload, line = VECTOR_FILE_FAULTS[case]
+    vectors = write_vectors(tmp_path, payload)
+    assert main(["verify-orthorep", L12, "--vectors", vectors]) == 2
+    assert capsys.readouterr() == ("", f"sglg: error: {line}\n")
+
+
 @pytest.mark.parametrize("tolerance", [math.nan, math.inf])
 def test_non_finite_vector_file_tolerance_is_rejected(tmp_path, capsys, tolerance):
     vectors = write_vectors(
@@ -1314,6 +1339,20 @@ CHAIN10_SHA256 = {
         "8e1b950564d84f42e4809633277d32cd7fc41d4efad547d289864d9afb675e85",
 }
 
+# sha256 of both grammar listings on chain-10, recorded before a compiled
+# grammar's rows were made from the state columns as they are read.
+CHAIN10_GRAMMAR_SHA256 = {
+    "text": "ad254435973f4132fac27d13913327ec5e2f28ba7266253c1e1c37b005b26fb3",
+    "json": "a1f7147bf1f23fc76cd1e24d9499f3ceedda8f6bfaa9b7f372dfac3a649c8c5f",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(CHAIN10_GRAMMAR_SHA256))
+def test_chain10_grammar_listings_are_pinned_byte_for_byte(fmt, tmp_path, capsys):
+    assert main(["grammar", write_spec(tmp_path, CHAIN10_SPEC), "--format", fmt]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == CHAIN10_GRAMMAR_SHA256[fmt]
+
 
 @pytest.mark.parametrize("case", sorted(CHAIN10_SHA256))
 def test_chain10_outputs_are_pinned_byte_for_byte(case, tmp_path, monkeypatch, capsys):
@@ -1607,14 +1646,21 @@ WIDE16_SHA256 = {
     "check": "65850fdd0d6f029c855087ef87e9f4f8568d4f637c6c8dd0c0b91278c48a918b",
     "schema": "964a5409eacab960cd640bcb876f76be8caa53c91858c269b2f32bc5fcc251a7",
     "svg-tiles": "daabb396dc2fe719148a8fc1e20bc7598a883852622c1d4b19e539060282161b",
+    # Recorded before a compiled grammar's rows were made from the state columns.
+    "html": "091aaef226964f10cb01520be4ecb6bbcc8d8e0c9c20a204c73fbe25260bb1f1",
+    "ansi": "801b773eccfb82e949438a86e959ed86f7ca328191091164bffa3773562ae13a",
+    "events": "bdceef1adb741820497aae4030e58ff1d97f931de630687955c042ec2df0040a",
+    "logic-program": "31a4999e1de8c021091cc25539534ad9a1e43e77800b5081c18cd1d93124069e",
+    "grammar": "ecfeca5b149e07969f664bf90a8414e9f1f372cc91abe14451119994a5a3dde0",
 }
 
 
 @pytest.mark.parametrize("case", sorted(WIDE16_SHA256))
-def test_base_set_outputs_are_pinned_byte_for_byte(case, tmp_path, capsys):
+def test_base_set_outputs_are_pinned_byte_for_byte(case, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("NO_COLOR", raising=False)
     spec = write_spec(tmp_path, WIDE16_SPEC)
     out = tmp_path / "out"
-    if case in ("states", "check"):
+    if case in ("states", "check", "grammar"):
         assert main([case, spec]) == 0
         data = capsys.readouterr().out.encode()
     else:

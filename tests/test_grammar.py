@@ -38,6 +38,7 @@ from sglg.grammar import production_json_chunks
 from support import (
     body_names,
     chain_spec,
+    compiled_inputs,
     hostile_flat_grammars,
     listing,
     one_state_grammar,
@@ -80,7 +81,7 @@ HORIZONTAL_ROWS = {
 
 def symbol_rows(derivation: Derivation) -> list[list[str]]:
     """The derivation's rows with one name per token."""
-    return [[derivation.symbols[i] for i in row] for row in derivation.rows()]
+    return list(derivation.rows(list(derivation.symbols)))
 
 
 def from_rows(rows: list[list[str]]) -> Derivation:
@@ -249,10 +250,10 @@ def test_triangle_derivation_has_36_tokens_and_6_rows():
     logic, states = resolve_fixture("triangle.json")
     derivation = derive(compile_grammar(logic, states))
     assert len(derivation.tokens) == 36
-    assert len(list(derivation.rows())) == 6
+    assert len(list(derivation.rows(list(derivation.symbols)))) == 6
 
 
-def test_chain10_derivation_is_a_symbol_table_plus_index_rows():
+def test_chain10_derivation_is_a_symbol_table_plus_selected_rows():
     atoms = tuple(f"x{i}" for i in range(11)) + tuple(f"y{i}" for i in range(10))
     contexts = tuple((i, 11 + i, i + 1) for i in range(10))  # {x_i, y_i, x_(i+1)}
     logic = PartitionLogic("chain10", atoms, contexts)
@@ -262,22 +263,33 @@ def test_chain10_derivation_is_a_symbol_table_plus_index_rows():
     # One entry per distinct symbol: br, n and one per state label.
     assert len(derivation.symbols) == len(set(derivation.symbols)) == len(states) + 2
     assert set(derivation.symbols) == set(derivation.tokens)
-    assert type(derivation.indices) is array and derivation.indices.typecode == "I"
-    rows = list(derivation.rows())
+    # No token array: the tokens are the state columns, selected when read.
+    assert derivation.indices.columns == supports(logic, states)
+    assert len(derivation.indices) == len(atoms) * (len(states) + 2)
+    numbers = list(range(len(derivation.symbols)))
+    rows = derivation.rows(numbers)
+    assert iter(rows) is rows  # each row made as it is read
+    rows = list(rows)
     assert len(rows) == len(atoms)
-    assert all(type(row) is memoryview and row.format == "I" for row in rows)
-    assert all(row.obj is derivation.indices for row in rows)
+    assert all(type(row) is list and len(row) == len(states) + 1 for row in rows)
+    assert derivation.row_lengths() == [len(states) + 1] * len(atoms)
+    assert [n for row in rows for n in (*row, 1)] == list(derivation.indices)
 
 
-def test_compiled_rows_derivation_and_its_rows_share_one_array():
+def test_compiled_rows_derivation_and_its_rows_share_the_columns():
     logic, states = resolve_fixture("l12.json")
     grammar = compile_grammar(logic, states)
     derivation = derive(grammar)
-    assert type(derivation.indices) is array
+    columns = supports(logic, states)
+    assert derivation.indices.columns == columns
     start, *rows = grammar.productions
     assert type(start.body) is array
-    assert all(type(p.body) is memoryview and p.body.obj is derivation.indices for p in rows)
+    assert [p.body.columns for p in rows] == [(c,) for c in columns]
+    assert all(p.body.columns[0] is c for p, c in zip(rows, derivation.indices.columns))
     assert derive(grammar).indices is derivation.indices
+    # Each body's numbers, read one by one, are the entries the reader gives for it.
+    numbers = list(range(len(grammar.symbols)))
+    assert [list(p.body) for p in grammar.productions] == list(grammar.bodies(numbers))
 
 
 def chain_inputs(k: int) -> tuple[PartitionLogic, StateSet]:
@@ -286,8 +298,9 @@ def chain_inputs(k: int) -> tuple[PartitionLogic, StateSet]:
 
 @pytest.mark.parametrize("k", [14, 16])
 def test_derive_allocates_no_copy_of_the_tokens(k):
-    grammar = compile_grammar(*chain_inputs(k))
-    token_bytes = len(derive(grammar).indices) * 4
+    logic, states = chain_inputs(k)
+    grammar = compile_grammar(logic, states)
+    token_bytes = len(logic.atoms) * (len(states) + 2) * 4  # as an array('I') held them
     assert traced_peak(derive, grammar) < token_bytes / 4
 
 
@@ -372,12 +385,14 @@ def test_derive_equals_recursive_expansion(grammar):
 @settings(max_examples=200, deadline=None)
 @given(flat_grammars())
 def test_rows_are_read_one_at_a_time_and_again_alike(grammar):
-    # A row of "n" alone is empty, and no view stands for it.
+    # A row of "n" alone is empty, and no list stands for it.
     derivation = derive(grammar)
-    rows = derivation.rows()
-    assert iter(rows) is rows  # each view made as it is read
-    rows = [row.tolist() for row in rows]
-    assert [row.tolist() for row in derivation.rows()] == rows
+    numbers = list(range(len(derivation.symbols)))
+    rows = derivation.rows(numbers)
+    assert iter(rows) is rows  # each row made as it is read
+    rows = list(rows)
+    assert list(derivation.rows(numbers)) == rows
+    assert derivation.row_lengths() == list(map(len, rows))
 
 
 def test_derive_equals_recursive_expansion_on_random_compiled_grammars():
@@ -388,20 +403,6 @@ def test_derive_equals_recursive_expansion_on_random_compiled_grammars():
         assert derivation_content(derive(grammar)) == derivation_content(
             derive_by_recursion(grammar)
         )
-
-
-@st.composite
-def compiled_inputs(draw) -> tuple[PartitionLogic, StateSet]:
-    """A random separating logic, a chain-1..7, or a small random base set."""
-    kind = draw(st.sampled_from(["random", "chain", "base set"]))
-    if kind == "random":
-        return random_separating_logic(random.Random(draw(st.integers(0, 10**6))))
-    if kind == "chain":
-        spec = chain_spec(draw(st.integers(1, 7)))
-    else:
-        rng = random.Random(draw(st.integers(0, 10**6)))
-        spec = random_base_set_spec(rng, draw(st.integers(6, 12)), draw(st.integers(2, 20)))
-    return resolve_states(parse_logic_file(json.dumps(spec)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -701,10 +702,9 @@ def test_check_incidence_holds_no_copy_of_the_tokens(inputs):
     assert traced_peak(check_incidence, derivation, logic, states) < token_bytes * 2 / 3
 
 
-def test_check_incidence_numbers_a_compiled_tables_labels_without_a_map(monkeypatch):
-    # A compiled table is br, n, s1..sN, so label i is symbol i + 2: what a map
-    # of the table's names to their numbers would give. Only a table in
-    # another order, here the order of first use, is looked up in one.
+def test_check_incidence_reads_rows_by_name_without_a_map(monkeypatch):
+    # Rows are read by name, so no table, in the compiled order br, n, s1..sN
+    # or in the order of first use, is looked up in a map of names to numbers.
     logic, states = chain_inputs(16)
     derivation = derive(compile_grammar(logic, states))
     maps = []
@@ -715,9 +715,8 @@ def test_check_incidence_numbers_a_compiled_tables_labels_without_a_map(monkeypa
 
     monkeypatch.setattr(sglg.grammar, "dict", counted_dict, raising=False)
     assert check_incidence(derivation, logic, states).ok
-    assert maps == []
     assert check_incidence(Derivation.from_tokens(derivation.tokens), logic, states).ok
-    assert len(maps) == 1
+    assert maps == []
 
 
 def test_incidence_property_on_random_logics():

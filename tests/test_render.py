@@ -8,6 +8,7 @@ import json
 import random
 import re
 import tracemalloc
+from array import array
 from functools import cache
 from operator import itemgetter
 from types import SimpleNamespace
@@ -21,6 +22,7 @@ from sglg import (
     Derivation,
     Grammar,
     PartitionLogic,
+    Production,
     RenderSpec,
     StateSet,
     ValidationError,
@@ -49,6 +51,7 @@ from sglg.render import (
 )
 from support import (
     chain_spec,
+    compiled_inputs,
     hostile_flat_grammars,
     listing,
     one_state_grammar,
@@ -1016,3 +1019,53 @@ def test_chunks_held_before_joining_give_the_same_text(build):
     assert all(type(chunk) is str for chunk in held)
     fresh = list(build(chain_inputs(14)))
     assert held == fresh  # a list: a diff of the one text takes minutes
+
+
+@st.composite
+def compiled_or_hand_built(draw) -> tuple:
+    """A compiled grammar of ``compiled_inputs`` and its derivation; then the
+    same rows hand-built: the derivation from its tokens, the grammar from
+    its names, and the grammar with each body an array over the compiled
+    table."""
+    logic, states = draw(compiled_inputs())
+    grammar = compile_grammar(logic, states)
+    derivation = derive(grammar)
+    # The rows as the definition writes them, from the states alone.
+    labels, m = states.labels(), len(logic.atoms)
+    columns = [states.matrix[j::m] for j in range(m)]
+    tokens = [name for column in columns for name in (
+        *(s for s, v in zip(labels, column) if v), "br", *(s for s, v in zip(labels, column) if not v),
+        "n")]
+    assert list(derivation.tokens) == tokens
+    rules = [(p.head, [grammar.symbols[i] for i in p.body]) for p in grammar.productions]
+    arrays = tuple(Production(p.head, array("I", p.body)) for p in grammar.productions)
+    hand_built = (Derivation.from_tokens(tokens), Grammar.from_symbols(rules),
+                  Grammar(arrays, grammar.symbols))
+    return states, (derivation, grammar, grammar), hand_built
+
+
+# Each writer, given a derivation, a grammar read by name, a grammar over the
+# compiled table and the spec.
+ROW_WRITERS = {
+    "tiles": lambda d, g, t, spec: tile_chunks(d, spec),
+    "ansi": lambda d, g, t, spec: ansi_chunks(d, spec),
+    "ansi-no-color": lambda d, g, t, spec: ansi_chunks(d, spec, color=False),
+    "html": lambda d, g, t, spec: html_chunks(d, spec),
+    "events": lambda d, g, t, spec: event_chunks(d),
+    "listing": lambda d, g, t, spec: production_chunks(g),
+    "json-listing": lambda d, g, t, spec: production_json_chunks(g),
+    "logic-program": lambda d, g, t, spec: logic_program_chunks(t, spec),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(compiled_or_hand_built())
+def test_compiled_and_hand_built_rows_write_the_same_text(inputs):
+    # A compiled row is a compress of the table's layout through its state
+    # column; a hand-built one a lookup per token. Every writer reads rows
+    # through one reader, so both give the same bytes.
+    states, compiled, hand_built = inputs
+    assert type(compiled[0].indices) is not array and type(hand_built[0].indices) is array
+    spec = RenderSpec(default_palette(states.labels()))
+    for name, write in ROW_WRITERS.items():
+        assert "".join(write(*compiled, spec)) == "".join(write(*hand_built, spec)), name

@@ -319,6 +319,8 @@ def test_cached_members_live_on_the_instance():
     assert states == StateSet(L12_STATES.matrix, L12_STATES.width)
     grammar = Grammar(*CASES[Grammar][1])
     assert grammar._indices is grammar._indices
+    names = list(grammar.symbols)
+    assert list(grammar.bodies(names)) == list(L12_GRAMMAR.bodies(names))
     assert grammar == L12_GRAMMAR
 
 
