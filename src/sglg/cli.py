@@ -305,7 +305,7 @@ def _cmd_check(args, logic_file, logic, states) -> int:
         f"states: {len(states)} admissible ({logic_file.state_order} order)\n"
         "separating: yes\n"
         f"partition representation: ok ({len(logic.contexts)} contexts)\n"
-        f"grammar: {len(grammar.productions)} productions, "
+        f"grammar: {len(logic.atoms) + 1} productions, "
         f"{len(derivation.indices)} derivation tokens\n"
         "incidence: ok"
     )

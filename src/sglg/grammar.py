@@ -1,27 +1,28 @@
 """Simple generative logic grammars compiled from partition logics.
 
 The compiler translates a logic plus a separating state set into the flat
-grammar of the paper, the only shape a ``Grammar`` takes: a start rule
-expanding into one nonterminal per atom, and per atom a row rule listing
-the supporting state symbols, a separator, the complementary symbols, and
-a line break. Deriving the start symbol writes the rows end to end.
+grammar of the paper: a start rule expanding into one nonterminal per atom,
+and per atom a row rule listing the supporting state symbols, a separator,
+the complementary symbols, and a line break. Deriving the start symbol
+writes the rows end to end.
 
 A symbol is its name, a ``str``, and the name fixes its kind: ``br`` is
-the separator, ``n`` the linebreak, a production head a nonterminal, and
-any other name a state (a terminal). A grammar is its productions, the
-first one the start rule, and its symbol table, which holds each distinct
-name once and lists the heads last. A body, like a derivation's token
-sequence, holds symbol numbers (table positions): a hand-built one
-(``Grammar.from_symbols``, ``Derivation.from_tokens``) in an ``array('I')``.
+the separator, ``n`` the linebreak, the logic's name and its atoms the
+nonterminals, and a state label a terminal. A ``Grammar`` is the logic and
+the states it was compiled from, checked once when it is made; everything
+else is a view of the two. Its symbol table is ``br``, ``n``, ``s1..sN``,
+then the atoms; a body, like a derivation's token sequence, holds symbol
+numbers (table positions), a hand-built derivation's
+(``Derivation.from_tokens``) in an ``array('I')``.
 
-A compiled grammar writes no token: with the table ``br``, ``n``, ``s1..sN``,
-then the atoms, atom j's row is its T-set, the layout ``[s1..sN, br, s1..sN,
-n]`` through the selector ``column_j + 1 + flipped column_j + 1``, so its
-bodies and tokens are a ``_Selected`` of the state columns. The row reader
-(``Derivation.rows``, ``Grammar.bodies``) takes a list with an entry per
-symbol number (a name, a fill, a glyph) and yields each row's entries as a
-list: a ``compress`` of the table's layout for a compiled row, a lookup per
-token otherwise. Every listing, writer and ``check_incidence`` reads rows so.
+A compiled grammar writes no token: atom j's row is its T-set, the layout
+``[s1..sN, br, s1..sN, n]`` through the selector ``column_j + 1 + flipped
+column_j + 1``, so its bodies and tokens are a ``_Selected`` of the state
+columns. The row reader (``Derivation.rows``, ``Grammar.bodies``) takes a
+list with an entry per symbol number (a name, a fill, a glyph) and yields
+each row's entries as a list: a ``compress`` of the table's layout for a
+compiled row, a lookup per token otherwise. Every listing, writer and
+``check_incidence`` reads rows so.
 """
 
 from __future__ import annotations
@@ -29,9 +30,8 @@ from __future__ import annotations
 from array import array
 from collections.abc import Iterator
 from functools import cached_property
-from itertools import accumulate, chain, compress, count, filterfalse, islice, repeat
+from itertools import chain, compress, count, islice, repeat
 from json.encoder import encode_basestring
-from operator import attrgetter
 
 from .errors import NotSeparatingError, ValidationError
 from .logic import PartitionLogic, StateSet, _atom_width, _clash, _first_inadmissible
@@ -43,16 +43,6 @@ LINEBREAK_NAME = "n"
 _FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # a 0/1 byte string's complement
 
 
-_head = attrgetter("head")
-
-
-def _intern(sequences) -> tuple[tuple[str, ...], list[array]]:
-    """The distinct names by first use, and each sequence as their numbers."""
-    ids: dict[str, int] = {}
-    arrays = [array("I", [ids.setdefault(s, len(ids)) for s in q]) for q in sequences]
-    return tuple(ids), arrays
-
-
 class _Selected(Value):
     """Compiled rows' symbol numbers, made when read: per column (0/1 bytes,
     one per state), the labels 2..N+1 of the states valuing its atom 1,
@@ -60,7 +50,7 @@ class _Selected(Value):
 
     columns: tuple[bytes, ...]
 
-    def __init__(self, columns: tuple[bytes, ...]):  # once per atom
+    def __init__(self, columns: tuple[bytes, ...]):  # once per atom, for productions
         self.__dict__["columns"] = columns
 
     def rows(self, table, linebreak: bool = True) -> Iterator[list]:
@@ -89,83 +79,73 @@ class Production(Value):
 
 
 class Grammar(Value):
-    """Productions, the first one the start rule, and the symbol table.
+    """The flat grammar of a logic plus admissible, separating states.
 
-    ``symbols`` is the table of names the production bodies index, each
-    once. The grammar is flat: the start rule names each row head once, in
-    production order, and each row names no head and ends with its one
-    ``n``. The nonterminals are the production heads, the start symbol the
-    first head and the terminals the other names but ``br`` and ``n``, in
-    table order. The heads end the table, so a derivation's table is the
-    rest of it. Binding symbols to colors or other realizations happens in
-    the render layer.
+    Making one checks the states against the logic, in this order: there are
+    some, each is admissible, they separate the atoms, and no atom or logic
+    name collides with another grammar symbol. The start rule (the logic's
+    name) names the atoms in order; each atom's row holds the labels of the
+    states valuing it 1, ``br``, the other labels and ``n``. The symbol table
+    is ``br``, ``n``, the labels, then the atoms, so a derivation's table is
+    the part before the atoms. Binding symbols to colors or other
+    realizations happens in the render layer.
     """
 
-    productions: tuple[Production, ...]
-    symbols: tuple[str, ...]
+    logic: PartitionLogic
+    states: StateSet
 
-    @classmethod
-    def from_symbols(cls, rules) -> Grammar:
-        """A grammar from ``(head, body names)`` rules, the start rule first;
-        equal names share one table entry, in order of first use in the rows
-        and then in the start rule, so the heads end the table."""
-        heads, bodies = [h for h, _ in rules], [body for _, body in rules]
-        symbols, arrays = _intern(bodies[1:] + bodies[:1])
-        return cls(tuple(map(Production, heads, arrays[-1:] + arrays[:-1])), symbols)
+    def __post_init__(self):
+        logic, states = self.logic, self.states
+        if len(states) == 0:
+            raise ValidationError(f"logic {logic.name!r} admits no two-valued states", "contexts")
+        columns = self.columns
+        bad = _first_inadmissible(logic, states, columns)
+        if bad is not None:
+            raise ValidationError("not admissible", f"states[{bad}]")
+        clash = _clash(columns)
+        if clash is not None:  # named where the later atom is declared
+            i, j = clash
+            raise NotSeparatingError(logic.atoms[i], logic.atoms[j], f"atoms[{j}]")
+        few, many = states.labels(), chain((logic.name,), logic.atoms)
+        if len(few) > len(logic.atoms):  # the set is built from the fewer names
+            few, many = many, few
+        taken = {SEPARATOR_NAME, LINEBREAK_NAME, *set(few).intersection(many)}
+        if logic.name in taken:
+            raise ValidationError(f"{logic.name!r} collides with another grammar symbol", "name")
+        for i, atom in enumerate(logic.atoms):  # an atom is at fault even beside a default name
+            if atom in taken or atom == logic.name:
+                what = "the logic's name" if atom == logic.name else (
+                    "a state label or layout symbol")
+                raise ValidationError(f"{atom!r} collides with {what}", f"atoms[{i}]")
+
+    @cached_property
+    def columns(self) -> tuple[bytes, ...]:
+        """Per atom, its column of state values (``supports``)."""
+        return supports(self.logic, self.states)
+
+    @property
+    def symbols(self) -> tuple[str, ...]:
+        """The symbol table: ``br`` (0), ``n`` (1), the labels 2..N+1, the atoms."""
+        return (SEPARATOR_NAME, LINEBREAK_NAME, *self.states.labels(), *self.logic.atoms)
 
     @property
     def nonterminals(self) -> tuple[str, ...]:
-        return tuple(map(_head, self.productions))
+        return (self.logic.name, *self.logic.atoms)
 
     @property
     def terminals(self) -> tuple[str, ...]:
-        other = {SEPARATOR_NAME, LINEBREAK_NAME, *self.nonterminals}
-        return tuple(filterfalse(other.__contains__, self.symbols))
+        return self.states.labels()
 
-    def __post_init__(self):
-        if not self.productions:
-            raise ValueError("grammar needs at least one production")
-        heads = set(self.nonterminals)
-        if len(heads) != len(self.productions):
-            raise ValueError("grammar needs exactly one production per nonterminal")
-        layout = {SEPARATOR_NAME, LINEBREAK_NAME} & heads
-        if layout:
-            raise ValueError(f"symbols declared in more than one class: {sorted(layout)}")
-        names = self.symbols
-        if len(set(names)) != len(names):
-            raise ValueError("symbol table repeats a symbol")
-        for p in self.productions:
-            if max(p.body, default=-1) >= len(names):
-                raise ValueError(f"production {p.head!r} names no symbol of the table")
-        start, *rows = self.productions
-        if tuple(map(names.__getitem__, start.body)) != self.nonterminals[1:]:
-            raise ValueError(
-                f"start rule {start.head!r} does not name each row head once, in order"
-            )
-        for p in rows:
-            body = list(map(names.__getitem__, p.body))
-            name = next(filter(heads.__contains__, body), None)
-            if name is not None:
-                raise ValueError(f"row {p.head!r} names nonterminal {name!r}")
-            if body.count(LINEBREAK_NAME) != 1 or body[-1] != LINEBREAK_NAME:
-                raise ValueError(f"row {p.head!r} does not hold n once, as its last token")
-        if not heads.issuperset(names[len(names) - len(heads.intersection(names)) :]):
-            raise ValueError("symbol table lists a head before another symbol")
+    @property
+    def productions(self) -> tuple[Production, ...]:
+        """The start rule, then a row per atom, each made when this is read."""
+        first = len(self.states) + 2  # the first atom's symbol number
+        start = Production(self.logic.name, array("I", range(first, first + len(self.logic.atoms))))
+        return (start, *map(Production, self.logic.atoms, map(_Selected, zip(self.columns))))
 
-    @cached_property
-    def _indices(self) -> array | _Selected:
-        """The row bodies end to end; a compiled grammar is built with it."""
-        bodies = [p.body for p in self.productions[1:]]
-        if bodies and all(type(body) is _Selected for body in bodies):
-            return _Selected(tuple(chain.from_iterable(body.columns for body in bodies)))
-        return array("I", chain.from_iterable(bodies))
-
-    def bodies(self, table) -> Iterator[list]:
+    def bodies(self, table: list) -> Iterator[list]:
         """Per production, its body's entries in ``table``, each made as it is read."""
-        if type(self._indices) is not _Selected:
-            return (list(map(table.__getitem__, p.body)) for p in self.productions)
-        return chain((list(map(table.__getitem__, self.productions[0].body)),),
-                     self._indices.rows(table))
+        return chain((table[len(self.states) + 2 :],), _Selected(self.columns).rows(table))
 
 
 class Derivation(Value):
@@ -181,12 +161,16 @@ class Derivation(Value):
     @classmethod
     def from_tokens(cls, tokens) -> Derivation:
         """A derivation from one name per token, equal ones interned."""
-        symbols, (indices,) = _intern([tokens])
-        return cls(symbols, indices)
+        ids: dict[str, int] = {}
+        indices = array("I", [ids.setdefault(s, len(ids)) for s in tokens])
+        return cls(tuple(ids), indices)
 
     @cached_property
     def row_boundaries(self) -> tuple[int, ...]:
-        """The token indices of the linebreaks; ``derive`` states them."""
+        """The token indices of the linebreaks; a compiled row's is its last."""
+        if type(self.indices) is _Selected:  # rows of N + 1 tokens and their n
+            width = len(self.indices.columns[0]) + 2
+            return tuple(range(width - 1, len(self.indices), width))
         names = self.symbols
         linebreak = names.index(LINEBREAK_NAME) if LINEBREAK_NAME in names else -1
         return tuple(compress(count(), map(linebreak.__eq__, self.indices)))
@@ -204,6 +188,8 @@ class Derivation(Value):
 
     def row_lengths(self) -> list[int]:
         """The tokens in each row, read off the linebreaks: no row is made."""
+        if type(self.indices) is _Selected:  # N + 1 tokens a row
+            return [len(self.indices.columns[0]) + 1] * len(self.indices.columns)
         return [end - start for start, end in self._spans()]
 
     def rows(self, table) -> Iterator[list]:
@@ -234,49 +220,19 @@ def compile_grammar(logic: PartitionLogic, states: StateSet) -> Grammar:
     The start rule expands into the atoms in declaration order; each atom's
     rule lists its supporting state symbols, then ``br``, then the rest,
     then ``n``. Every row, including the last, ends with ``n`` so that all
-    rows have uniform shape.
+    rows have uniform shape. The grammar's constructor makes every check.
     """
-    if len(states) == 0:
-        raise ValidationError(f"logic {logic.name!r} admits no two-valued states", "contexts")
-    columns = supports(logic, states)
-    bad = _first_inadmissible(logic, states, columns)
-    if bad is not None:
-        raise ValidationError("not admissible", f"states[{bad}]")
-    clash = _clash(columns)
-    if clash is not None:  # named where the later atom is declared
-        i, j = clash
-        raise NotSeparatingError(logic.atoms[i], logic.atoms[j], f"atoms[{j}]")
-
-    labels = states.labels()
-    taken = {SEPARATOR_NAME, LINEBREAK_NAME, *{logic.name, *logic.atoms}.intersection(labels)}
-    if logic.name in taken:
-        raise ValidationError(f"{logic.name!r} collides with another grammar symbol", "name")
-    for i, atom in enumerate(logic.atoms):  # an atom is at fault even beside a default name
-        if atom in taken or atom == logic.name:
-            what = "the logic's name" if atom == logic.name else "a state label or layout symbol"
-            raise ValidationError(f"{atom!r} collides with {what}", f"atoms[{i}]")
-
-    # Symbol numbers: br 0, n 1, labels 2..N+1, then the atoms; a row is its column's _Selected.
-    n, m = len(labels), len(logic.atoms)
-    rows = list(map(Production, logic.atoms, map(_Selected, zip(columns))))
-    start = Production(logic.name, array("I", range(n + 2, n + 2 + m)))
-    # The checks above cover __post_init__'s: the start rule names the atoms in
-    # order, and a row holds only labels, br and its last token n.
-    symbols = (SEPARATOR_NAME, LINEBREAK_NAME, *labels, *logic.atoms)
-    return Grammar._trusted((start, *rows), symbols, _indices=_Selected(columns))
+    return Grammar(logic, states)
 
 
 def derive(grammar: Grammar) -> Derivation:
     """The start symbol rewritten: the rows end to end, each ended by its ``n``.
 
-    It shares the grammar's tokens (no copy) and its table up to the heads that
-    end it, and its row boundaries are the row ends, so no token is read.
+    Its tokens are the grammar's columns (no copy) and its table the grammar's
+    up to the atoms, so no token is made.
     """
-    symbols = grammar.symbols  # the heads end it: drop them
-    end = len(symbols) - len(set(grammar.nonterminals).intersection(symbols))
-    ends = accumulate(len(p.body) for p in grammar.productions[1:])
-    bounds = tuple(k - 1 for k in ends)
-    return Derivation._trusted(symbols[:end], grammar._indices, row_boundaries=bounds)
+    symbols = (SEPARATOR_NAME, LINEBREAK_NAME, *grammar.states.labels())
+    return Derivation(symbols, _Selected(grammar.columns))
 
 
 def check_incidence(
@@ -332,10 +288,9 @@ def production_chunks(grammar: Grammar) -> Iterator[str]:
     The start rule is set off from the row rules by a blank line, matching
     the layered source layout used by :func:`sglg.render.emit_logic_program`.
     """
-    heads = grammar.nonterminals
-    ends = chain((".\n\n" if len(heads) > 1 else ".\n",), repeat(".\n"))
+    ends = chain((".\n\n",), repeat(".\n"))
     bodies = map(",".join, grammar.bodies(list(grammar.symbols)))
-    return map("{} --> {}{}".format, heads, bodies, ends)
+    return map("{} --> {}{}".format, grammar.nonterminals, bodies, ends)
 
 
 def production_text(grammar: Grammar) -> str:
@@ -349,8 +304,7 @@ def production_json_chunks(grammar: Grammar) -> Iterator[str]:
     by the function ``json.dumps`` quotes it with."""
 
     def chunk(lead: str, head: str, body: list[str]) -> str:
-        listed = "[\n    " + ",\n    ".join(body) + "\n  ]" if body else "[]"
-        return f"{lead}  {encode_basestring(head)}: {listed}"
+        return f"{lead}  {encode_basestring(head)}: [\n    " + ",\n    ".join(body) + "\n  ]"
 
     leads = chain(("{\n",), repeat(",\n"))
     quoted = list(map(encode_basestring, grammar.symbols))

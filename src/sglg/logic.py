@@ -841,7 +841,12 @@ def is_separating(states: StateSet, logic: PartitionLogic) -> bool:
 
 
 def _clash(columns: tuple[bytes, ...]) -> tuple[int, int] | None:
-    """The least index pair (i, j), i < j, of equal columns (or rows), or ``None``."""
+    """The least index pair (i, j), i < j, of equal columns (or rows), or ``None``.
+
+    Sorted, equal columns are neighbours: only a clash builds the index."""
+    ordered = sorted(columns)
+    if not any(map(bytes.__eq__, ordered, islice(ordered, 1, None))):
+        return None
     first: dict[bytes, int] = {}  # column -> first index holding it
     clashes = [(first.setdefault(c, j), j) for j, c in enumerate(columns)]
     return min((pair for pair in clashes if pair[0] != pair[1]), default=None)

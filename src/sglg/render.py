@@ -249,7 +249,7 @@ def emit_logic_program(grammar: Grammar, spec: RenderSpec) -> str:
     The repertoire layer binds each state symbol to its palette color and
     the layout layer binds ``br`` to the palette's ``br`` entry (black
     without one) and ``n`` to a literal newline escape. The layers are
-    separated by blank lines, and an empty repertoire is one blank line.
+    separated by blank lines.
     """
     return "".join(logic_program_chunks(grammar, spec))
 
@@ -260,8 +260,7 @@ def logic_program_chunks(grammar: Grammar, spec: RenderSpec) -> Iterator[str]:
     terminals = grammar.terminals
     repertoire = zip(terminals, repeat(" --> [ "), spec.colors(terminals), repeat(" ].\n"))
     layout = f"br --> [ {spec.separator_color} ].\nn  --> [\\n].\n"
-    return chain(production_chunks(grammar), ("\n",), map("".join, repertoire),
-                 (("\n" if terminals else "\n\n") + layout,))
+    return chain(production_chunks(grammar), ("\n",), map("".join, repertoire), ("\n" + layout,))
 
 
 _KINDS = {SEPARATOR_NAME: '"separator"', LINEBREAK_NAME: '"linebreak"'}

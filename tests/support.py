@@ -26,6 +26,7 @@ from sglg import (
     LogicFileError,
     PartitionLogic,
     StateSet,
+    compile_grammar,
     enumerate_states,
     is_separating,
     parse_logic_file,
@@ -201,11 +202,6 @@ def random_separating_logic(
             return logic, states
 
 
-def one_state_grammar(name: str = "g") -> Grammar:
-    """The smallest useful grammar: one row holding one state symbol."""
-    return Grammar.from_symbols(((name, ("x",)), ("x", ("s1", "br", "n"))))
-
-
 def _labels_valuing(logic: PartitionLogic, states: StateSet, atom: str, value: int):
     """The labels of the states that value ``atom`` as ``value``, in state
     order, read off the atom's support column."""
@@ -240,21 +236,20 @@ def body_names(grammar: Grammar, head: str) -> list[str]:
     return [grammar.symbols[i] for i in body]
 
 
-# Names a JSON or source writer must quote or pass through unchanged: quotes,
-# backslashes, control characters, a line separator and non-ASCII letters.
-# None of them is br or n.
-hostile_names = st.text(st.sampled_from('a1_"\\\x00\x1f\n\u2028é字'), min_size=1, max_size=3)
+# Atom names a JSON or source writer must quote or pass through unchanged:
+# quotes, backslashes, a line separator and non-ASCII letters. The parser
+# rejects control characters in a name, so none is drawn. None of them is
+# br, n, a state label or the logic's name g.
+hostile_names = st.text(st.sampled_from('a1_"\\\u2028é字'), min_size=1, max_size=3)
 
 
 @st.composite
-def hostile_flat_grammars(draw) -> Grammar:
-    """A flat grammar with up to four rows over hostile names; with no rows,
-    the start rule's body is empty."""
-    names = draw(st.lists(hostile_names, unique=True, max_size=9))
-    rows = draw(st.integers(0, min(4, max(len(names) - 1, 0))))
-    start, heads, states = (names[0] if names else "g"), names[1 : rows + 1], names[rows + 1 :]
-    body = st.lists(st.sampled_from([*states, "br"]), max_size=6)
-    return Grammar.from_symbols(((start, tuple(heads)), *((h, (*draw(body), "n")) for h in heads)))
+def hostile_grammars(draw) -> Grammar:
+    """A random separating logic, named g, its atoms renamed to hostile names, compiled."""
+    logic, states = random_separating_logic(random.Random(draw(st.integers(0, 10**6))))
+    m = len(logic.atoms)
+    atoms = draw(st.lists(hostile_names, min_size=m, max_size=m, unique=True))
+    return compile_grammar(PartitionLogic("g", tuple(atoms), logic.contexts), states)
 
 
 def listing(grammar: Grammar) -> tuple[tuple[str, tuple[str, ...]], ...]:

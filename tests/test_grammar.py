@@ -19,7 +19,6 @@ from sglg import (
     LogicFileError,
     NotSeparatingError,
     PartitionLogic,
-    Production,
     RowViolation,
     StateSet,
     ValidationError,
@@ -39,9 +38,8 @@ from support import (
     body_names,
     chain_spec,
     compiled_inputs,
-    hostile_flat_grammars,
+    hostile_grammars,
     listing,
-    one_state_grammar,
     parse_production_listing,
     random_base_set_spec,
     random_separating_logic,
@@ -129,27 +127,36 @@ def test_single_context_compilation():
     assert body_names(grammar, "y") == ["s2", "br", "s1", "n"]
 
 
-def test_compile_rejects_empty_state_set():
+# compile_grammar is one call to the Grammar constructor, which makes every check.
+COMPILERS = pytest.mark.parametrize(
+    "compile_", [compile_grammar, Grammar], ids=["compile", "Grammar"]
+)
+
+
+@COMPILERS
+def test_compile_rejects_empty_state_set(compile_):
     logic = PartitionLogic("logic", ("x", "y", "z"), ((0, 1), (1, 2), (2, 0)))
     states = enumerate_states(logic)
     assert len(states) == 0
     with pytest.raises(ValidationError, match=r"^contexts: logic 'logic' admits no two-valued states$"):
-        compile_grammar(logic, states)
+        compile_(logic, states)
 
 
-def test_compile_rejects_non_separating_states_with_witness():
+@COMPILERS
+def test_compile_rejects_non_separating_states_with_witness(compile_):
     logic = PartitionLogic("logic", ("x", "y", "z"), ((0, 1), (0, 2)))
     with pytest.raises(NotSeparatingError) as excinfo:
-        compile_grammar(logic, enumerate_states(logic))
+        compile_(logic, enumerate_states(logic))
     assert excinfo.value.witness == ("y", "z")
     assert excinfo.value.location == "atoms[2]"  # the later atom of the pair
 
 
-def test_compile_rejects_inadmissible_states():
+@COMPILERS
+def test_compile_rejects_inadmissible_states(compile_):
     logic = PartitionLogic("logic", ("x", "y"), ((0, 1),))
     states = StateSet(state_matrix([(1, 1), (1, 0)]), 2)
-    with pytest.raises(ValueError, match="not admissible"):
-        compile_grammar(logic, states)
+    with pytest.raises(ValidationError, match=r"^states\[0\]: not admissible$"):
+        compile_(logic, states)
 
 
 def one_context_logic(name: str, first: str, size: int) -> PartitionLogic:
@@ -180,10 +187,11 @@ def unit_vectors(size: int) -> list[tuple[int, ...]]:
     ],
     ids=["first", "third", "twelfth"],
 )
-def test_compile_names_the_first_inadmissible_state(logic, vectors, index):
+@COMPILERS
+def test_compile_names_the_first_inadmissible_state(compile_, logic, vectors, index):
     states = StateSet(state_matrix(vectors), len(logic.atoms))
     with pytest.raises(ValidationError, match=rf"^states\[{index}\]: not admissible$"):
-        compile_grammar(logic, states)
+        compile_(logic, states)
 
 
 # An atom named like a state label or a layout symbol would make rows
@@ -221,10 +229,11 @@ def case_id(name: str, atom: str, size: int, *_) -> str:
 @pytest.mark.parametrize(
     "name, atom, size, message", COLLISIONS, ids=[case_id(*c) for c in COLLISIONS]
 )
-def test_compile_rejects_symbol_collisions(name, atom, size, message):
+@COMPILERS
+def test_compile_rejects_symbol_collisions(compile_, name, atom, size, message):
     logic = one_context_logic(name, atom, size)
     with pytest.raises(ValidationError, match=rf"^{re.escape(message)}"):
-        compile_grammar(logic, enumerate_states(logic))
+        compile_(logic, enumerate_states(logic))
 
 
 @pytest.mark.parametrize("name, atom, size", LOOKALIKES, ids=[case_id(*c) for c in LOOKALIKES])
@@ -286,7 +295,8 @@ def test_compiled_rows_derivation_and_its_rows_share_the_columns():
     assert type(start.body) is array
     assert [p.body.columns for p in rows] == [(c,) for c in columns]
     assert all(p.body.columns[0] is c for p, c in zip(rows, derivation.indices.columns))
-    assert derive(grammar).indices is derivation.indices
+    assert derivation.indices.columns is grammar.columns
+    assert derive(grammar).indices.columns is derivation.indices.columns
     # Each body's numbers, read one by one, are the entries the reader gives for it.
     numbers = list(range(len(grammar.symbols)))
     assert [list(p.body) for p in grammar.productions] == list(grammar.bodies(numbers))
@@ -317,9 +327,11 @@ def test_compile_derive_and_check_peak_within_four_and_a_half_token_copies():
 
 
 def test_one_state_grammar_derivation():
-    derivation = derive(one_state_grammar())
-    assert list(derivation.tokens) == ["s1", "br", "n"]
-    assert derivation.row_boundaries == (2,)
+    logic = PartitionLogic("logic", ("x", "y"), ((0, 1),))
+    derivation = derive(compile_grammar(logic, StateSet(state_matrix([(1, 0)]), 2)))
+    assert list(derivation.tokens) == ["s1", "br", "n", "br", "s1", "n"]
+    assert derivation.row_boundaries == (2, 5)
+    assert derivation.row_lengths() == [2, 2]
 
 
 def test_derivation_is_deterministic():
@@ -365,28 +377,11 @@ def derive_by_recursion(grammar: Grammar) -> Derivation:
     return Derivation.from_tokens(tokens)
 
 
-@st.composite
-def flat_grammars(draw) -> Grammar:
-    """g -> x0..xk, each row x_i over s1, s2 and br, ended by n."""
-    names = [f"x{i}" for i in range(draw(st.integers(0, 6)))]
-    terminals = st.lists(st.sampled_from(["s1", "s2", "br"]), max_size=8)
-    rows = [(name, (*draw(terminals), "n")) for name in names]
-    return Grammar.from_symbols((("g", tuple(names)), *rows))
-
-
 @settings(max_examples=200, deadline=None)
-@given(flat_grammars())
-def test_derive_equals_recursive_expansion(grammar):
-    assert derivation_content(derive(grammar)) == derivation_content(
-        derive_by_recursion(grammar)
-    )
-
-
-@settings(max_examples=200, deadline=None)
-@given(flat_grammars())
-def test_rows_are_read_one_at_a_time_and_again_alike(grammar):
+@given(st.lists(st.lists(st.sampled_from(["s1", "s2", "br"]), max_size=8), max_size=6))
+def test_rows_are_read_one_at_a_time_and_again_alike(rows):
     # A row of "n" alone is empty, and no list stands for it.
-    derivation = derive(grammar)
+    derivation = from_rows(rows)
     numbers = list(range(len(derivation.symbols)))
     rows = derivation.rows(numbers)
     assert iter(rows) is rows  # each row made as it is read
@@ -407,18 +402,19 @@ def test_derive_equals_recursive_expansion_on_random_compiled_grammars():
 
 @settings(max_examples=100, deadline=None)
 @given(compiled_inputs())
-def test_compiled_grammar_equals_the_checked_one(inputs):
+def test_a_grammar_is_its_logic_and_states(inputs):
     logic, states = inputs
     grammar = compile_grammar(logic, states)
-    stated = grammar.__dict__["_indices"]  # there before any read of it
-    checked = Grammar(grammar.productions, grammar.symbols)
-    assert checked == grammar
-    assert checked._indices == stated and checked._indices is not stated
-    assert derive(checked) == derive(grammar)
-    # The names a compiled grammar reads off its productions and table.
+    assert grammar == Grammar(logic, states)
+    assert (grammar.logic, grammar.states) == (logic, states)
+    assert derive(Grammar(logic, states)) == derive(grammar)
+    # The columns are computed once, by the checks, and kept.
+    assert grammar.__dict__["columns"] is grammar.columns == supports(logic, states)
+    # The names a grammar reads off its logic and states.
     assert grammar.nonterminals == (logic.name, *logic.atoms)
     assert grammar.terminals == states.labels()
     assert grammar.productions[0].head == logic.name
+    assert len(grammar.productions) == len(logic.atoms) + 1
     m = len(logic.atoms)
     assert supports(logic, states) == tuple(states.matrix[j::m] for j in range(m))
 
@@ -433,125 +429,6 @@ def test_compiled_table_is_br_n_labels_atoms():
     derivation = derive(compile_grammar(logic, states))
     assert derivation.symbols == ("br", "n", *labels)
     assert all(type(name) is str for name in derivation.symbols)
-
-
-def test_row_names_without_a_production_derive_as_terminals():
-    grammar = Grammar.from_symbols((("g", ("x",)), ("x", ("s1", "ghost", "br", "n"))))
-    assert grammar.terminals == ("s1", "ghost")
-    assert grammar.nonterminals == ("g", "x")
-    assert derive(grammar).tokens == ("s1", "ghost", "br", "n")
-    assert derive(grammar).row_boundaries == (3,)
-
-
-BASE = one_state_grammar()  # g -> x; x -> s1 br n
-G_RULE, X_RULE = BASE.productions
-S1, BR, N, X = BASE.symbols  # the head last
-STRUCTURAL = {  # id: changed fields, start of the message
-    "no productions": (dict(productions=()), "grammar needs at least one production"),
-    "head named br": (
-        dict(productions=(G_RULE, X_RULE, Production("br", X_RULE.body))),
-        r"symbols declared in more than one class: \['br'\]",
-    ),
-    "head named n": (
-        dict(productions=(G_RULE, X_RULE, Production("n", X_RULE.body))),
-        r"symbols declared in more than one class: \['n'\]",
-    ),
-    "heads named br and n": (
-        dict(productions=(G_RULE, Production("n", X_RULE.body), Production("br", X_RULE.body))),
-        r"symbols declared in more than one class: \['br', 'n'\]",
-    ),
-    "repeated symbol": (dict(symbols=(S1, BR, N, X, S1)), "symbol table repeats a symbol"),
-    "body number past the table": (
-        dict(productions=(G_RULE, Production("x", array("I", [1, 4])))),
-        "production 'x' names no symbol of the table",
-    ),
-}
-
-
-@pytest.mark.parametrize("case", STRUCTURAL)
-def test_grammar_structural_validation(case):
-    changed, message = STRUCTURAL[case]
-    fields = {"productions": BASE.productions, "symbols": BASE.symbols, **changed}
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        Grammar(**fields)
-
-
-def test_grammar_requires_one_production_per_nonterminal():
-    with pytest.raises(ValueError, match="one production per nonterminal"):
-        Grammar((G_RULE, X_RULE, X_RULE), BASE.symbols)
-
-
-def test_derivation_table_ends_at_the_last_terminal():
-    # Table s1, n, x: the head x ends the table and is cut.
-    rules = (Production("g", array("I", [2])), Production("x", array("I", [0, 1])))
-    trailing = derive(Grammar(rules, ("s1", "n", "x")))
-    assert trailing.symbols == ("s1", "n")
-    assert trailing.tokens == ("s1", "n")
-    # from_symbols lists the heads last; a table with a head before a terminal
-    # is refused.
-    built = Grammar.from_symbols((("g", ("x",)), ("x", ("s1", "n"))))
-    assert built.symbols == ("s1", "n", "x")
-    assert derive(built) == trailing
-    leading = (Production("g", array("I", [0])), Production("x", array("I", [1, 2])))
-    with pytest.raises(ValueError, match="^symbol table lists a head before another symbol$"):
-        Grammar(leading, ("x", "s1", "n"))
-
-
-# Each grammar breaks the flat shape once: the start rule names the row
-# heads, once each and in order, and each row names no head and ends with
-# its one n.
-START_SHAPES = {  # id: rules
-    "names a terminal": (("g", ("x", "s1")), ("x", ("s1", "br", "n"))),
-    "names only a terminal": (("g", ("x",)),),  # x has no rule: a terminal
-    "misses a row": (("g", ("x",)), ("x", ("s1", "n")), ("y", ("s1", "n"))),
-    "reorders the rows": (("g", ("y", "x")), ("x", ("s1", "n")), ("y", ("s1", "n"))),
-    "names a row twice": (("g", ("x", "x")), ("x", ("s1", "n"))),
-    "names itself": (("x", ("x",)),),
-}
-
-
-@pytest.mark.parametrize("case", START_SHAPES)
-def test_grammar_rejects_a_start_rule_that_is_not_the_row_heads(case):
-    rules = START_SHAPES[case]
-    message = f"^start rule '{rules[0][0]}' does not name each row head once, in order$"
-    with pytest.raises(ValueError, match=message):
-        Grammar.from_symbols(rules)
-
-
-HEAD_IN_ROW = {  # id: rules, the row and the head it names
-    "two-rule cycle": ((("x", ("y",)), ("y", ("x",))), "y", "x"),
-    "self-reference": ((("g", ("x",)), ("x", ("x", "n"))), "x", "x"),
-    "cycle below a prefix": (
-        (("g", ("x", "y", "z")), ("x", ("y", "n")), ("y", ("z", "n")), ("z", ("y", "n"))),
-        "x",
-        "y",
-    ),
-    "nested row": ((("g", ("x", "y")), ("x", ("s1", "y", "n")), ("y", ("s1", "n"))), "x", "y"),
-    "the start symbol": ((("g", ("x",)), ("x", ("s1", "g", "n"))), "x", "g"),
-}
-
-
-@pytest.mark.parametrize("case", HEAD_IN_ROW)
-def test_grammar_rejects_a_row_that_names_a_head(case):
-    rules, row, head = HEAD_IN_ROW[case]
-    with pytest.raises(ValueError, match=f"^row '{row}' names nonterminal '{head}'$"):
-        Grammar.from_symbols(rules)
-
-
-LINEBREAK_SHAPES = {  # id: the body of row x
-    "missing": ("s1", "br"),
-    "empty row": (),
-    "not last": ("s1", "n", "br"),
-    "first": ("n", "s1"),
-    "twice": ("s1", "n", "n"),
-}
-
-
-@pytest.mark.parametrize("case", LINEBREAK_SHAPES)
-def test_grammar_rejects_a_row_without_n_as_its_one_last_token(case):
-    rules = (("g", ("x",)), ("x", LINEBREAK_SHAPES[case]))
-    with pytest.raises(ValueError, match="^row 'x' does not hold n once, as its last token$"):
-        Grammar.from_symbols(rules)
 
 
 # ---------------------------------------------------------- incidence
@@ -590,7 +467,7 @@ def test_incidence_holds_for_a_one_state_grammar():
 
 
 def test_incidence_row_count_mismatch_is_a_precondition_breach():
-    derivation = derive(one_state_grammar())
+    derivation = Derivation.from_tokens(("s1", "br", "n"))
     single = PartitionLogic("logic", ("x", "y"), ((0, 1),))
     states = enumerate_states(single)
     with pytest.raises(ValueError, match="rows"):
@@ -883,7 +760,7 @@ def test_productions_json_round_trips():
 
 
 @settings(max_examples=300, deadline=None)
-@given(hostile_flat_grammars())
+@given(hostile_grammars())
 def test_json_chunks_join_to_the_json_dumps_text(grammar):
     payload = {head: list(body) for head, body in listing(grammar)}
     expected = json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
@@ -891,11 +768,6 @@ def test_json_chunks_join_to_the_json_dumps_text(grammar):
     assert "".join(chunks) == expected
     assert productions_json(grammar) == expected
     assert len(chunks) == len(grammar.productions) + 1  # and the closing brace
-
-
-def test_json_listing_of_a_start_rule_alone():
-    grammar = Grammar.from_symbols((("g", ()),))
-    assert productions_json(grammar) == '{\n  "g": []\n}\n'
 
 
 def test_parse_production_listing_round_trips():

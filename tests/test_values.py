@@ -72,7 +72,7 @@ CASES = {
         ("b", array("I", [0, 1])),
     ),
     Grammar: _read(
-        ("productions", "symbols"),
+        ("logic", "states"),
         L12_GRAMMAR,
         TRIANGLE_GRAMMAR,
     ),
@@ -318,7 +318,7 @@ def test_cached_members_live_on_the_instance():
     assert states.labels() is states.labels()
     assert states == StateSet(L12_STATES.matrix, L12_STATES.width)
     grammar = Grammar(*CASES[Grammar][1])
-    assert grammar._indices is grammar._indices
+    assert grammar.columns is grammar.columns
     names = list(grammar.symbols)
     assert list(grammar.bodies(names)) == list(L12_GRAMMAR.bodies(names))
     assert grammar == L12_GRAMMAR
