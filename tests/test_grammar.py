@@ -431,6 +431,71 @@ def test_compiled_table_is_br_n_labels_atoms():
     assert all(type(name) is str for name in derivation.symbols)
 
 
+@settings(max_examples=100, deadline=None)
+@given(compiled_inputs())
+def test_derivation_table_ends_at_the_last_terminal(inputs):
+    # derive cuts the atoms off the grammar's table: no head is left in it.
+    logic, states = inputs
+    grammar = compile_grammar(logic, states)
+    symbols = derive(grammar).symbols
+    assert symbols == grammar.symbols[: len(grammar.symbols) - len(logic.atoms)]
+    assert symbols[-1] == grammar.terminals[-1]
+    assert not set(symbols) & set(grammar.nonterminals)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hostile_grammars())
+def test_derive_equals_recursive_expansion(grammar):
+    # Atoms named with quotes, backslashes and non-ASCII letters expand alike.
+    assert derivation_content(derive(grammar)) == derivation_content(
+        derive_by_recursion(grammar)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(compiled_inputs())
+def test_grammar_has_one_production_per_nonterminal_in_order(inputs):
+    grammar = compile_grammar(*inputs)
+    assert [p.head for p in grammar.productions] == list(grammar.nonterminals)
+
+
+@pytest.mark.parametrize("width, size", [(3, 2), (1, 2)], ids=["wider", "narrower"])
+def test_grammar_rejects_states_of_another_width(width, size):
+    # A width that is not the atom count is a caller's error, not a file's.
+    logic = one_context_logic("logic", "x", size)
+    states = StateSet(bytes(width), width)
+    with pytest.raises(ValueError, match=rf"^state s1 has a {width}-value vector for {size} atoms$"):
+        Grammar(logic, states)
+
+
+# The flat shape holds by construction: each claim on a grammar's listing,
+# the start rule first.
+FLAT_SHAPE = {
+    "start rule names each row head once, in order": lambda rules, labels: (
+        rules[0][1] == tuple(head for head, _ in rules[1:])
+    ),
+    "no row names a head": lambda rules, labels: not (
+        {name for _, body in rules[1:] for name in body} & {head for head, _ in rules}
+    ),
+    "each row holds n once, as its last token": lambda rules, labels: all(
+        body.count("n") == 1 and body[-1] == "n" for _, body in rules[1:]
+    ),
+    "each row holds br once": lambda rules, labels: all(
+        body.count("br") == 1 for _, body in rules[1:]
+    ),
+    "each row holds each label once": lambda rules, labels: all(
+        sorted(body[:-1]) == sorted(("br", *labels)) for _, body in rules[1:]
+    ),
+}
+
+
+@pytest.mark.parametrize("claim", FLAT_SHAPE)
+@settings(max_examples=50, deadline=None)
+@given(hostile_grammars())
+def test_compiled_grammar_is_flat(claim, grammar):
+    assert FLAT_SHAPE[claim](listing(grammar), grammar.terminals)
+
+
 # ---------------------------------------------------------- incidence
 
 
